@@ -63,13 +63,12 @@ BpTree::install()
 }
 
 Status
-BpTree::readRoot(uint64_t *root_raw, bool pin)
+BpTree::readRoot(uint64_t *root_raw)
 {
     ReadHint hint;
     hint.ds = id_;
     hint.cacheable = true;
     hint.level = 0;
-    hint.pin = pin;
     return s_->read(s_->namingField(id_, backend_, naming_field::kRoot),
                     root_raw, 8, hint);
 }
@@ -97,246 +96,15 @@ BpTree::routeIndex(const Node &n, Key key)
 }
 
 Status
-BpTree::insertRecurse(uint64_t node_raw, uint32_t depth, Key key,
-                      const Value &v, bool pin, Split *split, bool *added)
+BpTree::insertWriteout(std::span<PathEnt> path, Key key, const Value &v,
+                       bool *added)
 {
-    if (depth > kMaxHeight)
-        return Status::Conflict;
-    const RemotePtr node_ptr = RemotePtr::fromRaw(node_raw);
-    Node node;
-    Status st = readNode(node_ptr, &node, depth, true, pin);
-    if (!ok(st))
-        return st;
-    if (node.count > kFanout)
-        return Status::Corruption;
-
-    if (node.is_leaf) {
-        // Existing key: overwrite the value cell in place.
-        for (uint32_t i = 0; i < node.count; ++i) {
-            if (node.keys[i] == key) {
-                return s_->logWriteFromOp(
-                    id_, RemotePtr::fromRaw(node.children[i]),
-                    v.bytes.data(), Value::kSize);
-            }
-        }
-        // New value cell.
-        RemotePtr cell;
-        st = s_->alloc(backend_, Value::kSize, &cell);
-        if (!ok(st))
-            return st;
-        st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
-        if (!ok(st))
-            return st;
-        *added = true;
-
-        if (node.count == kFanout) {
-            // Split the leaf, then place the key in the proper half.
-            Node right{};
-            right.is_leaf = 1;
-            right.count = kFanout / 2;
-            for (uint32_t i = 0; i < kFanout / 2; ++i) {
-                right.keys[i] = node.keys[kFanout / 2 + i];
-                right.children[i] = node.children[kFanout / 2 + i];
-            }
-            right.next_raw = node.next_raw;
-            RemotePtr right_ptr;
-            st = s_->alloc(backend_, sizeof(Node), &right_ptr);
-            if (!ok(st))
-                return st;
-            node.count = kFanout / 2;
-            node.next_raw = right_ptr.raw();
-
-            Node *target = key >= right.keys[0] ? &right : &node;
-            uint32_t pos = 0;
-            while (pos < target->count && target->keys[pos] < key)
-                ++pos;
-            for (uint32_t i = target->count; i > pos; --i) {
-                target->keys[i] = target->keys[i - 1];
-                target->children[i] = target->children[i - 1];
-            }
-            target->keys[pos] = key;
-            target->children[pos] = cell.raw();
-            ++target->count;
-
-            st = writeNode(right_ptr, right);
-            if (!ok(st))
-                return st;
-            st = writeNode(node_ptr, node);
-            if (!ok(st))
-                return st;
-            split->happened = true;
-            split->sep_key = right.keys[0];
-            split->right_raw = right_ptr.raw();
-            return Status::Ok;
-        }
-        uint32_t pos = 0;
-        while (pos < node.count && node.keys[pos] < key)
-            ++pos;
-        for (uint32_t i = node.count; i > pos; --i) {
-            node.keys[i] = node.keys[i - 1];
-            node.children[i] = node.children[i - 1];
-        }
-        node.keys[pos] = key;
-        node.children[pos] = cell.raw();
-        ++node.count;
-        return writeNode(node_ptr, node);
-    }
-
-    // Internal node: descend, then absorb a child split if any.
-    const uint32_t idx = routeIndex(node, key);
-    Split child_split;
-    st = insertRecurse(node.children[idx], depth + 1, key, v, pin,
-                       &child_split, added);
-    if (!ok(st))
-        return st;
-    if (!child_split.happened)
-        return Status::Ok;
-
-    if (node.count == kFanout) {
-        // Split this internal node first.
-        Node right{};
-        right.is_leaf = 0;
-        right.count = kFanout / 2;
-        for (uint32_t i = 0; i < kFanout / 2; ++i) {
-            right.keys[i] = node.keys[kFanout / 2 + i];
-            right.children[i] = node.children[kFanout / 2 + i];
-        }
-        RemotePtr right_ptr;
-        st = s_->alloc(backend_, sizeof(Node), &right_ptr);
-        if (!ok(st))
-            return st;
-        node.count = kFanout / 2;
-
-        Node *target =
-            child_split.sep_key >= right.keys[0] ? &right : &node;
-        uint32_t pos = 0;
-        while (pos < target->count &&
-               target->keys[pos] < child_split.sep_key)
-            ++pos;
-        for (uint32_t i = target->count; i > pos; --i) {
-            target->keys[i] = target->keys[i - 1];
-            target->children[i] = target->children[i - 1];
-        }
-        target->keys[pos] = child_split.sep_key;
-        target->children[pos] = child_split.right_raw;
-        ++target->count;
-
-        st = writeNode(right_ptr, right);
-        if (!ok(st))
-            return st;
-        st = writeNode(node_ptr, node);
-        if (!ok(st))
-            return st;
-        split->happened = true;
-        split->sep_key = right.keys[0];
-        split->right_raw = right_ptr.raw();
-        return Status::Ok;
-    }
-    uint32_t pos = 0;
-    while (pos < node.count && node.keys[pos] < child_split.sep_key)
-        ++pos;
-    for (uint32_t i = node.count; i > pos; --i) {
-        node.keys[i] = node.keys[i - 1];
-        node.children[i] = node.children[i - 1];
-    }
-    node.keys[pos] = child_split.sep_key;
-    node.children[pos] = child_split.right_raw;
-    ++node.count;
-    return writeNode(node_ptr, node);
-}
-
-Status
-BpTree::insertOne(Key key, const Value &v, bool pin)
-{
-    Status st = s_->opBegin(id_, backend_, OpType::Insert, key,
-                            v.bytes.data(), Value::kSize);
-    if (!ok(st))
-        return st;
-    uint64_t root_raw = 0;
-    st = readRoot(&root_raw, pin);
-    if (!ok(st))
-        return st;
-
-    bool added = false;
-    if (root_raw == 0) {
-        RemotePtr cell;
-        st = s_->alloc(backend_, Value::kSize, &cell);
-        if (!ok(st))
-            return st;
-        st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
-        if (!ok(st))
-            return st;
-        Node leaf{};
-        leaf.is_leaf = 1;
-        leaf.count = 1;
-        leaf.keys[0] = key;
-        leaf.children[0] = cell.raw();
-        RemotePtr leaf_ptr;
-        st = allocNode(leaf, &leaf_ptr);
-        if (!ok(st))
-            return st;
-        st = writeRoot(leaf_ptr.raw());
-        if (!ok(st))
-            return st;
-        added = true;
-    } else {
-        Split split;
-        st = insertRecurse(root_raw, 0, key, v, pin, &split, &added);
-        if (!ok(st))
-            return st;
-        if (split.happened) {
-            // Grow the tree: a new root with two entries. Entry 0's key
-            // is a low sentinel (never compared at index 0).
-            Node new_root{};
-            new_root.is_leaf = 0;
-            new_root.count = 2;
-            new_root.keys[0] = 0;
-            new_root.children[0] = root_raw;
-            new_root.keys[1] = split.sep_key;
-            new_root.children[1] = split.right_raw;
-            RemotePtr root_ptr;
-            st = allocNode(new_root, &root_ptr);
-            if (!ok(st))
-                return st;
-            st = writeRoot(root_ptr.raw());
-            if (!ok(st))
-                return st;
-        }
-    }
-    if (added) {
-        ++count_;
-        st = s_->writeAux(id_, backend_, 1, count_);
-        if (!ok(st))
-            return st;
-    }
-    return s_->opEnd();
-}
-
-Status
-BpTree::insert(Key key, const Value &v)
-{
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    if (opt_.shared && !held) {
-        st = s_->readAux(id_, backend_, 1, &count_);
-        if (!ok(st))
-            return st;
-    }
-    return insertOne(key, v, /*pin=*/false);
-}
-
-Status
-BpTree::insertWriteout(std::vector<std::pair<uint64_t, Node>> &path,
-                       Key key, const Value &v, bool *added)
-{
-    // Mirrors insertRecurse's side-effect sequence exactly, but against
-    // the node copies captured by the validated descent: leaf step first
-    // (existing-key overwrite or fresh cell), then the bottom-up unwind
-    // where each level either absorbs the pending separator or splits
-    // and propagates it, stopping at the first absorption.
-    Node &leaf = path.back().second;
+    // Runs against the node copies captured by the validated descent:
+    // leaf step first (existing-key overwrite or fresh cell), then the
+    // bottom-up unwind where each level either absorbs the pending
+    // separator or splits and propagates it, stopping at the first
+    // absorption.
+    Node &leaf = path.back().node;
     for (uint32_t i = 0; i < leaf.count; ++i) {
         if (leaf.keys[i] == key) {
             return s_->logWriteFromOp(id_,
@@ -356,8 +124,8 @@ BpTree::insertWriteout(std::vector<std::pair<uint64_t, Node>> &path,
     Key ins_key = key;
     uint64_t ins_child = cell.raw();
     for (size_t lvl = path.size(); lvl-- > 0;) {
-        Node &node = path[lvl].second;
-        const RemotePtr node_ptr = RemotePtr::fromRaw(path[lvl].first);
+        Node &node = path[lvl].node;
+        const RemotePtr node_ptr = RemotePtr::fromRaw(path[lvl].raw);
         if (node.count == kFanout) {
             Node right{};
             right.is_leaf = node.is_leaf;
@@ -410,13 +178,13 @@ BpTree::insertWriteout(std::vector<std::pair<uint64_t, Node>> &path,
         ++node.count;
         return writeNode(node_ptr, node); // absorbed: unwind stops here
     }
-    // The split propagated past the root: grow the tree (same sentinel
-    // layout as insertOne's root-growth branch).
+    // The split propagated past the root: grow the tree. Entry 0's key
+    // is a low sentinel (never compared at index 0).
     Node new_root{};
     new_root.is_leaf = 0;
     new_root.count = 2;
     new_root.keys[0] = 0;
-    new_root.children[0] = path[0].first;
+    new_root.children[0] = path[0].raw;
     new_root.keys[1] = ins_key;
     new_root.children[1] = ins_child;
     RemotePtr root_ptr;
@@ -426,10 +194,15 @@ BpTree::insertWriteout(std::vector<std::pair<uint64_t, Node>> &path,
     return writeRoot(root_ptr.raw());
 }
 
-OpTask
-BpTree::insertAsync(Key key, Value v)
+Status
+BpTree::insert(Key key, const Value &v)
 {
-    // Prologue: identical to insert() — lock, then shared-count reload.
+    return s_->runInline(insertAsync(key, v));
+}
+
+OpTask
+BpTree::insertAsync(Key key, Value v, bool pin)
+{
     const bool held = s_->holdsWriterLock(id_, backend_);
     Status st = lockForWrite();
     if (!ok(st))
@@ -452,8 +225,10 @@ BpTree::insertAsync(Key key, Value v)
     // our own op-log record so phase B's memory logs reference it.
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
-    std::vector<std::pair<uint64_t, Node>> path;
+    FrameVec<PathEnt, 8> path_buf;
+    std::pmr::vector<PathEnt> &path = path_buf.v;
     std::vector<FrontendSession::ReadStamp> stamps;
+    stamps.reserve(16);
     uint64_t root_raw = 0;
     while (true) {
         // Phase A: suspendable descent, reads only. Every read is
@@ -467,6 +242,7 @@ BpTree::insertAsync(Key key, Value v)
             hint.ds = id_;
             hint.cacheable = true;
             hint.level = 0;
+            hint.pin = pin;
             const RemotePtr rp =
                 s_->namingField(id_, backend_, naming_field::kRoot);
             auto aw = s_->asyncRead(rp, &root_raw, 8, hint);
@@ -481,16 +257,19 @@ BpTree::insertAsync(Key key, Value v)
             while (true) {
                 if (d > kMaxHeight)
                     co_return Status::Conflict;
-                Node node;
+                // Read straight into the path slot: copying a frame-local
+                // node into the path costs more host time than the read.
+                PathEnt &ent = path.emplace_back();
+                ent.raw = cur_raw;
+                Node &node = ent.node;
                 auto aw = readNodeAsync(RemotePtr::fromRaw(cur_raw),
-                                        &node, d, true, false);
+                                        &node, d, true, pin);
                 const Status rst = co_await aw;
                 if (!ok(rst))
                     co_return rst;
                 stamps.push_back({cur_raw, aw.served_seq});
                 if (node.count > kFanout)
                     co_return Status::Corruption;
-                path.emplace_back(cur_raw, node);
                 if (node.is_leaf)
                     break;
                 cur_raw = node.children[routeIndex(node, key)];
@@ -572,7 +351,7 @@ BpTree::insertBatch(std::span<const std::pair<Key, Value>> kvs)
     std::sort(sorted.begin(), sorted.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
     for (const auto &[key, value] : sorted) {
-        st = insertOne(key, value, /*pin=*/true);
+        st = s_->runInline(insertAsync(key, value, /*pin=*/true));
         if (!ok(st))
             return st;
     }
@@ -580,11 +359,10 @@ BpTree::insertBatch(std::span<const std::pair<Key, Value>> kvs)
 }
 
 Status
-BpTree::findLeaf(Key key, bool pin, uint64_t *leaf_raw, Node *leaf,
-                 uint32_t *depth, bool prefetch)
+BpTree::findLeaf(Key key, uint64_t *leaf_raw, Node *leaf, uint32_t *depth)
 {
     uint64_t cur_raw = 0;
-    Status st = readRoot(&cur_raw, pin);
+    Status st = readRoot(&cur_raw);
     if (!ok(st))
         return st;
     if (cur_raw == 0)
@@ -596,7 +374,7 @@ BpTree::findLeaf(Key key, bool pin, uint64_t *leaf_raw, Node *leaf,
         if (d > kMaxHeight)
             return Status::Conflict;
         Node node;
-        st = readNode(RemotePtr::fromRaw(cur_raw), &node, d, true, pin,
+        st = readNode(RemotePtr::fromRaw(cur_raw), &node, d, true, false,
                       std::span<const PrefetchCandidate>(neigh, nn));
         if (!ok(st))
             return st;
@@ -612,84 +390,42 @@ BpTree::findLeaf(Key key, bool pin, uint64_t *leaf_raw, Node *leaf,
             return Status::Conflict;
         const uint32_t r = routeIndex(node, key);
         cur_raw = node.children[r];
+        // Nearest-first siblings of the child we descend into: range-
+        // local workloads make them the likeliest next miss, and their
+        // addresses are known before the child read — so they can ride
+        // its doorbell.
         nn = 0;
-        if (prefetch) {
-            // Nearest-first siblings of the child we descend into:
-            // range-local workloads make them the likeliest next miss,
-            // and their addresses are known before the child read — so
-            // they can ride its doorbell.
-            for (uint32_t dist = 1;
-                 dist < node.count && nn < std::size(neigh); ++dist) {
-                if (r + dist < node.count)
-                    neigh[nn++] = PrefetchCandidate{
-                        node.children[r + dist],
-                        static_cast<uint32_t>(sizeof(Node))};
-                if (dist <= r && nn < std::size(neigh))
-                    neigh[nn++] = PrefetchCandidate{
-                        node.children[r - dist],
-                        static_cast<uint32_t>(sizeof(Node))};
-            }
+        for (uint32_t dist = 1;
+             dist < node.count && nn < std::size(neigh); ++dist) {
+            if (r + dist < node.count)
+                neigh[nn++] = PrefetchCandidate{
+                    node.children[r + dist],
+                    static_cast<uint32_t>(sizeof(Node))};
+            if (dist <= r && nn < std::size(neigh))
+                neigh[nn++] = PrefetchCandidate{
+                    node.children[r - dist],
+                    static_cast<uint32_t>(sizeof(Node))};
         }
         ++d;
     }
 }
 
 Status
-BpTree::findLocked(Key key, Value *out, bool pin)
-{
-    uint64_t leaf_raw = 0;
-    Node leaf;
-    uint32_t depth = 0;
-    Status st = findLeaf(key, pin, &leaf_raw, &leaf, &depth,
-                         /*prefetch=*/true);
-    if (!ok(st))
-        return st;
-    for (uint32_t i = 0; i < leaf.count; ++i) {
-        if (leaf.keys[i] == key) {
-            // Adjacent value cells ride the demanded cell's doorbell.
-            PrefetchCandidate cells[4];
-            size_t nc = 0;
-            for (uint32_t dist = 1;
-                 dist < leaf.count && nc < std::size(cells); ++dist) {
-                if (i + dist < leaf.count)
-                    cells[nc++] = PrefetchCandidate{
-                        leaf.children[i + dist],
-                        static_cast<uint32_t>(Value::kSize)};
-                if (dist <= i && nc < std::size(cells))
-                    cells[nc++] = PrefetchCandidate{
-                        leaf.children[i - dist],
-                        static_cast<uint32_t>(Value::kSize)};
-            }
-            ReadHint hint;
-            hint.ds = id_;
-            hint.cacheable = true;
-            hint.level = depth + 1;
-            hint.admission = &admission_;
-            hint.pin = pin;
-            hint.neighbors =
-                std::span<const PrefetchCandidate>(cells, nc);
-            return s_->read(RemotePtr::fromRaw(leaf.children[i]), out,
-                            Value::kSize, hint);
-        }
-    }
-    return Status::NotFound;
-}
-
-Status
 BpTree::find(Key key, Value *out)
 {
-    return optimisticRead([&] { return findLocked(key, out, false); });
+    return optimisticRead(
+        [&] { return s_->runInline(findAsync(key, out)); });
 }
 
 OpTask
 BpTree::findAsync(Key key, Value *out)
 {
-    // Mirror of findLocked(key, out, /*pin=*/false): identical hints,
-    // torn-view guards and gather candidates, but every remote read is
-    // co_awaited so a cache miss suspends the traversal and the session
-    // reactor batches it with the other in-flight lookups' misses. The
-    // candidate arrays live in the coroutine frame, so the hint spans
-    // stay valid across suspension.
+    // Every remote read is co_awaited, so inside a pipelined window a
+    // cache miss suspends the traversal and the session reactor batches
+    // it with the other in-flight lookups' misses. The candidate arrays
+    // live in the coroutine frame, so the hint spans stay valid across
+    // suspension. Each child read gathers the nearest siblings around the
+    // taken route, as in findLeaf.
     //
     // Read-your-writes: a same-key write admitted earlier in this
     // window holds the (ds, key) gate until its local effects land;
@@ -801,8 +537,7 @@ BpTree::scan(Key from, uint32_t limit,
         uint64_t leaf_raw = 0;
         Node leaf;
         uint32_t depth = 0;
-        Status st = findLeaf(from, false, &leaf_raw, &leaf, &depth,
-                             /*prefetch=*/true);
+        Status st = findLeaf(from, &leaf_raw, &leaf, &depth);
         if (st == Status::NotFound)
             return Status::Ok; // empty tree
         if (!ok(st))
@@ -861,56 +596,7 @@ BpTree::contains(Key key)
 Status
 BpTree::erase(Key key)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    if (opt_.shared && !held) {
-        st = s_->readAux(id_, backend_, 1, &count_);
-        if (!ok(st))
-            return st;
-    }
-    st = s_->opBegin(id_, backend_, OpType::Erase, key, nullptr, 0);
-    if (!ok(st))
-        return st;
-    uint64_t leaf_raw = 0;
-    Node leaf;
-    uint32_t depth = 0;
-    st = findLeaf(key, false, &leaf_raw, &leaf, &depth);
-    if (st == Status::NotFound) {
-        st = s_->opEnd();
-        return ok(st) ? Status::NotFound : st;
-    }
-    if (!ok(st))
-        return st;
-    for (uint32_t i = 0; i < leaf.count; ++i) {
-        if (leaf.keys[i] != key)
-            continue;
-        const RemotePtr cell = RemotePtr::fromRaw(leaf.children[i]);
-        // Lazy deletion: compact the leaf, never merge (documented).
-        for (uint32_t j = i + 1; j < leaf.count; ++j) {
-            leaf.keys[j - 1] = leaf.keys[j];
-            leaf.children[j - 1] = leaf.children[j];
-        }
-        --leaf.count;
-        st = writeNode(RemotePtr::fromRaw(leaf_raw), leaf);
-        if (!ok(st))
-            return st;
-        if (opt_.shared)
-            s_->retire(id_, cell, Value::kSize);
-        else {
-            st = s_->free(cell, Value::kSize);
-            if (!ok(st))
-                return st;
-        }
-        --count_;
-        st = s_->writeAux(id_, backend_, 1, count_);
-        if (!ok(st))
-            return st;
-        return s_->opEnd();
-    }
-    st = s_->opEnd();
-    return ok(st) ? Status::NotFound : st;
+    return s_->runInline(eraseAsync(key));
 }
 
 OpTask
@@ -933,13 +619,14 @@ BpTree::eraseAsync(Key key)
         co_return st;
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
-    // Phase A: findLeaf's descent (no prefetch — write path), with every
-    // read stamped for validation. `desc_st` carries findLeaf's verdict
+    // Phase A: descent to the leaf (no prefetch — write path), with
+    // every read stamped for validation. `desc_st` carries the verdict
     // (NotFound on empty tree, Conflict on a torn view).
     uint64_t leaf_raw = 0;
     Node leaf{};
     Status desc_st = Status::Ok;
     std::vector<FrontendSession::ReadStamp> stamps;
+    stamps.reserve(16);
     while (true) {
         stamps.clear();
         desc_st = Status::Ok;
@@ -1001,7 +688,8 @@ BpTree::eraseAsync(Key key)
     if (!ok(desc_st))
         co_return desc_st;
 
-    // Phase B: erase()'s leaf compaction, inline.
+    // Phase B: leaf compaction (lazy deletion — leaves never merge),
+    // inline.
     s_->restoreOpRef(backend_, opref);
     for (uint32_t i = 0; i < leaf.count; ++i) {
         if (leaf.keys[i] != key)

@@ -34,20 +34,21 @@ class BpTree : public DsBase
                        std::string_view name, BpTree *out,
                        const DsOptions &opt = {});
 
-    /** Insert or update. */
+    /** Insert or update: insertAsync run inline. */
     Status insert(Key key, const Value &v);
 
     /**
-     * Insert/update as a resumable pipeline op: the descent co_awaits
+     * Insert/update as a resumable op — the one implementation behind
+     * insert(), insertMany() and insertBatch(). The descent co_awaits
      * every remote read (phase A), then — once the read set validates
-     * against sibling window writes — replays the serial write-out
-     * inline (phase B: allocs, memory logs, splits, root growth, in
-     * exactly insert()'s order). Same-key ops in one window are ordered
-     * by a WindowGate; a sibling write under the descent restarts it
-     * from the (now hot) local tiers. Depth 1 never suspends, so the
-     * op is bit-identical to insert().
+     * against sibling window writes — runs the write-out inline (phase
+     * B: allocs, memory logs, splits, root growth). Same-key ops in one
+     * window are ordered by a WindowGate; a sibling write under the
+     * descent restarts it from the (now hot) local tiers. Outside a
+     * pipelined window nothing suspends. @p pin keeps the descent's
+     * reads in the batch-local pin set (vector insertion, Algorithm 3).
      */
-    OpTask insertAsync(Key key, Value v);
+    OpTask insertAsync(Key key, Value v, bool pin = false);
 
     /**
      * Pipelined multi-insert: up to SessionConfig::pipeline_depth
@@ -63,15 +64,15 @@ class BpTree : public DsBase
     /** Vector insertion (Algorithm 3; sorted, path-sharing). */
     Status insertBatch(std::span<const std::pair<Key, Value>> kvs);
 
-    /** Point lookup. */
+    /** Point lookup: findAsync run inline under the reader protocol. */
     Status find(Key key, Value *out);
 
     /**
-     * Point lookup as a resumable pipeline op: the traversal co_awaits
-     * every remote read, letting FrontendSession::executePipelined keep
-     * several lookups' reads in flight per round trip. Mirrors find()
-     * step for step (same hints, guards and sibling gather candidates).
-     * Only valid on handles where pipelineEligible() holds.
+     * Point lookup as a resumable op: the traversal co_awaits every
+     * remote read, letting FrontendSession::executePipelined keep
+     * several lookups' reads in flight per round trip. Pipelined only
+     * on handles where pipelineEligible() holds; find() runs it inline
+     * inside the seqlock retry loop on shared handles.
      */
     OpTask findAsync(Key key, Value *out);
 
@@ -92,10 +93,11 @@ class BpTree : public DsBase
     Status erase(Key key);
 
     /**
-     * Remove as a resumable pipeline op. Phase A descends to the leaf
-     * with suspendable reads; phase B replays erase()'s compaction,
-     * cell free/retire and aux update inline after read-set validation.
-     * Same WindowGate / restart discipline as insertAsync.
+     * Remove as a resumable op (erase() runs it inline). Phase A
+     * descends to the leaf with suspendable reads; phase B compacts the
+     * leaf, frees/retires the cell and updates the count inline after
+     * read-set validation. Same WindowGate / restart discipline as
+     * insertAsync.
      */
     OpTask eraseAsync(Key key);
 
@@ -122,40 +124,35 @@ class BpTree : public DsBase
     };
     static_assert(sizeof(Node) == 16 + 16 * kFanout);
 
-    /** Result of a recursive insert: a split to propagate upward. */
-    struct Split
+    /** One level of a write descent: the node's address and its copy. */
+    struct PathEnt
     {
-        bool happened = false;
-        Key sep_key = 0;
-        uint64_t right_raw = 0;
+        PathEnt() {} // node left uninitialized: the descent's read fills it
+        uint64_t raw = 0;
+        Node node;
     };
 
     void install();
-    Status readRoot(uint64_t *root_raw, bool pin);
+    Status readRoot(uint64_t *root_raw);
     Status writeRoot(uint64_t root_raw);
-    Status insertOne(Key key, const Value &v, bool pin);
-    Status insertRecurse(uint64_t node_raw, uint32_t depth, Key key,
-                         const Value &v, bool pin, Split *split,
-                         bool *added);
     /**
-     * Descend to the leaf covering @p key. With @p prefetch (read-only
-     * operations), each child read carries the nearest sibling children
-     * around the taken route as gather candidates — range locality makes
-     * the next lookup likely to land in one of them.
+     * scan()'s serial descent to the leaf covering @p key: each child
+     * read carries the nearest sibling children around the taken route
+     * as gather candidates — range locality makes the next access likely
+     * to land in one of them.
      */
-    Status findLeaf(Key key, bool pin, uint64_t *leaf_raw, Node *leaf,
-                    uint32_t *depth, bool prefetch = false);
-    Status findLocked(Key key, Value *out, bool pin);
+    Status findLeaf(Key key, uint64_t *leaf_raw, Node *leaf,
+                    uint32_t *depth);
 
     /**
-     * Phase B of insertAsync: replay insert()'s exact write sequence
-     * (value-cell alloc + memory log, leaf insert or split, bottom-up
-     * split absorption, root growth) against the validated node copies
-     * captured during the suspendable descent. Runs inline — no
-     * suspension — so it is atomic with respect to sibling window ops.
+     * Phase B of insertAsync: the write sequence (value-cell alloc +
+     * memory log, leaf insert or split, bottom-up split absorption, root
+     * growth) against the validated node copies captured during the
+     * suspendable descent. Runs inline — no suspension — so it is atomic
+     * with respect to sibling window ops.
      */
-    Status insertWriteout(std::vector<std::pair<uint64_t, Node>> &path,
-                          Key key, const Value &v, bool *added);
+    Status insertWriteout(std::span<PathEnt> path, Key key,
+                          const Value &v, bool *added);
 
     /** Index of the child to descend into (internal nodes). */
     static uint32_t routeIndex(const Node &n, Key key);

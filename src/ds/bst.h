@@ -11,6 +11,11 @@
  * the root are admitted with the adaptive level threshold N, lower nodes
  * are read directly from remote NVM. Sorted vector insertion (Algorithm
  * 3's Gather-Apply traversal sharing) is exposed as insertBatch.
+ *
+ * The BST has no pipelined (OpTask) form: each operation has exactly one
+ * implementation, the serial one below. No batch or window entry point
+ * calls it, and Table 3's BST cells are serial measurements, so a
+ * coroutine port would add code without a caller.
  */
 
 #include <span>

@@ -17,9 +17,12 @@
  */
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <memory_resource>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "backend/layout.h"
 #include "common/stats.h"
@@ -51,6 +54,29 @@ struct DsOptions
      */
     uint64_t retry_backoff_ns = 500;
     uint64_t retry_backoff_cap_ns = 8000;
+};
+
+/**
+ * A vector whose first @p N elements live inside the object — declared
+ * in a coroutine body, inside the (pooled) coroutine frame — and which
+ * spills to the heap only past that. Write descents keep their node
+ * path in one, so the serial op, which runs the same coroutine, pays no
+ * per-call heap allocation for it. Neither copyable nor movable.
+ */
+template <typename T, std::size_t N>
+class FrameVec
+{
+  public:
+    FrameVec() { v.reserve(N); }
+    FrameVec(const FrameVec &) = delete;
+    FrameVec &operator=(const FrameVec &) = delete;
+
+  private:
+    alignas(T) std::byte buf_[N * sizeof(T)];
+    std::pmr::monotonic_buffer_resource mr_{buf_, sizeof(buf_)};
+
+  public:
+    std::pmr::vector<T> v{&mr_};
 };
 
 /** Base class wiring a structure handle to its session and naming entry. */
@@ -89,15 +115,9 @@ class DsBase
                     std::span<const PrefetchCandidate> neighbors = {},
                     uint64_t stream = 0)
     {
-        ReadHint hint;
-        hint.ds = id_;
-        hint.cacheable = true;
-        hint.level = level;
-        hint.admission = use_admission ? &admission_ : nullptr;
-        hint.pin = pin;
-        hint.neighbors = neighbors;
-        hint.stream = stream;
-        return s_->read(p, out, sizeof(Node), hint);
+        return s_->read(p, out, sizeof(Node),
+                        nodeHint(level, use_admission, pin, neighbors,
+                                 stream));
     }
 
     /**
@@ -117,6 +137,16 @@ class DsBase
                   std::span<const PrefetchCandidate> neighbors = {},
                   uint64_t stream = 0)
     {
+        return s_->asyncRead(p, out, sizeof(Node),
+                             nodeHint(level, use_admission, pin, neighbors,
+                                      stream));
+    }
+
+    /** The cacheable ReadHint readNode and readNodeAsync issue. */
+    ReadHint nodeHint(uint32_t level, bool use_admission, bool pin,
+                      std::span<const PrefetchCandidate> neighbors,
+                      uint64_t stream)
+    {
         ReadHint hint;
         hint.ds = id_;
         hint.cacheable = true;
@@ -125,7 +155,7 @@ class DsBase
         hint.pin = pin;
         hint.neighbors = neighbors;
         hint.stream = stream;
-        return s_->asyncRead(p, out, sizeof(Node), hint);
+        return hint;
     }
 
     /**

@@ -131,70 +131,9 @@ HashTable::bucketPtr(Key key) const
 }
 
 Status
-HashTable::readBucketHead(Key key, uint64_t *head_raw)
-{
-    ReadHint hint;
-    hint.ds = id_;
-    hint.cacheable = true; // hot buckets stay in front-end DRAM
-    return s_->read(bucketPtr(key), head_raw, 8, hint);
-}
-
-Status
 HashTable::put(Key key, const Value &v)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    if (opt_.shared && !held) {
-        // Another writer may have run since we last held the lock.
-        st = s_->readAux(id_, backend_, 2, &count_);
-        if (!ok(st))
-            return st;
-    }
-    st = s_->opBegin(id_, backend_, OpType::Insert, key, v.bytes.data(),
-                     Value::kSize);
-    if (!ok(st))
-        return st;
-
-    uint64_t head_raw = 0;
-    st = readBucketHead(key, &head_raw);
-    if (!ok(st))
-        return st;
-    uint64_t cur_raw = head_raw;
-    uint32_t hops = 0;
-    while (cur_raw != 0 && hops++ < kMaxChainHops) {
-        const RemotePtr cur = RemotePtr::fromRaw(cur_raw);
-        Node node;
-        st = readNode(cur, &node, 0, false);
-        if (!ok(st))
-            return st;
-        if (node.key == key) {
-            node.value = v; // update in place (whole-node rewrite)
-            st = writeNode(cur, node);
-            if (!ok(st))
-                return st;
-            return s_->opEnd();
-        }
-        cur_raw = node.next_raw;
-    }
-    Node fresh{};
-    fresh.key = key;
-    fresh.next_raw = head_raw;
-    fresh.value = v;
-    RemotePtr p;
-    st = allocNode(fresh, &p);
-    if (!ok(st))
-        return st;
-    const uint64_t new_head = p.raw();
-    st = s_->logWrite(id_, bucketPtr(key), &new_head, 8);
-    if (!ok(st))
-        return st;
-    ++count_;
-    st = s_->writeAux(id_, backend_, 2, count_);
-    if (!ok(st))
-        return st;
-    return s_->opEnd();
+    return s_->runInline(putAsync(key, v));
 }
 
 OpTask
@@ -222,12 +161,13 @@ HashTable::putAsync(Key key, Value v)
     // own op-log record so phase B's memory logs reference it.
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
-    // Phase A: put()'s chain walk with every read stamped so the set can
-    // be validated against sibling window writes before we mutate.
+    // Phase A: the chain walk, every read stamped so the set can be
+    // validated against sibling window writes before we mutate.
     uint64_t head_raw = 0;
     uint64_t match_raw = 0;
     Node match{};
     std::vector<FrontendSession::ReadStamp> stamps;
+    stamps.reserve(16);
     while (true) {
         stamps.clear();
         match_raw = 0;
@@ -265,7 +205,8 @@ HashTable::putAsync(Key key, Value v)
         s_->notePipelineRestart();
     }
 
-    // Phase B: put()'s serial tail, inline and unsuspended.
+    // Phase B: in-place rewrite, or fresh node + bucket-head relink —
+    // inline and unsuspended.
     s_->restoreOpRef(backend_, opref);
     if (match_raw != 0) {
         match.value = v; // update in place (whole-node rewrite)
@@ -314,42 +255,15 @@ HashTable::putMany(std::span<const std::pair<Key, Value>> kvs,
 }
 
 Status
-HashTable::getLocked(Key key, Value *out)
-{
-    uint64_t cur_raw = 0;
-    Status st = readBucketHead(key, &cur_raw);
-    if (!ok(st))
-        return st;
-    // Chain nodes form a stable run behind their bucket: labeling the
-    // walk with the bucket address lets a repeated lookup gather the
-    // whole chain in one doorbell.
-    const uint64_t chain_stream = bucketPtr(key).raw();
-    uint32_t hops = 0;
-    while (cur_raw != 0 && hops++ < kMaxChainHops) {
-        Node node;
-        st = readNode(RemotePtr::fromRaw(cur_raw), &node, 0, false, false,
-                      {}, chain_stream);
-        if (!ok(st))
-            return st;
-        if (node.key == key) {
-            *out = node.value;
-            return Status::Ok;
-        }
-        cur_raw = node.next_raw;
-    }
-    return hops >= kMaxChainHops ? Status::Conflict : Status::NotFound;
-}
-
-Status
 HashTable::get(Key key, Value *out)
 {
-    return optimisticRead([&] { return getLocked(key, out); });
+    return optimisticRead([&] { return s_->runInline(getAsync(key, out)); });
 }
 
 OpTask
 HashTable::getAsync(Key key, Value *out)
 {
-    // Mirror of getLocked with every remote read co_awaited: a cache
+    // Every remote read is co_awaited: inside a pipelined window a cache
     // miss suspends the walk and the session reactor gathers it with
     // the other in-flight lookups' misses.
     //
@@ -368,6 +282,9 @@ HashTable::getAsync(Key key, Value *out)
         if (!ok(st))
             co_return st;
     }
+    // Chain nodes form a stable run behind their bucket: labeling the
+    // walk with the bucket address lets a repeated lookup gather the
+    // whole chain in one doorbell.
     const uint64_t chain_stream = bucketPtr(key).raw();
     uint32_t hops = 0;
     while (cur_raw != 0 && hops++ < kMaxChainHops) {
@@ -415,63 +332,7 @@ HashTable::contains(Key key)
 Status
 HashTable::erase(Key key)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    if (opt_.shared && !held) {
-        st = s_->readAux(id_, backend_, 2, &count_);
-        if (!ok(st))
-            return st;
-    }
-    st = s_->opBegin(id_, backend_, OpType::Erase, key, nullptr, 0);
-    if (!ok(st))
-        return st;
-
-    uint64_t head_raw = 0;
-    st = readBucketHead(key, &head_raw);
-    if (!ok(st))
-        return st;
-    uint64_t prev_raw = 0;
-    Node prev{};
-    uint64_t cur_raw = head_raw;
-    uint32_t hops = 0;
-    while (cur_raw != 0 && hops++ < kMaxChainHops) {
-        const RemotePtr cur = RemotePtr::fromRaw(cur_raw);
-        Node node;
-        st = readNode(cur, &node, 0, false);
-        if (!ok(st))
-            return st;
-        if (node.key == key) {
-            if (prev_raw == 0) {
-                st = s_->logWrite(id_, bucketPtr(key), &node.next_raw, 8);
-            } else {
-                prev.next_raw = node.next_raw;
-                st = writeNode(RemotePtr::fromRaw(prev_raw), prev);
-            }
-            if (!ok(st))
-                return st;
-            if (opt_.shared) {
-                // Readers may still traverse the node: defer the reuse
-                // past the lazy-GC window (Section 6.2).
-                s_->retire(id_, cur, sizeof(Node));
-            } else {
-                st = s_->free(cur, sizeof(Node));
-                if (!ok(st))
-                    return st;
-            }
-            --count_;
-            st = s_->writeAux(id_, backend_, 2, count_);
-            if (!ok(st))
-                return st;
-            return s_->opEnd();
-        }
-        prev_raw = cur_raw;
-        prev = node;
-        cur_raw = node.next_raw;
-    }
-    st = s_->opEnd();
-    return ok(st) ? Status::NotFound : st;
+    return s_->runInline(eraseAsync(key));
 }
 
 OpTask
@@ -494,13 +355,14 @@ HashTable::eraseAsync(Key key)
         co_return st;
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
-    // Phase A: erase()'s chain walk (tracking the predecessor copy),
-    // stamped for validation.
+    // Phase A: the chain walk (tracking the predecessor copy), stamped
+    // for validation.
     uint64_t match_raw = 0;
     Node match{};
     uint64_t prev_raw = 0;
     Node prev{};
     std::vector<FrontendSession::ReadStamp> stamps;
+    stamps.reserve(16);
     while (true) {
         stamps.clear();
         match_raw = 0;
@@ -556,6 +418,8 @@ HashTable::eraseAsync(Key key)
     if (!ok(st))
         co_return st;
     if (opt_.shared) {
+        // Readers may still traverse the node: defer the reuse past the
+        // lazy-GC window (Section 6.2).
         s_->retire(id_, cur, sizeof(Node));
     } else {
         st = s_->free(cur, sizeof(Node));

@@ -35,15 +35,16 @@ class HashTable : public DsBase
                        std::string_view name, HashTable *out,
                        const DsOptions &opt = {});
 
-    /** Insert or update. */
+    /** Insert or update: putAsync run inline. */
     Status put(Key key, const Value &v);
 
     /**
-     * Insert/update as a resumable pipeline op: the chain walk co_awaits
-     * every remote read (phase A); after the read set validates against
-     * sibling window writes, put()'s serial tail (in-place rewrite, or
-     * fresh node + bucket-head relink) runs inline and unsuspended
-     * (phase B). Same-key ops in one window are WindowGate-ordered.
+     * Insert/update as a resumable op — the one implementation behind
+     * put() and putMany(). The chain walk co_awaits every remote read
+     * (phase A); after the read set validates against sibling window
+     * writes, the tail (in-place rewrite, or fresh node + bucket-head
+     * relink) runs inline and unsuspended (phase B). Same-key ops in one
+     * window are WindowGate-ordered.
      */
     OpTask putAsync(Key key, Value v);
 
@@ -51,14 +52,13 @@ class HashTable : public DsBase
     Status putMany(std::span<const std::pair<Key, Value>> kvs,
                    Status *results);
 
-    /** Point lookup. */
+    /** Point lookup: getAsync run inline under the reader protocol. */
     Status get(Key key, Value *out);
 
     /**
-     * Point lookup as a resumable pipeline op: the chain walk co_awaits
-     * every remote read so executePipelined can overlap several lookups
-     * per round trip. Mirrors get() step for step. Only valid where
-     * pipelineEligible() holds.
+     * Point lookup as a resumable op: the chain walk co_awaits every
+     * remote read so executePipelined can overlap several lookups per
+     * round trip. Pipelined only where pipelineEligible() holds.
      */
     OpTask getAsync(Key key, Value *out);
 
@@ -69,13 +69,12 @@ class HashTable : public DsBase
     Status getMany(std::span<const Key> keys, Value *vals,
                    Status *results);
 
-    /** Remove; NotFound when absent. */
+    /** Remove; NotFound when absent. eraseAsync run inline. */
     Status erase(Key key);
 
     /**
-     * Remove as a resumable pipeline op: suspendable chain walk
-     * (phase A), then erase()'s unlink/free tail inline after read-set
-     * validation (phase B).
+     * Remove as a resumable op: suspendable chain walk (phase A), then
+     * the unlink/free tail inline after read-set validation (phase B).
      */
     OpTask eraseAsync(Key key);
 
@@ -105,8 +104,6 @@ class HashTable : public DsBase
     void install();
     Status loadShadows();
     RemotePtr bucketPtr(Key key) const;
-    Status readBucketHead(Key key, uint64_t *head_raw);
-    Status getLocked(Key key, Value *out);
 
     uint64_t array_off_ = 0; //!< aux0: bucket array NVM offset
     uint64_t nbuckets_ = 0;  //!< aux1

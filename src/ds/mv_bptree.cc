@@ -80,241 +80,13 @@ MvBpTree::routeIndex(const Node &n, Key key)
 }
 
 Status
-MvBpTree::insertRec(uint64_t node_raw, uint32_t depth, Key key,
-                    const Value &v, bool pin, uint64_t *new_raw,
-                    Split *split, bool *added)
-{
-    if (depth > kMaxHeight)
-        return Status::Corruption;
-    Node node;
-    Status st = readNode(RemotePtr::fromRaw(node_raw), &node, depth,
-                         true, pin);
-    if (!ok(st))
-        return st;
-    if (node.count > kFanout)
-        return Status::Corruption;
-    // Every version change supersedes this node.
-    s_->retire(id_, RemotePtr::fromRaw(node_raw), sizeof(Node));
-
-    if (node.is_leaf) {
-        for (uint32_t i = 0; i < node.count; ++i) {
-            if (node.keys[i] == key) {
-                // Immutable cells: new cell, new leaf copy.
-                RemotePtr cell;
-                st = s_->alloc(backend_, Value::kSize, &cell);
-                if (!ok(st))
-                    return st;
-                st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
-                if (!ok(st))
-                    return st;
-                s_->retire(id_, RemotePtr::fromRaw(node.children[i]),
-                           Value::kSize);
-                node.children[i] = cell.raw();
-                RemotePtr p;
-                st = allocNode(node, &p);
-                if (!ok(st))
-                    return st;
-                *new_raw = p.raw();
-                return Status::Ok;
-            }
-        }
-        RemotePtr cell;
-        st = s_->alloc(backend_, Value::kSize, &cell);
-        if (!ok(st))
-            return st;
-        st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
-        if (!ok(st))
-            return st;
-        *added = true;
-
-        if (node.count == kFanout) {
-            Node right{};
-            right.is_leaf = 1;
-            right.count = kFanout / 2;
-            for (uint32_t i = 0; i < kFanout / 2; ++i) {
-                right.keys[i] = node.keys[kFanout / 2 + i];
-                right.children[i] = node.children[kFanout / 2 + i];
-            }
-            node.count = kFanout / 2;
-            Node *target = key >= right.keys[0] ? &right : &node;
-            uint32_t pos = 0;
-            while (pos < target->count && target->keys[pos] < key)
-                ++pos;
-            for (uint32_t i = target->count; i > pos; --i) {
-                target->keys[i] = target->keys[i - 1];
-                target->children[i] = target->children[i - 1];
-            }
-            target->keys[pos] = key;
-            target->children[pos] = cell.raw();
-            ++target->count;
-
-            RemotePtr left_ptr, right_ptr;
-            st = allocNode(node, &left_ptr);
-            if (!ok(st))
-                return st;
-            st = allocNode(right, &right_ptr);
-            if (!ok(st))
-                return st;
-            *new_raw = left_ptr.raw();
-            split->happened = true;
-            split->sep_key = right.keys[0];
-            split->right_raw = right_ptr.raw();
-            return Status::Ok;
-        }
-        uint32_t pos = 0;
-        while (pos < node.count && node.keys[pos] < key)
-            ++pos;
-        for (uint32_t i = node.count; i > pos; --i) {
-            node.keys[i] = node.keys[i - 1];
-            node.children[i] = node.children[i - 1];
-        }
-        node.keys[pos] = key;
-        node.children[pos] = cell.raw();
-        ++node.count;
-        RemotePtr p;
-        st = allocNode(node, &p);
-        if (!ok(st))
-            return st;
-        *new_raw = p.raw();
-        return Status::Ok;
-    }
-
-    const uint32_t idx = routeIndex(node, key);
-    uint64_t new_child_raw = 0;
-    Split child_split;
-    st = insertRec(node.children[idx], depth + 1, key, v, pin,
-                   &new_child_raw, &child_split, added);
-    if (!ok(st))
-        return st;
-    node.children[idx] = new_child_raw;
-
-    if (child_split.happened) {
-        if (node.count == kFanout) {
-            Node right{};
-            right.is_leaf = 0;
-            right.count = kFanout / 2;
-            for (uint32_t i = 0; i < kFanout / 2; ++i) {
-                right.keys[i] = node.keys[kFanout / 2 + i];
-                right.children[i] = node.children[kFanout / 2 + i];
-            }
-            node.count = kFanout / 2;
-            Node *target =
-                child_split.sep_key >= right.keys[0] ? &right : &node;
-            uint32_t pos = 0;
-            while (pos < target->count &&
-                   target->keys[pos] < child_split.sep_key)
-                ++pos;
-            for (uint32_t i = target->count; i > pos; --i) {
-                target->keys[i] = target->keys[i - 1];
-                target->children[i] = target->children[i - 1];
-            }
-            target->keys[pos] = child_split.sep_key;
-            target->children[pos] = child_split.right_raw;
-            ++target->count;
-
-            RemotePtr left_ptr, right_ptr;
-            st = allocNode(node, &left_ptr);
-            if (!ok(st))
-                return st;
-            st = allocNode(right, &right_ptr);
-            if (!ok(st))
-                return st;
-            *new_raw = left_ptr.raw();
-            split->happened = true;
-            split->sep_key = right.keys[0];
-            split->right_raw = right_ptr.raw();
-            return Status::Ok;
-        }
-        uint32_t pos = 0;
-        while (pos < node.count && node.keys[pos] < child_split.sep_key)
-            ++pos;
-        for (uint32_t i = node.count; i > pos; --i) {
-            node.keys[i] = node.keys[i - 1];
-            node.children[i] = node.children[i - 1];
-        }
-        node.keys[pos] = child_split.sep_key;
-        node.children[pos] = child_split.right_raw;
-        ++node.count;
-    }
-    RemotePtr p;
-    st = allocNode(node, &p);
-    if (!ok(st))
-        return st;
-    *new_raw = p.raw();
-    return Status::Ok;
-}
-
-Status
-MvBpTree::insertOne(Key key, const Value &v, bool pin)
-{
-    Status st = s_->opBegin(id_, backend_, OpType::Insert, key,
-                            v.bytes.data(), Value::kSize);
-    if (!ok(st))
-        return st;
-    const uint64_t root_raw = workingRoot();
-    bool added = false;
-    uint64_t new_root_raw = 0;
-    if (root_raw == 0) {
-        RemotePtr cell;
-        st = s_->alloc(backend_, Value::kSize, &cell);
-        if (!ok(st))
-            return st;
-        st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
-        if (!ok(st))
-            return st;
-        Node leaf{};
-        leaf.is_leaf = 1;
-        leaf.count = 1;
-        leaf.keys[0] = key;
-        leaf.children[0] = cell.raw();
-        RemotePtr p;
-        st = allocNode(leaf, &p);
-        if (!ok(st))
-            return st;
-        new_root_raw = p.raw();
-        added = true;
-    } else {
-        Split split;
-        st = insertRec(root_raw, 0, key, v, pin, &new_root_raw, &split,
-                       &added);
-        if (!ok(st))
-            return st;
-        if (split.happened) {
-            Node new_root{};
-            new_root.is_leaf = 0;
-            new_root.count = 2;
-            new_root.keys[0] = 0;
-            new_root.children[0] = new_root_raw;
-            new_root.keys[1] = split.sep_key;
-            new_root.children[1] = split.right_raw;
-            RemotePtr p;
-            st = allocNode(new_root, &p);
-            if (!ok(st))
-                return st;
-            new_root_raw = p.raw();
-        }
-    }
-    stageRoot(new_root_raw);
-    if (added) {
-        ++count_;
-        st = s_->writeAux(id_, backend_, 1, count_);
-        if (!ok(st))
-            return st;
-    }
-    return s_->opEnd();
-}
-
-Status
 MvBpTree::insert(Key key, const Value &v)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    return insertOne(key, v, /*pin=*/false);
+    return s_->runInline(insertAsync(key, v));
 }
 
 OpTask
-MvBpTree::insertAsync(Key key, Value v)
+MvBpTree::insertAsync(Key key, Value v, bool pin)
 {
     Status st = lockForWrite();
     if (!ok(st))
@@ -335,16 +107,12 @@ MvBpTree::insertAsync(Key key, Value v)
     const uint64_t root_raw = workingRoot();
 
     // Phase A: suspendable descent, reads only; the per-node retire()
-    // calls of insertRec move to phase B so a validation restart cannot
-    // retire the same node twice.
-    struct PathEnt
-    {
-        uint64_t raw;
-        Node node;
-        uint32_t idx; //!< route taken (internal nodes)
-    };
-    std::vector<PathEnt> path;
+    // calls wait for phase B so a validation restart cannot retire the
+    // same node twice.
+    FrameVec<PathEnt, 8> path_buf;
+    std::pmr::vector<PathEnt> &path = path_buf.v;
     std::vector<FrontendSession::ReadStamp> stamps;
+    stamps.reserve(16);
     if (root_raw != 0) {
         while (true) {
             path.clear();
@@ -357,24 +125,23 @@ MvBpTree::insertAsync(Key key, Value v)
                     bad = true;
                     break;
                 }
-                Node node;
+                // Read straight into the path slot (no node copy).
+                PathEnt &ent = path.emplace_back();
+                ent.raw = cur_raw;
                 auto aw = readNodeAsync(RemotePtr::fromRaw(cur_raw),
-                                        &node, depth, true, false);
+                                        &ent.node, depth, true, pin);
                 const Status rst = co_await aw;
                 if (!ok(rst))
                     co_return rst;
                 stamps.push_back({cur_raw, aw.served_seq});
-                if (node.count > kFanout) {
+                if (ent.node.count > kFanout) {
                     bad = true;
                     break;
                 }
-                if (node.is_leaf) {
-                    path.push_back({cur_raw, node, 0});
+                if (ent.node.is_leaf)
                     break;
-                }
-                const uint32_t idx = routeIndex(node, key);
-                path.push_back({cur_raw, node, idx});
-                cur_raw = node.children[idx];
+                ent.idx = routeIndex(ent.node, key);
+                cur_raw = ent.node.children[ent.idx];
                 ++depth;
             }
             if (s_->pipelineReadSetClean(stamps)) {
@@ -386,7 +153,7 @@ MvBpTree::insertAsync(Key key, Value v)
         }
     }
 
-    // Phase B: insertOne's write-out, inline and unsuspended.
+    // Phase B: the path-copying write-out, inline and unsuspended.
     s_->restoreOpRef(backend_, opref);
     bool added = false;
     uint64_t new_root_raw = 0;
@@ -410,8 +177,7 @@ MvBpTree::insertAsync(Key key, Value v)
         new_root_raw = p.raw();
         added = true;
     } else {
-        // Every path node is superseded by this version (insertRec
-        // retires each right after reading it).
+        // Every path node is superseded by this version.
         for (const PathEnt &ent : path)
             s_->retire(id_, RemotePtr::fromRaw(ent.raw), sizeof(Node));
 
@@ -504,7 +270,7 @@ MvBpTree::insertAsync(Key key, Value v)
         }
 
         // Unwind: each ancestor re-points at its copied child and
-        // absorbs a pending split, exactly as insertRec's return path.
+        // absorbs a pending split, or splits and propagates it.
         for (size_t lvl = path.size() - 1; lvl-- > 0;) {
             Node &node = path[lvl].node;
             node.children[path[lvl].idx] = new_child;
@@ -618,7 +384,7 @@ MvBpTree::insertBatch(std::span<const std::pair<Key, Value>> kvs)
     std::sort(sorted.begin(), sorted.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
     for (const auto &[key, value] : sorted) {
-        st = insertOne(key, value, /*pin=*/true);
+        st = s_->runInline(insertAsync(key, value, /*pin=*/true));
         if (!ok(st))
             return st;
     }
@@ -628,85 +394,18 @@ MvBpTree::insertBatch(std::span<const std::pair<Key, Value>> kvs)
 Status
 MvBpTree::find(Key key, Value *out)
 {
-    uint64_t cur_raw = 0;
-    Status st = readerRoot(&cur_raw);
-    if (!ok(st))
-        return st;
-    if (cur_raw == 0)
-        return Status::NotFound;
-    uint32_t depth = 0;
-    PrefetchCandidate neigh[8];
-    size_t nn = 0;
-    while (true) {
-        if (depth > kMaxHeight)
-            return Status::Corruption;
-        Node node;
-        st = readNode(RemotePtr::fromRaw(cur_raw), &node, depth, true,
-                      false, std::span<const PrefetchCandidate>(neigh, nn));
-        if (!ok(st))
-            return st;
-        if (node.count > kFanout)
-            return Status::Corruption;
-        if (node.is_leaf) {
-            for (uint32_t i = 0; i < node.count; ++i) {
-                if (node.keys[i] == key) {
-                    // Adjacent value cells ride this read's doorbell.
-                    PrefetchCandidate cells[4];
-                    size_t nc = 0;
-                    for (uint32_t dist = 1;
-                         dist < node.count && nc < std::size(cells);
-                         ++dist) {
-                        if (i + dist < node.count)
-                            cells[nc++] = PrefetchCandidate{
-                                node.children[i + dist],
-                                static_cast<uint32_t>(Value::kSize)};
-                        if (dist <= i && nc < std::size(cells))
-                            cells[nc++] = PrefetchCandidate{
-                                node.children[i - dist],
-                                static_cast<uint32_t>(Value::kSize)};
-                    }
-                    ReadHint hint;
-                    hint.ds = id_;
-                    hint.cacheable = true;
-                    hint.level = depth + 1;
-                    hint.admission = &admission_;
-                    hint.neighbors =
-                        std::span<const PrefetchCandidate>(cells, nc);
-                    return s_->read(RemotePtr::fromRaw(node.children[i]),
-                                    out, Value::kSize, hint);
-                }
-            }
-            return Status::NotFound;
-        }
-        if (node.count == 0)
-            return Status::Corruption;
-        // This is the read-only path (writers go through eraseRec /
-        // insertRecurse), so the next child read may gather the nearest
-        // siblings around the taken route.
-        const uint32_t r = routeIndex(node, key);
-        cur_raw = node.children[r];
-        nn = 0;
-        for (uint32_t dist = 1; dist < node.count && nn < std::size(neigh);
-             ++dist) {
-            if (r + dist < node.count)
-                neigh[nn++] = PrefetchCandidate{
-                    node.children[r + dist],
-                    static_cast<uint32_t>(sizeof(Node))};
-            if (dist <= r && nn < std::size(neigh))
-                neigh[nn++] = PrefetchCandidate{
-                    node.children[r - dist],
-                    static_cast<uint32_t>(sizeof(Node))};
-        }
-        ++depth;
-    }
+    // Readers traverse a snapshot and need no reader protocol.
+    return s_->runInline(findAsync(key, out));
 }
 
 OpTask
 MvBpTree::findAsync(Key key, Value *out)
 {
-    // Mirror of find() with every node read co_awaited. The multi-version
-    // snapshot guarantee carries over unchanged: this op's descent uses
-    // the root it fetched here, whatever the other in-flight ops do.
+    // Every node read is co_awaited. The multi-version snapshot guarantee
+    // holds across suspension: this op's descent uses the root it
+    // fetched here, whatever the other in-flight ops do. Child reads
+    // gather the nearest siblings around the taken route (read path
+    // only; writers never speculate).
     //
     // Read-your-writes: MV writers gate the whole structure (key 0);
     // wait out any writer admitted earlier in this window so the root
@@ -807,90 +506,9 @@ MvBpTree::contains(Key key)
 }
 
 Status
-MvBpTree::eraseRec(uint64_t node_raw, uint32_t depth, Key key,
-                   uint64_t *new_raw, bool *removed)
-{
-    if (depth > kMaxHeight)
-        return Status::Corruption;
-    Node node;
-    Status st = readNode(RemotePtr::fromRaw(node_raw), &node, depth);
-    if (!ok(st))
-        return st;
-    if (node.is_leaf) {
-        for (uint32_t i = 0; i < node.count; ++i) {
-            if (node.keys[i] != key)
-                continue;
-            s_->retire(id_, RemotePtr::fromRaw(node.children[i]),
-                       Value::kSize);
-            for (uint32_t j = i + 1; j < node.count; ++j) {
-                node.keys[j - 1] = node.keys[j];
-                node.children[j - 1] = node.children[j];
-            }
-            --node.count;
-            *removed = true;
-            break;
-        }
-        if (!*removed) {
-            *new_raw = node_raw; // untouched version
-            return Status::Ok;
-        }
-        s_->retire(id_, RemotePtr::fromRaw(node_raw), sizeof(Node));
-        RemotePtr p;
-        st = allocNode(node, &p);
-        if (!ok(st))
-            return st;
-        *new_raw = p.raw();
-        return Status::Ok;
-    }
-    const uint32_t idx = routeIndex(node, key);
-    uint64_t new_child_raw = 0;
-    st = eraseRec(node.children[idx], depth + 1, key, &new_child_raw,
-                  removed);
-    if (!ok(st))
-        return st;
-    if (!*removed) {
-        *new_raw = node_raw;
-        return Status::Ok;
-    }
-    s_->retire(id_, RemotePtr::fromRaw(node_raw), sizeof(Node));
-    node.children[idx] = new_child_raw;
-    RemotePtr p;
-    st = allocNode(node, &p);
-    if (!ok(st))
-        return st;
-    *new_raw = p.raw();
-    return Status::Ok;
-}
-
-Status
 MvBpTree::erase(Key key)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    st = s_->opBegin(id_, backend_, OpType::Erase, key, nullptr, 0);
-    if (!ok(st))
-        return st;
-    const uint64_t root_raw = workingRoot();
-    if (root_raw == 0) {
-        st = s_->opEnd();
-        return ok(st) ? Status::NotFound : st;
-    }
-    bool removed = false;
-    uint64_t new_root_raw = 0;
-    st = eraseRec(root_raw, 0, key, &new_root_raw, &removed);
-    if (!ok(st))
-        return st;
-    if (!removed) {
-        st = s_->opEnd();
-        return ok(st) ? Status::NotFound : st;
-    }
-    stageRoot(new_root_raw);
-    --count_;
-    st = s_->writeAux(id_, backend_, 1, count_);
-    if (!ok(st))
-        return st;
-    return s_->opEnd();
+    return s_->runInline(eraseAsync(key));
 }
 
 OpTask
@@ -913,16 +531,12 @@ MvBpTree::eraseAsync(Key key)
         co_return ok(st) ? Status::NotFound : st;
     }
 
-    // Phase A: eraseRec's descent (reads only; its retires are deferred
-    // to phase B), stamped for validation.
-    struct PathEnt
-    {
-        uint64_t raw;
-        Node node;
-        uint32_t idx;
-    };
-    std::vector<PathEnt> path;
+    // Phase A: the descent (reads only; retires wait for phase B),
+    // stamped for validation.
+    FrameVec<PathEnt, 8> path_buf;
+    std::pmr::vector<PathEnt> &path = path_buf.v;
     std::vector<FrontendSession::ReadStamp> stamps;
+    stamps.reserve(16);
     while (true) {
         path.clear();
         stamps.clear();
@@ -934,20 +548,18 @@ MvBpTree::eraseAsync(Key key)
                 bad = true;
                 break;
             }
-            Node node;
-            auto aw = readNodeAsync(RemotePtr::fromRaw(cur_raw), &node,
+            PathEnt &ent = path.emplace_back();
+            ent.raw = cur_raw;
+            auto aw = readNodeAsync(RemotePtr::fromRaw(cur_raw), &ent.node,
                                     depth, true, false);
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
             stamps.push_back({cur_raw, aw.served_seq});
-            if (node.is_leaf) {
-                path.push_back({cur_raw, node, 0});
+            if (ent.node.is_leaf)
                 break;
-            }
-            const uint32_t idx = routeIndex(node, key);
-            path.push_back({cur_raw, node, idx});
-            cur_raw = node.children[idx];
+            ent.idx = routeIndex(ent.node, key);
+            cur_raw = ent.node.children[ent.idx];
             ++depth;
         }
         if (s_->pipelineReadSetClean(stamps)) {
@@ -971,7 +583,7 @@ MvBpTree::eraseAsync(Key key)
         co_return ok(st) ? Status::NotFound : st;
     }
 
-    // Phase B: eraseRec's path-copy tail, inline.
+    // Phase B: path-copy the leaf and its ancestors, inline.
     s_->restoreOpRef(backend_, opref);
     s_->retire(id_, RemotePtr::fromRaw(leaf.children[match]),
                Value::kSize);

@@ -33,44 +33,49 @@ class MvBpTree : public MvBase
                        std::string_view name, MvBpTree *out,
                        const DsOptions &opt = {});
 
+    /** Insert or update: insertAsync run inline. */
     Status insert(Key key, const Value &v);
 
     /**
-     * Insert/update as a resumable pipeline op. Phase A descends with
-     * suspendable reads; phase B replays insertRec's path-copy write-out
-     * (retires, cell + node allocs, splits, root staging) inline after
-     * read-set validation. Every MV write supersedes the whole root
-     * path, so window writes to the same tree are ordered by one
-     * per-structure WindowGate rather than per-key gates — sibling
-     * *reads* and ops on other structures still overlap freely.
+     * Insert/update as a resumable op — the one implementation behind
+     * insert(), insertMany() and insertBatch(). Phase A descends with
+     * suspendable reads; phase B runs the path-copy write-out (retires,
+     * cell + node allocs, splits, root staging) inline after read-set
+     * validation. Every MV write supersedes the whole root path, so
+     * window writes to the same tree are ordered by one per-structure
+     * WindowGate rather than per-key gates — sibling *reads* and ops on
+     * other structures still overlap freely. @p pin keeps the descent's
+     * reads in the batch-local pin set (vector insertion).
      */
-    OpTask insertAsync(Key key, Value v);
+    OpTask insertAsync(Key key, Value v, bool pin = false);
 
     /** Pipelined multi-insert; results[i] receives kvs[i]'s status. */
     Status insertMany(std::span<const std::pair<Key, Value>> kvs,
                       Status *results);
 
     Status insertBatch(std::span<const std::pair<Key, Value>> kvs);
+
+    /** Point lookup: findAsync run inline. */
     Status find(Key key, Value *out);
 
     /**
-     * Point lookup as a resumable pipeline op: the descent co_awaits
-     * every remote node read so executePipelined can overlap several
-     * lookups per round trip. The root fetch stays synchronous (for pure
-     * readers it is an atomic meta verb, not a gatherable read); the
-     * snapshot property is unchanged — each op traverses the root it
-     * fetched. Mirrors find() step for step.
+     * Point lookup as a resumable op: the descent co_awaits every remote
+     * node read so executePipelined can overlap several lookups per
+     * round trip. The root fetch stays synchronous (for pure readers it
+     * is an atomic meta verb, not a gatherable read); the snapshot
+     * property is unchanged — each op traverses the root it fetched.
      */
     OpTask findAsync(Key key, Value *out);
 
     /** Pipelined multi-lookup; results[i] receives keys[i]'s status. */
     Status findMany(std::span<const Key> keys, Value *vals,
                     Status *results);
+    /** Remove; NotFound when absent. eraseAsync run inline. */
     Status erase(Key key);
 
     /**
-     * Remove as a resumable pipeline op: suspendable descent, then
-     * eraseRec's path-copy tail inline after validation. Same
+     * Remove as a resumable op: suspendable descent, then the path-copy
+     * of the leaf and its ancestors inline after validation. Same
      * per-structure write ordering as insertAsync.
      */
     OpTask eraseAsync(Key key);
@@ -98,6 +103,15 @@ class MvBpTree : public MvBase
     };
     static_assert(sizeof(Node) == 16 + 16 * kFanout);
 
+    /** One level of a write descent: the node as read, and the route. */
+    struct PathEnt
+    {
+        PathEnt() {} // node left uninitialized: the descent's read fills it
+        uint64_t raw = 0;
+        Node node;
+        uint32_t idx = 0; //!< child taken (internal nodes)
+    };
+
     struct Split
     {
         bool happened = false;
@@ -106,12 +120,6 @@ class MvBpTree : public MvBase
     };
 
     void install();
-    Status insertOne(Key key, const Value &v, bool pin);
-    Status insertRec(uint64_t node_raw, uint32_t depth, Key key,
-                     const Value &v, bool pin, uint64_t *new_raw,
-                     Split *split, bool *added);
-    Status eraseRec(uint64_t node_raw, uint32_t depth, Key key,
-                    uint64_t *new_raw, bool *removed);
     static uint32_t routeIndex(const Node &n, Key key);
 
     uint64_t count_ = 0; //!< aux1

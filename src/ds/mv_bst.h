@@ -11,6 +11,9 @@
  * Readers traverse whichever root they observed — always a consistent
  * snapshot — without locks or retries. Superseded nodes retire through
  * the lazy-GC protocol (n + l delay, gc_epoch cache invalidation).
+ *
+ * Like Bst, MvBst stays serial-only (one implementation per operation,
+ * no OpTask form): nothing windows it through the reactor.
  */
 
 #include <span>

@@ -125,57 +125,13 @@ Queue::materializePending()
 Status
 Queue::enqueue(const Value &v)
 {
-    Status st = s_->opBegin(id_, backend_, OpType::Enqueue, 0,
-                            v.bytes.data(), Value::kSize);
-    if (!ok(st))
-        return st;
-    if (deferWrites()) {
-        pending_.push_back(v);
-    } else {
-        st = materializeOne(v);
-        if (!ok(st))
-            return st;
-        st = writeShadows();
-        if (!ok(st))
-            return st;
-    }
-    return s_->opEnd();
+    return s_->runInline(enqueueAsync(v));
 }
 
 Status
 Queue::dequeue(Value *out)
 {
-    Status st = s_->opBegin(id_, backend_, OpType::Dequeue, 0, nullptr, 0);
-    if (!ok(st))
-        return st;
-    if (count_ > 0) {
-        // FIFO: materialized elements are older than anything pending.
-        const RemotePtr head = RemotePtr::fromRaw(head_raw_);
-        Node node;
-        st = readNode(head, &node, 0, false);
-        if (!ok(st))
-            return st;
-        *out = node.value;
-        head_raw_ = node.next_raw;
-        if (head_raw_ == 0)
-            tail_raw_ = 0;
-        --count_;
-        st = writeShadows();
-        if (!ok(st))
-            return st;
-        st = s_->free(head, sizeof(Node));
-        if (!ok(st))
-            return st;
-        return s_->opEnd();
-    }
-    if (!pending_.empty()) {
-        // Annulment: the oldest pending enqueue is the queue's front.
-        *out = pending_.front();
-        pending_.pop_front();
-        return s_->opEnd();
-    }
-    st = s_->opEnd();
-    return ok(st) ? Status::NotFound : st;
+    return s_->runInline(dequeueAsync(out));
 }
 
 OpTask
@@ -185,10 +141,10 @@ Queue::enqueueAsync(Value v)
     // shadows are member state, so window ops on one queue serialize on
     // a per-structure gate taken before opBegin (op-log order matches
     // effect order). The materialized path's old-tail read stays
-    // synchronous inside the serial tail: it follows the new node's
-    // alloc in enqueue(), so hoisting it into a suspendable phase A
-    // would reorder it across a write. The pipeline win here is
-    // log-side — batched appends and one coalesced fence per window.
+    // synchronous inside materializeOne: it follows the new node's alloc,
+    // so hoisting it into a suspendable phase A would reorder it across
+    // a write. The pipeline win here is log-side — batched appends and
+    // one coalesced fence per window.
     FrontendSession::WindowGate gate(s_, id_, 0);
     while (!gate.tryAcquire())
         co_await s_->pipelineYield();
@@ -238,28 +194,27 @@ Queue::dequeueAsync(Value *out)
     if (!ok(st))
         co_return st;
     if (count_ > 0) {
-        // Phase A: the head-node read is dequeue()'s first data access,
-        // so it can suspend and share the window's read round trip. The
+        // FIFO: materialized elements are older than anything pending.
+        // Phase A: the head-node read is the first data access, so it
+        // can suspend and share the window's read round trip. The
         // gate excludes same-queue writers; validation keeps the
         // discipline uniform (the address could be recycled by another
         // structure's free while we were suspended).
         const RemotePtr head = RemotePtr::fromRaw(head_raw_);
         Node node;
-        std::vector<FrontendSession::ReadStamp> stamps;
         while (true) {
-            stamps.clear();
             auto aw = readNodeAsync(head, &node, /*level=*/0,
                                     /*use_admission=*/false,
                                     /*pin=*/false);
             st = co_await aw;
             if (!ok(st))
                 co_return st;
-            stamps.push_back({head.raw(), aw.served_seq});
-            if (s_->pipelineReadSetClean(stamps))
+            const FrontendSession::ReadStamp stamp{head.raw(), aw.served_seq};
+            if (s_->pipelineReadSetClean({&stamp, 1}))
                 break;
             s_->notePipelineRestart();
         }
-        // Phase B: dequeue()'s shadow-update/free tail, inline.
+        // Phase B: shadow update and node free, inline.
         *out = node.value;
         head_raw_ = node.next_raw;
         if (head_raw_ == 0)
@@ -274,7 +229,8 @@ Queue::dequeueAsync(Value *out)
         co_return s_->opEnd();
     }
     if (!pending_.empty()) {
-        // Annulment: the gate ordered us after the pending enqueue.
+        // Annulment: the oldest pending enqueue is the queue's front (in
+        // a pipelined window the gate ordered us after it).
         *out = pending_.front();
         pending_.pop_front();
         co_return s_->opEnd();

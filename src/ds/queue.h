@@ -32,16 +32,18 @@ class Queue : public DsBase
                        std::string_view name, Queue *out,
                        const DsOptions &opt = {});
 
-    /** Append one value at the tail. */
+    /** Append one value at the tail: enqueueAsync run inline. */
     Status enqueue(const Value &v);
 
-    /** Remove the oldest value; NotFound when empty. */
+    /** Remove the oldest value; NotFound when empty. dequeueAsync run
+     *  inline. */
     Status dequeue(Value *out);
 
     /**
-     * Enqueue as a resumable pipeline op. The deferred path is fully
-     * local; the materialized path's old-tail read co_awaits (phase A)
-     * before the link/shadow write-out runs inline (phase B). Ops on one
+     * Enqueue as a resumable op — the one implementation behind
+     * enqueue() and enqueueMany(). The deferred path is fully local; the
+     * materialized path (new node, old-tail link, shadows) runs inline
+     * and never suspends, so the pipeline win is log-side. Ops on one
      * queue are ordered by a per-structure WindowGate (head/tail/count
      * shadows are member state); ops on other structures overlap freely.
      */
@@ -51,10 +53,10 @@ class Queue : public DsBase
     Status enqueueMany(std::span<const Value> vals, Status *results);
 
     /**
-     * Dequeue as a resumable pipeline op. Annulment and the empty case
-     * resolve locally; the materialized path co_awaits the head-node
-     * read (phase A) and replays dequeue()'s shadow-update/free tail
-     * inline after read-set validation (phase B). Same per-structure
+     * Dequeue as a resumable op. Annulment and the empty case resolve
+     * locally; the materialized path co_awaits the head-node read
+     * (phase A) and runs the shadow-update/free tail inline after
+     * read-set validation (phase B). Same per-structure
      * WindowGate ordering as enqueueAsync.
      */
     OpTask dequeueAsync(Value *out);

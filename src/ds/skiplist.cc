@@ -100,15 +100,11 @@ SkipList::randomLevel()
 }
 
 Status
-SkipList::findPosition(Key key, uint64_t preds[kMaxLevel],
-                       uint64_t succs[kMaxLevel], bool *found, bool pin,
-                       bool prefetch)
+SkipList::findFirst(Key key, uint64_t *first_raw)
 {
-    *found = false;
-    uint64_t cur_raw = head_raw_;
     Node cur;
     // The sentinel is the hottest node of all.
-    Status st = readNode(RemotePtr::fromRaw(cur_raw), &cur, 0, true, pin);
+    Status st = readNode(RemotePtr::fromRaw(head_raw_), &cur, 0);
     if (!ok(st))
         return st;
     uint32_t hops = 0;
@@ -122,51 +118,39 @@ SkipList::findPosition(Key key, uint64_t preds[kMaxLevel],
             // the search descends — gather a few with this read.
             PrefetchCandidate neigh[6];
             size_t nn = 0;
-            if (prefetch) {
-                for (int l = lvl - 1; l >= 0 && nn < std::size(neigh);
-                     --l) {
-                    const uint64_t nxt = cur.next[l];
-                    if (nxt == 0 || nxt == cur.next[lvl])
-                        continue;
-                    bool dup = false;
-                    for (size_t j = 0; j < nn; ++j)
-                        if (neigh[j].addr_raw == nxt)
-                            dup = true;
-                    if (!dup)
-                        neigh[nn++] = PrefetchCandidate{
-                            nxt, static_cast<uint32_t>(sizeof(Node))};
-                }
+            for (int l = lvl - 1; l >= 0 && nn < std::size(neigh); --l) {
+                const uint64_t nxt = cur.next[l];
+                if (nxt == 0 || nxt == cur.next[lvl])
+                    continue;
+                bool dup = false;
+                for (size_t j = 0; j < nn; ++j)
+                    if (neigh[j].addr_raw == nxt)
+                        dup = true;
+                if (!dup)
+                    neigh[nn++] = PrefetchCandidate{
+                        nxt, static_cast<uint32_t>(sizeof(Node))};
             }
             // Tower height correlates with traversal level: high levels
             // are hot, low levels cold (Section 8.4 caching rule).
             st = readNode(RemotePtr::fromRaw(cur.next[lvl]), &next,
-                          kMaxLevel - 1 - lvl, true, pin,
+                          kMaxLevel - 1 - lvl, true, false,
                           std::span<const PrefetchCandidate>(neigh, nn));
             if (!ok(st))
                 return st;
             if (next.key >= key || next.level == 0 ||
-                next.level > kMaxLevel) {
-                if (next.key == key && next.level >= 1 &&
-                    next.level <= kMaxLevel)
-                    *found = true;
+                next.level > kMaxLevel)
                 break;
-            }
-            cur_raw = cur.next[lvl];
             cur = next;
         }
-        preds[lvl] = cur_raw;
-        succs[lvl] = cur.next[lvl];
     }
+    *first_raw = cur.next[0];
     return Status::Ok;
 }
 
 Status
 SkipList::insert(Key key, const Value &v)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    return insertOne(key, v, /*pin=*/false);
+    return s_->runInline(insertAsync(key, v));
 }
 
 Status
@@ -179,81 +163,15 @@ SkipList::insertBatch(std::span<const std::pair<Key, Value>> kvs)
     std::sort(sorted.begin(), sorted.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
     for (const auto &[key, value] : sorted) {
-        st = insertOne(key, value, /*pin=*/true);
+        st = s_->runInline(insertAsync(key, value, /*pin=*/true));
         if (!ok(st))
             return st;
     }
     return Status::Ok;
 }
 
-Status
-SkipList::insertOne(Key key, const Value &v, bool pin)
-{
-    Status st = s_->opBegin(id_, backend_, OpType::Insert, key,
-                            v.bytes.data(), Value::kSize);
-    if (!ok(st))
-        return st;
-
-    uint64_t preds[kMaxLevel], succs[kMaxLevel];
-    bool found = false;
-    st = findPosition(key, preds, succs, &found, pin);
-    if (!ok(st))
-        return st;
-    if (found) {
-        // Update in place.
-        const RemotePtr target = RemotePtr::fromRaw(succs[0]);
-        Node node;
-        st = readNode(target, &node, kMaxLevel - 1);
-        if (!ok(st))
-            return st;
-        node.value = v;
-        st = writeNode(target, node);
-        if (!ok(st))
-            return st;
-        return s_->opEnd();
-    }
-
-    // Figure 2 line 14-19: allocate, log the op, set successors in the
-    // new node, then link predecessors bottom-up.
-    const uint32_t level = randomLevel();
-    Node fresh{};
-    fresh.key = key;
-    fresh.level = level;
-    fresh.value = v;
-    for (uint32_t l = 0; l < level; ++l)
-        fresh.next[l] = succs[l];
-    RemotePtr p;
-    st = allocNode(fresh, &p);
-    if (!ok(st))
-        return st;
-
-    // Distinct predecessors may repeat across levels; keep one evolving
-    // copy per node so whole-node rewrites stay consistent.
-    std::unordered_map<uint64_t, Node> pred_copies;
-    for (uint32_t l = 0; l < level; ++l) {
-        auto it = pred_copies.find(preds[l]);
-        if (it == pred_copies.end()) {
-            Node copy;
-            st = readNode(RemotePtr::fromRaw(preds[l]), &copy,
-                          kMaxLevel - 1 - l, true, pin);
-            if (!ok(st))
-                return st;
-            it = pred_copies.emplace(preds[l], copy).first;
-        }
-        it->second.next[l] = p.raw();
-        st = writeNode(RemotePtr::fromRaw(preds[l]), it->second);
-        if (!ok(st))
-            return st;
-    }
-    ++count_;
-    st = s_->writeAux(id_, backend_, 1, count_);
-    if (!ok(st))
-        return st;
-    return s_->opEnd();
-}
-
 OpTask
-SkipList::insertAsync(Key key, Value v)
+SkipList::insertAsync(Key key, Value v, bool pin)
 {
     Status st = lockForWrite();
     if (!ok(st))
@@ -271,21 +189,24 @@ SkipList::insertAsync(Key key, Value v)
     // own op-log record so phase B's memory logs reference it.
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
-    // Phase A: the findPosition walk (write-path flavor: no prefetch,
-    // no pin), every read stamped for validation against sibling window
-    // writes. A dirty set means a sibling relinked under us — re-walk
-    // against the now-hot local tiers.
+    // Phase A: the predecessor walk (Figure 2 lines 2-13; write path,
+    // so no prefetch), every read stamped for validation against sibling
+    // window writes. A dirty set means a sibling relinked under us —
+    // re-walk against the now-hot local tiers.
     uint64_t preds[kMaxLevel], succs[kMaxLevel];
     bool found = false;
+    Node walk[2]; // current and next node; swapped, never copied
     std::vector<FrontendSession::ReadStamp> stamps;
+    stamps.reserve(64);
     while (true) {
         stamps.clear();
         found = false;
         uint64_t cur_raw = head_raw_;
-        Node cur;
+        Node *cur = &walk[0], *next = &walk[1];
         {
-            auto aw = readNodeAsync(RemotePtr::fromRaw(cur_raw), &cur, 0,
-                                    true, false);
+            // The sentinel is the hottest node of all.
+            auto aw = readNodeAsync(RemotePtr::fromRaw(cur_raw), cur, 0,
+                                    true, pin);
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
@@ -294,33 +215,32 @@ SkipList::insertAsync(Key key, Value v)
         uint32_t hops = 0;
         bool torn = false;
         for (int lvl = kMaxLevel - 1; lvl >= 0 && !torn; --lvl) {
-            while (cur.next[lvl] != 0) {
+            while (cur->next[lvl] != 0) {
                 if (++hops > kMaxHops) {
                     torn = true;
                     break;
                 }
-                Node next;
-                auto aw = readNodeAsync(RemotePtr::fromRaw(cur.next[lvl]),
-                                        &next, kMaxLevel - 1 - lvl, true,
-                                        false);
+                auto aw = readNodeAsync(RemotePtr::fromRaw(cur->next[lvl]),
+                                        next, kMaxLevel - 1 - lvl, true,
+                                        pin);
                 const Status rst = co_await aw;
                 if (!ok(rst))
                     co_return rst;
-                stamps.push_back({cur.next[lvl], aw.served_seq});
-                if (next.key >= key || next.level == 0 ||
-                    next.level > kMaxLevel) {
-                    if (next.key == key && next.level >= 1 &&
-                        next.level <= kMaxLevel)
+                stamps.push_back({cur->next[lvl], aw.served_seq});
+                if (next->key >= key || next->level == 0 ||
+                    next->level > kMaxLevel) {
+                    if (next->key == key && next->level >= 1 &&
+                        next->level <= kMaxLevel)
                         found = true;
                     break;
                 }
-                cur_raw = cur.next[lvl];
-                cur = next;
+                cur_raw = cur->next[lvl];
+                std::swap(cur, next);
             }
             if (torn)
                 break;
             preds[lvl] = cur_raw;
-            succs[lvl] = cur.next[lvl];
+            succs[lvl] = cur->next[lvl];
         }
         if (s_->pipelineReadSetClean(stamps)) {
             if (torn)
@@ -330,9 +250,11 @@ SkipList::insertAsync(Key key, Value v)
         s_->notePipelineRestart();
     }
 
-    // Phase B: insertOne's serial tail, inline and unsuspended (its
-    // reads run synchronously — they are local after the walk), so the
-    // whole write-out is atomic with respect to sibling ops.
+    // Phase B: update in place, or Figure 2 lines 14-19 — allocate the
+    // fully initialized node, then link predecessors bottom-up. Inline
+    // and unsuspended (its reads run synchronously — they are local
+    // after the walk), so the whole write-out is atomic with respect to
+    // sibling ops.
     s_->restoreOpRef(backend_, opref);
     if (found) {
         const RemotePtr target = RemotePtr::fromRaw(succs[0]);
@@ -357,13 +279,15 @@ SkipList::insertAsync(Key key, Value v)
     st = allocNode(fresh, &p);
     if (!ok(st))
         co_return st;
+    // Distinct predecessors may repeat across levels; keep one evolving
+    // copy per node so whole-node rewrites stay consistent.
     std::unordered_map<uint64_t, Node> pred_copies;
     for (uint32_t l = 0; l < level; ++l) {
         auto it = pred_copies.find(preds[l]);
         if (it == pred_copies.end()) {
             Node copy;
             st = readNode(RemotePtr::fromRaw(preds[l]), &copy,
-                          kMaxLevel - 1 - l, true, false);
+                          kMaxLevel - 1 - l, true, pin);
             if (!ok(st))
                 co_return st;
             it = pred_copies.emplace(preds[l], copy).first;
@@ -401,64 +325,44 @@ SkipList::insertMany(std::span<const std::pair<Key, Value>> kvs,
 }
 
 Status
-SkipList::findLocked(Key key, Value *out)
-{
-    uint64_t preds[kMaxLevel], succs[kMaxLevel];
-    bool found = false;
-    const Status st = findPosition(key, preds, succs, &found,
-                                   /*pin=*/false, /*prefetch=*/true);
-    if (!ok(st))
-        return st;
-    if (!found)
-        return Status::NotFound;
-    Node node;
-    const Status rst =
-        readNode(RemotePtr::fromRaw(succs[0]), &node, kMaxLevel - 1);
-    if (!ok(rst))
-        return rst;
-    *out = node.value;
-    return Status::Ok;
-}
-
-Status
 SkipList::find(Key key, Value *out)
 {
-    return optimisticRead([&] { return findLocked(key, out); });
+    return optimisticRead(
+        [&] { return s_->runInline(findAsync(key, out)); });
 }
 
 OpTask
 SkipList::findAsync(Key key, Value *out)
 {
-    // Mirror of findLocked: the findPosition walk (prefetch on, pin off)
-    // inlined so every readNode becomes a co_awaited readNodeAsync; a
-    // cache miss suspends the walk and the session reactor gathers it
-    // with the other in-flight lookups' misses. The candidate array
-    // lives in the coroutine frame, valid across suspension.
+    // The tower walk with every read co_awaited: inside a pipelined
+    // window a cache miss suspends the walk and the session reactor
+    // gathers it with the other in-flight lookups' misses. Each
+    // horizontal step gathers the current node's lower-level successors
+    // (as findFirst does); the candidate array lives in the coroutine
+    // frame, valid across suspension.
     //
     // Read-your-writes: wait out a same-key write admitted earlier in
     // this window (it holds the (ds, key) gate until its local effects
     // land); readers hold nothing and never serialize on each other.
     while (s_->pipelineGateHeld(id_, key))
         co_await s_->pipelineYield();
-    uint64_t cur_raw = head_raw_;
-    Node cur;
-    Status st = co_await readNodeAsync(RemotePtr::fromRaw(cur_raw), &cur,
+    Node walk[2]; // current and next node; swapped, never copied
+    Node *cur = &walk[0], *next = &walk[1];
+    Status st = co_await readNodeAsync(RemotePtr::fromRaw(head_raw_), cur,
                                        0, true, false);
     if (!ok(st))
         co_return st;
     bool found = false;
-    uint64_t succ0 = 0;
     uint32_t hops = 0;
     PrefetchCandidate neigh[6];
     for (int lvl = kMaxLevel - 1; lvl >= 0; --lvl) {
-        while (cur.next[lvl] != 0) {
+        while (cur->next[lvl] != 0) {
             if (++hops > kMaxHops)
                 co_return Status::Conflict; // torn view; retry
-            Node next;
             size_t nn = 0;
             for (int l = lvl - 1; l >= 0 && nn < std::size(neigh); --l) {
-                const uint64_t nxt = cur.next[l];
-                if (nxt == 0 || nxt == cur.next[lvl])
+                const uint64_t nxt = cur->next[l];
+                if (nxt == 0 || nxt == cur->next[lvl])
                     continue;
                 bool dup = false;
                 for (size_t j = 0; j < nn; ++j)
@@ -469,24 +373,22 @@ SkipList::findAsync(Key key, Value *out)
                         nxt, static_cast<uint32_t>(sizeof(Node))};
             }
             st = co_await readNodeAsync(
-                RemotePtr::fromRaw(cur.next[lvl]), &next,
+                RemotePtr::fromRaw(cur->next[lvl]), next,
                 kMaxLevel - 1 - lvl, true, false,
                 std::span<const PrefetchCandidate>(neigh, nn));
             if (!ok(st))
                 co_return st;
-            if (next.key >= key || next.level == 0 ||
-                next.level > kMaxLevel) {
-                if (next.key == key && next.level >= 1 &&
-                    next.level <= kMaxLevel)
+            if (next->key >= key || next->level == 0 ||
+                next->level > kMaxLevel) {
+                if (next->key == key && next->level >= 1 &&
+                    next->level <= kMaxLevel)
                     found = true;
                 break;
             }
-            cur_raw = cur.next[lvl];
-            cur = next;
+            std::swap(cur, next);
         }
-        if (lvl == 0)
-            succ0 = cur.next[0];
     }
+    const uint64_t succ0 = cur->next[0];
     if (!found)
         co_return Status::NotFound;
     Node node;
@@ -523,17 +425,15 @@ SkipList::scan(Key from, uint32_t limit,
 {
     return optimisticRead([&]() -> Status {
         out->clear();
-        uint64_t preds[kMaxLevel], succs[kMaxLevel];
-        bool found = false;
-        Status st = findPosition(from, preds, succs, &found,
-                                 /*pin=*/false, /*prefetch=*/true);
+        uint64_t first_raw = 0;
+        Status st = findFirst(from, &first_raw);
         if (!ok(st))
             return st;
         // The bottom level is a sorted linked list; walk it forward.
         // Labeling the hops with the run's anchor lets repeated scans of
         // the same range learn and gather the whole bottom-level run.
-        const uint64_t scan_stream = succs[0];
-        uint64_t cur_raw = succs[0];
+        const uint64_t scan_stream = first_raw;
+        uint64_t cur_raw = first_raw;
         uint32_t hops = 0;
         while (cur_raw != 0 && out->size() < limit) {
             if (++hops > kMaxHops)
@@ -563,63 +463,7 @@ SkipList::contains(Key key)
 Status
 SkipList::erase(Key key)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    st = s_->opBegin(id_, backend_, OpType::Erase, key, nullptr, 0);
-    if (!ok(st))
-        return st;
-
-    uint64_t preds[kMaxLevel], succs[kMaxLevel];
-    bool found = false;
-    st = findPosition(key, preds, succs, &found);
-    if (!ok(st))
-        return st;
-    if (!found) {
-        st = s_->opEnd();
-        return ok(st) ? Status::NotFound : st;
-    }
-    const RemotePtr target = RemotePtr::fromRaw(succs[0]);
-    Node victim;
-    st = readNode(target, &victim, kMaxLevel - 1);
-    if (!ok(st))
-        return st;
-
-    // Unlink top-down: a crash mid-erase then leaves the victim still a
-    // member of the bottom list (a benign shorter-tower state). The
-    // reverse order would strand upper-level links routing through a
-    // node already gone from level 0, silently swallowing any later
-    // insert whose level-0 predecessor resolves to the dead node.
-    std::unordered_map<uint64_t, Node> pred_copies;
-    for (uint32_t l = victim.level; l-- > 0;) {
-        if (succs[l] != target.raw())
-            continue; // the tower does not reach this level's successor
-        auto it = pred_copies.find(preds[l]);
-        if (it == pred_copies.end()) {
-            Node copy;
-            st = readNode(RemotePtr::fromRaw(preds[l]), &copy,
-                          kMaxLevel - 1 - l);
-            if (!ok(st))
-                return st;
-            it = pred_copies.emplace(preds[l], copy).first;
-        }
-        it->second.next[l] = victim.next[l];
-        st = writeNode(RemotePtr::fromRaw(preds[l]), it->second);
-        if (!ok(st))
-            return st;
-    }
-    if (opt_.shared)
-        s_->retire(id_, target, sizeof(Node)); // readers may still visit
-    else {
-        st = s_->free(target, sizeof(Node));
-        if (!ok(st))
-            return st;
-    }
-    --count_;
-    st = s_->writeAux(id_, backend_, 1, count_);
-    if (!ok(st))
-        return st;
-    return s_->opEnd();
+    return s_->runInline(eraseAsync(key));
 }
 
 OpTask
@@ -636,17 +480,19 @@ SkipList::eraseAsync(Key key)
         co_return st;
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
-    // Phase A: suspendable findPosition walk, stamped (see insertAsync).
+    // Phase A: suspendable predecessor walk, stamped (see insertAsync).
     uint64_t preds[kMaxLevel], succs[kMaxLevel];
     bool found = false;
+    Node walk[2];
     std::vector<FrontendSession::ReadStamp> stamps;
+    stamps.reserve(64);
     while (true) {
         stamps.clear();
         found = false;
         uint64_t cur_raw = head_raw_;
-        Node cur;
+        Node *cur = &walk[0], *next = &walk[1];
         {
-            auto aw = readNodeAsync(RemotePtr::fromRaw(cur_raw), &cur, 0,
+            auto aw = readNodeAsync(RemotePtr::fromRaw(cur_raw), cur, 0,
                                     true, false);
             const Status rst = co_await aw;
             if (!ok(rst))
@@ -656,33 +502,32 @@ SkipList::eraseAsync(Key key)
         uint32_t hops = 0;
         bool torn = false;
         for (int lvl = kMaxLevel - 1; lvl >= 0 && !torn; --lvl) {
-            while (cur.next[lvl] != 0) {
+            while (cur->next[lvl] != 0) {
                 if (++hops > kMaxHops) {
                     torn = true;
                     break;
                 }
-                Node next;
-                auto aw = readNodeAsync(RemotePtr::fromRaw(cur.next[lvl]),
-                                        &next, kMaxLevel - 1 - lvl, true,
+                auto aw = readNodeAsync(RemotePtr::fromRaw(cur->next[lvl]),
+                                        next, kMaxLevel - 1 - lvl, true,
                                         false);
                 const Status rst = co_await aw;
                 if (!ok(rst))
                     co_return rst;
-                stamps.push_back({cur.next[lvl], aw.served_seq});
-                if (next.key >= key || next.level == 0 ||
-                    next.level > kMaxLevel) {
-                    if (next.key == key && next.level >= 1 &&
-                        next.level <= kMaxLevel)
+                stamps.push_back({cur->next[lvl], aw.served_seq});
+                if (next->key >= key || next->level == 0 ||
+                    next->level > kMaxLevel) {
+                    if (next->key == key && next->level >= 1 &&
+                        next->level <= kMaxLevel)
                         found = true;
                     break;
                 }
-                cur_raw = cur.next[lvl];
-                cur = next;
+                cur_raw = cur->next[lvl];
+                std::swap(cur, next);
             }
             if (torn)
                 break;
             preds[lvl] = cur_raw;
-            succs[lvl] = cur.next[lvl];
+            succs[lvl] = cur->next[lvl];
         }
         if (s_->pipelineReadSetClean(stamps)) {
             if (torn)
@@ -696,8 +541,12 @@ SkipList::eraseAsync(Key key)
         co_return ok(st) ? Status::NotFound : st;
     }
 
-    // Phase B: erase()'s serial tail — victim read, top-down unlink,
-    // free/retire — inline and unsuspended.
+    // Phase B: victim read, top-down unlink, free/retire — inline and
+    // unsuspended. Unlinking top-down means a crash mid-erase leaves the
+    // victim still a member of the bottom list (a benign shorter-tower
+    // state). The reverse order would strand upper-level links routing
+    // through a node already gone from level 0, silently swallowing any
+    // later insert whose level-0 predecessor resolves to the dead node.
     s_->restoreOpRef(backend_, opref);
     const RemotePtr target = RemotePtr::fromRaw(succs[0]);
     Node victim;
@@ -723,7 +572,7 @@ SkipList::eraseAsync(Key key)
             co_return st;
     }
     if (opt_.shared)
-        s_->retire(id_, target, sizeof(Node));
+        s_->retire(id_, target, sizeof(Node)); // readers may still visit
     else {
         st = s_->free(target, sizeof(Node));
         if (!ok(st))

@@ -36,18 +36,20 @@ class SkipList : public DsBase
                        std::string_view name, SkipList *out,
                        const DsOptions &opt = {});
 
-    /** Insert or update (Figure 2's workflow). */
+    /** Insert or update (Figure 2's workflow): insertAsync run inline. */
     Status insert(Key key, const Value &v);
 
     /**
-     * Insert/update as a resumable pipeline op: the findPosition walk
+     * Insert/update as a resumable op — the one implementation behind
+     * insert(), insertMany() and insertBatch(). The predecessor walk
      * co_awaits every remote read (phase A); once the walk's read set
-     * validates against sibling window writes, the serial tail — update
-     * in place, or fresh tower + bottom-up predecessor linking — runs
+     * validates against sibling window writes, the tail — update in
+     * place, or fresh tower + bottom-up predecessor linking — runs
      * inline and unsuspended (phase B), so it is atomic with respect to
-     * sibling ops and byte-identical to insert()'s write sequence.
+     * sibling ops. @p pin keeps the walk's reads in the batch-local pin
+     * set (vector insertion).
      */
-    OpTask insertAsync(Key key, Value v);
+    OpTask insertAsync(Key key, Value v, bool pin = false);
 
     /** Pipelined multi-insert; results[i] receives kvs[i]'s status. */
     Status insertMany(std::span<const std::pair<Key, Value>> kvs,
@@ -56,14 +58,13 @@ class SkipList : public DsBase
     /** Vector insertion (sorted batch with path pinning, Section 8.4). */
     Status insertBatch(std::span<const std::pair<Key, Value>> kvs);
 
-    /** Point lookup. */
+    /** Point lookup: findAsync run inline under the reader protocol. */
     Status find(Key key, Value *out);
 
     /**
-     * Point lookup as a resumable pipeline op: the tower walk co_awaits
-     * every remote read so executePipelined can overlap several lookups
-     * per round trip. Mirrors find() step for step. Only valid where
-     * pipelineEligible() holds.
+     * Point lookup as a resumable op: the tower walk co_awaits every
+     * remote read so executePipelined can overlap several lookups per
+     * round trip. Pipelined only where pipelineEligible() holds.
      */
     OpTask findAsync(Key key, Value *out);
 
@@ -74,13 +75,13 @@ class SkipList : public DsBase
     Status findMany(std::span<const Key> keys, Value *vals,
                     Status *results);
 
-    /** Remove; NotFound when absent. */
+    /** Remove; NotFound when absent. eraseAsync run inline. */
     Status erase(Key key);
 
     /**
-     * Remove as a resumable pipeline op: suspendable findPosition walk
-     * (phase A), then erase()'s serial tail (victim read, top-down
-     * unlink, free/retire) inline after read-set validation (phase B).
+     * Remove as a resumable op: suspendable predecessor walk (phase A),
+     * then victim read, top-down unlink and free/retire inline after
+     * read-set validation (phase B).
      */
     OpTask eraseAsync(Key key);
 
@@ -116,18 +117,12 @@ class SkipList : public DsBase
     uint32_t randomLevel();
 
     /**
-     * Locate the insert position: predecessors/successors per level
-     * (the rnvm_read traversal of Figure 2 lines 2-13). With @p prefetch
-     * (read-only operations), each horizontal step gathers the current
+     * scan()'s serial walk to the first bottom-level node with key >=
+     * @p key (0 when none). Each horizontal step gathers the current
      * node's lower-level successors — the exact nodes the walk reads
      * next when the step overshoots and the search descends.
      */
-    Status findPosition(Key key, uint64_t preds[kMaxLevel],
-                        uint64_t succs[kMaxLevel], bool *found,
-                        bool pin = false, bool prefetch = false);
-
-    Status insertOne(Key key, const Value &v, bool pin);
-    Status findLocked(Key key, Value *out);
+    Status findFirst(Key key, uint64_t *first_raw);
 
     uint64_t head_raw_ = 0; //!< aux0: sentinel node
     uint64_t count_ = 0;    //!< aux1

@@ -105,65 +105,13 @@ Stack::materializePending()
 Status
 Stack::push(const Value &v)
 {
-    Status st = s_->opBegin(id_, backend_, OpType::Push, 0,
-                            v.bytes.data(), Value::kSize);
-    if (!ok(st))
-        return st;
-    if (deferWrites()) {
-        pending_.push_back(v);
-    } else {
-        st = materializeOne(v);
-        if (!ok(st))
-            return st;
-        const uint64_t vals[2] = {head_raw_, count_};
-        st = s_->writeAuxRange(id_, backend_, 0, vals, 2);
-        if (!ok(st))
-            return st;
-    }
-    return s_->opEnd();
-}
-
-Status
-Stack::popMaterialized(Value *out)
-{
-    const RemotePtr head = RemotePtr::fromRaw(head_raw_);
-    Node node;
-    // The head node is the hot spot; cache it (Section 8.1).
-    Status st = readNode(head, &node, /*level=*/0,
-                         /*use_admission=*/false);
-    if (!ok(st))
-        return st;
-    *out = node.value;
-    head_raw_ = node.next_raw;
-    --count_;
-    const uint64_t vals[2] = {head_raw_, count_};
-    st = s_->writeAuxRange(id_, backend_, 0, vals, 2);
-    if (!ok(st))
-        return st;
-    return s_->free(head, sizeof(Node));
+    return s_->runInline(pushAsync(v));
 }
 
 Status
 Stack::pop(Value *out)
 {
-    Status st = s_->opBegin(id_, backend_, OpType::Pop, 0, nullptr, 0);
-    if (!ok(st))
-        return st;
-    if (!pending_.empty()) {
-        // Annulment: serve the newest un-materialized push locally; its
-        // memory logs are never generated (Section 8.1).
-        *out = pending_.back();
-        pending_.pop_back();
-        return s_->opEnd();
-    }
-    if (head_raw_ == 0) {
-        st = s_->opEnd();
-        return ok(st) ? Status::NotFound : st;
-    }
-    st = popMaterialized(out);
-    if (!ok(st))
-        return st;
-    return s_->opEnd();
+    return s_->runInline(popAsync(out));
 }
 
 OpTask
@@ -223,8 +171,9 @@ Stack::popAsync(Value *out)
     if (!ok(st))
         co_return st;
     if (!pending_.empty()) {
-        // Annulment works in pipelined windows too: the gate ordered us
-        // after the push that populated pending_.
+        // Annulment: serve the newest un-materialized push locally; its
+        // memory logs are never generated (Section 8.1). In a pipelined
+        // window the gate ordered us after the push that populated it.
         *out = pending_.back();
         pending_.pop_back();
         co_return s_->opEnd();
@@ -233,27 +182,26 @@ Stack::popAsync(Value *out)
         st = s_->opEnd();
         co_return ok(st) ? Status::NotFound : st;
     }
-    // Phase A: the head-node read, suspendable so sibling ops on other
-    // structures overlap this round trip. The gate already excludes
-    // same-stack writers, but a validation pass keeps the discipline
-    // uniform (e.g. the address could be recycled by another
-    // structure's free while we were suspended).
+    // Phase A: the head-node read (the hot spot, cached — Section 8.1),
+    // suspendable so sibling ops on other structures overlap this round
+    // trip. The gate already excludes same-stack writers, but a
+    // validation pass keeps the discipline uniform (e.g. the address
+    // could be recycled by another structure's free while we were
+    // suspended).
     const RemotePtr head = RemotePtr::fromRaw(head_raw_);
     Node node;
-    std::vector<FrontendSession::ReadStamp> stamps;
     while (true) {
-        stamps.clear();
         auto aw = readNodeAsync(head, &node, /*level=*/0,
                                 /*use_admission=*/false, /*pin=*/false);
         st = co_await aw;
         if (!ok(st))
             co_return st;
-        stamps.push_back({head.raw(), aw.served_seq});
-        if (s_->pipelineReadSetClean(stamps))
+        const FrontendSession::ReadStamp stamp{head.raw(), aw.served_seq};
+        if (s_->pipelineReadSetClean({&stamp, 1}))
             break;
         s_->notePipelineRestart();
     }
-    // Phase B: popMaterialized's tail, inline.
+    // Phase B: shadow update and node free, inline.
     *out = node.value;
     head_raw_ = node.next_raw;
     --count_;

@@ -39,14 +39,18 @@ class Stack : public DsBase
                        std::string_view name, Stack *out,
                        const DsOptions &opt = {});
 
-    /** Push one value. Durable per the session's persistence mode. */
+    /**
+     * Push one value. Durable per the session's persistence mode.
+     * pushAsync run inline.
+     */
     Status push(const Value &v);
 
-    /** Pop the newest value; NotFound when empty. */
+    /** Pop the newest value; NotFound when empty. popAsync run inline. */
     Status pop(Value *out);
 
     /**
-     * Push as a resumable pipeline op. The body has no suspendable
+     * Push as a resumable op — the one implementation behind push() and
+     * pushMany(). The body has no suspendable
      * remote reads (deferred pushes stay local; materialization writes
      * through the overlay), so the pipeline win is purely log-side: the
      * op-log append rides the window's doorbell-batched WQE chain and
@@ -60,10 +64,10 @@ class Stack : public DsBase
     Status pushMany(std::span<const Value> vals, Status *results);
 
     /**
-     * Pop as a resumable pipeline op. Annulment and the empty case
-     * resolve locally; the materialized path co_awaits the head-node
-     * read (phase A) and replays pop()'s shadow-update/free tail inline
-     * after read-set validation (phase B). Same per-structure WindowGate
+     * Pop as a resumable op. Annulment and the empty case resolve
+     * locally; the materialized path co_awaits the head-node read
+     * (phase A) and runs the shadow-update/free tail inline after
+     * read-set validation (phase B). Same per-structure WindowGate
      * ordering as pushAsync.
      */
     OpTask popAsync(Value *out);
@@ -95,7 +99,6 @@ class Stack : public DsBase
     Status loadShadows();
     Status materializePending();
     Status materializeOne(const Value &v);
-    Status popMaterialized(Value *out);
     bool deferWrites() const
     {
         return !s_->config().symmetric && s_->config().use_txlog;

@@ -12,12 +12,15 @@
  * independent operations in flight and overlapping their round trips.
  *
  * The data structure read AND write paths (bptree, mv_bptree, skiplist,
- * hash_table, stack, queue) are decomposed into resumable C++20
- * coroutines returning OpTask. Each remote fetch becomes a suspension
- * point (`co_await session->asyncRead`): when the requested bytes are
- * local (overlay / pin / cache) the awaitable completes inline and the
- * coroutine keeps running; on a remote miss it parks a PendingRead with
- * the session's reactor and suspends. The reactor
+ * hash_table, stack, queue) are resumable C++20 coroutines returning
+ * OpTask — the one implementation of each operation: the serial entry
+ * points (insert, find, put, pop, ...) drive the same coroutine inline
+ * through FrontendSession::runInline, where it never suspends. Each
+ * remote fetch becomes a suspension point (`co_await
+ * session->asyncRead`): when the requested bytes are local (overlay /
+ * pin / cache) the awaitable completes inline and the coroutine keeps
+ * running; on a remote miss it parks a PendingRead with the session's
+ * reactor and suspends. The reactor
  * (FrontendSession::executePipelined) keeps a window of
  * `SessionConfig::pipeline_depth` operations admitted, collects every
  * suspended op's demanded read, and serves the whole round as ONE
@@ -26,35 +29,45 @@
  * thus cost ~d round trips instead of N*d.
  *
  * Write ops pipeline in two phases. Phase A — the traversal reads the
- * serial op performs before its first write — suspends like a lookup and
- * joins the shared read round; every read is stamped with the
- * session-local write sequence it observed. Phase B — the serial write
- * tail, verbatim — runs inline and unsuspended once the read set
- * validates, so it is atomic with respect to sibling window ops. A
- * same-key/same-structure conflict is prevented up front by a
- * WindowGate (later ops park until the earlier one retires), and a
- * stale read set (a sibling wrote under a suspended descent) triggers a
- * re-descent against the now-local tiers rather than a wire retry. The
- * ops' op-log/memory-log appends ride one doorbell-batched WQE chain
- * per round, and their commit fences coalesce into a single flush at
- * window drain (PipelineStats::{batched_appends, coalesced_fences}).
+ * op performs before its first write — suspends like a lookup and joins
+ * the shared read round; every read is stamped with the session-local
+ * write sequence it observed. Phase B — the write-out — runs inline and
+ * unsuspended once the read set validates, so it is atomic with respect
+ * to sibling window ops. A same-key/same-structure conflict is prevented
+ * up front by a WindowGate (later ops park until the earlier one
+ * retires), and a stale read set (a sibling wrote under a suspended
+ * descent) triggers a re-descent against the now-local tiers rather than
+ * a wire retry. The ops' op-log/memory-log appends ride one
+ * doorbell-batched WQE chain per round, and their commit fences coalesce
+ * into a single flush at window drain (PipelineStats::{batched_appends,
+ * coalesced_fences}).
  *
- * Depth 1 (the default) never suspends: asyncRead falls through to the
- * serial FrontendSession::read and opBegin/opEnd keep their serial
- * fence behavior, keeping wire traffic bit-identical to the
- * non-pipelined session — the ablation baseline.
+ * Depth 1 (the default) and inline ops never suspend: asyncRead falls
+ * through to FrontendSession::read and opBegin/opEnd keep their per-op
+ * fence behavior, so a depth-1 window costs exactly what the same ops
+ * called one by one cost — the ablation baseline.
  *
  * No OS threads are involved: coroutine frames are resumed from the
  * reactor loop on the session thread, in virtual time.
  */
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 
 #include "common/types.h"
 
 namespace asymnvm {
+
+/**
+ * Coroutine-frame storage for OpTask: a small per-thread cache of freed
+ * frames, so a serial loop (one frame per operation) stops paying a
+ * malloc/free pair per call. Sessions are single-threaded, so per-thread
+ * is per-session in practice.
+ */
+void *frameAlloc(std::size_t n);
+void frameFree(void *p, std::size_t n);
 
 /**
  * A resumable session operation. The coroutine body is a data structure
@@ -70,6 +83,12 @@ class OpTask
     struct promise_type
     {
         Status result = Status::Ok;
+
+        static void *operator new(std::size_t n) { return frameAlloc(n); }
+        static void operator delete(void *p, std::size_t n)
+        {
+            frameFree(p, n);
+        }
 
         OpTask get_return_object() noexcept
         {

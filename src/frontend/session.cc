@@ -265,56 +265,88 @@ Status
 FrontendSession::readInner(RemotePtr addr, void *dst, uint32_t len,
                            const ReadHint &hint)
 {
-    if (tracking_)
-        tracked_reads_.push_back(addr);
-
-    // 1. Read-your-writes: buffered memory logs shadow remote state.
-    if (!overlay_.empty() && overlayLookup(addr, dst, len)) {
-        clock_.advance(lat_.dram_access_ns);
-        return Status::Ok;
-    }
-    // 2. Batch-local pins (vector operations reread shared path nodes).
-    if (hint.pin && !pinned_.empty()) {
-        auto it = pinned_.find(addr.raw());
-        if (it != pinned_.end() && it->second.size() == len) {
-            std::memcpy(dst, it->second.data(), len);
-            clock_.advance(lat_.dram_access_ns);
-            return Status::Ok;
-        }
-    }
-    if (cfg_.symmetric)
-        return symmetricRead(addr, dst, len);
-
-    // 3. Front-end DRAM cache.
-    const bool cacheable = cfg_.use_cache && hint.cacheable;
-    if (cfg_.read_prefetch && cacheable && hint.stream != 0)
-        prefetch_.onAccess(hint.ds, hint.stream, addr.raw(), len);
-    const bool admitted = hint.admission == nullptr ||
-                          hint.admission->admit(hint.level);
-    if (cacheable && cache_->lookup(addr, dst, len)) {
-        if (hint.admission != nullptr && admitted)
-            hint.admission->record(true);
-        return Status::Ok;
-    }
-    // 4. Remote NVM, gathering speculative neighbor reads in the same
+    ReadAwaitable rd{this, addr, dst, len, hint};
+    if (readLocal(rd))
+        return rd.result;
+    // Remote NVM, gathering speculative neighbor reads in the same
     // doorbell when the hint carries any (read-side doorbell batching).
     last_read_remote_ = true;
     const Status st = remoteReadWithPrefetch(addr, dst, len, hint);
     if (!ok(st))
         return st;
-    if (cacheable && admitted) {
+    fillAfterMiss(rd);
+    return Status::Ok;
+}
+
+bool
+FrontendSession::readLocal(ReadAwaitable &rd)
+{
+    rd.served_seq = pipe_write_seq_; // service happens now (or at park)
+    if (tracking_)
+        tracked_reads_.push_back(rd.addr);
+    if (overlayOrPinHit(rd))
+        return true;
+    if (cfg_.symmetric) {
+        rd.result = symmetricRead(rd.addr, rd.dst, rd.len);
+        return true;
+    }
+    rd.cacheable = cfg_.use_cache && rd.hint.cacheable;
+    if (cfg_.read_prefetch && rd.cacheable && rd.hint.stream != 0)
+        prefetch_.onAccess(rd.hint.ds, rd.hint.stream, rd.addr.raw(),
+                           rd.len);
+    rd.admitted = rd.hint.admission == nullptr ||
+                  rd.hint.admission->admit(rd.hint.level);
+    return cacheHit(rd);
+}
+
+bool
+FrontendSession::overlayOrPinHit(ReadAwaitable &rd)
+{
+    // Read-your-writes: buffered memory logs shadow remote state.
+    if (!overlay_.empty() && overlayLookup(rd.addr, rd.dst, rd.len)) {
+        clock_.advance(lat_.dram_access_ns);
+        rd.result = Status::Ok;
+        return true;
+    }
+    // Batch-local pins (vector operations reread shared path nodes).
+    if (rd.hint.pin && !pinned_.empty()) {
+        auto it = pinned_.find(rd.addr.raw());
+        if (it != pinned_.end() && it->second.size() == rd.len) {
+            std::memcpy(rd.dst, it->second.data(), rd.len);
+            clock_.advance(lat_.dram_access_ns);
+            rd.result = Status::Ok;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+FrontendSession::cacheHit(ReadAwaitable &rd)
+{
+    if (!rd.cacheable || !cache_->lookup(rd.addr, rd.dst, rd.len))
+        return false;
+    if (rd.hint.admission != nullptr && rd.admitted)
+        rd.hint.admission->record(true);
+    rd.result = Status::Ok;
+    return true;
+}
+
+void
+FrontendSession::fillAfterMiss(ReadAwaitable &rd)
+{
+    if (rd.cacheable && rd.admitted) {
         // Only admitted levels feed the miss-ratio window; reads the
         // threshold excludes by design must not drag N further down.
-        if (hint.admission != nullptr)
-            hint.admission->record(false);
-        cache_->insert(hint.ds, addr, dst, len);
+        if (rd.hint.admission != nullptr)
+            rd.hint.admission->record(false);
+        cache_->insert(rd.hint.ds, rd.addr, rd.dst, rd.len);
     }
-    if (hint.pin) {
-        auto &slot = pinned_[addr.raw()];
-        slot.assign(static_cast<uint8_t *>(dst),
-                    static_cast<uint8_t *>(dst) + len);
+    if (rd.hint.pin) {
+        auto &slot = pinned_[rd.addr.raw()];
+        slot.assign(static_cast<uint8_t *>(rd.dst),
+                    static_cast<uint8_t *>(rd.dst) + rd.len);
     }
-    return Status::Ok;
 }
 
 Status
@@ -405,17 +437,16 @@ FrontendSession::remoteReadWithPrefetch(RemotePtr addr, void *dst,
 bool
 FrontendSession::ReadAwaitable::await_ready()
 {
-    if (!s->pipeline_active_) {
-        // No reactor owns the session (or depth 1): degrade to the
-        // serial read path — same verbs, same clock charges, same
-        // histograms. Depth-1 pipelined runs are bit-identical to
-        // serial ones by this fall-through.
+    if (!s->suspendable()) {
+        // No reactor owns the session (depth 1, or an op run inline):
+        // take the serial read path — same verbs, same clock charges,
+        // same histograms, and the transparent-failover re-run.
         result = s->read(addr, dst, len, hint);
         served_seq = s->pipe_write_seq_; // 0 outside a window
         return true;
     }
     const uint64_t t0 = s->clock_.now();
-    if (s->pipelineLocalRead(*this)) {
+    if (s->readLocal(*this)) {
         s->hist_read_local_.record(s->clock_.now() - t0);
         return true;
     }
@@ -432,77 +463,13 @@ FrontendSession::ReadAwaitable::await_suspend(std::coroutine_handle<>)
 }
 
 bool
-FrontendSession::pipelineLocalRead(ReadAwaitable &aw)
-{
-    // Mirrors readInner steps 1-3 exactly (order and clock charges): an
-    // op must observe the same overlay/pin/cache state pipelined as it
-    // would serially.
-    aw.served_seq = pipe_write_seq_; // service happens now (or at park)
-    if (tracking_)
-        tracked_reads_.push_back(aw.addr);
-    if (!overlay_.empty() && overlayLookup(aw.addr, aw.dst, aw.len)) {
-        clock_.advance(lat_.dram_access_ns);
-        aw.result = Status::Ok;
-        return true;
-    }
-    if (aw.hint.pin && !pinned_.empty()) {
-        auto it = pinned_.find(aw.addr.raw());
-        if (it != pinned_.end() && it->second.size() == aw.len) {
-            std::memcpy(aw.dst, it->second.data(), aw.len);
-            clock_.advance(lat_.dram_access_ns);
-            aw.result = Status::Ok;
-            return true;
-        }
-    }
-    if (cfg_.symmetric) {
-        aw.result = symmetricRead(aw.addr, aw.dst, aw.len);
-        return true;
-    }
-    aw.cacheable = cfg_.use_cache && aw.hint.cacheable;
-    if (cfg_.read_prefetch && aw.cacheable && aw.hint.stream != 0)
-        prefetch_.onAccess(aw.hint.ds, aw.hint.stream, aw.addr.raw(),
-                           aw.len);
-    aw.admitted = aw.hint.admission == nullptr ||
-                  aw.hint.admission->admit(aw.hint.level);
-    if (aw.cacheable && cache_->lookup(aw.addr, aw.dst, aw.len)) {
-        if (aw.hint.admission != nullptr && aw.admitted)
-            aw.hint.admission->record(true);
-        aw.result = Status::Ok;
-        return true;
-    }
-    return false;
-}
-
-bool
 FrontendSession::pipelineRecheckLocal(ReadAwaitable &aw)
 {
     const uint64_t t0 = clock_.now();
-    if (!overlay_.empty() && overlayLookup(aw.addr, aw.dst, aw.len)) {
-        clock_.advance(lat_.dram_access_ns);
-        aw.result = Status::Ok;
-        hist_read_local_.record(clock_.now() - t0);
-        return true;
-    }
-    if (aw.hint.pin && !pinned_.empty()) {
-        auto it = pinned_.find(aw.addr.raw());
-        if (it != pinned_.end() && it->second.size() == aw.len) {
-            std::memcpy(aw.dst, it->second.data(), aw.len);
-            clock_.advance(lat_.dram_access_ns);
-            aw.result = Status::Ok;
-            hist_read_local_.record(clock_.now() - t0);
-            return true;
-        }
-    }
-    // Admission was decided pre-suspend; do NOT re-run onAccess/admit —
-    // the serial path consults them exactly once per read.
-    if (aw.cacheable && cache_->lookup(aw.addr, aw.dst, aw.len)) {
-        if (aw.hint.admission != nullptr && aw.admitted)
-            aw.hint.admission->record(true);
-        aw.result = Status::Ok;
-        hist_read_local_.record(clock_.now() - t0);
-        return true;
-    }
-    return false;
+    if (!overlayOrPinHit(aw) && !cacheHit(aw))
+        return false;
+    hist_read_local_.record(clock_.now() - t0);
+    return true;
 }
 
 void
@@ -691,16 +658,7 @@ FrontendSession::serveBatchRound()
     for (ReadAwaitable *aw : round) {
         if (!ok(aw->result))
             continue;
-        if (aw->cacheable && aw->admitted) {
-            if (aw->hint.admission != nullptr)
-                aw->hint.admission->record(false);
-            cache_->insert(aw->hint.ds, aw->addr, aw->dst, aw->len);
-        }
-        if (aw->hint.pin) {
-            auto &slot = pinned_[aw->addr.raw()];
-            slot.assign(static_cast<uint8_t *>(aw->dst),
-                        static_cast<uint8_t *>(aw->dst) + aw->len);
-        }
+        fillAfterMiss(*aw);
         hist_read_remote_.record(clock_.now() - t0);
     }
 }
@@ -790,12 +748,22 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
 // Write-pipelining window primitives (gates, op-ref capture)
 // ---------------------------------------------------------------------
 
+Status
+FrontendSession::runInline(OpTask op)
+{
+    ++inline_ops_;
+    op.resume(); // nothing can suspend, so this runs to co_return
+    --inline_ops_;
+    assert(op.done());
+    return op.status();
+}
+
 bool
 FrontendSession::WindowGate::tryAcquire()
 {
     if (ticket_ != 0)
         return true; // already holding the key
-    if (!s_->pipeline_active_)
+    if (!s_->suspendable())
         return true; // serial: no sibling ops can exist
     auto it = s_->pipe_gates_.find(key_);
     if (it == s_->pipe_gates_.end()) {

@@ -302,8 +302,8 @@ class FrontendSession
      * phases (overlay, pins, symmetric, cache) complete inline; a remote
      * miss inside an active pipeline parks the read with the reactor and
      * suspends until the round's shared gather delivers it. Outside a
-     * pipeline (or at depth 1) it degrades to the serial read() — same
-     * verbs, same clock charges, bit-identical wire traffic.
+     * pipeline, at depth 1 and under runInline it takes the serial
+     * read() — same verbs, same clock charges, same wire traffic.
      *
      * The hint's neighbors span must stay alive across the suspension;
      * coroutine-frame arrays satisfy this naturally.
@@ -335,7 +335,7 @@ class FrontendSession
          */
         Status await_resume()
         {
-            if (s != nullptr && s->pipeline_active_)
+            if (s != nullptr && s->suspendable())
                 s->pipelineRefreshIfStale(*this);
             return result;
         }
@@ -358,6 +358,17 @@ class FrontendSession
     void executePipelined(std::span<OpTask> ops,
                           std::span<Status> results);
 
+    /**
+     * Run @p op to completion on the calling thread without suspending:
+     * the serial entry point of every data structure operation (insert()
+     * is runInline(insertAsync(...))). Reads take the serial read() path,
+     * gates acquire at once and yields complete inline — also when a
+     * reactor owns the session, e.g. recovery replaying ops inside a
+     * pipelined window — so an inline op costs exactly what a serial
+     * implementation would.
+     */
+    Status runInline(OpTask op);
+
     /** True while the reactor owns this session's scheduling. */
     bool pipelineActive() const { return pipeline_active_; }
 
@@ -372,7 +383,7 @@ class FrontendSession
     struct YieldAwaitable
     {
         FrontendSession *s = nullptr;
-        bool await_ready() const { return !s->pipeline_active_; }
+        bool await_ready() const { return !s->suspendable(); }
         void await_suspend(std::coroutine_handle<>) {}
         void await_resume() const {}
     };
@@ -390,7 +401,7 @@ class FrontendSession
      */
     bool pipelineGateHeld(uint64_t ds, uint64_t key) const
     {
-        return pipeline_active_ &&
+        return suspendable() &&
                pipe_gates_.find({ds, key}) != pipe_gates_.end();
     }
 
@@ -404,10 +415,11 @@ class FrontendSession
      * ops on the same key suspend until the earlier op's local effects
      * (overlay writes, shadow updates) land, which keeps every
      * same-key sequence in admission order — exactly the serial order —
-     * while different-key ops interleave freely. Outside a pipeline the
-     * gate acquires immediately and holds nothing (depth-1 ops never
-     * have siblings). Released on destruction (coroutine locals are
-     * destroyed at co_return, before the op leaves the window).
+     * while different-key ops interleave freely. Outside a pipeline (and
+     * for ops run inline) the gate acquires immediately and holds nothing
+     * (such ops never have siblings). Released on destruction (coroutine
+     * locals are destroyed at co_return, before the op leaves the
+     * window).
      */
     class WindowGate
     {
@@ -451,6 +463,8 @@ class FrontendSession
     /** True when no stamped address was overwritten after its stamp. */
     bool pipelineReadSetClean(std::span<const ReadStamp> stamps) const
     {
+        if (pipe_dirty_.empty())
+            return true; // no window write yet (always, outside a window)
         for (const ReadStamp &rs : stamps) {
             auto it = pipe_dirty_.find(rs.addr_raw);
             if (it != pipe_dirty_.end() && it->second > rs.seq)
@@ -864,14 +878,31 @@ class FrontendSession
     Status remoteReadWithPrefetch(RemotePtr addr, void *dst, uint32_t len,
                                   const ReadHint &hint);
 
+    /** True when a ReadAwaitable/YieldAwaitable may suspend: a reactor
+     *  owns the session and no op is being run inline. */
+    bool suspendable() const
+    {
+        return pipeline_active_ && inline_ops_ == 0;
+    }
+
     /**
-     * Local phase of the pipelined read (mirrors readInner steps 1-3:
-     * tracking, overlay, pins, symmetric, prefetch training, admission,
-     * cache). Returns true when the awaitable completed inline; false
-     * means a remote miss — the caller suspends and the reactor serves
-     * it in the next shared gather round.
+     * Local phase of every read, serial or pipelined: seqlock tracking,
+     * then the local tiers in order — overlay, batch pins, symmetric NVM,
+     * DRAM cache — with prefetch training and the admission decision
+     * taken just before the cache probe. Returns true when @p rd was
+     * served locally (status in rd.result); false means a remote miss,
+     * with rd.cacheable / rd.admitted set for fillAfterMiss.
      */
-    bool pipelineLocalRead(ReadAwaitable &aw);
+    bool readLocal(ReadAwaitable &rd);
+
+    /** Overlay then batch pins; true (and charged) on a hit. */
+    bool overlayOrPinHit(ReadAwaitable &rd);
+
+    /** DRAM cache probe under the decision readLocal made. */
+    bool cacheHit(ReadAwaitable &rd);
+
+    /** Post-miss bookkeeping: admission window, cache fill, pin. */
+    void fillAfterMiss(ReadAwaitable &rd);
 
     /**
      * Serve every parked PendingRead as one doorbell-batched gather per
@@ -885,7 +916,9 @@ class FrontendSession
      * Re-run the local tiers for a read parked *before* a sibling op's
      * window write landed at its address: the overlay/cache now hold the
      * fresh bytes, so serving remotely would return a stale (or even
-     * torn) image. Returns true when the read was satisfied locally.
+     * torn) image. Tracking, prefetch training and admission are not
+     * repeated — the serial path consults them once per read. Returns
+     * true when the read was satisfied locally.
      */
     bool pipelineRecheckLocal(ReadAwaitable &aw);
 
@@ -993,6 +1026,7 @@ class FrontendSession
 
     // Pipelined-operation reactor state (executePipelined).
     bool pipeline_active_ = false; //!< reactor owns scheduling
+    uint32_t inline_ops_ = 0;      //!< runInline nesting depth
     /** Reads parked by suspended ops; the awaitables live in their
      *  coroutine frames, which stay alive until resumed past co_await. */
     std::vector<ReadAwaitable *> pending_reads_;

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <map>
 #include <random>
+#include <typeinfo>
 #include <vector>
 
 #include "backend/backend_node.h"
@@ -461,9 +462,9 @@ TEST(PipelineTest, SharedHandleFallsBackToSerialProtocol)
 }
 
 // ---------------------------------------------------------------------
-// Write pipelining (DESIGN.md §14): depth 1 must run the native write
-// coroutines bit-identically to the serial protocol — same virtual
-// clock, same per-field verb counters, no reactor involvement.
+// Write pipelining (DESIGN.md §14): a depth-1 window must cost exactly
+// what the same ops called one by one cost — same virtual clock, same
+// per-field verb counters, no reactor involvement.
 // ---------------------------------------------------------------------
 
 /** Compare clock delta and cumulative verb counters of two rigs. */
@@ -941,6 +942,102 @@ TEST(PipelineTest, DepthEightOverlapsStackPopChains)
         << " ns";
     EXPECT_LT(deep_db, flat_db)
         << "pipelined windows should batch doorbells";
+}
+
+// ---------------------------------------------------------------------
+// One implementation per operation (DESIGN.md §15): serial entry points
+// run the coroutine inline. Inline ops must finish without suspending
+// even while a reactor owns the session, and vector insertion must keep
+// the descent's reads in the batch-local pin set.
+// ---------------------------------------------------------------------
+
+/** A window op that calls a serial insert() mid-body, the way recovery
+ *  replay re-executes ops while a window is in flight. */
+OpTask
+yieldThenInsert(FrontendSession &s, BpTree &dst, Key k)
+{
+    co_await s.pipelineYield(); // suspends: the reactor owns the session
+    EXPECT_TRUE(s.pipelineActive());
+    co_return dst.insert(k, Value::ofU64(k * 3));
+}
+
+TEST(PipelineTest, InlineOpsCompleteInsideAnActiveWindow)
+{
+    PipeRig rig(50, /*depth=*/8);
+    BpTree src, dst;
+    ASSERT_EQ(BpTree::create(*rig.s, 1, "src", &src), Status::Ok);
+    ASSERT_EQ(BpTree::create(*rig.s, 1, "dst", &dst), Status::Ok);
+    preload(src, 1500);
+    preload(dst, 1500); // cold cache: the nested inserts read remotely
+
+    // Cold lookups park reads with the reactor while the nested inserts
+    // run; the inserts' own reads must not join those rounds.
+    std::vector<OpTask> ops;
+    std::vector<Value> vals(16);
+    for (uint64_t i = 0; i < 16; ++i) {
+        if (i % 2 == 0)
+            ops.push_back(src.findAsync(1 + i * 90, &vals[i]));
+        else
+            ops.push_back(yieldThenInsert(*rig.s, dst, 2000 + i));
+    }
+    std::vector<Status> sts(ops.size());
+    rig.s->executePipelined(ops, sts);
+    EXPECT_EQ(rig.s->stats().pipeline.runs, 1u);
+    for (uint64_t i = 0; i < 16; ++i) {
+        ASSERT_EQ(sts[i], Status::Ok) << "slot " << i;
+        if (i % 2 == 0) {
+            EXPECT_EQ(vals[i].asU64(), (1 + i * 90) * 31) << "slot " << i;
+        }
+    }
+    for (uint64_t i = 1; i < 16; i += 2) {
+        Value v;
+        ASSERT_EQ(dst.find(2000 + i, &v), Status::Ok) << "key " << 2000 + i;
+        EXPECT_EQ(v.asU64(), (2000 + i) * 3);
+    }
+}
+
+/** Remote reads of vector vs one-by-one insertion of the same sorted
+ *  keys into two identical trees, with the DRAM cache off so batch-local
+ *  pins are the only tier that can serve a shared path node. */
+template <typename DS>
+void
+expectVectorInsertUsesPins(uint64_t id)
+{
+    SessionConfig cfg = SessionConfig::rcb(id, 256 << 10, 1024);
+    cfg.use_cache = false;
+    BackendNode be_vec(1, testConfig()), be_one(1, testConfig());
+    FrontendSession s_vec(cfg), s_one(cfg);
+    ASSERT_EQ(s_vec.connect(&be_vec), Status::Ok);
+    ASSERT_EQ(s_one.connect(&be_one), Status::Ok);
+    DS dv, d1;
+    ASSERT_EQ(DS::create(s_vec, 1, "t", &dv), Status::Ok);
+    ASSERT_EQ(DS::create(s_one, 1, "t", &d1), Status::Ok);
+    preload(dv, 1000);
+    preload(d1, 1000);
+
+    std::vector<std::pair<Key, Value>> batch;
+    for (uint64_t k = 0; k < 64; ++k)
+        batch.emplace_back(2001 + 2 * k, Value::ofU64(k));
+    ASSERT_EQ(dv.insertBatch(batch), Status::Ok);
+    for (const auto &[key, value] : batch)
+        ASSERT_EQ(d1.insert(key, value), Status::Ok);
+    const uint64_t vec_reads = s_vec.verbs().counters().reads;
+    const uint64_t one_reads = s_one.verbs().counters().reads;
+    EXPECT_LT(vec_reads, one_reads)
+        << typeid(DS).name() << ": pinned path nodes should be read once";
+    for (const auto &[key, value] : batch) {
+        Value v;
+        ASSERT_EQ(dv.find(key, &v), Status::Ok) << "key " << key;
+        EXPECT_EQ(v.asU64(), value.asU64());
+    }
+}
+
+TEST(PipelineTest, VectorInsertServesSharedPathFromPins)
+{
+    // MvBpTree is left out: every insert writes a fresh copy of its
+    // whole path, so the overlay already serves the next descent.
+    expectVectorInsertUsesPins<BpTree>(51);
+    expectVectorInsertUsesPins<SkipList>(52);
 }
 
 } // namespace
