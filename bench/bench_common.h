@@ -8,10 +8,9 @@
  * Throughput is measured against *virtual time* (see DESIGN.md §2): the
  * per-session SimClock accumulates the modeled cost of every NVM access,
  * RDMA verb and CPU step, so `ops / virtual seconds` reproduces the
- * paper's performance shape deterministically. Because of that, the
- * google-benchmark wall-clock loop is not the measurement instrument
- * here; each binary is a self-contained harness that prints the same
- * rows/series the paper's table or figure reports.
+ * paper's performance shape deterministically, with no wall-clock
+ * benchmarking library. Each binary is a self-contained harness that
+ * prints the same rows/series the paper's table or figure reports.
  */
 
 #include <cinttypes>

@@ -171,6 +171,32 @@ class DsBase
         return !opt_.shared || s_->holdsWriterLock(id_, backend_);
     }
 
+    /**
+     * The body of every multi-key entry point (insertMany, findMany,
+     * popMany, ...): run @p n operations as one executePipelined window,
+     * building op i's coroutine with @p async_op(i) — or, when the
+     * handle is not @p eligible, one at a time through @p serial_op(i).
+     * Per-op statuses land in @p results; the call returns Ok.
+     */
+    template <typename SerialOp, typename AsyncOp>
+    Status runMany(size_t n, Status *results, bool eligible,
+                   SerialOp &&serial_op, AsyncOp &&async_op)
+    {
+        if (n == 0)
+            return Status::Ok;
+        if (!eligible) {
+            for (size_t i = 0; i < n; ++i)
+                results[i] = serial_op(i);
+            return Status::Ok;
+        }
+        std::vector<OpTask> ops;
+        ops.reserve(n);
+        for (size_t i = 0; i < n; ++i)
+            ops.push_back(async_op(i));
+        s_->executePipelined(ops, std::span<Status>(results, n));
+        return Status::Ok;
+    }
+
     /** Typed whole-node write through the log pipeline. */
     template <typename Node>
     Status writeNode(RemotePtr p, const Node &node)

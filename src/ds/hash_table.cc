@@ -238,20 +238,10 @@ Status
 HashTable::putMany(std::span<const std::pair<Key, Value>> kvs,
                    Status *results)
 {
-    if (kvs.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < kvs.size(); ++i)
-            results[i] = put(kvs[i].first, kvs[i].second);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(kvs.size());
-    for (const auto &[key, value] : kvs)
-        ops.push_back(putAsync(key, value));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, kvs.size()));
-    return Status::Ok;
+    return runMany(
+        kvs.size(), results, pipelineEligible(),
+        [&](size_t i) { return put(kvs[i].first, kvs[i].second); },
+        [&](size_t i) { return putAsync(kvs[i].first, kvs[i].second); });
 }
 
 Status
@@ -306,20 +296,10 @@ HashTable::getAsync(Key key, Value *out)
 Status
 HashTable::getMany(std::span<const Key> keys, Value *vals, Status *results)
 {
-    if (keys.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < keys.size(); ++i)
-            results[i] = get(keys[i], &vals[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i)
-        ops.push_back(getAsync(keys[i], &vals[i]));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, keys.size()));
-    return Status::Ok;
+    return runMany(
+        keys.size(), results, pipelineEligible(),
+        [&](size_t i) { return get(keys[i], &vals[i]); },
+        [&](size_t i) { return getAsync(keys[i], &vals[i]); });
 }
 
 bool
@@ -436,20 +416,10 @@ HashTable::eraseAsync(Key key)
 Status
 HashTable::eraseMany(std::span<const Key> keys, Status *results)
 {
-    if (keys.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < keys.size(); ++i)
-            results[i] = erase(keys[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(keys.size());
-    for (const Key key : keys)
-        ops.push_back(eraseAsync(key));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, keys.size()));
-    return Status::Ok;
+    return runMany(
+        keys.size(), results, pipelineEligible(),
+        [&](size_t i) { return erase(keys[i]); },
+        [&](size_t i) { return eraseAsync(keys[i]); });
 }
 
 } // namespace asymnvm

@@ -358,20 +358,10 @@ Status
 MvBpTree::insertMany(std::span<const std::pair<Key, Value>> kvs,
                      Status *results)
 {
-    if (kvs.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < kvs.size(); ++i)
-            results[i] = insert(kvs[i].first, kvs[i].second);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(kvs.size());
-    for (const auto &[key, value] : kvs)
-        ops.push_back(insertAsync(key, value));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, kvs.size()));
-    return Status::Ok;
+    return runMany(
+        kvs.size(), results, pipelineEligible(),
+        [&](size_t i) { return insert(kvs[i].first, kvs[i].second); },
+        [&](size_t i) { return insertAsync(kvs[i].first, kvs[i].second); });
 }
 
 Status
@@ -487,15 +477,10 @@ MvBpTree::findMany(std::span<const Key> keys, Value *vals, Status *results)
 {
     // MV readers are lock-free (snapshot per op): no seqlock fallback is
     // needed, any handle may pipeline.
-    if (keys.empty())
-        return Status::Ok;
-    std::vector<OpTask> ops;
-    ops.reserve(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i)
-        ops.push_back(findAsync(keys[i], &vals[i]));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, keys.size()));
-    return Status::Ok;
+    return runMany(
+        keys.size(), results, /*eligible=*/true,
+        [&](size_t i) { return find(keys[i], &vals[i]); },
+        [&](size_t i) { return findAsync(keys[i], &vals[i]); });
 }
 
 bool
@@ -619,20 +604,10 @@ MvBpTree::eraseAsync(Key key)
 Status
 MvBpTree::eraseMany(std::span<const Key> keys, Status *results)
 {
-    if (keys.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < keys.size(); ++i)
-            results[i] = erase(keys[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(keys.size());
-    for (const Key key : keys)
-        ops.push_back(eraseAsync(key));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, keys.size()));
-    return Status::Ok;
+    return runMany(
+        keys.size(), results, pipelineEligible(),
+        [&](size_t i) { return erase(keys[i]); },
+        [&](size_t i) { return eraseAsync(keys[i]); });
 }
 
 } // namespace asymnvm

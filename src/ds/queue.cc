@@ -168,20 +168,10 @@ Queue::enqueueAsync(Value v)
 Status
 Queue::enqueueMany(std::span<const Value> vals, Status *results)
 {
-    if (vals.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < vals.size(); ++i)
-            results[i] = enqueue(vals[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(vals.size());
-    for (const Value &v : vals)
-        ops.push_back(enqueueAsync(v));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, vals.size()));
-    return Status::Ok;
+    return runMany(
+        vals.size(), results, pipelineEligible(),
+        [&](size_t i) { return enqueue(vals[i]); },
+        [&](size_t i) { return enqueueAsync(vals[i]); });
 }
 
 OpTask
@@ -242,20 +232,10 @@ Queue::dequeueAsync(Value *out)
 Status
 Queue::dequeueMany(std::span<Value> outs, Status *results)
 {
-    if (outs.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < outs.size(); ++i)
-            results[i] = dequeue(&outs[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(outs.size());
-    for (Value &v : outs)
-        ops.push_back(dequeueAsync(&v));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, outs.size()));
-    return Status::Ok;
+    return runMany(
+        outs.size(), results, pipelineEligible(),
+        [&](size_t i) { return dequeue(&outs[i]); },
+        [&](size_t i) { return dequeueAsync(&outs[i]); });
 }
 
 Status

@@ -145,20 +145,10 @@ Stack::pushAsync(Value v)
 Status
 Stack::pushMany(std::span<const Value> vals, Status *results)
 {
-    if (vals.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < vals.size(); ++i)
-            results[i] = push(vals[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(vals.size());
-    for (const Value &v : vals)
-        ops.push_back(pushAsync(v));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, vals.size()));
-    return Status::Ok;
+    return runMany(
+        vals.size(), results, pipelineEligible(),
+        [&](size_t i) { return push(vals[i]); },
+        [&](size_t i) { return pushAsync(vals[i]); });
 }
 
 OpTask
@@ -218,20 +208,10 @@ Stack::popAsync(Value *out)
 Status
 Stack::popMany(std::span<Value> outs, Status *results)
 {
-    if (outs.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < outs.size(); ++i)
-            results[i] = pop(&outs[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(outs.size());
-    for (Value &v : outs)
-        ops.push_back(popAsync(&v));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, outs.size()));
-    return Status::Ok;
+    return runMany(
+        outs.size(), results, pipelineEligible(),
+        [&](size_t i) { return pop(&outs[i]); },
+        [&](size_t i) { return popAsync(&outs[i]); });
 }
 
 Status

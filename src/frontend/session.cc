@@ -74,7 +74,7 @@ FrontendSession::FrontendSession(const SessionConfig &cfg,
                                  const LatencyModel &lat)
     : cfg_(cfg), lat_(lat), verbs_(&clock_, &lat_)
 {
-    verbs_.setQpId(cfg_.qp_id != 0 ? cfg_.qp_id : cfg_.session_id);
+    verbs_.setQpId(cfg_.session_id);
     cache_ = std::make_unique<PageCache>(cfg_.cache_policy,
                                          cfg_.cache_bytes, &clock_, &lat_,
                                          cfg_.cache_sample_k,
@@ -271,11 +271,11 @@ FrontendSession::readInner(RemotePtr addr, void *dst, uint32_t len,
     // Remote NVM, gathering speculative neighbor reads in the same
     // doorbell when the hint carries any (read-side doorbell batching).
     last_read_remote_ = true;
-    const Status st = remoteReadWithPrefetch(addr, dst, len, hint);
-    if (!ok(st))
-        return st;
-    fillAfterMiss(rd);
-    return Status::Ok;
+    ReadAwaitable *const miss = &rd;
+    gatherMisses({&miss, 1});
+    if (ok(rd.result))
+        fillAfterMiss(rd);
+    return rd.result;
 }
 
 bool
@@ -349,85 +349,115 @@ FrontendSession::fillAfterMiss(ReadAwaitable &rd)
     }
 }
 
-Status
-FrontendSession::remoteReadWithPrefetch(RemotePtr addr, void *dst,
-                                        uint32_t len, const ReadHint &hint)
+void
+FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
 {
-    const bool eligible = cfg_.read_prefetch && cfg_.use_cache &&
-                          hint.cacheable && cfg_.prefetch_degree > 0 &&
-                          (!hint.neighbors.empty() || hint.stream != 0);
-    if (!eligible)
-        return verbs_.read(addr, dst, len);
-
-    prefetch_scratch_.clear();
-    prefetch_scratch_.insert(prefetch_scratch_.end(),
-                             hint.neighbors.begin(), hint.neighbors.end());
-    prefetch_.collect(hint.ds, hint.stream, addr.raw(),
-                      &prefetch_scratch_);
-
-    // Keep only candidates worth the wire bytes: dedupe, drop the
-    // demanded address, other back-ends, and anything already resident
-    // (overlay or cache); truncate to the configured degree.
-    size_t kept = 0;
-    for (size_t i = 0;
-         i < prefetch_scratch_.size() && kept < cfg_.prefetch_degree;
-         ++i) {
-        const PrefetchCandidate c = prefetch_scratch_[i];
-        if (c.addr_raw == 0 || c.len == 0 || c.addr_raw == addr.raw())
+    // Speculative neighbors per miss (ReadHint::neighbors and learned
+    // pointer-chain runs), kept only when worth the wire bytes: dedupe,
+    // drop demanded addresses (a batch of misses is its own best
+    // prefetch), other back-ends, and anything already resident (overlay
+    // or cache); at most kPrefetchDegree per miss.
+    gather_specs_.clear();
+    for (ReadAwaitable *aw : misses) {
+        const ReadHint &hint = aw->hint;
+        if (!cfg_.read_prefetch || !cfg_.use_cache || !hint.cacheable ||
+            (hint.neighbors.empty() && hint.stream == 0))
             continue;
-        const RemotePtr p = RemotePtr::fromRaw(c.addr_raw);
-        if (p.isNull() || p.backend != addr.backend)
-            continue;
-        bool dup = false;
-        for (size_t j = 0; j < kept; ++j)
-            if (prefetch_scratch_[j].addr_raw == c.addr_raw) {
-                dup = true;
+        prefetch_scratch_.assign(hint.neighbors.begin(),
+                                 hint.neighbors.end());
+        prefetch_.collect(hint.ds, hint.stream, aw->addr.raw(),
+                          &prefetch_scratch_);
+        uint32_t kept = 0;
+        for (const PrefetchCandidate &c : prefetch_scratch_) {
+            if (kept >= kPrefetchDegree)
                 break;
-            }
-        if (dup || (!overlay_.empty() && overlay_.count(c.addr_raw) != 0))
-            continue;
-        if (cache_->contains(p, c.len))
-            continue;
-        prefetch_scratch_[kept++] = c;
+            if (c.addr_raw == 0 || c.len == 0)
+                continue;
+            const RemotePtr p = RemotePtr::fromRaw(c.addr_raw);
+            if (p.isNull() || p.backend != aw->addr.backend)
+                continue;
+            bool dup = false;
+            for (const ReadAwaitable *d : misses)
+                if (d->addr.raw() == c.addr_raw) {
+                    dup = true;
+                    break;
+                }
+            for (size_t j = 0; !dup && j < gather_specs_.size(); ++j)
+                if (gather_specs_[j].addr_raw == c.addr_raw)
+                    dup = true;
+            if (dup ||
+                (!overlay_.empty() && overlay_.count(c.addr_raw) != 0))
+                continue;
+            if (cache_->contains(p, c.len))
+                continue;
+            gather_specs_.push_back({c.addr_raw, c.len, hint.ds});
+            ++kept;
+        }
     }
-    if (kept == 0)
-        return verbs_.read(addr, dst, len);
 
-    if (prefetch_bufs_.size() < kept)
-        prefetch_bufs_.resize(kept);
-    // Epoch snapshot BEFORE the gather: an invalidateDs that lands while
-    // the chain is in flight must outrank the fetched bytes.
+    // Epoch snapshot BEFORE the gather: an invalidateDs landing while
+    // the chain is in flight outranks the fetched bytes (it is what
+    // keeps interleaved ops' cache fills coherent).
     const uint64_t issue_epoch = cache_->epochNow();
-    verbs_.postRead(addr, dst, len);
-    for (size_t i = 0; i < kept; ++i) {
-        prefetch_bufs_[i].resize(prefetch_scratch_[i].len);
-        verbs_.postRead(RemotePtr::fromRaw(prefetch_scratch_[i].addr_raw),
-                        prefetch_bufs_[i].data(),
-                        prefetch_scratch_[i].len);
+    gather_posted_.clear();
+    for (ReadAwaitable *aw : misses) {
+        const Status pst = verbs_.postRead(aw->addr, aw->dst, aw->len);
+        if (ok(pst))
+            gather_posted_.push_back(aw);
+        else
+            aw->result = pst;
     }
-    const Status st = verbs_.readGather();
-    if (st == Status::InvalidArgument) {
+    if (prefetch_bufs_.size() < gather_specs_.size())
+        prefetch_bufs_.resize(gather_specs_.size());
+    size_t nspec = 0;
+    for (const GatherSpec &sp : gather_specs_) {
+        prefetch_bufs_[nspec].resize(sp.len);
+        if (ok(verbs_.postRead(RemotePtr::fromRaw(sp.addr_raw),
+                               prefetch_bufs_[nspec].data(), sp.len)))
+            gather_specs_[nspec++] = sp;
+    }
+    gather_specs_.resize(nspec);
+    verbs_.tagGatherOps(gather_posted_.size());
+    Status st = verbs_.readGather();
+    if (st == Status::InvalidArgument && !gather_specs_.empty()) {
         // A learned candidate fell outside the target (stale prediction
-        // over reclaimed NVM): forget the structure's predictions and
-        // serve the demanded read alone.
-        prefetch_.invalidateDs(hint.ds);
-        return verbs_.read(addr, dst, len);
+        // over reclaimed NVM): forget those predictions and re-run the
+        // gather with the demanded reads alone.
+        for (const GatherSpec &sp : gather_specs_)
+            prefetch_.invalidateDs(sp.ds);
+        gather_specs_.clear();
+        for (ReadAwaitable *aw : gather_posted_)
+            verbs_.postRead(aw->addr, aw->dst, aw->len);
+        verbs_.tagGatherOps(gather_posted_.size());
+        st = verbs_.readGather();
     }
-    if (!ok(st))
-        return st;
+    if (!ok(st)) {
+        // The all-or-nothing chain failed on the demanded set itself
+        // (torn pointer out of bounds, back-end crash). With several
+        // demanded reads on it, serve each alone so only the broken op
+        // fails — exactly the status its serial traversal would see.
+        const bool one_by_one = gather_posted_.size() > 1;
+        for (ReadAwaitable *aw : gather_posted_)
+            aw->result =
+                one_by_one ? verbs_.read(aw->addr, aw->dst, aw->len) : st;
+        return;
+    }
+    for (ReadAwaitable *aw : gather_posted_)
+        aw->result = Status::Ok;
+    if (gather_specs_.empty())
+        return;
     ++prefetch_batches_;
-    prefetch_issued_ += kept;
-    for (size_t i = 0; i < kept; ++i) {
-        const RemotePtr p =
-            RemotePtr::fromRaw(prefetch_scratch_[i].addr_raw);
-        cache_->insertSpeculative(hint.ds, p, prefetch_bufs_[i].data(),
-                                  prefetch_scratch_[i].len, issue_epoch);
+    prefetch_issued_ += gather_specs_.size();
+    for (size_t i = 0; i < gather_specs_.size(); ++i) {
+        const GatherSpec &sp = gather_specs_[i];
+        const RemotePtr p = RemotePtr::fromRaw(sp.addr_raw);
+        cache_->insertSpeculative(sp.ds, p, prefetch_bufs_[i].data(),
+                                  sp.len, issue_epoch);
         // Speculative bytes are subject to the same seqlock-conflict
-        // invalidation as the demanded read.
+        // invalidation as the demanded reads.
         if (tracking_)
             tracked_reads_.push_back(p);
     }
-    return Status::Ok;
 }
 
 // ---------------------------------------------------------------------
@@ -533,119 +563,8 @@ FrontendSession::serveBatchRound()
             primaries.push_back(aw);
     }
 
-    // Speculative neighbors per op, filtered as the serial path filters
-    // (dedupe, resident-anywhere, wrong back-end), additionally
-    // excluding this round's demanded addresses — the round itself is
-    // the best prefetch.
-    struct Spec
-    {
-        uint64_t addr_raw;
-        uint32_t len;
-        DsId ds;
-    };
-    std::vector<Spec> specs;
-    for (ReadAwaitable *aw : primaries) {
-        const bool eligible =
-            cfg_.read_prefetch && cfg_.use_cache && aw->hint.cacheable &&
-            cfg_.prefetch_degree > 0 &&
-            (!aw->hint.neighbors.empty() || aw->hint.stream != 0);
-        if (!eligible)
-            continue;
-        prefetch_scratch_.clear();
-        prefetch_scratch_.insert(prefetch_scratch_.end(),
-                                 aw->hint.neighbors.begin(),
-                                 aw->hint.neighbors.end());
-        prefetch_.collect(aw->hint.ds, aw->hint.stream, aw->addr.raw(),
-                          &prefetch_scratch_);
-        uint32_t kept = 0;
-        for (const PrefetchCandidate &c : prefetch_scratch_) {
-            if (kept >= cfg_.prefetch_degree)
-                break;
-            if (c.addr_raw == 0 || c.len == 0)
-                continue;
-            const RemotePtr p = RemotePtr::fromRaw(c.addr_raw);
-            if (p.isNull() || p.backend != aw->addr.backend)
-                continue;
-            bool dup = false;
-            for (const ReadAwaitable *d : primaries)
-                if (d->addr.raw() == c.addr_raw) {
-                    dup = true;
-                    break;
-                }
-            for (size_t j = 0; !dup && j < specs.size(); ++j)
-                if (specs[j].addr_raw == c.addr_raw)
-                    dup = true;
-            if (dup ||
-                (!overlay_.empty() && overlay_.count(c.addr_raw) != 0))
-                continue;
-            if (cache_->contains(p, c.len))
-                continue;
-            specs.push_back({c.addr_raw, c.len, aw->hint.ds});
-            ++kept;
-        }
-    }
-
-    // Epoch snapshot BEFORE the gather: an invalidateDs landing while
-    // the chain is in flight outranks the fetched bytes (the same
-    // guard the serial prefetch uses — it is what keeps interleaved
-    // ops' cache fills coherent).
-    const uint64_t issue_epoch = cache_->epochNow();
-    std::vector<ReadAwaitable *> posted;
-    posted.reserve(primaries.size());
-    for (ReadAwaitable *aw : primaries) {
-        const Status pst = verbs_.postRead(aw->addr, aw->dst, aw->len);
-        if (ok(pst))
-            posted.push_back(aw);
-        else
-            aw->result = pst;
-    }
-    if (prefetch_bufs_.size() < specs.size())
-        prefetch_bufs_.resize(specs.size());
-    size_t nspec = 0;
-    for (const Spec &sp : specs) {
-        prefetch_bufs_[nspec].resize(sp.len);
-        if (ok(verbs_.postRead(RemotePtr::fromRaw(sp.addr_raw),
-                               prefetch_bufs_[nspec].data(), sp.len)))
-            specs[nspec++] = sp;
-    }
-    specs.resize(nspec);
-    verbs_.tagGatherOps(posted.size());
-    Status st = verbs_.readGather();
-    if (st == Status::InvalidArgument && !specs.empty()) {
-        // A learned candidate fell outside the target (stale prediction
-        // over reclaimed NVM): forget those predictions and re-run the
-        // round with the demanded reads alone.
-        for (const Spec &sp : specs)
-            prefetch_.invalidateDs(sp.ds);
-        specs.clear();
-        for (ReadAwaitable *aw : posted)
-            verbs_.postRead(aw->addr, aw->dst, aw->len);
-        verbs_.tagGatherOps(posted.size());
-        st = verbs_.readGather();
-    }
-    if (!ok(st)) {
-        // All-or-nothing chain failed on the demanded set itself (torn
-        // pointer out of bounds, back-end crash): serve each demanded
-        // read individually so only the broken op fails — exactly the
-        // status its serial traversal would have seen.
-        for (ReadAwaitable *aw : posted)
-            aw->result = verbs_.read(aw->addr, aw->dst, aw->len);
-    } else {
-        for (ReadAwaitable *aw : posted)
-            aw->result = Status::Ok;
-        if (!specs.empty()) {
-            ++prefetch_batches_;
-            prefetch_issued_ += specs.size();
-            for (size_t i = 0; i < specs.size(); ++i) {
-                const RemotePtr p = RemotePtr::fromRaw(specs[i].addr_raw);
-                cache_->insertSpeculative(specs[i].ds, p,
-                                          prefetch_bufs_[i].data(),
-                                          specs[i].len, issue_epoch);
-                if (tracking_)
-                    tracked_reads_.push_back(p);
-            }
-        }
-    }
+    // One gather serves every distinct miss plus speculative neighbors.
+    gatherMisses(primaries);
     for (auto &[dup, prim] : copies) {
         dup->result = prim->result;
         if (ok(prim->result)) {

@@ -58,14 +58,12 @@ namespace asymnvm {
 /** Per-session tunables; presets mirror the system rows of Table 3. */
 struct SessionConfig
 {
-    uint64_t session_id = 1;    //!< identity for log-slot reattachment
     /**
-     * Queue-pair identity at the shared back-end NIC's per-QP contention
-     * model; 0 (default) adopts session_id, so distinct sessions land on
-     * distinct QPs without extra configuration. Only meaningful when the
-     * back-end enables NicQosConfig::cross_session_merge.
+     * Identity for log-slot reattachment; also the session's queue-pair
+     * id at the shared back-end NIC's per-QP contention model, so
+     * distinct sessions land on distinct QPs.
      */
-    uint64_t qp_id = 0;
+    uint64_t session_id = 1;
     bool use_oplog = true;      //!< decoupled op-log persistency (R)
     bool use_txlog = true;      //!< memory logs via transactions
     bool use_cache = true;      //!< front-end DRAM cache (C)
@@ -101,7 +99,6 @@ struct SessionConfig
      * the serial-read ablation baseline (every hop pays its own RTT).
      */
     bool read_prefetch = true;
-    uint32_t prefetch_degree = 4; //!< max speculative WQEs per gather
     /**
      * Wire encoding of this session's memory-log transactions and
      * op-log records (see log_format.h): classic Figure-3 layout
@@ -868,15 +865,20 @@ class FrontendSession
     Status readInner(RemotePtr addr, void *dst, uint32_t len,
                      const ReadHint &hint);
 
+    /** Max speculative neighbor reads gathered per demanded miss. */
+    static constexpr uint32_t kPrefetchDegree = 4;
+
     /**
-     * Remote-miss service: fetch @p len bytes at @p addr, gathering
-     * speculative neighbor reads in the same doorbell when the hint and
-     * config allow it (speculative entries land in the cache). Falls
-     * back to a plain RDMA_Read when there is nothing to speculate on or
-     * a learned address turns out invalid.
+     * Remote-miss service for the serial read (one miss) and the reactor
+     * round (its deduped misses): post every demanded read plus up to
+     * kPrefetchDegree filtered speculative neighbors per miss as ONE
+     * doorbell-batched gather, park the extras in the cache as
+     * speculative entries, and set each miss's result. A gather of one
+     * WQE is a plain RDMA_Read. An out-of-bounds learned candidate
+     * re-runs the gather without speculation; a failed chain of several
+     * demanded reads is re-served one read at a time.
      */
-    Status remoteReadWithPrefetch(RemotePtr addr, void *dst, uint32_t len,
-                                  const ReadHint &hint);
+    void gatherMisses(std::span<ReadAwaitable *const> misses);
 
     /** True when a ReadAwaitable/YieldAwaitable may suspend: a reactor
      *  owns the session and no op is being run inline. */
@@ -905,9 +907,9 @@ class FrontendSession
     void fillAfterMiss(ReadAwaitable &rd);
 
     /**
-     * Serve every parked PendingRead as one doorbell-batched gather per
-     * target (demanded reads deduped, speculative neighbors appended up
-     * to prefetch_degree per op), then apply the post-miss cache/pin
+     * Serve every parked read: recheck the local tiers of window-dirtied
+     * addresses, dedupe the demanded reads, gatherMisses() the distinct
+     * ones, copy to duplicates, then apply the post-miss cache/pin
      * bookkeeping each op's serial path would have done.
      */
     void serveBatchRound();
@@ -1019,7 +1021,17 @@ class FrontendSession
 
     // Traversal prefetch (read-side doorbell batching).
     PrefetchEngine prefetch_;
+    /** One speculative neighbor read kept for the current gather. */
+    struct GatherSpec
+    {
+        uint64_t addr_raw;
+        uint32_t len;
+        DsId ds;
+    };
+    // gatherMisses scratch, reused so a serial miss never allocates.
     std::vector<PrefetchCandidate> prefetch_scratch_; //!< collect() reuse
+    std::vector<GatherSpec> gather_specs_;            //!< kept candidates
+    std::vector<ReadAwaitable *> gather_posted_;      //!< demanded, posted
     std::vector<std::vector<uint8_t>> prefetch_bufs_; //!< gather landing
     uint64_t prefetch_batches_ = 0; //!< gathers that carried speculation
     uint64_t prefetch_issued_ = 0;  //!< speculative WQEs issued

@@ -140,14 +140,8 @@ Verbs::nextAttempt(VerbKind kind, NodeId id, Status st, uint32_t *attempt,
 Status
 Verbs::read(RemotePtr src, void *dst, size_t len)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = readOnce(src, dst, len);
-        if (!nextAttempt(VerbKind::Read, src.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Read, src.backend,
+                    [&] { return readOnce(src, dst, len); });
 }
 
 Status
@@ -169,14 +163,8 @@ Verbs::readOnce(RemotePtr src, void *dst, size_t len)
 Status
 Verbs::write(RemotePtr dst, const void *src, size_t len)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = writeOnce(dst, src, len);
-        if (!nextAttempt(VerbKind::Write, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Write, dst.backend,
+                    [&] { return writeOnce(dst, src, len); });
 }
 
 Status
@@ -214,14 +202,8 @@ Verbs::writeOnce(RemotePtr dst, const void *src, size_t len)
 Status
 Verbs::writeAsync(RemotePtr dst, const void *src, size_t len)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = writeAsyncOnce(dst, src, len);
-        if (!nextAttempt(VerbKind::Posted, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Posted, dst.backend,
+                    [&] { return writeAsyncOnce(dst, src, len); });
 }
 
 Status
@@ -259,14 +241,8 @@ Verbs::writeAsyncOnce(RemotePtr dst, const void *src, size_t len)
 Status
 Verbs::postWrite(RemotePtr dst, const void *src, size_t len)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = postWriteOnce(dst, src, len);
-        if (!nextAttempt(VerbKind::Posted, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Posted, dst.backend,
+                    [&] { return postWriteOnce(dst, src, len); });
 }
 
 Status
@@ -416,18 +392,18 @@ Verbs::readGather()
     for (auto &[id, wqes] : read_chains_) {
         if (wqes.empty())
             continue;
-        uint32_t attempt = 0;
-        uint64_t backoff = policy_.base_backoff_ns;
-        Status st;
-        for (;;) {
-            st = readGatherOnce(id, wqes);
-            if (!nextAttempt(VerbKind::Read, id, st, &attempt, &backoff))
-                break;
-        }
+        // A chain of one WQE is a plain RDMA_Read: nothing shares its
+        // doorbell, so it pays exactly what read() pays.
+        const Status st =
+            wqes.size() == 1
+                ? read(RemotePtr(id, wqes[0].offset), wqes[0].dst,
+                       wqes[0].len)
+                : retrying(VerbKind::Read, id,
+                           [&] { return readGatherOnce(id, wqes); });
         if (!ok(st) && ok(result))
             result = st;
+        wqes.clear(); // keep the capacity: the next miss reuses it
     }
-    read_chains_.clear();
     next_gather_ops_ = 1; // the tag covers exactly one gather
     return result;
 }
@@ -530,14 +506,8 @@ Verbs::pendingReadWqes() const
 Status
 Verbs::read64(RemotePtr src, uint64_t *out)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = read64Once(src, out);
-        if (!nextAttempt(VerbKind::Atomic, src.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Atomic, src.backend,
+                    [&] { return read64Once(src, out); });
 }
 
 Status
@@ -559,14 +529,8 @@ Verbs::read64Once(RemotePtr src, uint64_t *out)
 Status
 Verbs::write64(RemotePtr dst, uint64_t v)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = write64Once(dst, v);
-        if (!nextAttempt(VerbKind::Atomic, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Atomic, dst.backend,
+                    [&] { return write64Once(dst, v); });
 }
 
 Status
@@ -590,14 +554,9 @@ Status
 Verbs::compareAndSwap(RemotePtr dst, uint64_t expected, uint64_t desired,
                       uint64_t *old)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = compareAndSwapOnce(dst, expected, desired, old);
-        if (!nextAttempt(VerbKind::Atomic, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Atomic, dst.backend, [&] {
+        return compareAndSwapOnce(dst, expected, desired, old);
+    });
 }
 
 Status
@@ -621,14 +580,8 @@ Verbs::compareAndSwapOnce(RemotePtr dst, uint64_t expected, uint64_t desired,
 Status
 Verbs::fetchAdd(RemotePtr dst, uint64_t delta, uint64_t *old)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = fetchAddOnce(dst, delta, old);
-        if (!nextAttempt(VerbKind::Atomic, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Atomic, dst.backend,
+                    [&] { return fetchAddOnce(dst, delta, old); });
 }
 
 Status

@@ -211,6 +211,8 @@ class Verbs
      * mid-chain transient fault retries the WHOLE chain under the
      * RetryPolicy; no destination buffer is written unless every WQE in
      * the chain succeeded, so callers never observe a partial gather.
+     * A chain of one WQE is issued as a plain read(): same clock charge,
+     * same counters, no read_gathers tick.
      */
     Status readGather();
 
@@ -352,6 +354,19 @@ class Verbs
      */
     bool nextAttempt(VerbKind kind, NodeId id, Status st, uint32_t *attempt,
                      uint64_t *backoff);
+
+    /** Run the single-attempt body @p once under the retry policy. */
+    template <typename Once>
+    Status retrying(VerbKind kind, NodeId id, Once &&once)
+    {
+        uint32_t attempt = 0;
+        uint64_t backoff = policy_.base_backoff_ns;
+        for (;;) {
+            const Status st = once();
+            if (!nextAttempt(kind, id, st, &attempt, &backoff))
+                return st;
+        }
+    }
 
     // Single-attempt verb bodies wrapped by the public retry loops.
     Status readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes);

@@ -120,6 +120,58 @@ TEST_F(ReadGatherVerbsTest, GatherCostsOneRoundTripNotN)
     EXPECT_LT(gather_ns * 2, serial_ns);
 }
 
+TEST_F(ReadGatherVerbsTest, OneWqeGatherIsAPlainRead)
+{
+    const uint64_t v = 0xfeed;
+    ASSERT_EQ(verbs.write(RemotePtr(1, 8192), &v, 8), Status::Ok);
+    // Each side on its own endpoint and NIC, with one posted write
+    // pending so the queue-pair drain rides the read in both cases.
+    struct Side
+    {
+        NicModel nic{120};
+        SimClock clock;
+        uint64_t ns = 0;
+        uint64_t out = 0;
+    } rd, ga;
+    Verbs rv(&rd.clock, &lat);
+    Verbs gv(&ga.clock, &lat);
+    rv.attach(1, RdmaTarget{&dev, &rd.nic, &fail});
+    gv.attach(1, RdmaTarget{&dev, &ga.nic, &fail});
+    const uint64_t pad = 7;
+    ASSERT_EQ(rv.postWrite(RemotePtr(1, 16384), &pad, 8), Status::Ok);
+    ASSERT_EQ(gv.postWrite(RemotePtr(1, 16384), &pad, 8), Status::Ok);
+
+    uint64_t t0 = rd.clock.now();
+    ASSERT_EQ(rv.read(RemotePtr(1, 8192), &rd.out, 8), Status::Ok);
+    rd.ns = rd.clock.now() - t0;
+    t0 = ga.clock.now();
+    ASSERT_EQ(gv.postRead(RemotePtr(1, 8192), &ga.out, 8), Status::Ok);
+    ASSERT_EQ(gv.readGather(), Status::Ok);
+    ga.ns = ga.clock.now() - t0;
+
+    EXPECT_EQ(ga.out, v);
+    EXPECT_EQ(rd.out, v);
+    EXPECT_EQ(ga.ns, rd.ns);
+    const VerbCounters &a = gv.counters();
+    const VerbCounters &b = rv.counters();
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.read_bytes, b.read_bytes);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.write_bytes, b.write_bytes);
+    EXPECT_EQ(a.posted, b.posted);
+    EXPECT_EQ(a.posted_bytes, b.posted_bytes);
+    EXPECT_EQ(a.atomics, b.atomics);
+    EXPECT_EQ(a.atomic_bytes, b.atomic_bytes);
+    EXPECT_EQ(a.doorbells, b.doorbells);
+    EXPECT_EQ(a.wqes, b.wqes);
+    EXPECT_EQ(a.read_gathers, 0u); // no chain was launched
+    EXPECT_EQ(a.read_gathers, b.read_gathers);
+    EXPECT_EQ(gv.verbsIssued(), rv.verbsIssued());
+    EXPECT_EQ(gv.bytesMoved(), rv.bytesMoved());
+    EXPECT_EQ(ga.nic.gatherBatches(), 0u);
+    EXPECT_EQ(gv.pendingReadWqes(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Page cache: speculative-entry semantics.
 // ---------------------------------------------------------------------
