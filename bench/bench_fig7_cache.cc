@@ -29,15 +29,28 @@ uint64_t kOps = 8000;
 
 uint64_t session_counter = 4000;
 
+/** One Figure 7 cell: KOPS plus the measured phase's write-allocations. */
+struct Cell
+{
+    double kops = -1;
+    uint64_t write_allocs = 0;
+};
+
+Cell
+cellOf(FrontendSession &s, Throughput t)
+{
+    return {t.kops(), s.cache().writeAllocs()};
+}
+
 template <typename DS>
-double
+Cell
 runAtCache(double pct)
 {
     BackendNode be(1, benchBackendConfig());
     FrontendSession s(sessionFor(Mode::RCB, ++session_counter,
                                  cacheBytesFor<DS>(pct, kPreload), 64));
     if (!ok(s.connect(&be)))
-        return -1;
+        return {};
     DS ds;
     Status st;
     if constexpr (std::is_same_v<DS, HashTable>)
@@ -45,7 +58,7 @@ runAtCache(double pct)
     else
         st = DS::create(s, 1, "c", &ds);
     if (!ok(st))
-        return -1;
+        return {};
     WorkloadConfig wcfg;
     wcfg.key_space = kPreload;
     wcfg.seed = 42;
@@ -58,10 +71,10 @@ runAtCache(double pct)
     mcfg.seed = 99;
     Workload w(mcfg);
     const auto ops = w.generate(kOps);
-    return runKvWorkload(s, ds, ops).kops();
+    return cellOf(s, runKvWorkload(s, ds, ops));
 }
 
-double
+Cell
 runTatpAtCache(double pct)
 {
     BackendNode be(1, benchBackendConfig());
@@ -69,10 +82,10 @@ runTatpAtCache(double pct)
     FrontendSession s(sessionFor(Mode::RCB, ++session_counter,
                                  std::max<uint64_t>(bytes, 16 << 10), 64));
     if (!ok(s.connect(&be)))
-        return -1;
+        return {};
     Tatp tatp;
     if (!ok(Tatp::create(s, 1, 10000, &tatp)))
-        return -1;
+        return {};
     s.resetStats();
     Rng rng(6);
     const uint64_t t0 = s.clock().now();
@@ -80,10 +93,10 @@ runTatpAtCache(double pct)
     for (uint64_t i = 0; i < n; ++i)
         (void)tatp.runOne(rng);
     (void)s.flushAll();
-    return Throughput{n, s.clock().now() - t0}.kops();
+    return cellOf(s, Throughput{n, s.clock().now() - t0});
 }
 
-double
+Cell
 runSmallBankAtCache(double pct)
 {
     BackendNode be(1, benchBackendConfig());
@@ -92,10 +105,10 @@ runSmallBankAtCache(double pct)
     FrontendSession s(sessionFor(Mode::RC, ++session_counter,
                                  std::max<uint64_t>(bytes, 16 << 10)));
     if (!ok(s.connect(&be)))
-        return -1;
+        return {};
     SmallBank bank;
     if (!ok(SmallBank::create(s, 1, 10000, &bank)))
-        return -1;
+        return {};
     s.resetStats();
     Rng rng(5);
     const uint64_t t0 = s.clock().now();
@@ -103,7 +116,7 @@ runSmallBankAtCache(double pct)
     for (uint64_t i = 0; i < n; ++i)
         (void)bank.runOne(rng);
     (void)s.flushAll();
-    return Throughput{n, s.clock().now() - t0}.kops();
+    return cellOf(s, Throughput{n, s.clock().now() - t0});
 }
 
 /** Tree-aware adaptive admission vs admitting everything (native LRU). */
@@ -212,11 +225,11 @@ runBptColdLookup(bool prefetch_on)
 
 /**
  * Machine-readable companion of the printed tables: per-structure KOPS
- * per cache fraction, the native-LRU ablation, and the cold-cache
- * prefetch ablation. Format documented in EXPERIMENTS.md.
+ * and write-allocations per cache fraction, the native-LRU ablation, and
+ * the cold-cache prefetch ablation. Format documented in EXPERIMENTS.md.
  */
 void
-writeJson(const std::vector<std::vector<double>> &main_rows,
+writeJson(const std::vector<std::vector<Cell>> &main_rows,
           const double *pcts, size_t npcts, double lru_adaptive,
           double lru_native, const PrefetchAblation &pf_on,
           const PrefetchAblation &pf_off, const char *path)
@@ -243,7 +256,11 @@ writeJson(const std::vector<std::vector<double>> &main_rows,
                      pcts[n] * 100);
         for (size_t i = 0; i < main_rows[n].size(); ++i)
             std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ",
-                         main_rows[n][i]);
+                         main_rows[n][i].kops);
+        std::fprintf(f, "], \"write_allocs\": [");
+        for (size_t i = 0; i < main_rows[n].size(); ++i)
+            std::fprintf(f, "%s%" PRIu64, i == 0 ? "" : ", ",
+                         main_rows[n][i].write_allocs);
         std::fprintf(f, "]}%s\n",
                      n + 1 == main_rows.size() ? "" : ",");
     }
@@ -273,20 +290,32 @@ run()
     printHeader("Figure 7: throughput (KOPS) vs cache size (% of data)",
                 "Cache%        BPT       BST  SkipList      TATP"
                 "    MV-BPT    MV-BST   HashTbl SmallBank");
-    std::vector<std::vector<double>> main_rows;
+    std::vector<std::vector<Cell>> main_rows;
     for (double pct : pcts) {
-        std::vector<double> row = {
+        std::vector<Cell> row = {
             runAtCache<BpTree>(pct),     runAtCache<Bst>(pct),
             runAtCache<SkipList>(pct),   runTatpAtCache(pct),
             runAtCache<MvBpTree>(pct),   runAtCache<MvBst>(pct),
             runAtCache<HashTable>(pct),  runSmallBankAtCache(pct)};
         std::printf("%5.0f%%  %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f"
                     " %9.1f %9.1f\n",
-                    pct * 100, row[0], row[1], row[2], row[3], row[4],
-                    row[5], row[6], row[7]);
+                    pct * 100, row[0].kops, row[1].kops, row[2].kops,
+                    row[3].kops, row[4].kops, row[5].kops, row[6].kops,
+                    row[7].kops);
         main_rows.push_back(std::move(row));
     }
-    const double lru_adaptive = runAtCache<BpTree>(0.10);
+    // Fresh objects the cache installed on write during the measured
+    // phase: nonzero only where the cache had never evicted (DESIGN §9).
+    printHeader("Write-allocated objects per cell (measured phase)",
+                "Cache%        BPT       BST  SkipList      TATP"
+                "    MV-BPT    MV-BST   HashTbl SmallBank");
+    for (size_t n = 0; n < main_rows.size(); ++n) {
+        std::printf("%5.0f%% ", pcts[n] * 100);
+        for (const Cell &c : main_rows[n])
+            std::printf(" %9" PRIu64, c.write_allocs);
+        std::printf("\n");
+    }
+    const double lru_adaptive = runAtCache<BpTree>(0.10).kops;
     const double lru_native = runBptNativeLru(0.10);
     std::printf("\nTree-aware caching ablation (BPT, 10%% cache): "
                 "adaptive level admission %.1f KOPS vs native LRU "

@@ -27,6 +27,12 @@ namespace asymnvm {
  */
 uint32_t crc32c(const void *data, size_t len, uint32_t seed = 0);
 
+/**
+ * The portable table-driven CRC32-C that crc32c() falls back to on CPUs
+ * without the SSE4.2 `crc32` instruction. Same contract as crc32c().
+ */
+uint32_t crc32cPortable(const void *data, size_t len, uint32_t seed = 0);
+
 } // namespace asymnvm
 
 #endif // ASYMNVM_COMMON_CHECKSUM_H_

@@ -10,7 +10,12 @@ PageCache::PageCache(CachePolicy policy, uint64_t capacity, SimClock *clock,
                      uint64_t seed)
     : policy_(policy), capacity_(capacity), clock_(clock), lat_(lat),
       sample_k_(sample_k), rng_(seed)
-{}
+{
+    // Write-allocate can fill the cache with 64 B value cells, hundreds
+    // of thousands of them in a roomy cache. Sizing the table for that
+    // up front spares the host a rehash of every entry at each growth.
+    map_.reserve(capacity_ / 64);
+}
 
 bool
 PageCache::entryValid(const Entry &e) const
@@ -89,6 +94,17 @@ PageCache::insert(DsId ds, RemotePtr addr, const void *data, uint32_t len)
     size_bytes_ += len;
     map_.emplace(raw, std::move(e));
     clock_->advance(lat_->dram_access_ns);
+}
+
+bool
+PageCache::insertFresh(DsId ds, RemotePtr addr, const void *data,
+                       uint32_t len)
+{
+    if (evicted_since_clear_ || size_bytes_ + len > capacity_)
+        return false;
+    insert(ds, addr, data, len);
+    ++write_allocs_;
+    return true;
 }
 
 void
@@ -200,6 +216,7 @@ PageCache::clear()
     lru_list_.clear();
     ds_min_epoch_.clear();
     size_bytes_ = 0;
+    evicted_since_clear_ = false;
 }
 
 void
@@ -208,6 +225,7 @@ PageCache::evictOne()
     if (map_.empty())
         return;
     ++evictions_;
+    evicted_since_clear_ = true;
     switch (policy_) {
       case CachePolicy::Lru: {
         removeKey(lru_list_.back());

@@ -83,6 +83,20 @@ class PageCache
                            uint32_t len, uint64_t issue_epoch);
 
     /**
+     * Write-allocate a freshly allocated object its session has just
+     * written whole (Gather-Apply, Section 4): the front-end already holds
+     * the bytes, so a later read need not fetch them. Admitted only when
+     * the object fits in free space AND the cache has not evicted since
+     * the last clear(): once the working set has overflowed, an object
+     * nobody has read would only displace one a read proved useful. The
+     * rule is sticky on purpose, because free space after an eviction
+     * is a gap a demanded fill will want. Installs like insert() (same
+     * charge) and returns true, or touches nothing and returns false.
+     */
+    bool insertFresh(DsId ds, RemotePtr addr, const void *data,
+                     uint32_t len);
+
+    /**
      * Write-through update after a memory log: patch the cached copy if
      * present. Length mismatch invalidates the entry instead.
      */
@@ -118,6 +132,7 @@ class PageCache
     uint64_t entryCount() const { return map_.size(); }
     uint64_t prefetchHits() const { return prefetch_hits_; }
     uint64_t prefetchWasted() const { return prefetch_wasted_; }
+    uint64_t writeAllocs() const { return write_allocs_; }
 
     /** Observed miss ratio since the last resetStats(). */
     double missRatio() const
@@ -131,6 +146,7 @@ class PageCache
     {
         hits_ = misses_ = evictions_ = 0;
         prefetch_hits_ = prefetch_wasted_ = 0;
+        write_allocs_ = 0;
     }
 
   private:
@@ -170,6 +186,8 @@ class PageCache
     uint64_t evictions_ = 0;
     uint64_t prefetch_hits_ = 0;
     uint64_t prefetch_wasted_ = 0;
+    uint64_t write_allocs_ = 0;
+    bool evicted_since_clear_ = false; //!< closes write-allocate admission
 };
 
 /**

@@ -808,8 +808,19 @@ FrontendSession::logWriteInternal(DsId ds, RemotePtr addr,
         return Status::Unavailable;
 
     overlayInsert(addr, value, len);
-    if (cfg_.use_cache)
-        cache_->update(addr, value, len);
+    if (cfg_.use_cache) {
+        // Write-allocate: the first write to the object alloc() just
+        // handed out consumes the record, and if it covers the whole
+        // object the cache may install it. Any other write patches a
+        // cached copy, if there is one.
+        bool whole_fresh = false;
+        if (addr.raw() == fresh_.raw) {
+            whole_fresh = len == fresh_.size;
+            fresh_ = {};
+        }
+        if (!whole_fresh || !cache_->insertFresh(ds, addr, value, len))
+            cache_->update(addr, value, len);
+    }
     clock_.advance(lat_.dram_access_ns); // build the log entry in DRAM
 
     auto &group = c->groups[ds];
@@ -1290,7 +1301,10 @@ FrontendSession::alloc(NodeId backend, uint64_t size, RemotePtr *out)
     if (c == nullptr)
         return Status::Unavailable;
     clock_.advance(lat_.dram_access_ns); // free-list walk
-    return c->alloc->alloc(size, out);
+    const Status st = c->alloc->alloc(size, out);
+    if (ok(st))
+        fresh_ = {out->raw(), size};
+    return st;
 }
 
 Status
@@ -1305,6 +1319,8 @@ FrontendSession::free(RemotePtr p, uint64_t size)
         pipe_dirty_[p.raw()] = ++pipe_write_seq_;
     }
     clock_.advance(lat_.dram_access_ns);
+    if (p.raw() == fresh_.raw)
+        fresh_ = {};
     if (cfg_.use_cache)
         cache_->invalidate(p);
     return c->alloc->free(p, size);
@@ -1437,6 +1453,14 @@ FrontendSession::readerLock(DsId ds, NodeId backend, uint64_t *sn)
     const auto key = std::make_pair(backend, ds);
     auto it = sn_seen_.find(key);
     if (it == sn_seen_.end()) {
+        // No baseline yet. A session that once held the writer lock
+        // cached nodes under it, and a successor writer may have changed
+        // them since the release, so an ex-writer starts cold.
+        if (writer_gen_.count(key) != 0) {
+            if (cfg_.use_cache)
+                cache_->invalidateDs(ds);
+            prefetch_.invalidateDs(ds);
+        }
         sn_seen_[key] = *sn;
     } else if (it->second != *sn) {
         if (cfg_.use_cache)
@@ -1630,6 +1654,7 @@ FrontendSession::simulateCrash()
     tracking_ = false;
     held_locks_.clear();
     writer_gen_.clear();
+    fresh_ = {};
     gc_epoch_seen_.clear();
     // Pre-crash seqlock observations are volatile state: a recovered
     // front-end that trusted them would skip the cache-invalidation path
@@ -1712,6 +1737,7 @@ FrontendSession::failover(NodeId failed, BackendNode *replacement)
     c.rpc = std::make_unique<RfpRpc>(&verbs_, replacement, c.slot);
     c.alloc->loseVolatileState();
     cache_->clear(); // Section 4.3: aborts clear the cache
+    fresh_ = {};
     prefetch_.clear(); // predictions refer to the failed node's layout
     overlay_.clear();
     pinned_.clear();

@@ -970,6 +970,16 @@ class FrontendSession
     /** Last observed writer generation per (backend, ds). */
     std::map<std::pair<NodeId, DsId>, uint64_t> writer_gen_;
 
+    /**
+     * The object alloc() handed out last, until the first write to it:
+     * a whole-object write there is a write-allocate candidate.
+     */
+    struct FreshAlloc
+    {
+        uint64_t raw = 0;
+        uint64_t size = 0;
+    } fresh_;
+
     /** Last observed gc_epoch per (backend, ds) (MV invalidation). */
     std::map<std::pair<NodeId, DsId>, uint64_t> gc_epoch_seen_;
 

@@ -3,34 +3,38 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 
 namespace asymnvm {
 
-NvmDevice::NvmDevice(uint64_t size) : mem_(size, 0)
+NvmDevice::NvmDevice(uint64_t size)
+    : mem_(static_cast<uint8_t *>(std::calloc(size, 1))), size_(size)
 {
     if (size < 4096)
         throw std::invalid_argument("NvmDevice: size too small");
+    if (!mem_)
+        throw std::bad_alloc();
 }
 
 void
 NvmDevice::read(uint64_t off, void *dst, size_t len) const
 {
     std::shared_lock lock(mu_);
-    assert(off + len <= mem_.size());
-    std::memcpy(dst, mem_.data() + off, len);
+    assert(off + len <= size_);
+    std::memcpy(dst, mem_.get() + off, len);
 }
 
 void
 NvmDevice::write(uint64_t off, const void *src, size_t len)
 {
     std::unique_lock lock(mu_);
-    assert(off + len <= mem_.size());
+    assert(off + len <= size_);
     Pending p;
     p.off = off;
-    p.old_bytes.assign(mem_.begin() + off, mem_.begin() + off + len);
+    p.old_bytes.assign(mem_.get() + off, mem_.get() + off + len);
     pending_.push_back(std::move(p));
-    std::memcpy(mem_.data() + off, src, len);
+    std::memcpy(mem_.get() + off, src, len);
     bytes_written_ += len;
 }
 
@@ -46,8 +50,8 @@ void
 NvmDevice::write64Atomic(uint64_t off, uint64_t v)
 {
     std::unique_lock lock(mu_);
-    assert(off + sizeof(v) <= mem_.size());
-    std::memcpy(mem_.data() + off, &v, sizeof(v));
+    assert(off + sizeof(v) <= size_);
+    std::memcpy(mem_.get() + off, &v, sizeof(v));
     bytes_written_ += sizeof(v);
     // Atomic verbs are immediately durable; no journal entry.
 }
@@ -57,11 +61,11 @@ NvmDevice::compareAndSwap64(uint64_t off, uint64_t expected,
                             uint64_t desired)
 {
     std::unique_lock lock(mu_);
-    assert(off + 8 <= mem_.size());
+    assert(off + 8 <= size_);
     uint64_t cur;
-    std::memcpy(&cur, mem_.data() + off, 8);
+    std::memcpy(&cur, mem_.get() + off, 8);
     if (cur == expected) {
-        std::memcpy(mem_.data() + off, &desired, 8);
+        std::memcpy(mem_.get() + off, &desired, 8);
         bytes_written_ += 8;
     }
     return cur;
@@ -71,11 +75,11 @@ uint64_t
 NvmDevice::fetchAdd64(uint64_t off, uint64_t delta)
 {
     std::unique_lock lock(mu_);
-    assert(off + 8 <= mem_.size());
+    assert(off + 8 <= size_);
     uint64_t cur;
-    std::memcpy(&cur, mem_.data() + off, 8);
+    std::memcpy(&cur, mem_.get() + off, 8);
     const uint64_t next = cur + delta;
-    std::memcpy(mem_.data() + off, &next, 8);
+    std::memcpy(mem_.get() + off, &next, 8);
     bytes_written_ += 8;
     return cur;
 }
@@ -107,7 +111,7 @@ NvmDevice::crashPartial(size_t keep_writes)
     // Roll back in reverse order so overlapping writes restore correctly.
     while (pending_.size() > keep_writes) {
         const Pending &p = pending_.back();
-        std::memcpy(mem_.data() + p.off, p.old_bytes.data(),
+        std::memcpy(mem_.get() + p.off, p.old_bytes.data(),
                     p.old_bytes.size());
         pending_.pop_back();
     }
@@ -119,18 +123,18 @@ NvmDevice::applyTornWrite(uint64_t off, const void *src, size_t len,
                           size_t keep_bytes)
 {
     std::unique_lock lock(mu_);
-    assert(off + len <= mem_.size());
+    assert(off + len <= size_);
     keep_bytes = std::min(keep_bytes, len);
     // Stage the full write as the in-flight DMA would...
     Pending p;
     p.off = off;
-    p.old_bytes.assign(mem_.begin() + off, mem_.begin() + off + len);
-    std::memcpy(mem_.data() + off, src, len);
+    p.old_bytes.assign(mem_.get() + off, mem_.get() + off + len);
+    std::memcpy(mem_.get() + off, src, len);
     bytes_written_ += len;
     // ...then power fails mid-transfer: the tail beyond keep_bytes rolls
     // back and the surviving prefix is immediately durable (no journal
     // entry remains, so a later crash() cannot undo it).
-    std::memcpy(mem_.data() + off + keep_bytes, p.old_bytes.data() + keep_bytes,
+    std::memcpy(mem_.get() + off + keep_bytes, p.old_bytes.data() + keep_bytes,
                 len - keep_bytes);
 }
 

@@ -20,6 +20,8 @@
  */
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <vector>
@@ -33,7 +35,7 @@ class NvmDevice
     /** @param size Capacity in bytes. */
     explicit NvmDevice(uint64_t size);
 
-    uint64_t size() const { return mem_.size(); }
+    uint64_t size() const { return size_; }
 
     /** Read @p len bytes at @p off into @p dst (sees staged writes). */
     void read(uint64_t off, void *dst, size_t len) const;
@@ -96,7 +98,17 @@ class NvmDevice
         std::vector<uint8_t> old_bytes;
     };
 
-    std::vector<uint8_t> mem_;
+    struct FreeDeleter
+    {
+        void operator()(uint8_t *p) const { std::free(p); }
+    };
+
+    /**
+     * calloc'd, so a large device is fresh mmap'd memory that the kernel
+     * zeroes page by page on first touch instead of up front.
+     */
+    std::unique_ptr<uint8_t[], FreeDeleter> mem_;
+    uint64_t size_;
     std::vector<Pending> pending_;
     uint64_t bytes_written_ = 0;
     mutable std::shared_mutex mu_;

@@ -190,6 +190,9 @@ TEST(ClusterTest, Case3BackendTransientRestart)
     for (uint64_t k = 1; k <= 40; ++k)
         ASSERT_EQ(tree.insert(k, Value::ofU64(k)), Status::Ok);
     ASSERT_EQ(s->flushAll(), Status::Ok);
+    // Probe from a cold cache: the session write-allocated every node it
+    // created, so a warm find would never reach the back-end.
+    s->cache().clear();
 
     // The back-end dies; verbs fail through the RNIC feedback.
     cluster.crashBackendTransient(1);

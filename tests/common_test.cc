@@ -8,6 +8,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/hash.h"
@@ -114,6 +115,41 @@ TEST(ChecksumTest, IncrementalMatchesOneShot)
     const uint32_t part2 = crc32c(data.data() + 10, data.size() - 10,
                                   part1);
     EXPECT_EQ(whole, part2);
+}
+
+/** Bit-at-a-time CRC32-C: the definition, independent of any table. */
+uint32_t
+crc32cBitwise(const uint8_t *p, size_t len, uint32_t seed)
+{
+    uint32_t crc = ~seed;
+    for (size_t i = 0; i < len; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    }
+    return ~crc;
+}
+
+TEST(ChecksumTest, FastPathMatchesBitwiseReference)
+{
+    // Every length through the 8-byte-word loop and its byte tail, at
+    // every misalignment; crc32c takes the SSE4.2 path where the CPU
+    // has it, crc32cPortable is the table fallback.
+    std::vector<uint8_t> buf(600 + 8);
+    Rng rng(7);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng.next());
+    for (size_t off = 0; off <= 8; ++off) {
+        for (size_t len = 0; len <= 600; ++len) {
+            const uint8_t *p = buf.data() + off;
+            const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
+            const uint32_t want = crc32cBitwise(p, len, seed);
+            ASSERT_EQ(crc32c(p, len, seed), want)
+                << "off " << off << " len " << len;
+            ASSERT_EQ(crc32cPortable(p, len, seed), want)
+                << "off " << off << " len " << len;
+        }
+    }
 }
 
 TEST(RngTest, DeterministicForSeed)

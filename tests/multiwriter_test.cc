@@ -64,6 +64,39 @@ TEST(MultiWriterTest, AlternatingWritersSeeEachOthersData)
     }
 }
 
+TEST(MultiWriterTest, ExWriterReadsSuccessorWriterData)
+{
+    // A caches the item while it holds the writer lock, then releases
+    // it; B changes the item. A's first read afterwards must not trust
+    // what it cached as a writer.
+    BackendNode be(1, testConfig());
+    DsOptions shared;
+    shared.shared = true;
+
+    FrontendSession sa(SessionConfig::rcb(1, 1 << 20, 8));
+    FrontendSession sb(SessionConfig::rcb(2, 1 << 20, 8));
+    ASSERT_EQ(sa.connect(&be), Status::Ok);
+    ASSERT_EQ(sb.connect(&be), Status::Ok);
+
+    HashTable a;
+    ASSERT_EQ(HashTable::create(sa, 1, "exw", 64, &a, shared), Status::Ok);
+    ASSERT_EQ(sa.flushAll(), Status::Ok);
+    HashTable b;
+    ASSERT_EQ(HashTable::open(sb, 1, "exw", &b, shared), Status::Ok);
+
+    ASSERT_EQ(a.put(77, Value::ofU64(1)), Status::Ok);
+    ASSERT_EQ(sa.flushAll(), Status::Ok);
+    ASSERT_EQ(a.put(77, Value::ofU64(2)), Status::Ok);
+    ASSERT_EQ(sa.flushAll(), Status::Ok);
+
+    ASSERT_EQ(b.put(77, Value::ofU64(3)), Status::Ok);
+    ASSERT_EQ(sb.flushAll(), Status::Ok);
+
+    Value v;
+    ASSERT_EQ(a.get(77, &v), Status::Ok);
+    EXPECT_EQ(v.asU64(), 3u) << "ex-writer served its stale cached copy";
+}
+
 TEST(MultiWriterTest, StaleWriterCacheInvalidatedByGeneration)
 {
     BackendNode be(1, testConfig());

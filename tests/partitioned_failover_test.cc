@@ -79,6 +79,9 @@ struct Fixture
             shadow[k] = k * 11;
         }
         EXPECT_EQ(s->flushAll(), Status::Ok);
+        // Tests probe dead shards with reads; start them from a cold
+        // cache, or the write-allocated items would answer locally.
+        s->cache().clear();
     }
 
     /** Keys owned by the shard homed on @p be / not homed on it. */

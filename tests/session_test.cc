@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "backend/backend_node.h"
+#include "ds/bptree.h"
 #include "frontend/session.h"
 
 namespace asymnvm {
@@ -152,6 +154,138 @@ TEST_F(SessionTest, WriteUpdatesCachedCopy)
     ASSERT_EQ(s->flushAll(), Status::Ok); // overlay gone; cache must serve
     ASSERT_EQ(s->read(p, &got, 8, hint), Status::Ok);
     EXPECT_EQ(got, 2u);
+}
+
+/** One committed op writing @p len bytes of @p fill at @p p. */
+void
+writeOp(FrontendSession &s, RemotePtr p, uint8_t fill, uint32_t len)
+{
+    std::vector<uint8_t> buf(len, fill);
+    ASSERT_EQ(s.opBegin(0, 1, OpType::Update, 0, nullptr, 0), Status::Ok);
+    ASSERT_EQ(s.logWrite(0, p, buf.data(), len), Status::Ok);
+    ASSERT_EQ(s.opEnd(), Status::Ok);
+    ASSERT_EQ(s.flushAll(), Status::Ok);
+}
+
+void
+expectSameCounters(const VerbCounters &a, const VerbCounters &b)
+{
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.read_bytes, b.read_bytes);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.write_bytes, b.write_bytes);
+    EXPECT_EQ(a.posted, b.posted);
+    EXPECT_EQ(a.posted_bytes, b.posted_bytes);
+    EXPECT_EQ(a.atomics, b.atomics);
+    EXPECT_EQ(a.atomic_bytes, b.atomic_bytes);
+    EXPECT_EQ(a.doorbells, b.doorbells);
+    EXPECT_EQ(a.wqes, b.wqes);
+    EXPECT_EQ(a.read_gathers, b.read_gathers);
+}
+
+TEST_F(SessionTest, WriteAllocateServesFreshInsertsWithoutVerbs)
+{
+    // A roomy cache holds every node and value cell the inserts create,
+    // so finding a just-inserted key never goes remote.
+    auto s = makeSession(SessionConfig::rcb(40, 1 << 20, 8));
+    BpTree tree;
+    ASSERT_EQ(BpTree::create(*s, 1, "wa", &tree), Status::Ok);
+    for (Key k = 1; k <= 200; ++k)
+        ASSERT_EQ(tree.insert(k, Value::ofU64(k * 3)), Status::Ok);
+    ASSERT_EQ(s->flushAll(), Status::Ok);
+    EXPECT_GT(s->cache().writeAllocs(), 200u);
+    EXPECT_EQ(s->cache().evictions(), 0u);
+
+    const VerbCounters before = s->verbs().counters();
+    for (Key k = 1; k <= 200; ++k) {
+        Value v;
+        ASSERT_EQ(tree.find(k, &v), Status::Ok) << "key " << k;
+        EXPECT_EQ(v.asU64(), k * 3);
+    }
+    expectSameCounters(s->verbs().counters(), before);
+}
+
+TEST_F(SessionTest, WriteAllocateNeedsTheWholeObjectOnFirstWrite)
+{
+    auto s = makeSession(SessionConfig::rcb(41, 1 << 20, 8));
+    RemotePtr whole, part;
+    ASSERT_EQ(s->alloc(1, 64, &whole), Status::Ok);
+    writeOp(*s, whole, 0xab, 64);
+    EXPECT_TRUE(s->cache().contains(whole, 64));
+    EXPECT_EQ(s->cache().writeAllocs(), 1u);
+
+    // A partial first write consumes the record: the later whole write
+    // is an ordinary update and installs nothing.
+    ASSERT_EQ(s->alloc(1, 64, &part), Status::Ok);
+    writeOp(*s, part, 0xcd, 8);
+    writeOp(*s, part, 0xcd, 64);
+    EXPECT_FALSE(s->cache().contains(part, 64));
+    EXPECT_EQ(s->cache().writeAllocs(), 1u);
+
+    // resetStats clears the counter like every other cache statistic.
+    s->cache().resetStats();
+    EXPECT_EQ(s->cache().writeAllocs(), 0u);
+}
+
+TEST_F(SessionTest, WriteAllocateStopsOnceTheCacheHasEvicted)
+{
+    // Four 64 B objects fit; the fifth demanded read evicts.
+    auto s = makeSession(SessionConfig::rcb(42, 256, 8));
+    ReadHint hint;
+    hint.cacheable = true;
+    RemotePtr objs[5];
+    for (RemotePtr &p : objs)
+        ASSERT_EQ(s->alloc(1, 64, &p), Status::Ok);
+    uint8_t buf[64];
+    for (const RemotePtr &p : objs)
+        ASSERT_EQ(s->read(p, buf, sizeof(buf), hint), Status::Ok);
+    ASSERT_EQ(s->cache().evictions(), 1u);
+
+    RemotePtr fresh;
+    ASSERT_EQ(s->alloc(1, 64, &fresh), Status::Ok);
+    const uint64_t entries = s->cache().entryCount();
+    writeOp(*s, fresh, 0x11, 64);
+    EXPECT_FALSE(s->cache().contains(fresh, 64));
+    EXPECT_EQ(s->cache().writeAllocs(), 0u);
+    EXPECT_EQ(s->cache().evictions(), 1u) << "a fresh write evicted";
+    EXPECT_EQ(s->cache().entryCount(), entries);
+
+    // Free space alone does not reopen admission; clear() does.
+    s->cache().invalidate(objs[4]);
+    RemotePtr gap;
+    ASSERT_EQ(s->alloc(1, 64, &gap), Status::Ok);
+    writeOp(*s, gap, 0x22, 64);
+    EXPECT_FALSE(s->cache().contains(gap, 64));
+    s->cache().clear();
+    RemotePtr cold;
+    ASSERT_EQ(s->alloc(1, 64, &cold), Status::Ok);
+    writeOp(*s, cold, 0x33, 64);
+    EXPECT_TRUE(s->cache().contains(cold, 64));
+}
+
+TEST_F(SessionTest, WriteAllocatedEntryGoesWithFreeFailoverAndCrash)
+{
+    auto s = makeSession(SessionConfig::rcb(43, 1 << 20, 8));
+    auto installFresh = [&] {
+        RemotePtr p;
+        EXPECT_EQ(s->alloc(1, 64, &p), Status::Ok);
+        writeOp(*s, p, 0x5a, 64);
+        EXPECT_TRUE(s->cache().contains(p, 64));
+        return p;
+    };
+
+    const RemotePtr freed = installFresh();
+    ASSERT_EQ(s->free(freed, 64), Status::Ok);
+    EXPECT_FALSE(s->cache().contains(freed, 64));
+
+    const RemotePtr failed_over = installFresh();
+    ASSERT_EQ(s->failover(1, &be), Status::Ok);
+    EXPECT_FALSE(s->cache().contains(failed_over, 64));
+
+    const RemotePtr crashed = installFresh();
+    s->simulateCrash();
+    EXPECT_FALSE(s->cache().contains(crashed, 64));
+    ASSERT_EQ(s->recover(), Status::Ok);
 }
 
 TEST_F(SessionTest, OpLogPersistedPerOpWithoutBatching)
