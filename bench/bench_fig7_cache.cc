@@ -10,7 +10,9 @@
  *
  * A second ablation isolates the read-gather prefetch (DESIGN.md §9) on
  * the cold-cache point-lookup path: same B+tree, cache dropped after the
- * preload, 100% gets, with `read_prefetch` on vs off.
+ * preload, 100% gets, with `read_prefetch` on vs off. It runs range-local
+ * lookups, where speculation pays, and scattered ones, where the
+ * per-structure speculation gate closes.
  */
 
 #include "bench_common.h"
@@ -168,6 +170,21 @@ struct PrefetchAblation
     uint64_t issued = 0;
     uint64_t hits = 0;
     uint64_t wasted = 0;
+    uint64_t gated = 0;
+};
+
+/** One key order and cache size of the prefetch ablation, on and off. */
+struct AblationShape
+{
+    bool scattered;
+    double cache_pct;
+    PrefetchAblation on;
+    PrefetchAblation off;
+
+    const char *keys() const
+    {
+        return scattered ? "scattered" : "range-local";
+    }
 };
 
 /**
@@ -175,19 +192,25 @@ struct PrefetchAblation
  * traversal prefetch on vs off. The cache is dropped after the preload so
  * every descent starts remote — the case the gather verb accelerates.
  *
- * Keys stay unhashed (range-local): a Zipf point-lookup stream over
+ * Range-local keys stay unhashed: a Zipf point-lookup stream over
  * adjacent keys is the access pattern the sibling gather targets, and the
  * cache gets 25% of the data so warm-up speed — not capacity churn — is
- * what the two runs compare.
+ * what the two runs compare. @p scattered hashes the keys instead and
+ * reads them in findMany batches of 32 at pipeline depth 8, the shape
+ * of perfbench's read_pipelined: a miss's siblings are keys nobody asks
+ * for soon. At read_pipelined's 10% cache the speculation gate closes;
+ * at 25% enough siblings are hot that it stays open (EXPERIMENTS.md).
  */
 PrefetchAblation
-runBptColdLookup(bool prefetch_on)
+runBptColdLookup(bool prefetch_on, bool scattered, double cache_pct)
 {
     PrefetchAblation out;
     BackendNode be(1, benchBackendConfig());
     SessionConfig cfg = sessionFor(Mode::RC, ++session_counter,
-                                   cacheBytesFor<BpTree>(0.25, kPreload));
+                                   cacheBytesFor<BpTree>(cache_pct, kPreload));
     cfg.read_prefetch = prefetch_on;
+    if (scattered)
+        cfg.pipeline_depth = 8;
     FrontendSession s(cfg);
     if (!ok(s.connect(&be)))
         return out;
@@ -197,7 +220,7 @@ runBptColdLookup(bool prefetch_on)
     WorkloadConfig wcfg;
     wcfg.key_space = kPreload;
     wcfg.seed = 42;
-    wcfg.hashed_keys = false;
+    wcfg.hashed_keys = scattered;
     preloadKeys(s, ds, wcfg, kPreload);
     s.cache().clear(); // start cold: every lookup descends remote
     s.resetStats();
@@ -209,9 +232,24 @@ runBptColdLookup(bool prefetch_on)
     Workload w(mcfg);
     const uint64_t nops = kOps / 2;
     const uint64_t t0 = s.clock().now();
-    for (uint64_t i = 0; i < nops; ++i) {
-        Value v;
-        (void)ds.find(w.next().key, &v);
+    if (!scattered) {
+        for (uint64_t i = 0; i < nops; ++i) {
+            Value v;
+            (void)ds.find(w.next().key, &v);
+        }
+    } else {
+        constexpr size_t kBatch = 32;
+        std::vector<Key> keys(kBatch);
+        std::vector<Value> vals(kBatch);
+        std::vector<Status> results(kBatch);
+        for (uint64_t base = 0; base < nops; base += kBatch) {
+            const size_t n =
+                static_cast<size_t>(std::min<uint64_t>(kBatch, nops - base));
+            for (size_t i = 0; i < n; ++i)
+                keys[i] = w.next().key;
+            (void)ds.findMany({keys.data(), n}, vals.data(),
+                              results.data());
+        }
     }
     const uint64_t dt = s.clock().now() - t0;
     const SessionStats st = s.stats();
@@ -220,6 +258,7 @@ runBptColdLookup(bool prefetch_on)
     out.issued = st.prefetch.issued;
     out.hits = st.prefetch.hits;
     out.wasted = st.prefetch.wasted;
+    out.gated = st.prefetch.gated;
     return out;
 }
 
@@ -231,8 +270,8 @@ runBptColdLookup(bool prefetch_on)
 void
 writeJson(const std::vector<std::vector<Cell>> &main_rows,
           const double *pcts, size_t npcts, double lru_adaptive,
-          double lru_native, const PrefetchAblation &pf_on,
-          const PrefetchAblation &pf_off, const char *path)
+          double lru_native, const std::vector<AblationShape> &ablation,
+          const char *path)
 {
     std::FILE *f = std::fopen(path, "w");
     if (f == nullptr) {
@@ -268,13 +307,29 @@ writeJson(const std::vector<std::vector<Cell>> &main_rows,
     std::fprintf(f, "  ],\n  \"lru_ablation\": {\"structure\": \"BPT\", "
                     "\"adaptive\": %.1f, \"native_lru\": %.1f},\n",
                  lru_adaptive, lru_native);
+    // The range-local shape keeps its original top-level fields; the
+    // scattered shapes follow in an array.
+    const auto fields = [f](const AblationShape &a) {
+        std::fprintf(f, "\"prefetch_on\": %.1f, \"prefetch_off\": %.1f, "
+                        "\"doorbells_on\": %" PRIu64
+                        ", \"doorbells_off\": %" PRIu64 ", \"issued\": %" PRIu64
+                        ", \"hits\": %" PRIu64 ", \"wasted\": %" PRIu64
+                        ", \"gated\": %" PRIu64,
+                     a.on.ns_per_op, a.off.ns_per_op, a.on.doorbells,
+                     a.off.doorbells, a.on.issued, a.on.hits, a.on.wasted,
+                     a.on.gated);
+    };
     std::fprintf(f, "  \"prefetch_ablation\": {\"structure\": \"BPT\", "
-                    "\"unit\": \"ns/op\", \"prefetch_on\": %.1f, "
-                    "\"prefetch_off\": %.1f, \"doorbells_on\": %" PRIu64
-                    ", \"doorbells_off\": %" PRIu64 ", \"issued\": %" PRIu64
-                    ", \"hits\": %" PRIu64 ", \"wasted\": %" PRIu64 "}\n}\n",
-                 pf_on.ns_per_op, pf_off.ns_per_op, pf_on.doorbells,
-                 pf_off.doorbells, pf_on.issued, pf_on.hits, pf_on.wasted);
+                    "\"unit\": \"ns/op\", ");
+    fields(ablation.front());
+    std::fprintf(f, ",\n    \"scattered\": [");
+    for (size_t i = 1; i < ablation.size(); ++i) {
+        std::fprintf(f, "%s\n      {\"cache_pct\": %.0f, ",
+                     i == 1 ? "" : ",", ablation[i].cache_pct * 100);
+        fields(ablation[i]);
+        std::fprintf(f, "}");
+    }
+    std::fprintf(f, "]}\n}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", path);
 }
@@ -324,22 +379,28 @@ run()
 
     printHeader("Read-gather prefetch ablation (BPT, cold cache, "
                 "100% point lookups)",
-                "Prefetch      ns/op  doorbells     issued       hits"
-                "     wasted");
-    const PrefetchAblation pf_on = runBptColdLookup(true);
-    const PrefetchAblation pf_off = runBptColdLookup(false);
-    std::printf("%-8s  %9.1f  %9" PRIu64 "  %9" PRIu64 "  %9" PRIu64
-                "  %9" PRIu64 "\n",
-                "on", pf_on.ns_per_op, pf_on.doorbells, pf_on.issued,
-                pf_on.hits, pf_on.wasted);
-    std::printf("%-8s  %9.1f  %9" PRIu64 "  %9" PRIu64 "  %9" PRIu64
-                "  %9" PRIu64 "\n",
-                "off", pf_off.ns_per_op, pf_off.doorbells, pf_off.issued,
-                pf_off.hits, pf_off.wasted);
-    std::printf("\nExpected shape: prefetch-on finishes the same lookups "
-                "in fewer virtual ns/op and\nfewer doorbells — sibling "
-                "gathers turn the next lookup's descent into cache "
-                "hits.\n");
+                "Keys         Cache  Prefetch      ns/op  doorbells"
+                "     issued       hits     wasted      gated");
+    std::vector<AblationShape> ablation = {
+        {false, 0.25, {}, {}}, {true, 0.25, {}, {}}, {true, 0.10, {}, {}}};
+    for (AblationShape &a : ablation) {
+        a.on = runBptColdLookup(true, a.scattered, a.cache_pct);
+        a.off = runBptColdLookup(false, a.scattered, a.cache_pct);
+        for (const PrefetchAblation *r : {&a.on, &a.off})
+            std::printf("%-11s  %4.0f%%  %-8s  %9.1f  %9" PRIu64
+                        "  %9" PRIu64 "  %9" PRIu64 "  %9" PRIu64
+                        "  %9" PRIu64 "\n",
+                        a.keys(), a.cache_pct * 100,
+                        r == &a.on ? "on" : "off", r->ns_per_op,
+                        r->doorbells, r->issued, r->hits, r->wasted,
+                        r->gated);
+    }
+    std::printf("\nExpected shape: on range-local keys prefetch-on "
+                "finishes the same lookups in fewer\nvirtual ns/op and "
+                "fewer doorbells — sibling gathers turn the next lookup's "
+                "descent\ninto cache hits. On scattered keys most siblings "
+                "go unread; at a 10%% cache the\nspeculation gate closes "
+                "(gated > 0) and bounds what prefetch-on loses.\n");
 
     std::printf("\nPaper (Fig. 7) reference shape: throughput grows with "
                 "cache size;\nMV variants barely improve (their modified "
@@ -347,7 +408,7 @@ run()
                 "level-aware policy by ~38%% on BPT.\n");
 
     writeJson(main_rows, pcts, std::size(pcts), lru_adaptive, lru_native,
-              pf_on, pf_off, "BENCH_fig7_cache.json");
+              ablation, "BENCH_fig7_cache.json");
 }
 
 } // namespace

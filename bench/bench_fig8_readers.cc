@@ -247,9 +247,12 @@ run()
                     pf_on.back().reader_total_kops,
                     pf_off.back().reader_total_kops);
     }
-    std::printf("\nExpected shape: prefetch-on readers keep or extend "
-                "their lead — sibling gathers\namortize doorbells even as "
-                "writer invalidations discard some speculation.\n");
+    std::printf("\nExpected shape: no fixed order. Readers draw uniform "
+                "hashed keys, whose siblings\nthey seldom read next, so "
+                "the speculation gate closes on each reader session;\n"
+                "the threads interleave differently every run, and single "
+                "cells move by up to 2x.\nCompare on and off over several "
+                "runs, not one.\n");
 
     writeJson(names, series_rows, pf_on, pf_off,
               "BENCH_fig8_readers.json");

@@ -212,7 +212,9 @@ struct ReplicationStats
  * those speculative entries were later `hits` (promoted by a real lookup)
  * versus `wasted` (evicted or invalidated while still speculative, or
  * dropped in flight by a gc_epoch bump). A hit ratio near zero means the
- * prefetch policy fetches the wrong neighbors and only burns wire bytes.
+ * prefetch policy fetches the wrong neighbors and only burns wire bytes;
+ * the per-structure gate then closes and counts the misses it kept
+ * demand-only as `gated`.
  */
 struct PrefetchStats
 {
@@ -220,6 +222,10 @@ struct PrefetchStats
     uint64_t issued = 0;  //!< speculative read WQEs issued
     uint64_t hits = 0;    //!< speculative entries promoted by a real hit
     uint64_t wasted = 0;  //!< dropped/evicted before any hit
+    /** Misses whose candidates the per-structure speculation gate
+     *  dropped (DESIGN.md §9); probes through a closed gate count as
+     *  issued, not here. */
+    uint64_t gated = 0;
 
     double hitRatio() const
     {

@@ -38,12 +38,12 @@ PageCache::lookup(RemotePtr addr, void *dst, uint32_t len)
     }
     Entry &e = it->second;
     std::memcpy(dst, e.data.data(), len);
-    e.tick = ++tick_;
+    ticks_[e.keys_idx] = ++tick_;
     if (e.speculative) {
         // First real hit: the prefetch paid off — promote to a normal
         // entry so it competes for residency like any other hot object.
         e.speculative = false;
-        ++prefetch_hits_;
+        recordSpec(e.ds, true);
     }
     clock_->advance(lat_->dram_access_ns);
     if (policy_ == CachePolicy::Lru) {
@@ -67,7 +67,7 @@ PageCache::insert(DsId ds, RemotePtr addr, const void *data, uint32_t len)
         if (it->second.data.size() == len) {
             it->second.ds = ds;
             std::memcpy(it->second.data.data(), data, len);
-            it->second.tick = ++tick_;
+            ticks_[it->second.keys_idx] = ++tick_;
             it->second.epoch = epoch_;
             it->second.speculative = false; // demanded bytes: a real entry
             clock_->advance(lat_->dram_access_ns);
@@ -83,10 +83,10 @@ PageCache::insert(DsId ds, RemotePtr addr, const void *data, uint32_t len)
     e.ds = ds;
     e.data.assign(static_cast<const uint8_t *>(data),
                   static_cast<const uint8_t *>(data) + len);
-    e.tick = ++tick_;
     e.epoch = epoch_;
     e.keys_idx = keys_.size();
     keys_.push_back(raw);
+    ticks_.push_back(++tick_);
     if (policy_ == CachePolicy::Lru) {
         lru_list_.push_front(raw);
         e.lru_it = lru_list_.begin();
@@ -118,7 +118,7 @@ PageCache::insertSpeculative(DsId ds, RemotePtr addr, const void *data,
     // could already be reused), so the in-flight entry is dropped.
     auto eit = ds_min_epoch_.find(ds);
     if (eit != ds_min_epoch_.end() && issue_epoch < eit->second) {
-        ++prefetch_wasted_;
+        recordSpec(ds, false);
         return;
     }
     const uint64_t raw = addr.raw();
@@ -134,14 +134,14 @@ PageCache::insertSpeculative(DsId ds, RemotePtr addr, const void *data,
     e.ds = ds;
     e.data.assign(static_cast<const uint8_t *>(data),
                   static_cast<const uint8_t *>(data) + len);
-    // Pre-aged on purpose: tick 0 loses every Hybrid sample comparison
-    // and the LRU tail position is the next victim, so an unproven
-    // prefetch never displaces a proven-hot entry under either policy.
-    e.tick = 0;
     e.epoch = issue_epoch;
     e.speculative = true;
     e.keys_idx = keys_.size();
     keys_.push_back(raw);
+    // Pre-aged on purpose: tick 0 loses every Hybrid sample comparison
+    // and the LRU tail position is the next victim, so an unproven
+    // prefetch never displaces a proven-hot entry under either policy.
+    ticks_.push_back(0);
     if (policy_ == CachePolicy::Lru) {
         lru_list_.push_back(raw);
         e.lru_it = std::prev(lru_list_.end());
@@ -149,6 +149,34 @@ PageCache::insertSpeculative(DsId ds, RemotePtr addr, const void *data,
     size_bytes_ += len;
     map_.emplace(raw, std::move(e));
     clock_->advance(lat_->dram_access_ns);
+}
+
+void
+PageCache::recordSpec(DsId ds, bool hit)
+{
+    ++(hit ? prefetch_hits_ : prefetch_wasted_);
+    SpecLedger &l = spec_ledger_[ds];
+    ++(hit ? l.hits : l.wasted);
+    if (l.hits + l.wasted >= kLedgerWindow) {
+        l.hits /= 2;
+        l.wasted /= 2;
+    }
+}
+
+bool
+PageCache::speculationPays(DsId ds) const
+{
+    auto it = spec_ledger_.find(ds);
+    return it == spec_ledger_.end() ||
+           it->second.wasted < kGateSlack + kGateHitWorth * it->second.hits;
+}
+
+bool
+PageCache::admitSpeculation(DsId ds)
+{
+    if (speculationPays(ds))
+        return true;
+    return ++spec_ledger_[ds].closed_misses % kProbeInterval == 0;
 }
 
 bool
@@ -181,12 +209,14 @@ PageCache::removeKey(uint64_t raw)
         return;
     Entry &e = it->second;
     if (e.speculative)
-        ++prefetch_wasted_; // evicted/invalidated before any real hit
-    // Swap-pop from the dense key vector.
+        recordSpec(e.ds, false); // evicted/invalidated before any hit
+    // Swap-pop from the dense key and tick vectors.
     const size_t idx = e.keys_idx;
     keys_[idx] = keys_.back();
-    map_[keys_[idx]].keys_idx = idx;
+    ticks_[idx] = ticks_.back();
+    map_.find(keys_[idx])->second.keys_idx = idx;
     keys_.pop_back();
+    ticks_.pop_back();
     if (policy_ == CachePolicy::Lru)
         lru_list_.erase(e.lru_it);
     size_bytes_ -= e.data.size();
@@ -213,8 +243,10 @@ PageCache::clear()
 {
     map_.clear();
     keys_.clear();
+    ticks_.clear();
     lru_list_.clear();
     ds_min_epoch_.clear();
+    spec_ledger_.clear(); // a cleared cache has no evidence either way
     size_bytes_ = 0;
     evicted_since_clear_ = false;
 }
@@ -246,11 +278,10 @@ PageCache::evictOne()
             static_cast<uint32_t>(std::min<uint64_t>(sample_k_,
                                                      keys_.size()));
         for (uint32_t i = 0; i < k; ++i) {
-            const uint64_t raw = keys_[rng_.nextBounded(keys_.size())];
-            const uint64_t t = map_[raw].tick;
-            if (t < best_tick) {
-                best_tick = t;
-                victim = raw;
+            const size_t idx = rng_.nextBounded(keys_.size());
+            if (ticks_[idx] < best_tick) {
+                best_tick = ticks_[idx];
+                victim = keys_[idx];
             }
         }
         removeKey(victim);

@@ -134,6 +134,23 @@ class PageCache
     uint64_t prefetchWasted() const { return prefetch_wasted_; }
     uint64_t writeAllocs() const { return write_allocs_; }
 
+    /**
+     * Speculation gate (DESIGN.md §9): true while read-gather prefetch
+     * pays for @p ds, i.e. its ledger holds fewer than
+     * kGateSlack + kGateHitWorth × hits wasted entries. No charge, no
+     * state change.
+     */
+    bool speculationPays(DsId ds) const;
+
+    /**
+     * Gate verdict for one remote miss of @p ds that has speculative
+     * candidates: true when the gate is open, and on every
+     * kProbeInterval-th miss while it is closed (a probe, so a closed
+     * gate can see the access pattern change). False means the miss
+     * posts its demanded read alone.
+     */
+    bool admitSpeculation(DsId ds);
+
     /** Observed miss ratio since the last resetStats(). */
     double missRatio() const
     {
@@ -142,6 +159,11 @@ class PageCache
                           : static_cast<double>(misses_) / total;
     }
 
+    /**
+     * Stats only: the speculation ledger survives on purpose. It steers
+     * which reads are issued, and a stats reset must never move virtual
+     * time. Only clear() forgets it.
+     */
     void resetStats()
     {
         hits_ = misses_ = evictions_ = 0;
@@ -150,18 +172,39 @@ class PageCache
     }
 
   private:
+    /** Gate rule: open while wasted < kGateSlack + kGateHitWorth × hits.
+     *  A hit saves a ~2 µs round trip; a wasted install into a full
+     *  cache costs ~250-450 ns, so one hit is worth about 8 wastes. */
+    static constexpr uint64_t kGateHitWorth = 8;
+    static constexpr uint64_t kGateSlack = 64;
+    /** Ledger window: at this many outcomes both counts halve, so old
+     *  history fades and a closed gate can reopen. */
+    static constexpr uint64_t kLedgerWindow = 1024;
+    /** While closed, every kProbeInterval-th miss still speculates. */
+    static constexpr uint64_t kProbeInterval = 64;
+
+    /** Per-structure speculation outcomes (the gate's evidence). */
+    struct SpecLedger
+    {
+        uint64_t hits = 0;
+        uint64_t wasted = 0;
+        uint64_t closed_misses = 0; //!< misses seen while closed (probes)
+    };
+
     struct Entry
     {
-        DsId ds;
         std::vector<uint8_t> data;
-        uint64_t tick;              //!< last-use logical time
         uint64_t epoch;             //!< insertion epoch (DS invalidation)
-        size_t keys_idx;            //!< position in keys_ (Random/Hybrid)
+        size_t keys_idx;            //!< position in keys_ and ticks_
         std::list<uint64_t>::iterator lru_it; //!< valid under Lru
+        DsId ds;
         bool speculative = false;   //!< prefetched, no real hit yet
     };
 
     bool entryValid(const Entry &e) const;
+    /** Count one speculative outcome in the session totals and in
+     *  @p ds's ledger. */
+    void recordSpec(DsId ds, bool hit);
 
     void evictOne();
     void removeKey(uint64_t raw);
@@ -175,11 +218,15 @@ class PageCache
 
     std::unordered_map<uint64_t, Entry> map_;
     std::vector<uint64_t> keys_;    //!< dense key set for random sampling
+    /** Last-use logical time of keys_[i], kept dense so a Hybrid
+     *  sample reads it without a hash probe. */
+    std::vector<uint64_t> ticks_;
     std::list<uint64_t> lru_list_;  //!< MRU at front (Lru policy only)
 
     uint64_t tick_ = 0;
     uint64_t epoch_ = 1;
     std::unordered_map<DsId, uint64_t> ds_min_epoch_;
+    std::unordered_map<DsId, SpecLedger> spec_ledger_;
     uint64_t size_bytes_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

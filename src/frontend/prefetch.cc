@@ -1,6 +1,6 @@
 #include "frontend/prefetch.h"
 
-#include <algorithm>
+#include <iterator>
 
 namespace asymnvm {
 
@@ -10,11 +10,17 @@ PrefetchEngine::onAccess(DsId ds, uint64_t stream, uint64_t addr_raw,
 {
     if (stream == 0 || addr_raw == 0)
         return;
-    if (streams_.size() >= kMaxStreams &&
-        streams_.count({ds, stream}) == 0)
-        evictColdest(); // keep hot predictions; shed the stalest stream
-    Run &run = streams_[{ds, stream}];
-    run.last_hit = ++tick_;
+    const StreamKey key{ds, stream};
+    auto it = streams_.find(key);
+    if (it == streams_.end()) {
+        if (streams_.size() >= kMaxStreams)
+            evictColdest(); // keep hot predictions; shed the stalest stream
+        it = streams_.emplace(key, Run{}).first;
+        by_credit_[0].push_back(key);
+        it->second.pos = std::prev(by_credit_[0].end());
+    }
+    Run &run = it->second;
+    touch(run, credit(run.hits));
     if (!run.building.empty() && run.building.front().addr_raw == addr_raw) {
         // The walk wrapped back to the run's head: the recorded run is a
         // complete traversal — commit it as the prediction and start
@@ -37,17 +43,27 @@ PrefetchEngine::collect(DsId ds, uint64_t stream, uint64_t demanded_raw,
     auto it = streams_.find({ds, stream});
     if (it == streams_.end())
         return;
-    const std::vector<PrefetchCandidate> &run = it->second.committed;
+    Run &r = it->second;
+    const std::vector<PrefetchCandidate> &run = r.committed;
     for (size_t i = 0; i < run.size(); ++i) {
         if (run[i].addr_raw != demanded_raw)
             continue;
         // The prediction fired: credit the stream so eviction favors
         // cold never-hit streams over this one.
-        ++it->second.hits;
-        it->second.last_hit = ++tick_;
+        const size_t old_credit = credit(r.hits);
+        ++r.hits;
+        touch(r, old_credit);
         out->insert(out->end(), run.begin() + i + 1, run.end());
         return;
     }
+}
+
+void
+PrefetchEngine::touch(Run &run, size_t old_credit)
+{
+    run.last_hit = ++tick_;
+    CreditList &to = by_credit_[credit(run.hits)];
+    to.splice(to.end(), by_credit_[old_credit], run.pos);
 }
 
 void
@@ -55,29 +71,51 @@ PrefetchEngine::evictColdest()
 {
     // Hit-rate-weighted LRU: recency plus a per-hit credit, so a stream
     // whose predictions were actually served survives newer streams that
-    // never produced a hit (the LRU-of-streams ROADMAP note).
-    const auto score = [](const Run &r) {
-        return r.last_hit +
-               std::min(r.hits, kMaxHitCredit) * kHitBonusTicks;
-    };
-    auto coldest = streams_.end();
-    for (auto it = streams_.begin(); it != streams_.end(); ++it) {
-        if (coldest == streams_.end() ||
-            score(it->second) < score(coldest->second))
-            coldest = it;
+    // never produced a hit (the LRU-of-streams ROADMAP note). The
+    // lowest score is the oldest stream of some credit level.
+    std::array<CreditList *, kMaxHitCredit + 1> tied{};
+    size_t ntied = 0;
+    uint64_t best = 0;
+    for (size_t c = 0; c < by_credit_.size(); ++c) {
+        if (by_credit_[c].empty())
+            continue;
+        const uint64_t score =
+            streams_.find(by_credit_[c].front())->second.last_hit +
+            c * kHitBonusTicks;
+        if (ntied == 0 || score < best) {
+            ntied = 0;
+            best = score;
+        }
+        if (score == best)
+            tied[ntied++] = &by_credit_[c];
     }
-    if (coldest != streams_.end())
-        streams_.erase(coldest);
+    if (ntied == 0)
+        return;
+    CreditList *coldest = tied[0];
+    if (ntied > 1) {
+        // Equal scores across credit levels (one eviction in 60 K on
+        // the read_pipelined benchmark) go to the stream the table
+        // iterates first: the one a scan of the whole table picks.
+        coldest = nullptr;
+        for (auto it = streams_.begin(); coldest == nullptr; ++it)
+            for (size_t i = 0; i < ntied; ++i)
+                if (it->first == tied[i]->front())
+                    coldest = tied[i];
+    }
+    streams_.erase(coldest->front());
+    coldest->pop_front();
 }
 
 void
 PrefetchEngine::invalidateDs(DsId ds)
 {
     for (auto it = streams_.begin(); it != streams_.end();) {
-        if (it->first.first == ds)
+        if (it->first.first == ds) {
+            by_credit_[credit(it->second.hits)].erase(it->second.pos);
             it = streams_.erase(it);
-        else
+        } else {
             ++it;
+        }
     }
 }
 

@@ -29,7 +29,10 @@
  * dropping them avoids wasted wire traffic).
  */
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -48,6 +51,12 @@ struct PrefetchCandidate
 class PrefetchEngine
 {
   public:
+    PrefetchEngine() = default;
+    // Runs hold iterators into by_credit_, so a copy would point into
+    // the source's lists.
+    PrefetchEngine(const PrefetchEngine &) = delete;
+    PrefetchEngine &operator=(const PrefetchEngine &) = delete;
+
     /**
      * Record that @p ds read @p len bytes at @p addr_raw while walking
      * @p stream. Re-visiting the first address of the run under
@@ -71,7 +80,12 @@ class PrefetchEngine
     void invalidateDs(DsId ds);
 
     /** Forget everything (crash, failover: volatile state dies). */
-    void clear() { streams_.clear(); }
+    void clear()
+    {
+        streams_.clear();
+        for (auto &l : by_credit_)
+            l.clear();
+    }
 
     /** Streams currently tracked (observability / tests). */
     size_t streamCount() const { return streams_.size(); }
@@ -93,20 +107,33 @@ class PrefetchEngine
     /** Hits credited at most this many times (bounds score staleness). */
     static constexpr uint64_t kMaxHitCredit = 4;
 
+    using StreamKey = std::pair<uint64_t, uint64_t>; // (ds, stream)
+    /** Streams of one hit credit, least recently touched first. */
+    using CreditList = std::list<StreamKey>;
+
     struct Run
     {
         std::vector<PrefetchCandidate> committed; //!< last full traversal
         std::vector<PrefetchCandidate> building;  //!< traversal in progress
         uint64_t last_hit = 0;                    //!< recency (tick_ stamp)
         uint64_t hits = 0; //!< predictions served (collect() matches)
+        CreditList::iterator pos; //!< place in by_credit_[credit(hits)]
     };
+
+    static size_t credit(uint64_t hits)
+    {
+        return static_cast<size_t>(std::min(hits, kMaxHitCredit));
+    }
+
+    /** Stamp @p run as just touched and move it to the recent end of
+     *  its credit list (re-filed when its credit changed from
+     *  @p old_credit). */
+    void touch(Run &run, size_t old_credit);
 
     /** Drop the lowest-scoring stream to make room (table at cap). */
     void evictColdest();
 
     uint64_t tick_ = 0;
-
-    using StreamKey = std::pair<uint64_t, uint64_t>; // (ds, stream)
 
     struct StreamKeyHash
     {
@@ -118,6 +145,12 @@ class PrefetchEngine
     };
 
     std::unordered_map<StreamKey, Run, StreamKeyHash> streams_;
+    /**
+     * Eviction index. A touch stamps the global maximum tick, so each
+     * list is ordered by last_hit and the lowest score is at one of the
+     * kMaxHitCredit + 1 fronts: O(1) eviction instead of a table scan.
+     */
+    std::array<CreditList, kMaxHitCredit + 1> by_credit_;
 };
 
 } // namespace asymnvm

@@ -291,7 +291,9 @@ FrontendSession::readLocal(ReadAwaitable &rd)
         return true;
     }
     rd.cacheable = cfg_.use_cache && rd.hint.cacheable;
-    if (cfg_.read_prefetch && rd.cacheable && rd.hint.stream != 0)
+    // A structure whose speculation does not pay trains no runs either.
+    if (cfg_.read_prefetch && rd.cacheable && rd.hint.stream != 0 &&
+        cache_->speculationPays(rd.hint.ds))
         prefetch_.onAccess(rd.hint.ds, rd.hint.stream, rd.addr.raw(),
                            rd.len);
     rd.admitted = rd.hint.admission == nullptr ||
@@ -356,13 +358,20 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
     // pointer-chain runs), kept only when worth the wire bytes: dedupe,
     // drop demanded addresses (a batch of misses is its own best
     // prefetch), other back-ends, and anything already resident (overlay
-    // or cache); at most kPrefetchDegree per miss.
+    // or cache); at most kPrefetchDegree per miss. A miss whose
+    // structure fails the speculation gate (its speculative entries are
+    // mostly wasted) posts its demanded read alone, as with
+    // read_prefetch off; a probe now and then keeps the gate honest.
     gather_specs_.clear();
     for (ReadAwaitable *aw : misses) {
         const ReadHint &hint = aw->hint;
         if (!cfg_.read_prefetch || !cfg_.use_cache || !hint.cacheable ||
             (hint.neighbors.empty() && hint.stream == 0))
             continue;
+        if (!cache_->admitSpeculation(hint.ds)) {
+            ++prefetch_gated_;
+            continue;
+        }
         prefetch_scratch_.assign(hint.neighbors.begin(),
                                  hint.neighbors.end());
         prefetch_.collect(hint.ds, hint.stream, aw->addr.raw(),
@@ -1891,6 +1900,7 @@ FrontendSession::stats() const
     s.prefetch.issued = prefetch_issued_;
     s.prefetch.hits = cache_->prefetchHits();
     s.prefetch.wasted = cache_->prefetchWasted();
+    s.prefetch.gated = prefetch_gated_;
     s.logfmt = logfmt_;
     s.pipeline.depth = cfg_.pipeline_depth;
     s.pipeline.ops = pipe_ops_;
@@ -1932,6 +1942,7 @@ FrontendSession::resetStats()
     cache_->resetStats();
     prefetch_batches_ = 0;
     prefetch_issued_ = 0;
+    prefetch_gated_ = 0;
     pipe_ops_ = 0;
     pipe_runs_ = 0;
     pipe_rounds_ = 0;

@@ -873,10 +873,11 @@ class FrontendSession
      * round (its deduped misses): post every demanded read plus up to
      * kPrefetchDegree filtered speculative neighbors per miss as ONE
      * doorbell-batched gather, park the extras in the cache as
-     * speculative entries, and set each miss's result. A gather of one
-     * WQE is a plain RDMA_Read. An out-of-bounds learned candidate
-     * re-runs the gather without speculation; a failed chain of several
-     * demanded reads is re-served one read at a time.
+     * speculative entries, and set each miss's result. Misses whose
+     * structure fails PageCache::admitSpeculation carry no neighbors.
+     * A gather of one WQE is a plain RDMA_Read. An out-of-bounds learned
+     * candidate re-runs the gather without speculation; a failed chain
+     * of several demanded reads is re-served one read at a time.
      */
     void gatherMisses(std::span<ReadAwaitable *const> misses);
 
@@ -1045,6 +1046,7 @@ class FrontendSession
     std::vector<std::vector<uint8_t>> prefetch_bufs_; //!< gather landing
     uint64_t prefetch_batches_ = 0; //!< gathers that carried speculation
     uint64_t prefetch_issued_ = 0;  //!< speculative WQEs issued
+    uint64_t prefetch_gated_ = 0;   //!< misses the speculation gate kept
 
     // Pipelined-operation reactor state (executePipelined).
     bool pipeline_active_ = false; //!< reactor owns scheduling

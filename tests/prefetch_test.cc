@@ -110,5 +110,29 @@ TEST(PrefetchEngineTest, ServedPredictionOutlivesColdNewerStreams)
         << "stale hit stream must age out after a full table turnover";
 }
 
+TEST(PrefetchEngineTest, InvalidatedStreamsLeaveTheEvictionOrder)
+{
+    // Streams dropped by invalidateDs must leave the eviction index
+    // too: later overflows evict live streams in score order, never a
+    // ghost, and the table stays exactly at its cap.
+    PrefetchEngine eng;
+    const uint64_t kHit = 0xcccc;
+    walkHotChain(eng, 7, kHit);
+    std::vector<PrefetchCandidate> out;
+    eng.collect(7, kHit, 0x1000, &out); // one hit: credit level 1
+    for (uint64_t i = 0; eng.streamCount() < kCap; ++i)
+        eng.onAccess(i % 2 == 0 ? 5 : 6, 0x10000 + i, 0x200000 + i * 64,
+                     64);
+    eng.invalidateDs(5);
+    EXPECT_EQ(eng.streamCount(), kCap / 2);
+    eng.invalidateDs(7);
+    for (uint64_t i = 0; i < 2 * kCap; ++i)
+        eng.onAccess(8, 0x900000 + i, 0x400000 + i * 64, 64);
+    EXPECT_EQ(eng.streamCount(), kCap);
+    out.clear();
+    eng.collect(7, kHit, 0x1000, &out);
+    EXPECT_TRUE(out.empty()) << "invalidated stream came back";
+}
+
 } // namespace
 } // namespace asymnvm

@@ -17,6 +17,7 @@
 #include "nvm/nvm_device.h"
 #include "rdma/verbs.h"
 #include "sim/clock.h"
+#include "workload/workload.h"
 
 namespace asymnvm {
 namespace {
@@ -256,6 +257,93 @@ TEST_F(SpecCacheTest, SpeculativeNeverDowngradesLiveEntry)
 }
 
 // ---------------------------------------------------------------------
+// Page cache: the per-structure speculation gate (DESIGN.md §9).
+// ---------------------------------------------------------------------
+
+/** Park one speculative entry for @p ds and drop it unhit. */
+void
+wasteOne(PageCache &cache, DsId ds, uint64_t off, uint8_t *buf)
+{
+    const RemotePtr p(1, off);
+    cache.insertSpeculative(ds, p, buf, 64, cache.epochNow());
+    cache.invalidate(p);
+}
+
+TEST_F(SpecCacheTest, GateClosesOnWastePerStructure)
+{
+    // Open while wasted < 64 + 8 x hits: 63 unhit drops leave it open,
+    // the 64th closes it, and only for the structure that wasted them.
+    for (uint64_t i = 0; i < 63; ++i)
+        wasteOne(cache, 3, 8192 + 64 * i, buf);
+    EXPECT_TRUE(cache.speculationPays(3));
+    wasteOne(cache, 3, 8192, buf);
+    EXPECT_FALSE(cache.speculationPays(3));
+    EXPECT_TRUE(cache.speculationPays(4));
+
+    // One hit buys eight more wasted entries.
+    const RemotePtr hit(1, 4096);
+    cache.insertSpeculative(3, hit, buf, 64, cache.epochNow());
+    uint8_t out[64];
+    ASSERT_TRUE(cache.lookup(hit, out, 64));
+    EXPECT_TRUE(cache.speculationPays(3));
+    for (uint64_t i = 0; i < 7; ++i)
+        wasteOne(cache, 3, 8192, buf);
+    EXPECT_TRUE(cache.speculationPays(3));
+    wasteOne(cache, 3, 8192, buf);
+    EXPECT_FALSE(cache.speculationPays(3));
+}
+
+TEST_F(SpecCacheTest, ClosedGateProbesEverySixtyFourthMiss)
+{
+    for (uint64_t i = 0; i < 64; ++i)
+        wasteOne(cache, 3, 8192, buf);
+    ASSERT_FALSE(cache.speculationPays(3));
+    for (int round = 0; round < 2; ++round) {
+        for (int i = 0; i < 63; ++i)
+            EXPECT_FALSE(cache.admitSpeculation(3));
+        EXPECT_TRUE(cache.admitSpeculation(3)) << "probe " << round;
+    }
+    EXPECT_TRUE(cache.admitSpeculation(4)); // open gate: every miss
+}
+
+TEST_F(SpecCacheTest, OnlyClearForgetsTheLedger)
+{
+    for (uint64_t i = 0; i < 64; ++i)
+        wasteOne(cache, 3, 8192, buf);
+    ASSERT_FALSE(cache.speculationPays(3));
+    // Stats resets and structure invalidation keep the evidence: they
+    // must not change which reads a session issues.
+    cache.resetStats();
+    EXPECT_EQ(cache.prefetchWasted(), 0u);
+    EXPECT_FALSE(cache.speculationPays(3));
+    cache.invalidateDs(3);
+    EXPECT_FALSE(cache.speculationPays(3));
+    cache.clear();
+    EXPECT_TRUE(cache.speculationPays(3));
+}
+
+TEST_F(SpecCacheTest, LedgerWindowLetsAClosedGateReopen)
+{
+    // 1000 wasted, then hits: the window halves both counts at 1024
+    // outcomes, so old waste fades and the gate reopens after 67 hits,
+    // not the 118 a lifetime ledger would need.
+    for (uint64_t i = 0; i < 1000; ++i)
+        wasteOne(cache, 3, 8192, buf);
+    ASSERT_FALSE(cache.speculationPays(3));
+    uint8_t out[64];
+    uint64_t hits = 0;
+    while (!cache.speculationPays(3) && hits < 200) {
+        const RemotePtr p(1, 4096);
+        cache.insertSpeculative(3, p, buf, 64, cache.epochNow());
+        ASSERT_TRUE(cache.lookup(p, out, 64));
+        cache.invalidate(p);
+        ++hits;
+    }
+    EXPECT_TRUE(cache.speculationPays(3));
+    EXPECT_EQ(hits, 67u);
+}
+
+// ---------------------------------------------------------------------
 // Session + B+tree: traversal doorbell budget with and without prefetch.
 // ---------------------------------------------------------------------
 
@@ -347,6 +435,194 @@ TEST(ReadGatherSessionTest, AblationFlagDisablesAllSpeculation)
     EXPECT_EQ(st.prefetch.batches, 0u);
     EXPECT_EQ(st.prefetch.issued, 0u);
     EXPECT_EQ(st.verbs.read_gathers, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Session + B+tree: the speculation gate on the miss path.
+// ---------------------------------------------------------------------
+
+/**
+ * A cold B+tree behind a cache an eighth of its size, read in depth-8
+ * windows: scattered lookups leave the gathered sibling value cells
+ * unread, range-local ones read them next.
+ */
+struct GateProbe
+{
+    static constexpr uint64_t kKeys = 4000;
+
+    std::unique_ptr<BackendNode> be;
+    std::unique_ptr<FrontendSession> s;
+    BpTree ds;
+
+    explicit GateProbe(uint64_t id)
+    {
+        be = std::make_unique<BackendNode>(1, testConfig());
+        SessionConfig cfg = SessionConfig::rc(id, 48 << 10);
+        cfg.pipeline_depth = 8;
+        s = std::make_unique<FrontendSession>(cfg);
+        EXPECT_EQ(s->connect(be.get()), Status::Ok);
+        EXPECT_EQ(BpTree::create(*s, 1, "g", &ds), Status::Ok);
+        Value v{};
+        for (uint64_t k = 0; k < kKeys; ++k)
+            EXPECT_EQ(ds.insert(k, v), Status::Ok);
+        EXPECT_EQ(s->flushAll(), Status::Ok);
+        s->cache().clear();
+        s->resetStats();
+    }
+
+    /** Look up keys first .. first+n-1 of a scattered (multiplicative
+     *  hash) or a range-local (consecutive) order. */
+    void lookups(uint64_t first, uint64_t n, bool scattered)
+    {
+        std::vector<Key> keys(n);
+        for (uint64_t i = 0; i < n; ++i)
+            keys[i] = scattered ? (first + i) * 2654435761ull % kKeys
+                                : (first + i) % kKeys;
+        std::vector<Value> vals(n);
+        std::vector<Status> res(n);
+        ASSERT_EQ(ds.findMany(keys, vals.data(), res.data()), Status::Ok);
+        for (Status st : res)
+            ASSERT_EQ(st, Status::Ok);
+    }
+
+    bool gateOpen() const { return s->cache().speculationPays(ds.id()); }
+};
+
+TEST(SpeculationGateTest, ScatteredDepthEightLookupsCloseTheGate)
+{
+    GateProbe g(111);
+    g.lookups(0, 2000, true); // warm-up: the cache fills with unread guesses
+    ASSERT_FALSE(g.gateOpen());
+    const SessionStats a = g.s->stats();
+    const uint64_t misses = g.s->cache().misses();
+    g.lookups(2000, 2000, true);
+    const SessionStats b = g.s->stats();
+    const uint64_t gated = b.prefetch.gated - a.prefetch.gated;
+    EXPECT_GT(g.s->cache().misses() - misses, 1000u)
+        << "misses keep coming";
+    EXPECT_GT(gated, 1000u);
+    // Only probes speculate: one closed-gate miss in 64, each with at
+    // most kPrefetchDegree (4) reads.
+    EXPECT_LE(b.prefetch.issued - a.prefetch.issued, 4 * (gated / 63 + 1));
+    EXPECT_FALSE(g.gateOpen());
+}
+
+TEST(SpeculationGateTest, RangeLocalColdLookupsIssueWhatUngatedCodeIssues)
+{
+    // bench_fig7_cache's prefetch ablation at tiny size: 1500 uniform
+    // preloaded keys, a cold cache a quarter of the tree, 200 Zipf(0.9)
+    // lookups over adjacent keys. The siblings pay, the gate never
+    // closes, and the run is the one the code before the gate measured:
+    // 259 issued, 52 hits, 57 wasted, 73 doorbells, 1509.8 ns/op.
+    BackendConfig bcfg = testConfig();
+    bcfg.nvm_size = 128ull << 20;
+    bcfg.max_frontends = 8;
+    bcfg.max_names = 64;
+    bcfg.memlog_ring_size = 4ull << 20;
+    bcfg.oplog_ring_size = 2ull << 20;
+    BackendNode be(1, bcfg);
+    FrontendSession s(SessionConfig::rc(112, 37500));
+    ASSERT_EQ(s.connect(&be), Status::Ok);
+    BpTree ds;
+    ASSERT_EQ(BpTree::create(s, 1, "c", &ds), Status::Ok);
+    WorkloadConfig wcfg;
+    wcfg.key_space = 1500;
+    wcfg.seed = 42;
+    wcfg.hashed_keys = false;
+    WorkloadConfig lcfg = wcfg;
+    lcfg.put_ratio = 1.0;
+    lcfg.dist = KeyDist::Uniform;
+    Workload loader(lcfg);
+    for (int i = 0; i < 1500; ++i) {
+        const WorkItem it = loader.next();
+        ASSERT_EQ(ds.insert(it.key, it.value), Status::Ok);
+    }
+    ASSERT_EQ(s.flushAll(), Status::Ok);
+    s.cache().clear();
+    s.resetStats();
+    WorkloadConfig mcfg = wcfg;
+    mcfg.put_ratio = 0.0;
+    mcfg.dist = KeyDist::Zipf;
+    mcfg.zipf_theta = 0.9;
+    mcfg.seed = 99;
+    Workload w(mcfg);
+    const uint64_t t0 = s.clock().now();
+    for (int i = 0; i < 200; ++i) {
+        Value v;
+        (void)ds.find(w.next().key, &v); // uniform preload leaves gaps
+    }
+    const SessionStats st = s.stats();
+    EXPECT_TRUE(s.cache().speculationPays(ds.id()));
+    EXPECT_EQ(st.prefetch.gated, 0u);
+    EXPECT_EQ(st.prefetch.issued, 259u);
+    EXPECT_EQ(st.prefetch.hits, 52u);
+    EXPECT_EQ(st.prefetch.wasted, 57u);
+    EXPECT_EQ(st.verbs.doorbells, 73u);
+    EXPECT_EQ(s.clock().now() - t0, 301955u);
+}
+
+TEST(SpeculationGateTest, ClosedGateReopensWhenLookupsTurnRangeLocal)
+{
+    GateProbe g(113);
+    g.lookups(0, 2000, true);
+    ASSERT_FALSE(g.gateOpen());
+    // Range-local now: a probe's siblings are the next lookups, so the
+    // probes earn hits, the windowed ledger lets old waste fade, and the
+    // gate reopens.
+    Value v{};
+    uint64_t k = 0;
+    for (; k < GateProbe::kKeys && !g.gateOpen(); ++k)
+        ASSERT_EQ(g.ds.find(k, &v), Status::Ok);
+    EXPECT_TRUE(g.gateOpen()) << "still closed after " << k << " lookups";
+    const uint64_t issued = g.s->stats().prefetch.issued;
+    for (uint64_t i = 0; i < 64; ++i, ++k)
+        ASSERT_EQ(g.ds.find(k % GateProbe::kKeys, &v), Status::Ok);
+    EXPECT_GT(g.s->stats().prefetch.issued, issued + 4)
+        << "an open gate speculates on every miss, not only probes";
+}
+
+TEST(SpeculationGateTest, ClearReopensTheGate)
+{
+    GateProbe g(114);
+    g.lookups(0, 2000, true);
+    ASSERT_FALSE(g.gateOpen());
+    const uint64_t issued = g.s->stats().prefetch.issued;
+    g.s->cache().clear(); // failover, crash or an explicit clear
+    EXPECT_TRUE(g.gateOpen());
+    g.lookups(2000, 16, true);
+    EXPECT_GE(g.s->stats().prefetch.issued, issued + 16)
+        << "a cleared cache speculates again";
+}
+
+TEST(SpeculationGateTest, ResetStatsBetweenPhasesMovesNoVirtualTime)
+{
+    // Two identical sessions; only one resets its stats between a phase
+    // that closes the gate and a phase that probes it.
+    GateProbe reset(115), kept(115);
+    reset.lookups(0, 2000, true);
+    kept.lookups(0, 2000, true);
+    ASSERT_FALSE(reset.gateOpen());
+    const VerbCounters before = kept.s->verbs().counters();
+    reset.s->resetStats();
+    reset.lookups(2000, 1000, true);
+    kept.lookups(2000, 1000, true);
+    reset.lookups(0, 1000, false);
+    kept.lookups(0, 1000, false);
+
+    EXPECT_EQ(reset.s->clock().now(), kept.s->clock().now());
+    const VerbCounters &a = reset.s->verbs().counters();
+    const VerbCounters &b = kept.s->verbs().counters();
+    EXPECT_EQ(a.reads, b.reads - before.reads);
+    EXPECT_EQ(a.read_bytes, b.read_bytes - before.read_bytes);
+    EXPECT_EQ(a.writes, b.writes - before.writes);
+    EXPECT_EQ(a.write_bytes, b.write_bytes - before.write_bytes);
+    EXPECT_EQ(a.posted, b.posted - before.posted);
+    EXPECT_EQ(a.posted_bytes, b.posted_bytes - before.posted_bytes);
+    EXPECT_EQ(a.atomics, b.atomics - before.atomics);
+    EXPECT_EQ(a.atomic_bytes, b.atomic_bytes - before.atomic_bytes);
+    EXPECT_EQ(a.doorbells, b.doorbells - before.doorbells);
+    EXPECT_EQ(a.wqes, b.wqes - before.wqes);
+    EXPECT_EQ(a.read_gathers, b.read_gathers - before.read_gathers);
 }
 
 // ---------------------------------------------------------------------
