@@ -10,12 +10,9 @@
  *  - posted (asynchronous) memory-log writes vs a synchronous
  *    rnvm_tx_write per operation: the decoupled-persistency claim of
  *    Section 4.2;
- *  - the pluggable log encodings (DESIGN.md "Log formats"): classic
- *    Figure-3 framing vs header-dancing vs zero-based, compared on the
- *    Table 3 RCB cell and on the per-op commit point where the framing
+ *  - group commit vs a per-op commit point, where the Figure-3 framing
  *    overhead is paid once per operation. LogB/op is the persisted log
- *    bytes (tx + op records) per completed operation — the column the
- *    cache-line-conscious encodings are built to shrink.
+ *    bytes (tx + op records) per completed operation.
  *
  * ASYMNVM_BENCH_TINY=1 switches to smoke-test sizes; the run always
  * emits BENCH_ablation_logging.json next to the binary's cwd.
@@ -34,7 +31,6 @@ uint64_t session_counter = 13000;
 struct AblationRow
 {
     const char *label;
-    LogFormatKind fmt;
     bool opref;
     bool coalesce;
     uint32_t batch;
@@ -58,7 +54,6 @@ runBpt(const AblationRow &row)
                    row.batch);
     cfg.use_opref = row.opref;
     cfg.coalesce_memlogs = row.coalesce;
-    cfg.log_format = row.fmt;
     FrontendSession s(cfg);
     if (!ok(s.connect(&be)))
         return {-1, 0, 0, 0};
@@ -104,12 +99,11 @@ writeJson(const AblationRow *rows, const AblationResult *results,
                  kPreload, kOps, benchTiny() ? "true" : "false");
     for (size_t i = 0; i < n; ++i) {
         std::fprintf(f,
-                     "    {\"label\": \"%s\", \"format\": \"%s\", "
+                     "    {\"label\": \"%s\", "
                      "\"kops\": %.1f, \"wire_mb\": %.3f, "
                      "\"log_bytes_per_op\": %.1f, \"replayed_logs\": %"
                      PRIu64 "}%s\n",
-                     rows[i].label, logFormatName(rows[i].fmt),
-                     results[i].kops, results[i].wire_mb,
+                     rows[i].label, results[i].kops, results[i].wire_mb,
                      results[i].log_bytes_per_op, results[i].replayed,
                      i + 1 == n ? "" : ",");
     }
@@ -130,22 +124,11 @@ run()
                 "Configuration                           KOPS   WireMB"
                 "   LogB/op   ReplayedLogs");
     const AblationRow rows[] = {
-        {"RCB (op-ref + coalescing)", LogFormatKind::Classic, true, true,
-         1024},
-        {"RCB, header-dancing logs", LogFormatKind::HeaderDancing, true,
-         true, 1024},
-        {"RCB, zero-based logs", LogFormatKind::ZeroBased, true, true,
-         1024},
-        {"RCB, inline values (no op-ref)", LogFormatKind::Classic, false,
-         true, 1024},
-        {"RCB, no coalescing", LogFormatKind::Classic, true, false, 1024},
-        {"RCB, inline + no coalescing", LogFormatKind::Classic, false,
-         false, 1024},
-        {"per-op commit (batch 1)", LogFormatKind::Classic, true, true, 1},
-        {"per-op, header-dancing logs", LogFormatKind::HeaderDancing,
-         true, true, 1},
-        {"per-op, zero-based logs", LogFormatKind::ZeroBased, true, true,
-         1},
+        {"RCB (op-ref + coalescing)", true, true, 1024},
+        {"RCB, inline values (no op-ref)", false, true, 1024},
+        {"RCB, no coalescing", true, false, 1024},
+        {"RCB, inline + no coalescing", false, false, 1024},
+        {"per-op commit (batch 1)", true, true, 1},
     };
     AblationResult results[std::size(rows)];
     for (size_t i = 0; i < std::size(rows); ++i) {
@@ -157,11 +140,7 @@ run()
     std::printf(
         "\nExpected shape: op-refs shrink wire bytes at equal"
         "\nthroughput; coalescing cuts replayed log count; the per-op"
-        "\ncommit rows show what group commit buys (Section 4.2/4.3);"
-        "\nunder group commit the header-dancing and zero-based rows"
-        "\npersist fewer log bytes per op than the classic framing at"
-        "\nequal throughput (header-dancing pads each record to 64 B,"
-        "\nso tiny per-op transactions can instead inflate it).\n");
+        "\ncommit row shows what group commit buys (Section 4.2/4.3).\n");
     writeJson(rows, results, std::size(rows),
               "BENCH_ablation_logging.json");
 }

@@ -268,32 +268,6 @@ BackendNode::writeLocal64(uint64_t off, uint64_t v)
 }
 
 void
-BackendNode::zeroConsumedRecordLocked(uint64_t ring_base,
-                                      uint64_t ring_size, uint64_t pos,
-                                      uint32_t len, uint32_t expect_magic)
-{
-    if (len == 0 || len > ring_size)
-        return;
-    const uint64_t abs = ringReadAbs(ring_base, ring_size, pos);
-    uint32_t magic = 0;
-    device_->read(abs, &magic, sizeof(magic));
-    if (magic != expect_magic)
-        return;
-    static const std::vector<uint8_t> kZeros(4096, 0);
-    uint64_t done = 0;
-    while (done < len) {
-        const uint64_t n = std::min<uint64_t>(len - done, kZeros.size());
-        device_->write(abs + done, kZeros.data(), n);
-        done += n;
-    }
-    device_->persist();
-    // Mirrors replicate raw ranges, so the zeroed bytes ship like any
-    // other back-end write and replicas stay byte-identical.
-    stageReplicationLocked(abs, len);
-    busy_ns_.add(lat_.nvm_write_ns * ((len + 63) / 64));
-}
-
-void
 BackendNode::writeControl(uint32_t slot)
 {
     // The lock-ahead word is written one-sided by the front-end (it must
@@ -420,8 +394,9 @@ BackendNode::recoverTailTx(uint32_t slot)
     TxHeader hdr;
     device_->read(base + off_in_ring, &hdr, sizeof(hdr));
     const uint32_t len = static_cast<uint32_t>(txWireLen(hdr));
-    onTxAppended(slot, pos, len, 0);
-    return v;
+    // A checksummed transaction whose op-refs do not resolve did not
+    // roll forward.
+    return ok(onTxAppended(slot, pos, len, 0)) ? v : TxValidation::Torn;
 }
 
 Status
@@ -540,6 +515,9 @@ BackendNode::onTxAppended(uint32_t slot, uint64_t pos, uint32_t len,
     auto tx = TxParser::parse({buf.data(), buf.size()});
     if (!tx.has_value())
         return Status::Corruption;
+    std::vector<std::vector<uint8_t>> ref_values;
+    if (!resolveOpRefsLocked(slot, *tx, &ref_values))
+        return Status::Corruption;
 
     // Stage the transaction bytes; everything the replay below writes
     // (data blocks, SN bumps, control updates) joins the same batch and
@@ -547,46 +525,19 @@ BackendNode::onTxAppended(uint32_t slot, uint64_t pos, uint32_t len,
     // before this call returns — i.e. before the commit is acknowledged.
     stageReplicationLocked(abs, len);
 
-    // For the zero-based encoding the back-end owns re-zeroing consumed
-    // ring bytes; remember what this commit retires (the previous —
-    // fully applied — transaction and every op-log record the coverage
-    // advance pops) before the control fields move past them.
-    const bool zb = tx->format() == LogFormatKind::ZeroBased;
-    const uint64_t prev_tx_off = c.last_tx_off;
-    const uint32_t prev_tx_len = static_cast<uint32_t>(c.last_tx_len);
-
     c.memlog_head = pos + len;
     c.last_tx_off = pos;
     c.last_tx_len = len;
     c.lpn = tx->header().lpn + 1;
     c.covered_opn = std::max(c.covered_opn, tx->header().covered_opn);
     auto &window = op_window_[slot];
-    std::vector<OpWindowItem> popped;
-    while (!window.empty() && window.front().opn < c.covered_opn) {
-        if (zb)
-            popped.push_back(window.front());
+    while (!window.empty() && window.front().opn < c.covered_opn)
         window.pop_front();
-    }
     c.oplog_tail = window.empty() ? c.oplog_head : window.front().pos;
     writeControl(slot);
 
-    replayTx(slot, *tx);
+    replayTx(*tx, ref_values);
     c.memlog_applied = c.memlog_head;
-
-    if (zb) {
-        // Zero retired records only while their bytes are provably not
-        // lapped by newer appends (head − pos ≤ ring); the magic guard
-        // inside the helper re-checks against re-delivery races.
-        if (prev_tx_len > 0 && c.memlog_head - prev_tx_off <= ring)
-            zeroConsumedRecordLocked(layout_.memlogRingOff(slot), ring,
-                                     prev_tx_off, prev_tx_len, kTxMagicZb);
-        const uint64_t oring = layout_.super.oplog_ring_size;
-        for (const OpWindowItem &item : popped) {
-            if (c.oplog_head - item.pos <= oring)
-                zeroConsumedRecordLocked(layout_.oplogRingOff(slot), oring,
-                                         item.pos, item.len, kOpMagicZb);
-        }
-    }
     writeControl(slot);
 
     replayed_txs_.add();
@@ -597,8 +548,43 @@ BackendNode::onTxAppended(uint32_t slot, uint64_t pos, uint32_t len,
     return Status::Ok;
 }
 
+bool
+BackendNode::resolveOpRefsLocked(
+    uint32_t slot, const TxParser &tx,
+    std::vector<std::vector<uint8_t>> *values) const
+{
+    const uint64_t ring = layout_.super.oplog_ring_size;
+    const uint64_t base = layout_.oplogRingOff(slot);
+    for (const ParsedMemLog &m : tx.entries()) {
+        if (m.flag != MemLogFlag::kOpRef)
+            continue;
+        // Records never straddle the ring wrap, so a valid reference
+        // fits in the contiguous remainder.
+        const uint64_t contiguous = ring - m.oplog_off % ring;
+        if (contiguous < kMinOpLogWire)
+            return false;
+        const uint64_t abs = ringReadAbs(base, ring, m.oplog_off);
+        OpLogHeader hdr;
+        device_->read(abs, &hdr, sizeof(hdr));
+        const uint64_t wire = sizeof(OpLogHeader) +
+                              static_cast<uint64_t>(hdr.val_len) +
+                              sizeof(uint32_t);
+        if (wire > contiguous)
+            return false;
+        std::vector<uint8_t> rec(wire);
+        device_->read(abs, rec.data(), wire);
+        auto op = decodeOpLog({rec.data(), rec.size()});
+        if (!op.has_value() ||
+            static_cast<uint64_t>(m.val_off) + m.len > op->value.size())
+            return false;
+        values->push_back(std::move(op->value));
+    }
+    return true;
+}
+
 void
-BackendNode::replayTx(uint32_t slot, const TxParser &tx)
+BackendNode::replayTx(const TxParser &tx,
+                      const std::vector<std::vector<uint8_t>> &ref_values)
 {
     const uint64_t ds = tx.header().ds_id;
     const bool bump_sn =
@@ -611,31 +597,12 @@ BackendNode::replayTx(uint32_t slot, const TxParser &tx)
         names_[ds].seq_num += 1;
         writeLocal64(sn_off, names_[ds].seq_num);
     }
-    std::vector<uint8_t> tmp;
+    auto ref = ref_values.begin();
     for (const ParsedMemLog &m : tx.entries()) {
         assert(m.addr.backend == id_);
         const uint8_t *src = m.inline_value;
-        if (m.flag == MemLogFlag::kOpRef) {
-            // Fetch the value bytes from the already persisted op log.
-            // The referenced record identifies its own encoding, so read
-            // enough raw bytes to cover the slice in any format and let
-            // extractOpLogValue locate (and, for zero-based records,
-            // de-stuff) the value. Records never straddle the ring wrap,
-            // so clamping to the contiguous remainder never truncates a
-            // valid reference.
-            const uint64_t ring = layout_.super.oplog_ring_size;
-            const uint64_t abs =
-                ringReadAbs(layout_.oplogRingOff(slot), ring, m.oplog_off);
-            const uint64_t span =
-                std::min<uint64_t>(opLogValueSpanBytes(m.val_off, m.len),
-                                   ring - m.oplog_off % ring);
-            std::vector<uint8_t> rec(span);
-            device_->read(abs, rec.data(), span);
-            tmp.assign(m.len, 0);
-            extractOpLogValue({rec.data(), rec.size()}, m.val_off, m.len,
-                              tmp.data());
-            src = tmp.data();
-        }
+        if (m.flag == MemLogFlag::kOpRef)
+            src = (ref++)->data() + m.val_off;
         writeLocal(m.addr.offset, src, m.len);
         replayed_entries_.add();
         busy_ns_.add(lat_.cpu_log_replay_ns + lat_.nvm_write_ns);
@@ -838,7 +805,7 @@ BackendNode::validateTail(uint32_t slot)
         off_in_ring = pos % ring;
         device_->read(base + off_in_ring, &hdr, sizeof(hdr));
     }
-    if (!txMagicKind(hdr.magic).has_value() || hdr.lpn != c.lpn)
+    if (hdr.magic != kTxMagic || hdr.lpn != c.lpn)
         return TxValidation::None; // nothing (or only stale bytes) there
     const uint64_t max_len = ring - off_in_ring;
     const uint64_t need = txWireLen(hdr);

@@ -336,25 +336,24 @@ class BackendNode
     /** Durable backend-local write: stage, persist, replicate. */
     void writeLocal(uint64_t off, const void *src, size_t len);
 
-    /**
-     * Zero one consumed zero-based record's bytes in a log ring (mu_
-     * held): restores the pre-zeroed invariant the zero-based format's
-     * presence check relies on, off the front-end critical path. A
-     * guard read of the leading magic keeps the zeroing record-exact —
-     * skip markers and records of other formats are left untouched, so
-     * classic/header-dancing device images stay bit-identical.
-     */
-    void zeroConsumedRecordLocked(uint64_t ring_base, uint64_t ring_size,
-                                  uint64_t pos, uint32_t len,
-                                  uint32_t expect_magic);
-
     /** Durable atomic 8-byte backend-local write (SN, gc_epoch). */
     void writeLocal64(uint64_t off, uint64_t v);
 
     void writeControl(uint32_t slot);
     void loadVolatileState();
     void rollTailsForward();
-    void replayTx(uint32_t slot, const TxParser &tx);
+    /**
+     * Resolve every op-ref entry of @p tx against its op-log record
+     * (mu_ held): the record must fit in the ring's contiguous
+     * remainder and decode (magic, CRC), and the slice must lie inside
+     * its value. Appends each op-ref's record value to @p values in
+     * entry order; false means the transaction must not replay.
+     */
+    bool resolveOpRefsLocked(uint32_t slot, const TxParser &tx,
+                             std::vector<std::vector<uint8_t>> *values) const;
+    /** Apply @p tx's entries; @p ref_values from resolveOpRefsLocked. */
+    void replayTx(const TxParser &tx,
+                  const std::vector<std::vector<uint8_t>> &ref_values);
     void processGcLocked(uint64_t now_ns, bool force);
     uint64_t ringReadAbs(uint64_t ring_base, uint64_t ring_size,
                          uint64_t pos) const;

@@ -475,22 +475,13 @@ auditRecoveredState(Run &run, const ExplorerOptions &opt,
 std::string
 presetName(const SessionConfig &s)
 {
-    std::string name;
     if (s.symmetric)
-        name = "sym";
-    else if (!s.use_txlog)
-        name = "naive";
-    else if (s.batch_size > 1)
-        name = s.use_cache ? "rcb" : "rb";
-    else
-        name = s.use_cache ? "rc" : "r";
-    // Non-default log encodings change the torn-write detection story;
-    // tag the trace so a violation names the format it came from.
-    if (s.log_format == LogFormatKind::HeaderDancing)
-        name += "+hd";
-    else if (s.log_format == LogFormatKind::ZeroBased)
-        name += "+zb";
-    return name;
+        return "sym";
+    if (!s.use_txlog)
+        return "naive";
+    if (s.batch_size > 1)
+        return s.use_cache ? "rcb" : "rb";
+    return s.use_cache ? "rc" : "r";
 }
 
 /**

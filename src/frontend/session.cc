@@ -890,8 +890,7 @@ FrontendSession::opBegin(DsId ds, NodeId backend, OpType op, Key key,
         BackendCtx *c = ctx(backend);
         if (c == nullptr)
             return Status::Unavailable;
-        const auto rec = encodeOpLog(cfg_.log_format, op, ds, c->opn, key,
-                                     value, val_len);
+        const auto rec = encodeOpLog(op, ds, c->opn, key, value, val_len);
         // Per-op persistence (batch == 1) makes the op log the write's
         // durability point: one synchronous RDMA_Write (Section 4.3).
         // Inside a batch — or inside an active pipeline window, whose
@@ -1033,7 +1032,7 @@ FrontendSession::flushGroup(BackendCtx &c, DsId ds, bool sync_commit)
     const uint64_t covered =
         git->second.covered_opn.value_or(c.opn);
     const uint64_t oplog_ring = c.node->layout().super.oplog_ring_size;
-    TxBuilder builder(cfg_.log_format);
+    TxBuilder builder;
     builder.reset(c.lpn, ds, covered);
     uint64_t payload_bytes = 0;
     for (const auto &e : git->second.logs) {

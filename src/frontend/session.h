@@ -100,17 +100,6 @@ struct SessionConfig
      */
     bool read_prefetch = true;
     /**
-     * Wire encoding of this session's memory-log transactions and
-     * op-log records (see log_format.h): classic Figure-3 layout
-     * (default, bit-identical to the original), header-dancing
-     * (rotating in-line commit mark, 64 B aligned records, one
-     * store + persist per commit), or zero-based (validity as the
-     * zero/non-zero state of pre-zeroed ring bytes). Every record is
-     * self-identifying, so the back-end replays/recovers any format
-     * and mirrors replicate raw byte ranges format-agnostically.
-     */
-    LogFormatKind log_format = LogFormatKind::Classic;
-    /**
      * Operations kept in flight by the pipelined executor
      * (executePipelined): while one coroutine op waits on its remote
      * read, up to depth-1 others issue theirs, and each reactor round
@@ -229,9 +218,9 @@ struct PromotionCounters
 };
 
 /**
- * Log-encoding accounting: wire vs payload bytes the session persisted
- * through its transaction and op-log appends. wire − payload is the
- * per-format framing overhead the log_format ablation compares.
+ * Log accounting: wire vs payload bytes the session persisted through
+ * its transaction and op-log appends. wire − payload is the framing
+ * overhead (headers, entry headers, footers and CRC words).
  */
 struct LogFormatStats
 {

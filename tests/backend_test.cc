@@ -172,7 +172,7 @@ TEST(RegistrationTest, SlotsExhaust)
     EXPECT_EQ(be.registerFrontend(1000, &s), Status::Unavailable);
 }
 
-// Helper: append a tx directly into the ring like a front-end would.
+// Helper: append logs directly into the rings like a front-end would.
 struct RawAppender
 {
     BackendNode *be;
@@ -180,23 +180,48 @@ struct RawAppender
     uint64_t memlog_head = 0;
     uint64_t oplog_head = 0;
 
+    /** Ring position for a @p len-byte record; a lap tail it does not
+     *  fit gets a skip marker, as the front end writes one. */
+    uint64_t reserve(uint64_t *head, uint64_t ring_base, uint64_t ring,
+                     size_t len)
+    {
+        const uint64_t off = *head % ring;
+        if (off + len > ring) {
+            const uint32_t skip = kSkipMagic;
+            if (ring - off >= sizeof(skip))
+                be->nvm().write(ring_base + off, &skip, sizeof(skip));
+            *head += ring - off;
+        }
+        const uint64_t pos = *head;
+        *head += len;
+        return pos;
+    }
+
+    /** Persist a finished transaction; notify the back-end unless
+     *  @p notify is false (the crash hit before the ack). */
+    Status appendTxBytes(std::span<const uint8_t> bytes, bool notify = true)
+    {
+        const Layout &lay = be->layout();
+        const uint64_t base = lay.memlogRingOff(slot);
+        const uint64_t ring = lay.super.memlog_ring_size;
+        const uint64_t pos = reserve(&memlog_head, base, ring, bytes.size());
+        be->nvm().write(base + pos % ring, bytes.data(), bytes.size());
+        be->nvm().persist();
+        if (!notify)
+            return Status::Ok;
+        return be->onTxAppended(slot, pos,
+                                static_cast<uint32_t>(bytes.size()), 0);
+    }
+
     Status appendTx(DsId ds, uint64_t lpn, uint64_t covered_opn,
-                    std::vector<std::pair<uint64_t, uint64_t>> writes)
+                    std::vector<std::pair<uint64_t, uint64_t>> writes,
+                    bool notify = true)
     {
         TxBuilder b;
         b.reset(lpn, ds, covered_opn);
         for (auto &[addr, val] : writes)
             b.addInline(RemotePtr(be->id(), addr), &val, 8);
-        const auto bytes = b.finish();
-        const Layout &lay = be->layout();
-        const uint64_t base = lay.memlogRingOff(slot);
-        const uint64_t pos = memlog_head;
-        be->nvm().write(base + pos % lay.super.memlog_ring_size,
-                        bytes.data(), bytes.size());
-        be->nvm().persist();
-        memlog_head += bytes.size();
-        return be->onTxAppended(slot, pos,
-                                static_cast<uint32_t>(bytes.size()), 0);
+        return appendTxBytes(b.finish(), notify);
     }
 
     Status appendOp(DsId ds, uint64_t opn, OpType op, Key key,
@@ -205,11 +230,10 @@ struct RawAppender
         const auto rec = encodeOpLog(op, ds, opn, key, &value, 8);
         const Layout &lay = be->layout();
         const uint64_t base = lay.oplogRingOff(slot);
-        const uint64_t pos = oplog_head;
-        be->nvm().write(base + pos % lay.super.oplog_ring_size,
-                        rec.data(), rec.size());
+        const uint64_t ring = lay.super.oplog_ring_size;
+        const uint64_t pos = reserve(&oplog_head, base, ring, rec.size());
+        be->nvm().write(base + pos % ring, rec.data(), rec.size());
         be->nvm().persist();
-        oplog_head += rec.size();
         return be->onOpLogAppended(slot, pos,
                                    static_cast<uint32_t>(rec.size()), 0);
     }
@@ -287,6 +311,63 @@ TEST(ReplayTest, TornTxRejectedAndNotReplayed)
               Status::Corruption);
     EXPECT_EQ(be.nvm().read64(dst), 0u) << "torn tx must not replay";
     EXPECT_EQ(be.validateTail(slot), TxValidation::Torn);
+}
+
+/**
+ * An op-ref entry is only as good as the op-log record it points at. A
+ * reference to a missing record, a corrupt one, or a slice past the
+ * record's value must reject the whole transaction before replication
+ * is staged or a control field moves — never replay zeroes or garbage.
+ */
+TEST(ReplayTest, OpRefToMissingRecordRejectedAndNotReplayed)
+{
+    struct Case
+    {
+        const char *what;
+        bool write_record;
+        bool corrupt_record;
+        uint32_t val_off;
+    };
+    const Case cases[] = {
+        {"missing record", false, false, 0},
+        {"corrupt record", true, true, 0},
+        {"slice past the value", true, false, 4},
+    };
+    for (const Case &tc : cases) {
+        SCOPED_TRACE(tc.what);
+        BackendNode be(1, smallConfig());
+        uint32_t slot = 0;
+        ASSERT_EQ(be.registerFrontend(5, &slot), Status::Ok);
+        uint64_t dst = 0;
+        ASSERT_EQ(be.rpcAllocBlocks(1, &dst), Status::Ok);
+
+        RawAppender app{&be, slot};
+        ASSERT_EQ(app.appendTx(0, 0, 0, {{dst, 0x5eed}}), Status::Ok);
+        if (tc.write_record) {
+            // Written but not announced: the op-ref alone points at it.
+            const uint64_t v = 0xabcd;
+            auto rec = encodeOpLog(OpType::Insert, 0, 0, 1, &v, sizeof(v));
+            if (tc.corrupt_record)
+                rec[sizeof(OpLogHeader)] ^= 0x01;
+            be.nvm().write(be.layout().oplogRingOff(slot), rec.data(),
+                           rec.size());
+            be.nvm().persist();
+        }
+        const LogControl before = be.readControl(slot);
+        const uint64_t replayed = be.replayedEntries();
+
+        TxBuilder b;
+        b.reset(1, 0, 0);
+        b.addOpRef(RemotePtr(1, dst), /*oplog_off=*/0, tc.val_off, 8);
+        EXPECT_EQ(app.appendTxBytes(b.finish()), Status::Corruption);
+        EXPECT_EQ(be.nvm().read64(dst), 0x5eedu)
+            << "an unresolvable op-ref must not replay";
+        EXPECT_EQ(be.replayedEntries(), replayed);
+        const LogControl after = be.readControl(slot);
+        EXPECT_EQ(after.lpn, before.lpn);
+        EXPECT_EQ(after.memlog_head, before.memlog_head);
+        EXPECT_EQ(after.last_tx_off, before.last_tx_off);
+    }
 }
 
 TEST(ReplayTest, OpLogWindowShrinksWhenCovered)
@@ -381,6 +462,78 @@ TEST(RecoveryTest, OpLogTailRollsForwardOnRestart)
     ASSERT_EQ(ops.size(), 1u);
     EXPECT_EQ(ops[0].key, 7u);
     EXPECT_EQ(be2.readControl(0).opn, 1u);
+}
+
+/**
+ * Lap tails too small for the next record but at least as large as the
+ * smallest record of either ring: a 36 B op-log tail (an empty op
+ * record takes 44 B) and a 44 B memlog tail (an empty transaction takes
+ * 48 B), each padded with a skip marker. A restart must rescan the op
+ * window across the op-log wrap and roll the unacknowledged transaction
+ * past the memlog wrap forward, reproducing both exactly.
+ */
+TEST(RingWrapTest, SmallLapTailsRebuildExactlyOnRestart)
+{
+    constexpr uint64_t kOpRec = sizeof(OpLogHeader) + 8 + 4;
+    constexpr uint64_t kTxRec = sizeof(TxHeader) +
+                                sizeof(MemLogEntryHeader) + 8 +
+                                sizeof(TxFooter);
+    auto cfg = smallConfig();
+    cfg.oplog_ring_size = 8 * kOpRec + 36;
+    cfg.memlog_ring_size = 4 * kTxRec + 44;
+    std::shared_ptr<NvmDevice> dev;
+    uint64_t dst = 0;
+    LogControl before{};
+    std::vector<uint64_t> window_opns;
+    {
+        BackendNode be(1, cfg);
+        uint32_t slot = 0;
+        ASSERT_EQ(be.registerFrontend(5, &slot), Status::Ok);
+        ASSERT_EQ(be.rpcAllocBlocks(1, &dst), Status::Ok);
+        RawAppender app{&be, slot};
+        for (uint64_t opn = 0; opn < 8; ++opn)
+            ASSERT_EQ(app.appendOp(0, opn, OpType::Insert, 100 + opn, opn),
+                      Status::Ok);
+        // Cover the first two ops; four transactions leave a 44 B tail.
+        for (uint64_t lpn = 0; lpn < 4; ++lpn)
+            ASSERT_EQ(app.appendTx(0, lpn, 2, {{dst + 8 * lpn, lpn + 1}}),
+                      Status::Ok);
+        ASSERT_EQ(app.memlog_head % cfg.memlog_ring_size, 4 * kTxRec);
+        // The ninth op record wraps past the 36 B op-log tail.
+        ASSERT_EQ(app.oplog_head % cfg.oplog_ring_size, 8 * kOpRec);
+        ASSERT_EQ(app.appendOp(0, 8, OpType::Insert, 108, 8), Status::Ok);
+        ASSERT_EQ(app.oplog_head, cfg.oplog_ring_size + kOpRec);
+        // The fifth transaction wraps too, and lands without its ack.
+        ASSERT_EQ(app.appendTx(0, 4, 2, {{dst + 32, 0x77}},
+                               /*notify=*/false),
+                  Status::Ok);
+        ASSERT_EQ(app.memlog_head, cfg.memlog_ring_size + kTxRec);
+        before = be.readControl(slot);
+        for (const ParsedOpLog &op : be.uncoveredOps(slot))
+            window_opns.push_back(op.opn);
+        dev = be.device();
+    }
+    ASSERT_EQ(window_opns.size(), 7u);
+
+    BackendNode be2(1, cfg, dev);
+    std::vector<uint64_t> rebuilt;
+    for (const ParsedOpLog &op : be2.uncoveredOps(0)) {
+        rebuilt.push_back(op.opn);
+        EXPECT_EQ(op.key, 100 + op.opn);
+    }
+    EXPECT_EQ(rebuilt, window_opns);
+    EXPECT_EQ(be2.opWindowSize(0), window_opns.size());
+    const LogControl after = be2.readControl(0);
+    EXPECT_EQ(after.oplog_tail, before.oplog_tail);
+    EXPECT_EQ(after.oplog_head, before.oplog_head);
+    EXPECT_EQ(after.opn, before.opn);
+    // The wrapped tail transaction rolled forward, and only it.
+    EXPECT_EQ(after.lpn, before.lpn + 1);
+    EXPECT_EQ(after.last_tx_off, cfg.memlog_ring_size);
+    EXPECT_EQ(after.memlog_head, cfg.memlog_ring_size + kTxRec);
+    EXPECT_EQ(be2.nvm().read64(dst + 32), 0x77u);
+    for (uint64_t lpn = 0; lpn < 4; ++lpn)
+        EXPECT_EQ(be2.nvm().read64(dst + 8 * lpn), lpn + 1);
 }
 
 TEST(RecoveryTest, EpochAdvancesOnEveryRestart)

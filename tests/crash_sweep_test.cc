@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "backend/backend_node.h"
@@ -142,56 +141,6 @@ TEST(CrashTearTest, InteriorPrefixesEnumeratedForLoggedModes)
     // indices proves the tear enumeration is live.
     EXPECT_GT(res.points_run, 16u);
 }
-
-// ---------------------------------------------------------------------
-// Log-format recovery matrix: the default sweep above exercises the
-// classic encoding; this one re-runs crash + torn-write injection under
-// the header-dancing and zero-based encodings, whose commit marks work
-// completely differently (rotating in-line mark / presence bytes over a
-// pre-zeroed ring). The per-run budget honors ASYMNVM_SWEEP_BUDGET.
-// ---------------------------------------------------------------------
-
-class CrashFormatSweepTest
-    : public ::testing::TestWithParam<
-          std::tuple<LogFormatKind, WorkloadKind>>
-{};
-
-TEST_P(CrashFormatSweepTest, RecoversUnderEveryEncoding)
-{
-    const LogFormatKind fmt = std::get<0>(GetParam());
-    for (const PresetParam *preset : {&kPresets[1], &kPresets[3]}) {
-        SCOPED_TRACE(preset->name);
-        ExplorerOptions opt;
-        opt.kind = std::get<1>(GetParam());
-        opt.session = preset->make();
-        opt.session.log_format = fmt;
-        // Half the classic budget per cell: the matrix adds 8 cells on
-        // top of the 16 classic ones, so this keeps total sweep time in
-        // the same ballpark while still firing torn-write injections.
-        opt.max_points = std::max(8u, sweepBudget() / 2);
-        const ExplorerResult res = exploreCrashPoints(opt);
-        EXPECT_GT(res.points_run, 0u);
-        EXPECT_EQ(res.crashes_fired, res.points_run);
-        EXPECT_EQ(res.recoveries, res.points_run);
-        EXPECT_TRUE(res.violations.empty()) << res.violationText();
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    NonClassicFormats, CrashFormatSweepTest,
-    ::testing::Combine(::testing::Values(LogFormatKind::HeaderDancing,
-                                         LogFormatKind::ZeroBased),
-                       ::testing::Values(WorkloadKind::Stack,
-                                         WorkloadKind::HashTable)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<LogFormatKind, WorkloadKind>> &info) {
-        const char *f =
-            std::get<0>(info.param) == LogFormatKind::HeaderDancing
-                ? "hd"
-                : "zb";
-        return std::string(f) + "_" +
-               workloadName(std::get<1>(info.param));
-    });
 
 // ---------------------------------------------------------------------
 // Crash with a WRITE pipeline in flight, swept across verb indices

@@ -262,26 +262,19 @@ TEST(OpLogTest, DecodeFromLargerBufferUsesWireLen)
 // OpType validation.
 // ---------------------------------------------------------------------
 
-constexpr LogFormatKind kAllFormats[] = {LogFormatKind::Classic,
-                                         LogFormatKind::HeaderDancing,
-                                         LogFormatKind::ZeroBased};
-
 TEST(TxFormatTest, FinishedSizeExactBeforeAndAfterFinish)
 {
-    for (const LogFormatKind fmt : kAllFormats) {
-        SCOPED_TRACE(logFormatName(fmt));
-        TxBuilder b(fmt);
-        b.reset(5, 1, 2);
-        const uint64_t v = 11;
-        b.addInline(RemotePtr(0, 128), &v, 8);
-        b.addOpRef(RemotePtr(0, 512), 0x80, 0, 64);
-        const size_t predicted = b.finishedSize();
-        const auto bytes = b.finish();
-        EXPECT_EQ(predicted, bytes.size())
-            << "pre-finish prediction must match the wire size";
-        EXPECT_EQ(b.finishedSize(), bytes.size())
-            << "post-finish size must not add a phantom footer";
-    }
+    TxBuilder b;
+    b.reset(5, 1, 2);
+    const uint64_t v = 11;
+    b.addInline(RemotePtr(0, 128), &v, 8);
+    b.addOpRef(RemotePtr(0, 512), 0x80, 0, 64);
+    const size_t predicted = b.finishedSize();
+    const auto bytes = b.finish();
+    EXPECT_EQ(predicted, bytes.size())
+        << "pre-finish prediction must match the wire size";
+    EXPECT_EQ(b.finishedSize(), bytes.size())
+        << "post-finish size must not add a phantom footer";
 }
 
 TEST(TxFormatTest, UnknownEntryFlagRejected)
@@ -313,259 +306,6 @@ TEST(OpLogTest, OutOfRangeOpTypeRejected)
     const uint32_t crc = crc32c(rec.data(), body);
     std::memcpy(rec.data() + body, &crc, sizeof(crc));
     EXPECT_FALSE(decodeOpLog(rec).has_value());
-}
-
-// ---------------------------------------------------------------------
-// Header-dancing encoding.
-// ---------------------------------------------------------------------
-
-TEST(HdFormatTest, TxRoundTripIsCacheLineAligned)
-{
-    TxBuilder b(LogFormatKind::HeaderDancing);
-    b.reset(/*lpn=*/7, /*ds=*/3, /*covered_opn=*/11);
-    const uint64_t v1 = 0x1111, v2 = 0x2222;
-    b.addInline(RemotePtr(1, 0x1000), &v1, 8);
-    b.addInline(RemotePtr(1, 0x2000), &v2, 8);
-    b.addOpRef(RemotePtr(1, 0x3000), 0x40, 8, 64);
-    const auto bytes = toVec(b.finish());
-    EXPECT_EQ(bytes.size() % 64, 0u) << "record must fill cache lines";
-
-    auto tx = TxParser::parse(bytes);
-    ASSERT_TRUE(tx.has_value());
-    EXPECT_EQ(tx->format(), LogFormatKind::HeaderDancing);
-    EXPECT_EQ(tx->header().lpn, 7u);
-    EXPECT_EQ(tx->header().covered_opn, 11u);
-    ASSERT_EQ(tx->entries().size(), 3u);
-    uint64_t got;
-    std::memcpy(&got, tx->entries()[0].inline_value, 8);
-    EXPECT_EQ(got, v1);
-    EXPECT_EQ(tx->entries()[2].flag, MemLogFlag::kOpRef);
-    EXPECT_EQ(tx->entries()[2].oplog_off, 0x40u);
-}
-
-TEST(HdFormatTest, MarkSlotDancesWithLpn)
-{
-    // body = 40 B header + 16 B entry header + 8 B value = 64 B, so the
-    // tail line has (128 - 64) / 8 = 8 slots to rotate through.
-    const size_t body = sizeof(TxHeader) + sizeof(MemLogEntryHeader) + 8;
-    bool moved = false;
-    const size_t first = hdMarkSlot(body, 0);
-    for (uint64_t lpn = 1; lpn < 8; ++lpn)
-        moved |= hdMarkSlot(body, lpn) != first;
-    EXPECT_TRUE(moved) << "commit mark never rotates across LPNs";
-    // And the dancing slot never overlaps the record body.
-    for (uint64_t lpn = 0; lpn < 64; ++lpn) {
-        EXPECT_GE(hdMarkSlot(body, lpn), body);
-        EXPECT_LE(hdMarkSlot(body, lpn) + sizeof(TxFooter),
-                  hdTxWireLen(body));
-    }
-}
-
-TEST(HdFormatTest, TruncationAndBodyCorruptionDetected)
-{
-    TxBuilder b(LogFormatKind::HeaderDancing);
-    b.reset(9, 1, 0);
-    uint8_t blob[48];
-    std::memset(blob, 0x3c, sizeof(blob));
-    b.addInline(RemotePtr(0, 0x100), blob, sizeof(blob));
-    const auto bytes = toVec(b.finish());
-
-    for (size_t cut = 1; cut <= bytes.size(); ++cut) {
-        std::vector<uint8_t> torn(bytes.begin(), bytes.end() - cut);
-        EXPECT_FALSE(TxParser::parse(torn).has_value())
-            << "truncation of " << cut << " bytes went undetected";
-    }
-    // Flips inside the payload (header untouched) must fail the mark CRC.
-    const size_t body =
-        sizeof(TxHeader) + sizeof(MemLogEntryHeader) + sizeof(blob);
-    for (size_t i = sizeof(TxHeader); i < body; ++i) {
-        auto mut = bytes;
-        mut[i] ^= 0x01;
-        EXPECT_FALSE(TxParser::parse(mut).has_value()) << "byte " << i;
-    }
-    // Header flips (including the dancing-slot inputs) must never crash
-    // or read out of bounds; rejection is checked where deterministic.
-    for (size_t i = 0; i < sizeof(TxHeader); ++i) {
-        for (const int delta : {0x01, 0x80, 0xff}) {
-            auto mut = bytes;
-            mut[i] ^= static_cast<uint8_t>(delta);
-            (void)TxParser::parse(mut);
-        }
-    }
-}
-
-TEST(HdFormatTest, OpRecordRoundTripAndTearing)
-{
-    uint8_t val[64];
-    for (size_t i = 0; i < sizeof(val); ++i)
-        val[i] = static_cast<uint8_t>(i * 3);
-    const auto rec = encodeOpLog(LogFormatKind::HeaderDancing,
-                                 OpType::Push, 5, 21, 0xfeed, val,
-                                 sizeof(val));
-    EXPECT_EQ(rec.size(), sizeof(OpLogHeaderC) + sizeof(val));
-
-    auto parsed = decodeOpLog(rec);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->op, OpType::Push);
-    EXPECT_EQ(parsed->ds_id, 5u);
-    EXPECT_EQ(parsed->opn, 21u);
-    EXPECT_EQ(parsed->key, 0xfeedu);
-    EXPECT_EQ(parsed->wire_len, rec.size());
-    ASSERT_EQ(parsed->value.size(), sizeof(val));
-    EXPECT_EQ(std::memcmp(parsed->value.data(), val, sizeof(val)), 0);
-
-    auto torn = rec;
-    torn.pop_back();
-    EXPECT_FALSE(decodeOpLog(torn).has_value());
-    auto flipped = rec;
-    flipped[sizeof(OpLogHeaderC) + 10] ^= 0x40;
-    EXPECT_FALSE(decodeOpLog(flipped).has_value());
-}
-
-// ---------------------------------------------------------------------
-// Zero-based encoding.
-// ---------------------------------------------------------------------
-
-TEST(ZbFormatTest, TxRoundTrip)
-{
-    TxBuilder b(LogFormatKind::ZeroBased);
-    b.reset(/*lpn=*/13, /*ds=*/2, /*covered_opn=*/6);
-    uint8_t blob[100];
-    for (size_t i = 0; i < sizeof(blob); ++i)
-        blob[i] = static_cast<uint8_t>(i);
-    b.addInline(RemotePtr(1, 0x4000), blob, sizeof(blob));
-    b.addOpRef(RemotePtr(1, 0x5000), 0x6c, 4, 32);
-    const auto bytes = toVec(b.finish());
-
-    auto tx = TxParser::parse(bytes);
-    ASSERT_TRUE(tx.has_value());
-    EXPECT_EQ(tx->format(), LogFormatKind::ZeroBased);
-    EXPECT_EQ(tx->header().lpn, 13u);
-    ASSERT_EQ(tx->entries().size(), 2u);
-    EXPECT_EQ(tx->entries()[0].len, sizeof(blob));
-    EXPECT_EQ(std::memcmp(tx->entries()[0].inline_value, blob,
-                          sizeof(blob)),
-              0)
-        << "de-stuffing must reproduce the logical payload";
-    EXPECT_EQ(tx->entries()[1].oplog_off, 0x6cu);
-}
-
-/**
- * The zero-based contract: a torn record leaves its un-written suffix
- * at the ring's pre-zeroed state, and any such prefix must fail the
- * presence check — that is the commit mark.
- */
-TEST(ZbFormatTest, ZeroSuffixPrefixTearsDetected)
-{
-    TxBuilder b(LogFormatKind::ZeroBased);
-    b.reset(3, 1, 0);
-    uint8_t blob[150];
-    std::memset(blob, 0x77, sizeof(blob));
-    b.addInline(RemotePtr(0, 0x200), blob, sizeof(blob));
-    const auto bytes = toVec(b.finish());
-
-    for (size_t keep = 0; keep < bytes.size(); ++keep) {
-        std::vector<uint8_t> torn(bytes.begin(), bytes.end());
-        std::fill(torn.begin() + keep, torn.end(), 0);
-        EXPECT_FALSE(TxParser::parse(torn).has_value())
-            << "keep of " << keep << " bytes went undetected";
-    }
-    for (size_t cut = 1; cut <= bytes.size(); ++cut) {
-        std::vector<uint8_t> torn(bytes.begin(), bytes.end() - cut);
-        EXPECT_FALSE(TxParser::parse(torn).has_value())
-            << "truncation of " << cut << " bytes went undetected";
-    }
-    EXPECT_TRUE(TxParser::parse(bytes).has_value());
-}
-
-TEST(ZbFormatTest, OpRecordRoundTripAndTearing)
-{
-    uint8_t val[64];
-    for (size_t i = 0; i < sizeof(val); ++i)
-        val[i] = static_cast<uint8_t>(255 - i);
-    const auto rec = encodeOpLog(LogFormatKind::ZeroBased, OpType::Insert,
-                                 3, 44, 0xabcd, val, sizeof(val));
-    EXPECT_EQ(rec.size(), zbWireLen(sizeof(OpLogHeaderC) + sizeof(val)));
-
-    auto parsed = decodeOpLog(rec);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->op, OpType::Insert);
-    EXPECT_EQ(parsed->ds_id, 3u);
-    EXPECT_EQ(parsed->opn, 44u);
-    EXPECT_EQ(parsed->key, 0xabcdu);
-    EXPECT_EQ(parsed->wire_len, rec.size());
-    ASSERT_EQ(parsed->value.size(), sizeof(val));
-    EXPECT_EQ(std::memcmp(parsed->value.data(), val, sizeof(val)), 0);
-
-    for (size_t keep = 4; keep < rec.size(); ++keep) {
-        auto torn = rec;
-        std::fill(torn.begin() + keep, torn.end(), 0);
-        EXPECT_FALSE(decodeOpLog(torn).has_value()) << "keep " << keep;
-    }
-    // Out-of-range OpType in the raw header byte (satellite: strict
-    // OpType validation applies to every encoding).
-    auto bad_op = rec;
-    bad_op[offsetof(OpLogHeaderC, op)] = kMaxOpTypeByte + 1;
-    EXPECT_FALSE(decodeOpLog(bad_op).has_value());
-}
-
-TEST(ZbFormatTest, CompactFormatsShrinkOpRecords)
-{
-    // One 64 B stack-push value: classic pays 40 B header + 4 B CRC,
-    // header-dancing pays the 32 B compact header, zero-based pays the
-    // compact header plus presence bytes — both beat classic.
-    uint8_t val[64] = {};
-    const auto classic = encodeOpLog(LogFormatKind::Classic, OpType::Push,
-                                     1, 2, 3, val, sizeof(val));
-    const auto hd = encodeOpLog(LogFormatKind::HeaderDancing, OpType::Push,
-                                1, 2, 3, val, sizeof(val));
-    const auto zb = encodeOpLog(LogFormatKind::ZeroBased, OpType::Push, 1,
-                                2, 3, val, sizeof(val));
-    EXPECT_EQ(classic.size(), 108u); // seed wire size, bit-compatible
-    EXPECT_LT(hd.size(), classic.size());
-    EXPECT_LT(zb.size(), classic.size());
-}
-
-TEST(OpLogTest, ExtractOpLogValueWorksAcrossFormats)
-{
-    uint8_t val[64];
-    for (size_t i = 0; i < sizeof(val); ++i)
-        val[i] = static_cast<uint8_t>(i + 1);
-    for (const LogFormatKind fmt : kAllFormats) {
-        SCOPED_TRACE(logFormatName(fmt));
-        const auto rec =
-            encodeOpLog(fmt, OpType::Update, 2, 9, 77, val, sizeof(val));
-        uint8_t out[32] = {};
-        ASSERT_TRUE(extractOpLogValue(rec, /*val_off=*/16, sizeof(out),
-                                      out));
-        EXPECT_EQ(std::memcmp(out, val + 16, sizeof(out)), 0);
-        // A slice reaching past the record must be refused, not read.
-        uint8_t big[80];
-        EXPECT_FALSE(extractOpLogValue(rec, 40, sizeof(big), big));
-    }
-}
-
-TEST(TxFormatTest, ParserSniffsFormatPerRecord)
-{
-    // The back-end never registers a format per slot: every record
-    // identifies itself. Interleave the three encodings through one
-    // parser to prove sniffing is stateless.
-    for (const LogFormatKind fmt :
-         {LogFormatKind::ZeroBased, LogFormatKind::Classic,
-          LogFormatKind::HeaderDancing, LogFormatKind::Classic}) {
-        TxBuilder b(fmt);
-        b.reset(1, 0, 0);
-        const uint64_t v = 42;
-        b.addInline(RemotePtr(0, 64), &v, 8);
-        const auto bytes = toVec(b.finish());
-        auto tx = TxParser::parse(bytes);
-        ASSERT_TRUE(tx.has_value()) << logFormatName(fmt);
-        EXPECT_EQ(tx->format(), fmt);
-        ASSERT_EQ(tx->entries().size(), 1u);
-        uint64_t got;
-        std::memcpy(&got, tx->entries()[0].inline_value, 8);
-        EXPECT_EQ(got, 42u);
-    }
 }
 
 } // namespace
