@@ -18,6 +18,24 @@ ringSkipToWrap(uint64_t pos, uint64_t ring_size)
     return (pos / ring_size + 1) * ring_size;
 }
 
+/**
+ * The ring-wrap rule every recovery scan follows: a lap remainder too
+ * short for the ring's smallest record (@p min_wire bytes), or one that
+ * starts with a skip marker, is padding, and the record at @p pos
+ * really starts the next lap. Returns where that record starts.
+ */
+uint64_t
+ringRecordPos(const NvmDevice &dev, uint64_t base, uint64_t ring,
+              uint64_t pos, uint64_t min_wire)
+{
+    const uint64_t off_in_ring = pos % ring;
+    if (ring - off_in_ring < min_wire)
+        return ringSkipToWrap(pos, ring);
+    uint32_t magic;
+    dev.read(base + off_in_ring, &magic, sizeof(magic));
+    return magic == kSkipMagic ? ringSkipToWrap(pos, ring) : pos;
+}
+
 /** True when @p type uses the seqlock reader protocol (Section 6.3). */
 bool
 isLockBased(DsType type)
@@ -304,20 +322,12 @@ BackendNode::loadVolatileState()
         const uint64_t ring = layout_.super.oplog_ring_size;
         const uint64_t base = layout_.oplogRingOff(s);
         uint64_t pos = c.oplog_tail;
-        while (pos < c.oplog_head) {
+        while (true) {
+            pos = ringRecordPos(*device_, base, ring, pos, kMinOpLogWire);
+            if (pos >= c.oplog_head)
+                break;
             const uint64_t off_in_ring = pos % ring;
-            const uint64_t contiguous = ring - off_in_ring;
-            if (contiguous < kMinOpLogWire) {
-                pos = ringSkipToWrap(pos, ring);
-                continue;
-            }
-            uint32_t magic;
-            device_->read(base + off_in_ring, &magic, sizeof(magic));
-            if (magic == kSkipMagic) {
-                pos = ringSkipToWrap(pos, ring);
-                continue;
-            }
-            std::vector<uint8_t> buf(contiguous);
+            std::vector<uint8_t> buf(ring - off_in_ring);
             device_->read(base + off_in_ring, buf.data(), buf.size());
             auto rec = decodeOpLog({buf.data(), buf.size()});
             if (!rec.has_value())
@@ -342,12 +352,10 @@ BackendNode::rollTailsForward()
             LogControl &c = controls_[s];
             const uint64_t ring = layout_.super.oplog_ring_size;
             const uint64_t base = layout_.oplogRingOff(s);
-            uint64_t pos = c.oplog_head;
-            uint64_t off_in_ring = pos % ring;
-            if (ring - off_in_ring < kMinOpLogWire) {
-                pos = ringSkipToWrap(pos, ring);
-                off_in_ring = pos % ring;
-            }
+            const uint64_t pos =
+                ringRecordPos(*device_, base, ring, c.oplog_head,
+                              kMinOpLogWire);
+            const uint64_t off_in_ring = pos % ring;
             std::vector<uint8_t> buf(ring - off_in_ring);
             device_->read(base + off_in_ring, buf.data(), buf.size());
             auto rec = decodeOpLog({buf.data(), buf.size()});
@@ -378,21 +386,10 @@ BackendNode::recoverTailTx(uint32_t slot)
     const LogControl &c = controls_[slot];
     const uint64_t ring = layout_.super.memlog_ring_size;
     const uint64_t base = layout_.memlogRingOff(slot);
-    uint64_t pos = c.memlog_head;
-    uint64_t off_in_ring = pos % ring;
-    if (ring - off_in_ring < kMinTxWire) {
-        pos = ringSkipToWrap(pos, ring);
-        off_in_ring = pos % ring;
-    } else {
-        uint32_t magic;
-        device_->read(base + off_in_ring, &magic, sizeof(magic));
-        if (magic == kSkipMagic) {
-            pos = ringSkipToWrap(pos, ring);
-            off_in_ring = pos % ring;
-        }
-    }
+    const uint64_t pos =
+        ringRecordPos(*device_, base, ring, c.memlog_head, kMinTxWire);
     TxHeader hdr;
-    device_->read(base + off_in_ring, &hdr, sizeof(hdr));
+    device_->read(base + pos % ring, &hdr, sizeof(hdr));
     const uint32_t len = static_cast<uint32_t>(txWireLen(hdr));
     // A checksummed transaction whose op-refs do not resolve did not
     // roll forward.
@@ -792,19 +789,11 @@ BackendNode::validateTail(uint32_t slot)
     const LogControl &c = controls_[slot];
     const uint64_t ring = layout_.super.memlog_ring_size;
     const uint64_t base = layout_.memlogRingOff(slot);
-    uint64_t pos = c.memlog_head;
-    uint64_t off_in_ring = pos % ring;
-    if (ring - off_in_ring < kMinTxWire) {
-        pos = ringSkipToWrap(pos, ring);
-        off_in_ring = pos % ring;
-    }
+    const uint64_t off_in_ring =
+        ringRecordPos(*device_, base, ring, c.memlog_head, kMinTxWire) %
+        ring;
     TxHeader hdr;
     device_->read(base + off_in_ring, &hdr, sizeof(hdr));
-    if (hdr.magic == kSkipMagic) {
-        pos = ringSkipToWrap(pos, ring);
-        off_in_ring = pos % ring;
-        device_->read(base + off_in_ring, &hdr, sizeof(hdr));
-    }
     if (hdr.magic != kTxMagic || hdr.lpn != c.lpn)
         return TxValidation::None; // nothing (or only stale bytes) there
     const uint64_t max_len = ring - off_in_ring;

@@ -29,10 +29,16 @@ class BpTree : public DsBase
 
     static Status create(FrontendSession &s, NodeId backend,
                          std::string_view name, BpTree *out,
-                         const DsOptions &opt = {});
+                         const DsOptions &opt = {})
+    {
+        return createHandle(s, backend, name, out, opt);
+    }
     static Status open(FrontendSession &s, NodeId backend,
                        std::string_view name, BpTree *out,
-                       const DsOptions &opt = {});
+                       const DsOptions &opt = {})
+    {
+        return openHandle(s, backend, name, out, opt);
+    }
 
     /** Insert or update: insertAsync run inline. */
     Status insert(Key key, const Value &v);
@@ -108,6 +114,9 @@ class BpTree : public DsBase
     uint64_t size() const { return count_; }
 
   private:
+    friend class DsBase;
+    static constexpr DsType kType = DsType::BpTree;
+
     BpTree(FrontendSession &s, NodeId backend, std::string name, DsId id,
            const DsOptions &opt)
         : DsBase(s, backend, std::move(name), id, opt)
@@ -132,7 +141,7 @@ class BpTree : public DsBase
         Node node;
     };
 
-    void install();
+    Status reload();
     Status readRoot(uint64_t *root_raw);
     Status writeRoot(uint64_t root_raw);
     /**

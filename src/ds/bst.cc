@@ -9,57 +9,9 @@ constexpr uint32_t kMaxDepth = 1u << 16;
 } // namespace
 
 Status
-Bst::create(FrontendSession &s, NodeId backend, std::string_view name,
-            Bst *out, const DsOptions &opt)
+Bst::reload()
 {
-    DsId id = 0;
-    const Status st = s.createDs(backend, name, DsType::Bst, &id);
-    if (!ok(st))
-        return st;
-    *out = Bst(s, backend, std::string(name), id, opt);
-    out->install();
-    return Status::Ok;
-}
-
-Status
-Bst::open(FrontendSession &s, NodeId backend, std::string_view name,
-          Bst *out, const DsOptions &opt)
-{
-    DsId id = 0;
-    DsType type = DsType::None;
-    Status st = s.openDs(backend, name, &id, &type);
-    if (!ok(st))
-        return st;
-    if (type != DsType::Bst)
-        return Status::InvalidArgument;
-    *out = Bst(s, backend, std::string(name), id, opt);
-    st = s.readAux(id, backend, 1, &out->count_);
-    if (!ok(st))
-        return st;
-    out->install();
-    return Status::Ok;
-}
-
-void
-Bst::install()
-{
-    s_->setReplayer(id_, backend_, [this](const ParsedOpLog &op) {
-        Value v;
-        if (!op.value.empty())
-            std::memcpy(v.bytes.data(), op.value.data(),
-                        std::min(op.value.size(), Value::kSize));
-        switch (op.op) {
-          case OpType::Insert:
-          case OpType::Update:
-            return insert(op.key, v);
-          case OpType::Erase: {
-            const Status st = erase(op.key);
-            return st == Status::NotFound ? Status::Ok : st;
-          }
-          default:
-            return Status::InvalidArgument;
-        }
-    });
+    return s_->readAux(id_, backend_, 1, &count_);
 }
 
 Status

@@ -33,10 +33,16 @@ class Bst : public DsBase
 
     static Status create(FrontendSession &s, NodeId backend,
                          std::string_view name, Bst *out,
-                         const DsOptions &opt = {});
+                         const DsOptions &opt = {})
+    {
+        return createHandle(s, backend, name, out, opt);
+    }
     static Status open(FrontendSession &s, NodeId backend,
                        std::string_view name, Bst *out,
-                       const DsOptions &opt = {});
+                       const DsOptions &opt = {})
+    {
+        return openHandle(s, backend, name, out, opt);
+    }
 
     /** Insert or update. */
     Status insert(Key key, const Value &v);
@@ -58,6 +64,9 @@ class Bst : public DsBase
     uint64_t size() const { return count_; }
 
   private:
+    friend class DsBase;
+    static constexpr DsType kType = DsType::Bst;
+
     Bst(FrontendSession &s, NodeId backend, std::string name, DsId id,
         const DsOptions &opt)
         : DsBase(s, backend, std::move(name), id, opt)
@@ -72,7 +81,7 @@ class Bst : public DsBase
     };
     static_assert(sizeof(Node) == 88);
 
-    void install();
+    Status reload();
     Status readRoot(uint64_t *root_raw, bool pin);
     Status writeRoot(uint64_t root_raw);
     Status insertOne(Key key, const Value &v, bool pin);

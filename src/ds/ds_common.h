@@ -22,6 +22,7 @@
 #include <memory_resource>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "backend/layout.h"
@@ -92,7 +93,8 @@ class DsBase
     /**
      * Unbound handle; factories assign a bound one over it. NOTE: once a
      * structure installs its session hooks (create/open), the handle must
-     * stay at a fixed address — the hooks capture `this`.
+     * stay at a fixed address, and alive while its session may still fail
+     * over or recover — the hooks capture `this`.
      */
     DsBase() = default;
 
@@ -101,6 +103,90 @@ class DsBase
         : s_(&s), backend_(backend), name_(std::move(name)), id_(id),
           opt_(opt)
     {}
+
+    /*
+     * The handle lifecycle, one path for every structure. A structure
+     * `Ds` befriends DsBase and supplies:
+     *  - `static constexpr DsType kType`, its naming-entry type;
+     *  - the bound constructor `Ds(session, backend, name, id, options)`;
+     *  - `Status reload()`, which resets every volatile shadow (aux-word
+     *    copies, published root, pending buffers) to the NVM image.
+     *    open() runs it once; transparent failover runs it again on the
+     *    live handle, after the session retargets to the recovered
+     *    back-end and before op-log replay (Section 7.2, Cases 3/4);
+     *  - optionally `Status replay(const ParsedOpLog &)`, when its ops
+     *    are not the keyed Insert/Update/Erase that replayKeyed handles;
+     *  - optionally `void installHooks()`, its flush-time session hooks.
+     */
+
+    /**
+     * Create @p name as a fresh `Ds` and bind @p out to it: construct,
+     * run the structure's own @p init step on the bound handle (bucket
+     * array, sentinel, ...), then install the hooks.
+     */
+    template <typename Ds, typename Init>
+    static Status createHandle(FrontendSession &s, NodeId backend,
+                               std::string_view name, Ds *out,
+                               const DsOptions &opt, Init &&init)
+    {
+        DsId id = 0;
+        Status st = s.createDs(backend, name, Ds::kType, &id);
+        if (!ok(st))
+            return st;
+        *out = Ds(s, backend, std::string(name), id, opt);
+        st = init(*out);
+        if (!ok(st))
+            return st;
+        install(out);
+        return Status::Ok;
+    }
+
+    template <typename Ds>
+    static Status createHandle(FrontendSession &s, NodeId backend,
+                               std::string_view name, Ds *out,
+                               const DsOptions &opt)
+    {
+        return createHandle(s, backend, name, out, opt,
+                            [](Ds &) { return Status::Ok; });
+    }
+
+    /**
+     * Bind @p out to the existing structure @p name: InvalidArgument
+     * when it was created as another type; otherwise construct,
+     * reload() the shadows, and install the hooks.
+     */
+    template <typename Ds>
+    static Status openHandle(FrontendSession &s, NodeId backend,
+                             std::string_view name, Ds *out,
+                             const DsOptions &opt)
+    {
+        DsId id = 0;
+        DsType type = DsType::None;
+        Status st = s.openDs(backend, name, &id, &type);
+        if (!ok(st))
+            return st;
+        if (type != Ds::kType)
+            return Status::InvalidArgument;
+        *out = Ds(s, backend, std::string(name), id, opt);
+        st = out->reload();
+        if (!ok(st))
+            return st;
+        install(out);
+        return Status::Ok;
+    }
+
+    /** No flush-time hooks; structures that need some hide this. */
+    void installHooks() {}
+
+    /** The value an op log carries, zero-padded to a full Value. */
+    static Value loggedValue(const ParsedOpLog &op)
+    {
+        Value v;
+        if (!op.value.empty())
+            std::memcpy(v.bytes.data(), op.value.data(),
+                        std::min(op.value.size(), Value::kSize));
+        return v;
+    }
 
     /**
      * Typed node read through the gather path. Read-only operations may
@@ -266,6 +352,55 @@ class DsBase
     DsOptions opt_;
     LevelAdmission admission_;
     OptimisticReadStats read_stats_;
+
+  private:
+    /**
+     * Re-execute one uncovered keyed op log (Section 7.2): Insert and
+     * Update upsert the logged value (HashTable's upsert is put(), the
+     * ordered structures' insert()); Erase erases, and an already-absent
+     * key is no error.
+     */
+    template <typename Ds>
+    static Status replayKeyed(Ds &ds, const ParsedOpLog &op)
+    {
+        switch (op.op) {
+          case OpType::Insert:
+          case OpType::Update: {
+            const Value v = loggedValue(op);
+            if constexpr (requires { ds.put(op.key, v); })
+                return ds.put(op.key, v);
+            else
+                return ds.insert(op.key, v);
+          }
+          case OpType::Erase: {
+            const Status st = ds.erase(op.key);
+            return st == Status::NotFound ? Status::Ok : st;
+          }
+          default:
+            return Status::InvalidArgument;
+        }
+    }
+
+    /**
+     * Register @p self's session hooks. The failover hook is the same
+     * reload() that open() ran, so a live handle resyncs to the
+     * recovered image exactly as a fresh open would.
+     */
+    template <typename Ds>
+    static void install(Ds *self)
+    {
+        FrontendSession &s = *self->s_;
+        s.setFailoverHook(self->id_, self->backend_,
+                          [self] { return self->reload(); });
+        self->installHooks();
+        s.setReplayer(self->id_, self->backend_,
+                      [self](const ParsedOpLog &op) {
+                          if constexpr (requires { self->replay(op); })
+                              return self->replay(op);
+                          else
+                              return replayKeyed(*self, op);
+                      });
+    }
 
   public:
     /** Observed optimistic-read statistics (failed-read ratio, §6.3). */

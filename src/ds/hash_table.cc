@@ -29,90 +29,44 @@ HashTable::create(FrontendSession &s, NodeId backend,
 {
     if (nbuckets == 0)
         return Status::InvalidArgument;
-    DsId id = 0;
-    Status st = s.createDs(backend, name, DsType::HashTable, &id);
-    if (!ok(st))
-        return st;
-    *out = HashTable(s, backend, std::string(name), id, opt);
-    out->nbuckets_ = roundPow2(nbuckets);
-
-    RemotePtr array;
-    st = s.alloc(backend, out->nbuckets_ * 8, &array);
-    if (!ok(st))
-        return st;
-    out->array_off_ = array.offset;
-
-    // Blocks can be recycled: zero the bucket array explicitly.
-    std::vector<uint8_t> zeros(4096, 0);
-    for (uint64_t off = 0; off < out->nbuckets_ * 8; off += zeros.size()) {
-        const uint32_t n = static_cast<uint32_t>(
-            std::min<uint64_t>(zeros.size(), out->nbuckets_ * 8 - off));
-        st = s.logWrite(id, array + off, zeros.data(), n);
-        if (!ok(st))
-            return st;
-    }
-    st = s.writeAux(id, backend, 0, out->array_off_);
-    if (!ok(st))
-        return st;
-    st = s.writeAux(id, backend, 1, out->nbuckets_);
-    if (!ok(st))
-        return st;
-    st = s.writeAux(id, backend, 2, 0);
-    if (!ok(st))
-        return st;
-    st = s.flushAll();
-    if (!ok(st))
-        return st;
-    out->install();
-    return Status::Ok;
-}
-
-Status
-HashTable::open(FrontendSession &s, NodeId backend, std::string_view name,
-                HashTable *out, const DsOptions &opt)
-{
-    DsId id = 0;
-    DsType type = DsType::None;
-    Status st = s.openDs(backend, name, &id, &type);
-    if (!ok(st))
-        return st;
-    if (type != DsType::HashTable)
-        return Status::InvalidArgument;
-    *out = HashTable(s, backend, std::string(name), id, opt);
-    st = out->loadShadows();
-    if (!ok(st))
-        return st;
-    out->install();
-    return Status::Ok;
-}
-
-void
-HashTable::install()
-{
-    // Transparent failover with a live handle: resync the count shadow to
-    // the recovered NVM image before replay re-executes uncovered ops.
-    s_->setFailoverHook(id_, backend_, [this] { return loadShadows(); });
-    s_->setReplayer(id_, backend_, [this](const ParsedOpLog &op) {
-        Value v;
-        if (!op.value.empty())
-            std::memcpy(v.bytes.data(), op.value.data(),
-                        std::min(op.value.size(), Value::kSize));
-        switch (op.op) {
-          case OpType::Insert:
-          case OpType::Update:
-            return put(op.key, v);
-          case OpType::Erase: {
-            const Status st = erase(op.key);
-            return st == Status::NotFound ? Status::Ok : st;
-          }
-          default:
-            return Status::InvalidArgument;
-        }
+    return createHandle(s, backend, name, out, opt, [&](HashTable &t) {
+        return t.initBuckets(roundPow2(nbuckets));
     });
 }
 
 Status
-HashTable::loadShadows()
+HashTable::initBuckets(uint64_t nbuckets)
+{
+    nbuckets_ = nbuckets;
+    RemotePtr array;
+    Status st = s_->alloc(backend_, nbuckets_ * 8, &array);
+    if (!ok(st))
+        return st;
+    array_off_ = array.offset;
+
+    // Blocks can be recycled: zero the bucket array explicitly.
+    std::vector<uint8_t> zeros(4096, 0);
+    for (uint64_t off = 0; off < nbuckets_ * 8; off += zeros.size()) {
+        const uint32_t n = static_cast<uint32_t>(
+            std::min<uint64_t>(zeros.size(), nbuckets_ * 8 - off));
+        st = s_->logWrite(id_, array + off, zeros.data(), n);
+        if (!ok(st))
+            return st;
+    }
+    st = s_->writeAux(id_, backend_, 0, array_off_);
+    if (!ok(st))
+        return st;
+    st = s_->writeAux(id_, backend_, 1, nbuckets_);
+    if (!ok(st))
+        return st;
+    st = s_->writeAux(id_, backend_, 2, 0);
+    if (!ok(st))
+        return st;
+    return s_->flushAll();
+}
+
+Status
+HashTable::reload()
 {
     Status st = s_->readAux(id_, backend_, 0, &array_off_);
     if (!ok(st))

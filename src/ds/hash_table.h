@@ -33,7 +33,10 @@ class HashTable : public DsBase
 
     static Status open(FrontendSession &s, NodeId backend,
                        std::string_view name, HashTable *out,
-                       const DsOptions &opt = {});
+                       const DsOptions &opt = {})
+    {
+        return openHandle(s, backend, name, out, opt);
+    }
 
     /** Insert or update: putAsync run inline. */
     Status put(Key key, const Value &v);
@@ -88,6 +91,9 @@ class HashTable : public DsBase
     uint64_t buckets() const { return nbuckets_; }
 
   private:
+    friend class DsBase;
+    static constexpr DsType kType = DsType::HashTable;
+
     HashTable(FrontendSession &s, NodeId backend, std::string name,
               DsId id, const DsOptions &opt)
         : DsBase(s, backend, std::move(name), id, opt)
@@ -101,8 +107,9 @@ class HashTable : public DsBase
     };
     static_assert(sizeof(Node) == 80);
 
-    void install();
-    Status loadShadows();
+    /** Allocate and zero the bucket array; record it in the aux words. */
+    Status initBuckets(uint64_t nbuckets);
+    Status reload();
     RemotePtr bucketPtr(Key key) const;
 
     uint64_t array_off_ = 0; //!< aux0: bucket array NVM offset

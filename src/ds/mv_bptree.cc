@@ -8,64 +8,6 @@ namespace {
 constexpr uint32_t kMaxHeight = 64;
 } // namespace
 
-Status
-MvBpTree::create(FrontendSession &s, NodeId backend, std::string_view name,
-                 MvBpTree *out, const DsOptions &opt)
-{
-    DsId id = 0;
-    const Status st = s.createDs(backend, name, DsType::MvBpTree, &id);
-    if (!ok(st))
-        return st;
-    *out = MvBpTree(s, backend, std::string(name), id, opt);
-    out->install();
-    return Status::Ok;
-}
-
-Status
-MvBpTree::open(FrontendSession &s, NodeId backend, std::string_view name,
-               MvBpTree *out, const DsOptions &opt)
-{
-    DsId id = 0;
-    DsType type = DsType::None;
-    Status st = s.openDs(backend, name, &id, &type);
-    if (!ok(st))
-        return st;
-    if (type != DsType::MvBpTree)
-        return Status::InvalidArgument;
-    *out = MvBpTree(s, backend, std::string(name), id, opt);
-    st = out->loadRoot();
-    if (!ok(st))
-        return st;
-    st = s.readAux(id, backend, 1, &out->count_);
-    if (!ok(st))
-        return st;
-    out->install();
-    return Status::Ok;
-}
-
-void
-MvBpTree::install()
-{
-    installMv();
-    s_->setReplayer(id_, backend_, [this](const ParsedOpLog &op) {
-        Value v;
-        if (!op.value.empty())
-            std::memcpy(v.bytes.data(), op.value.data(),
-                        std::min(op.value.size(), Value::kSize));
-        switch (op.op) {
-          case OpType::Insert:
-          case OpType::Update:
-            return insert(op.key, v);
-          case OpType::Erase: {
-            const Status st = erase(op.key);
-            return st == Status::NotFound ? Status::Ok : st;
-          }
-          default:
-            return Status::InvalidArgument;
-        }
-    });
-}
-
 uint32_t
 MvBpTree::routeIndex(const Node &n, Key key)
 {

@@ -28,10 +28,16 @@ class MvBpTree : public MvBase
 
     static Status create(FrontendSession &s, NodeId backend,
                          std::string_view name, MvBpTree *out,
-                         const DsOptions &opt = {});
+                         const DsOptions &opt = {})
+    {
+        return createHandle(s, backend, name, out, opt);
+    }
     static Status open(FrontendSession &s, NodeId backend,
                        std::string_view name, MvBpTree *out,
-                       const DsOptions &opt = {});
+                       const DsOptions &opt = {})
+    {
+        return openHandle(s, backend, name, out, opt);
+    }
 
     /** Insert or update: insertAsync run inline. */
     Status insert(Key key, const Value &v);
@@ -87,6 +93,9 @@ class MvBpTree : public MvBase
     uint64_t size() const { return count_; }
 
   private:
+    friend class DsBase;
+    static constexpr DsType kType = DsType::MvBpTree;
+
     MvBpTree(FrontendSession &s, NodeId backend, std::string name,
              DsId id, const DsOptions &opt)
         : MvBase(s, backend, std::move(name), id, opt)
@@ -119,10 +128,7 @@ class MvBpTree : public MvBase
         uint64_t right_raw = 0;
     };
 
-    void install();
     static uint32_t routeIndex(const Node &n, Key key);
-
-    uint64_t count_ = 0; //!< aux1
 };
 
 } // namespace asymnvm

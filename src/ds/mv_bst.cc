@@ -9,64 +9,6 @@ constexpr uint32_t kMaxDepth = 1u << 16;
 } // namespace
 
 Status
-MvBst::create(FrontendSession &s, NodeId backend, std::string_view name,
-              MvBst *out, const DsOptions &opt)
-{
-    DsId id = 0;
-    const Status st = s.createDs(backend, name, DsType::MvBst, &id);
-    if (!ok(st))
-        return st;
-    *out = MvBst(s, backend, std::string(name), id, opt);
-    out->install();
-    return Status::Ok;
-}
-
-Status
-MvBst::open(FrontendSession &s, NodeId backend, std::string_view name,
-            MvBst *out, const DsOptions &opt)
-{
-    DsId id = 0;
-    DsType type = DsType::None;
-    Status st = s.openDs(backend, name, &id, &type);
-    if (!ok(st))
-        return st;
-    if (type != DsType::MvBst)
-        return Status::InvalidArgument;
-    *out = MvBst(s, backend, std::string(name), id, opt);
-    st = out->loadRoot();
-    if (!ok(st))
-        return st;
-    st = s.readAux(id, backend, 1, &out->count_);
-    if (!ok(st))
-        return st;
-    out->install();
-    return Status::Ok;
-}
-
-void
-MvBst::install()
-{
-    installMv();
-    s_->setReplayer(id_, backend_, [this](const ParsedOpLog &op) {
-        Value v;
-        if (!op.value.empty())
-            std::memcpy(v.bytes.data(), op.value.data(),
-                        std::min(op.value.size(), Value::kSize));
-        switch (op.op) {
-          case OpType::Insert:
-          case OpType::Update:
-            return insert(op.key, v);
-          case OpType::Erase: {
-            const Status st = erase(op.key);
-            return st == Status::NotFound ? Status::Ok : st;
-          }
-          default:
-            return Status::InvalidArgument;
-        }
-    });
-}
-
-Status
 MvBst::readNodeMv(uint64_t raw, Node *out, uint32_t depth, bool pin)
 {
     return readNode(RemotePtr::fromRaw(raw), out, depth, true, pin);

@@ -31,10 +31,16 @@ class MvBst : public MvBase
 
     static Status create(FrontendSession &s, NodeId backend,
                          std::string_view name, MvBst *out,
-                         const DsOptions &opt = {});
+                         const DsOptions &opt = {})
+    {
+        return createHandle(s, backend, name, out, opt);
+    }
     static Status open(FrontendSession &s, NodeId backend,
                        std::string_view name, MvBst *out,
-                       const DsOptions &opt = {});
+                       const DsOptions &opt = {})
+    {
+        return openHandle(s, backend, name, out, opt);
+    }
 
     /** Insert or update (copy-on-write path). */
     Status insert(Key key, const Value &v);
@@ -52,6 +58,9 @@ class MvBst : public MvBase
     uint64_t size() const { return count_; }
 
   private:
+    friend class DsBase;
+    static constexpr DsType kType = DsType::MvBst;
+
     MvBst(FrontendSession &s, NodeId backend, std::string name, DsId id,
           const DsOptions &opt)
         : MvBase(s, backend, std::move(name), id, opt)
@@ -73,15 +82,12 @@ class MvBst : public MvBase
         bool went_left;
     };
 
-    void install();
     Status insertOne(Key key, const Value &v, bool pin);
     Status readNodeMv(uint64_t raw, Node *out, uint32_t depth, bool pin);
 
     /** Rebuild the path above a replaced child, bottom-up (Figure 5). */
     Status copyPathUp(const std::vector<PathElem> &path,
                       uint64_t new_child_raw, uint64_t *new_root_raw);
-
-    uint64_t count_ = 0; //!< aux1 (writer-maintained)
 };
 
 } // namespace asymnvm

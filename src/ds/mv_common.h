@@ -25,6 +25,8 @@ namespace asymnvm {
 /** Base for path-copying multi-version structures. */
 class MvBase : public DsBase
 {
+    friend class DsBase;
+
   protected:
     MvBase() = default;
     MvBase(FrontendSession &s, NodeId backend, std::string name, DsId id,
@@ -32,8 +34,8 @@ class MvBase : public DsBase
         : DsBase(s, backend, std::move(name), id, opt)
     {}
 
-    /** Register publish/coverage hooks; call from create()/open(). */
-    void installMv()
+    /** Publish/coverage hooks, registered by DsBase::install. */
+    void installHooks()
     {
         s_->setFlushHook(id_, backend_, [this] {
             if (dirty_)
@@ -42,8 +44,12 @@ class MvBase : public DsBase
         s_->setPostFlushHook(id_, backend_, [this] { publish(); });
     }
 
-    /** Load the published root (and GC epoch) from the naming entry. */
-    Status loadRoot()
+    /**
+     * The lifecycle's reload (DsBase): load the published root (and GC
+     * epoch) from the naming entry, restart the writer's working version
+     * from it, and reload the element count.
+     */
+    Status reload()
     {
         DsMeta meta{};
         const Status st = s_->readDsMeta(id_, backend_, &meta);
@@ -51,8 +57,9 @@ class MvBase : public DsBase
             return st;
         published_root_ = meta.root_raw;
         pending_root_ = meta.root_raw;
+        dirty_ = false;
         cov_opn_ = s_->currentOpn(backend_);
-        return Status::Ok;
+        return s_->readAux(id_, backend_, 1, &count_);
     }
 
     /** The version the writer extends (readers use the published one). */
@@ -105,6 +112,7 @@ class MvBase : public DsBase
         return Status::Ok;
     }
 
+    uint64_t count_ = 0; //!< aux1 (writer-maintained)
     uint64_t published_root_ = 0;
     uint64_t pending_root_ = 0;
     uint64_t cov_opn_ = 0;

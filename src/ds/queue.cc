@@ -6,60 +6,9 @@
 namespace asymnvm {
 
 Status
-Queue::create(FrontendSession &s, NodeId backend, std::string_view name,
-              Queue *out, const DsOptions &opt)
+Queue::reload()
 {
-    DsId id = 0;
-    const Status st = s.createDs(backend, name, DsType::Queue, &id);
-    if (!ok(st))
-        return st;
-    *out = Queue(s, backend, std::string(name), id, opt);
-    out->install();
-    return Status::Ok;
-}
-
-Status
-Queue::open(FrontendSession &s, NodeId backend, std::string_view name,
-            Queue *out, const DsOptions &opt)
-{
-    DsId id = 0;
-    DsType type = DsType::None;
-    Status st = s.openDs(backend, name, &id, &type);
-    if (!ok(st))
-        return st;
-    if (type != DsType::Queue)
-        return Status::InvalidArgument;
-    *out = Queue(s, backend, std::string(name), id, opt);
-    st = out->loadShadows();
-    if (!ok(st))
-        return st;
-    out->install();
-    return Status::Ok;
-}
-
-void
-Queue::install()
-{
-    s_->setFlushHook(id_, backend_, [this] { materializePending(); });
-    s_->setReplayer(id_, backend_, [this](const ParsedOpLog &op) {
-        if (op.op == OpType::Enqueue) {
-            Value v;
-            std::memcpy(v.bytes.data(), op.value.data(),
-                        std::min(op.value.size(), Value::kSize));
-            return enqueue(v);
-        }
-        if (op.op == OpType::Dequeue) {
-            Value dummy;
-            const Status st = dequeue(&dummy);
-            return st == Status::NotFound ? Status::Ok : st;
-        }
-        return Status::InvalidArgument;
-    });
-}
-
-Status
-Queue::loadShadows()
-{
+    pending_.clear(); // replay re-executes the pending enqueues' ops
     Status st = s_->readAux(id_, backend_, 0, &head_raw_);
     if (!ok(st))
         return st;
@@ -67,6 +16,25 @@ Queue::loadShadows()
     if (!ok(st))
         return st;
     return s_->readAux(id_, backend_, 2, &count_);
+}
+
+void
+Queue::installHooks()
+{
+    s_->setFlushHook(id_, backend_, [this] { materializePending(); });
+}
+
+Status
+Queue::replay(const ParsedOpLog &op)
+{
+    if (op.op == OpType::Enqueue)
+        return enqueue(loggedValue(op));
+    if (op.op == OpType::Dequeue) {
+        Value dummy;
+        const Status st = dequeue(&dummy);
+        return st == Status::NotFound ? Status::Ok : st;
+    }
+    return Status::InvalidArgument;
 }
 
 Status

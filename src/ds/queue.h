@@ -27,10 +27,16 @@ class Queue : public DsBase
 
     static Status create(FrontendSession &s, NodeId backend,
                          std::string_view name, Queue *out,
-                         const DsOptions &opt = {});
+                         const DsOptions &opt = {})
+    {
+        return createHandle(s, backend, name, out, opt);
+    }
     static Status open(FrontendSession &s, NodeId backend,
                        std::string_view name, Queue *out,
-                       const DsOptions &opt = {});
+                       const DsOptions &opt = {})
+    {
+        return openHandle(s, backend, name, out, opt);
+    }
 
     /** Append one value at the tail: enqueueAsync run inline. */
     Status enqueue(const Value &v);
@@ -70,6 +76,9 @@ class Queue : public DsBase
     uint64_t size() const;
 
   private:
+    friend class DsBase;
+    static constexpr DsType kType = DsType::Queue;
+
     Queue(FrontendSession &s, NodeId backend, std::string name, DsId id,
           const DsOptions &opt)
         : DsBase(s, backend, std::move(name), id, opt)
@@ -83,8 +92,9 @@ class Queue : public DsBase
     };
     static_assert(sizeof(Node) == 80);
 
-    void install();
-    Status loadShadows();
+    Status reload();
+    void installHooks();
+    Status replay(const ParsedOpLog &op);
     Status materializePending();
     Status materializeOne(const Value &v);
     Status writeShadows();

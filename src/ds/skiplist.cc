@@ -10,84 +10,32 @@ constexpr uint32_t kMaxHops = 1u << 20;
 } // namespace
 
 Status
-SkipList::create(FrontendSession &s, NodeId backend, std::string_view name,
-                 SkipList *out, const DsOptions &opt)
+SkipList::reload()
 {
-    DsId id = 0;
-    Status st = s.createDs(backend, name, DsType::SkipList, &id);
+    const Status st = s_->readAux(id_, backend_, 0, &head_raw_);
     if (!ok(st))
         return st;
-    *out = SkipList(s, backend, std::string(name), id, opt);
+    return s_->readAux(id_, backend_, 1, &count_);
+}
 
+Status
+SkipList::initSentinel()
+{
     Node sentinel{};
     sentinel.key = 0;
     sentinel.level = kMaxLevel;
     RemotePtr p;
-    st = out->allocNode(sentinel, &p);
+    Status st = allocNode(sentinel, &p);
     if (!ok(st))
         return st;
-    out->head_raw_ = p.raw();
-    st = s.writeAux(id, backend, 0, out->head_raw_);
+    head_raw_ = p.raw();
+    st = s_->writeAux(id_, backend_, 0, head_raw_);
     if (!ok(st))
         return st;
-    st = s.writeAux(id, backend, 1, 0);
+    st = s_->writeAux(id_, backend_, 1, 0);
     if (!ok(st))
         return st;
-    st = s.flushAll();
-    if (!ok(st))
-        return st;
-    out->install();
-    return Status::Ok;
-}
-
-Status
-SkipList::open(FrontendSession &s, NodeId backend, std::string_view name,
-               SkipList *out, const DsOptions &opt)
-{
-    DsId id = 0;
-    DsType type = DsType::None;
-    Status st = s.openDs(backend, name, &id, &type);
-    if (!ok(st))
-        return st;
-    if (type != DsType::SkipList)
-        return Status::InvalidArgument;
-    *out = SkipList(s, backend, std::string(name), id, opt);
-    st = out->loadShadows();
-    if (!ok(st))
-        return st;
-    out->install();
-    return Status::Ok;
-}
-
-void
-SkipList::install()
-{
-    s_->setReplayer(id_, backend_, [this](const ParsedOpLog &op) {
-        Value v;
-        if (!op.value.empty())
-            std::memcpy(v.bytes.data(), op.value.data(),
-                        std::min(op.value.size(), Value::kSize));
-        switch (op.op) {
-          case OpType::Insert:
-          case OpType::Update:
-            return insert(op.key, v);
-          case OpType::Erase: {
-            const Status st = erase(op.key);
-            return st == Status::NotFound ? Status::Ok : st;
-          }
-          default:
-            return Status::InvalidArgument;
-        }
-    });
-}
-
-Status
-SkipList::loadShadows()
-{
-    Status st = s_->readAux(id_, backend_, 0, &head_raw_);
-    if (!ok(st))
-        return st;
-    return s_->readAux(id_, backend_, 1, &count_);
+    return s_->flushAll();
 }
 
 uint32_t

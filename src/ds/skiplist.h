@@ -31,10 +31,17 @@ class SkipList : public DsBase
 
     static Status create(FrontendSession &s, NodeId backend,
                          std::string_view name, SkipList *out,
-                         const DsOptions &opt = {});
+                         const DsOptions &opt = {})
+    {
+        return createHandle(s, backend, name, out, opt,
+                            [](SkipList &l) { return l.initSentinel(); });
+    }
     static Status open(FrontendSession &s, NodeId backend,
                        std::string_view name, SkipList *out,
-                       const DsOptions &opt = {});
+                       const DsOptions &opt = {})
+    {
+        return openHandle(s, backend, name, out, opt);
+    }
 
     /** Insert or update (Figure 2's workflow): insertAsync run inline. */
     Status insert(Key key, const Value &v);
@@ -96,6 +103,9 @@ class SkipList : public DsBase
     uint64_t size() const { return count_; }
 
   private:
+    friend class DsBase;
+    static constexpr DsType kType = DsType::SkipList;
+
     SkipList(FrontendSession &s, NodeId backend, std::string name,
              DsId id, const DsOptions &opt)
         : DsBase(s, backend, std::move(name), id, opt),
@@ -112,8 +122,9 @@ class SkipList : public DsBase
     };
     static_assert(sizeof(Node) == 208);
 
-    void install();
-    Status loadShadows();
+    Status reload();
+    /** Allocate the all-levels head sentinel; zero the count. */
+    Status initSentinel();
     uint32_t randomLevel();
 
     /**

@@ -6,70 +6,32 @@
 namespace asymnvm {
 
 Status
-Stack::create(FrontendSession &s, NodeId backend, std::string_view name,
-              Stack *out, const DsOptions &opt)
+Stack::reload()
 {
-    DsId id = 0;
-    const Status st = s.createDs(backend, name, DsType::Stack, &id);
-    if (!ok(st))
-        return st;
-    *out = Stack(s, backend, std::string(name), id, opt);
-    out->install();
-    return Status::Ok;
-}
-
-Status
-Stack::open(FrontendSession &s, NodeId backend, std::string_view name,
-            Stack *out, const DsOptions &opt)
-{
-    DsId id = 0;
-    DsType type = DsType::None;
-    Status st = s.openDs(backend, name, &id, &type);
-    if (!ok(st))
-        return st;
-    if (type != DsType::Stack)
-        return Status::InvalidArgument;
-    *out = Stack(s, backend, std::string(name), id, opt);
-    st = out->loadShadows();
-    if (!ok(st))
-        return st;
-    out->install();
-    return Status::Ok;
-}
-
-void
-Stack::install()
-{
-    s_->setFlushHook(id_, backend_, [this] { materializePending(); });
-    s_->setFailoverHook(id_, backend_, [this] {
-        // Transparent failover with a live handle: drop pending pushes
-        // (replay re-executes their ops) and resync to the recovered NVM.
-        pending_.clear();
-        return loadShadows();
-    });
-    s_->setReplayer(id_, backend_, [this](const ParsedOpLog &op) {
-        if (op.op == OpType::Push) {
-            Value v;
-            std::memcpy(v.bytes.data(), op.value.data(),
-                        std::min(op.value.size(), Value::kSize));
-            return push(v);
-        }
-        if (op.op == OpType::Pop) {
-            Value dummy;
-            const Status st = pop(&dummy);
-            return st == Status::NotFound ? Status::Ok : st;
-        }
-        return Status::InvalidArgument;
-    });
-}
-
-Status
-Stack::loadShadows()
-{
-    Status st = s_->readAux(id_, backend_, 0, &head_raw_);
+    pending_.clear(); // replay re-executes the pending pushes' ops
+    const Status st = s_->readAux(id_, backend_, 0, &head_raw_);
     if (!ok(st))
         return st;
     return s_->readAux(id_, backend_, 1, &count_);
+}
+
+void
+Stack::installHooks()
+{
+    s_->setFlushHook(id_, backend_, [this] { materializePending(); });
+}
+
+Status
+Stack::replay(const ParsedOpLog &op)
+{
+    if (op.op == OpType::Push)
+        return push(loggedValue(op));
+    if (op.op == OpType::Pop) {
+        Value dummy;
+        const Status st = pop(&dummy);
+        return st == Status::NotFound ? Status::Ok : st;
+    }
+    return Status::InvalidArgument;
 }
 
 Status

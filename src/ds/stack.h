@@ -32,12 +32,18 @@ class Stack : public DsBase
     /** Create a new named stack on @p backend. */
     static Status create(FrontendSession &s, NodeId backend,
                          std::string_view name, Stack *out,
-                         const DsOptions &opt = {});
+                         const DsOptions &opt = {})
+    {
+        return createHandle(s, backend, name, out, opt);
+    }
 
     /** Open an existing stack (also the recovery path). */
     static Status open(FrontendSession &s, NodeId backend,
                        std::string_view name, Stack *out,
-                       const DsOptions &opt = {});
+                       const DsOptions &opt = {})
+    {
+        return openHandle(s, backend, name, out, opt);
+    }
 
     /**
      * Push one value. Durable per the session's persistence mode.
@@ -82,6 +88,9 @@ class Stack : public DsBase
     uint64_t size() const;
 
   private:
+    friend class DsBase;
+    static constexpr DsType kType = DsType::Stack;
+
     Stack(FrontendSession &s, NodeId backend, std::string name, DsId id,
           const DsOptions &opt)
         : DsBase(s, backend, std::move(name), id, opt)
@@ -95,8 +104,9 @@ class Stack : public DsBase
     };
     static_assert(sizeof(Node) == 80);
 
-    void install();
-    Status loadShadows();
+    Status reload();
+    void installHooks();
+    Status replay(const ParsedOpLog &op);
     Status materializePending();
     Status materializeOne(const Value &v);
     bool deferWrites() const

@@ -1769,11 +1769,9 @@ FrontendSession::failover(NodeId failed, BackendNode *replacement)
 }
 
 Status
-FrontendSession::handleBackendFailure(NodeId id)
+FrontendSession::healStep(NodeId id, const ResolveOutcome &out,
+                          HealEpisode *ep)
 {
-    if (resolver_ == nullptr)
-        return Status::BackendCrashed;
-    in_failover_ = true;
     // Writer locks held on the failed incarnation died with it: the
     // replacement releases them from the lock-ahead records during
     // recovery, and op-log replay re-executes the operations that held
@@ -1784,43 +1782,53 @@ FrontendSession::handleBackendFailure(NodeId id)
         else
             ++it;
     }
-    Status result = Status::Unavailable;
     PromotionCounters &pc = promo_[id];
+    if (out.stale_fenced && !ep->stale_counted) {
+        ++pc.stale_epoch_fenced;
+        ep->stale_counted = true;
+    }
+    if (out.lost_promotion && !ep->lost_counted) {
+        ++pc.promotions_lost;
+        ep->lost_counted = true;
+    }
+    if (out.won_promotion)
+        ++pc.promotions_won;
+    if (out.node == nullptr || out.node->failure().crashed())
+        return Status::Unavailable;
+    const Status st = failover(id, out.node);
+    if (!ok(st))
+        return st;
+    if (BackendCtx *c = ctx(id); c != nullptr)
+        c->epoch = out.epoch;
+    ++failovers_completed_;
+    return Status::Ok;
+}
+
+Status
+FrontendSession::handleBackendFailure(NodeId id)
+{
+    if (resolver_ == nullptr)
+        return Status::BackendCrashed;
+    in_failover_ = true;
+    Status result = Status::Unavailable;
     uint64_t observed = 0;
     if (const BackendCtx *c = ctx(id); c != nullptr)
         observed = c->epoch;
     // Race outcomes are per failover *episode*: a promotion lost (or a
     // stale-epoch fence) reported by several polls of the same episode
     // counts once.
-    bool lost_counted = false;
-    bool stale_counted = false;
+    HealEpisode episode;
     for (uint32_t i = 0; i < fo_cfg_.max_attempts; ++i) {
         const ResolveOutcome out =
             resolver_(ResolveRequest{id, clock_.now(), cfg_.session_id,
                                      observed});
-        if (out.stale_fenced && !stale_counted) {
-            ++pc.stale_epoch_fenced;
-            stale_counted = true;
-        }
-        if (out.lost_promotion && !lost_counted) {
-            ++pc.promotions_lost;
-            lost_counted = true;
-        }
-        if (out.won_promotion)
-            ++pc.promotions_won;
         observed = out.epoch; // adopt the slot's current epoch
-        if (out.node != nullptr && !out.node->failure().crashed()) {
-            const Status st = failover(id, out.node);
-            if (ok(st)) {
-                if (BackendCtx *c = ctx(id); c != nullptr)
-                    c->epoch = out.epoch;
-                ++failovers_completed_;
-                result = Status::Ok;
-                break;
-            }
-            // The replacement died under recovery; poll again.
+        if (ok(healStep(id, out, &episode))) {
+            result = Status::Ok;
+            break;
         }
-        // The cluster is still waiting out the failed node's lease (the
+        // No serving replacement yet, or it died under recovery. The
+        // cluster may still be waiting out the failed node's lease (the
         // mirror must not be promoted while the old incarnation might
         // still serve writes) — burn a quantum of virtual time.
         clock_.advance(fo_cfg_.wait_quantum_ns);
@@ -1841,36 +1849,18 @@ FrontendSession::tryHeal(NodeId id)
                                             : Status::Ok;
     const ResolveOutcome out = resolver_(
         ResolveRequest{id, clock_.now(), cfg_.session_id, c->epoch});
-    PromotionCounters &pc = promo_[id];
-    if (out.stale_fenced)
-        ++pc.stale_epoch_fenced;
-    if (out.lost_promotion)
-        ++pc.promotions_lost;
-    if (out.won_promotion)
-        ++pc.promotions_won;
-    if (out.node == nullptr || out.node->failure().crashed())
-        return Status::Unavailable;
     if (out.node == c->node && out.epoch == c->epoch &&
         !c->node->failure().crashed()) {
-        return Status::Ok; // already attached to the serving incarnation
+        // Already attached to the serving incarnation. A healthy node at
+        // the epoch we presented carries no race verdict to tally.
+        return Status::Ok;
     }
+    // One poll is one episode: every verdict it reports counts.
+    HealEpisode episode;
     in_failover_ = true;
-    // Forget writer locks held on the superseded incarnation, exactly as
-    // the blocking heal does: the replacement releases them from the
-    // lock-ahead records and replay re-executes their owners.
-    for (auto it = held_locks_.begin(); it != held_locks_.end();) {
-        if (it->first.first == id)
-            it = held_locks_.erase(it);
-        else
-            ++it;
-    }
-    const Status st = failover(id, out.node);
+    const Status st = healStep(id, out, &episode);
     in_failover_ = false;
-    if (!ok(st))
-        return Status::Unavailable;
-    c->epoch = out.epoch;
-    ++failovers_completed_;
-    return Status::Ok;
+    return ok(st) ? Status::Ok : Status::Unavailable;
 }
 
 void

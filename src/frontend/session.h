@@ -824,6 +824,24 @@ class FrontendSession
      */
     Status handleBackendFailure(NodeId id);
 
+    /** Promotion-race verdicts already counted in one failover episode. */
+    struct HealEpisode
+    {
+        bool stale_counted = false;
+        bool lost_counted = false;
+    };
+
+    /**
+     * The heal step handleBackendFailure and tryHeal share, for one
+     * resolver outcome @p out on @p id: forget the writer locks held on
+     * the failed incarnation, tally the outcome's race verdicts (a stale
+     * fence or a lost promotion counts once per episode @p ep), and when
+     * it names a serving replacement, fail over onto it, adopt its epoch
+     * and count the failover. Unavailable while nothing serves yet;
+     * failover's error when the replacement died under recovery.
+     */
+    Status healStep(NodeId id, const ResolveOutcome &out, HealEpisode *ep);
+
     /**
      * Run @p fn, and on an unhealed back-end failure heal and — at an
      * operation boundary, where the primitive is idempotent — re-issue

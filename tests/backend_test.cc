@@ -224,8 +224,10 @@ struct RawAppender
         return appendTxBytes(b.finish(), notify);
     }
 
+    /** Persist an op record; notify the back-end unless @p notify is
+     *  false (the crash hit before the ack). */
     Status appendOp(DsId ds, uint64_t opn, OpType op, Key key,
-                    uint64_t value)
+                    uint64_t value, bool notify = true)
     {
         const auto rec = encodeOpLog(op, ds, opn, key, &value, 8);
         const Layout &lay = be->layout();
@@ -234,6 +236,8 @@ struct RawAppender
         const uint64_t pos = reserve(&oplog_head, base, ring, rec.size());
         be->nvm().write(base + pos % ring, rec.data(), rec.size());
         be->nvm().persist();
+        if (!notify)
+            return Status::Ok;
         return be->onOpLogAppended(slot, pos,
                                    static_cast<uint32_t>(rec.size()), 0);
     }
@@ -534,6 +538,52 @@ TEST(RingWrapTest, SmallLapTailsRebuildExactlyOnRestart)
     EXPECT_EQ(be2.nvm().read64(dst + 32), 0x77u);
     for (uint64_t lpn = 0; lpn < 4; ++lpn)
         EXPECT_EQ(be2.nvm().read64(dst + 8 * lpn), lpn + 1);
+}
+
+/**
+ * An op record whose append landed but whose ack did not, placed past a
+ * skip-marked lap tail large enough for the smallest op record (48 B
+ * against 44 B): the restart's roll-forward must follow the marker to
+ * the next lap, exactly as the window rebuild does.
+ */
+TEST(RingWrapTest, UnackedOpPastSkipMarkerRollsForwardOnRestart)
+{
+    constexpr uint64_t kOpRec = sizeof(OpLogHeader) + 8 + 4;
+    auto cfg = smallConfig();
+    cfg.oplog_ring_size = 8 * kOpRec + 48;
+    std::shared_ptr<NvmDevice> dev;
+    LogControl before{};
+    {
+        BackendNode be(1, cfg);
+        uint32_t slot = 0;
+        ASSERT_EQ(be.registerFrontend(5, &slot), Status::Ok);
+        uint64_t dst = 0;
+        ASSERT_EQ(be.rpcAllocBlocks(1, &dst), Status::Ok);
+        RawAppender app{&be, slot};
+        for (uint64_t opn = 0; opn < 8; ++opn)
+            ASSERT_EQ(app.appendOp(0, opn, OpType::Insert, 100 + opn, opn),
+                      Status::Ok);
+        ASSERT_EQ(app.oplog_head, 8 * kOpRec);
+        // Cover the first two ops so the wrapped record may reuse them.
+        ASSERT_EQ(app.appendTx(0, 0, 2, {{dst, 1}}), Status::Ok);
+        before = be.readControl(slot);
+        ASSERT_EQ(before.oplog_tail, 2 * kOpRec);
+        ASSERT_EQ(app.appendOp(0, 8, OpType::Insert, 108, 8,
+                               /*notify=*/false),
+                  Status::Ok);
+        ASSERT_EQ(app.oplog_head, cfg.oplog_ring_size + kOpRec);
+        dev = be.device();
+    }
+
+    BackendNode be2(1, cfg, dev);
+    const LogControl after = be2.readControl(0);
+    EXPECT_EQ(after.oplog_tail, before.oplog_tail);
+    EXPECT_EQ(after.oplog_head, cfg.oplog_ring_size + kOpRec);
+    EXPECT_EQ(after.opn, 9u);
+    std::vector<uint64_t> opns;
+    for (const ParsedOpLog &op : be2.uncoveredOps(0))
+        opns.push_back(op.opn);
+    EXPECT_EQ(opns, (std::vector<uint64_t>{2, 3, 4, 5, 6, 7, 8}));
 }
 
 TEST(RecoveryTest, EpochAdvancesOnEveryRestart)

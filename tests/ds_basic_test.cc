@@ -3,7 +3,8 @@
  * Correctness tests for Stack, Queue and HashTable across all system
  * modes (Naive, R, RC, RCB, Symmetric): functional behaviour, op-log
  * annulment, read-your-writes inside batches, persistence across
- * re-open, and randomized differential tests against STL models.
+ * re-open, and randomized differential tests against STL models; plus
+ * the open() type check of every structure.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +12,17 @@
 #include <deque>
 #include <map>
 #include <stack>
+#include <type_traits>
 
 #include "backend/backend_node.h"
 #include "common/rand.h"
+#include "ds/bptree.h"
+#include "ds/bst.h"
 #include "ds/hash_table.h"
+#include "ds/mv_bptree.h"
+#include "ds/mv_bst.h"
 #include "ds/queue.h"
+#include "ds/skiplist.h"
 #include "ds/stack.h"
 #include "frontend/session.h"
 
@@ -329,17 +336,35 @@ TEST_F(DsBasicTest, HashTableSurvivesReopen)
     }
 }
 
-TEST_F(DsBasicTest, OpenWrongTypeRejected)
+/**
+ * open() of a name created as another type fails with InvalidArgument,
+ * for every structure: the name is created once as another structure
+ * (a Stack, or a Queue for Stack itself) and once as a raw entry.
+ */
+template <typename Ds>
+class OpenWrongTypeTest : public DsBasicTest
+{};
+
+using AllStructures = ::testing::Types<HashTable, SkipList, BpTree, Bst,
+                                       MvBst, MvBpTree, Stack, Queue>;
+TYPED_TEST_SUITE(OpenWrongTypeTest, AllStructures);
+
+TYPED_TEST(OpenWrongTypeTest, Rejected)
 {
     FrontendSession s(SessionConfig::rcb(1, 1 << 20, 16));
-    ASSERT_EQ(s.connect(&be), Status::Ok);
-    Stack stack;
-    ASSERT_EQ(Stack::create(s, 1, "typed", &stack), Status::Ok);
-    Queue q;
-    EXPECT_EQ(Queue::open(s, 1, "typed", &q), Status::InvalidArgument);
-    HashTable ht;
-    EXPECT_EQ(HashTable::open(s, 1, "typed", &ht),
-              Status::InvalidArgument);
+    ASSERT_EQ(s.connect(&this->be), Status::Ok);
+    if constexpr (std::is_same_v<TypeParam, Stack>) {
+        Queue other;
+        ASSERT_EQ(Queue::create(s, 1, "typed", &other), Status::Ok);
+    } else {
+        Stack other;
+        ASSERT_EQ(Stack::create(s, 1, "typed", &other), Status::Ok);
+    }
+    DsId raw = 0;
+    ASSERT_EQ(s.createDs(1, "raw", DsType::Raw, &raw), Status::Ok);
+    TypeParam ds;
+    EXPECT_EQ(TypeParam::open(s, 1, "typed", &ds), Status::InvalidArgument);
+    EXPECT_EQ(TypeParam::open(s, 1, "raw", &ds), Status::InvalidArgument);
 }
 
 TEST_F(DsBasicTest, SharedHashTableSeqlockReadersSeeConsistentData)

@@ -2,14 +2,25 @@
  * @file
  * Unit tests for transient-fault injection (sim/fault.h), the verb
  * retry/backoff policy (rdma/verbs), and session-level transparent
- * failover (Section 7.2 Cases 3/4 without application help).
+ * failover (Section 7.2 Cases 3/4 without application help), with a live
+ * handle of every data structure.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "check/chaos.h"
 #include "cluster/cluster.h"
+#include "ds/bptree.h"
+#include "ds/bst.h"
 #include "ds/hash_table.h"
+#include "ds/mv_bptree.h"
+#include "ds/mv_bst.h"
+#include "ds/queue.h"
+#include "ds/skiplist.h"
+#include "ds/stack.h"
 #include "frontend/session.h"
 #include "nvm/nvm_device.h"
 #include "rdma/verbs.h"
@@ -175,29 +186,194 @@ failoverCluster(uint32_t mirrors = 2)
     return cfg;
 }
 
-TEST(TransparentFailoverTest, TransientCrashHealsWithoutAppHelp)
+// The calls a keyed structure's live handle is driven through; the hash
+// table names its upsert and lookup put/get and sizes its bucket array.
+template <typename Ds>
+Status
+createNamed(FrontendSession &s, Ds *out)
 {
-    Cluster cluster(failoverCluster());
-    auto s = cluster.makeSession(SessionConfig::rcb(1, 1 << 20, 16));
-    ASSERT_NE(s, nullptr);
-    HashTable ht;
-    ASSERT_EQ(HashTable::create(*s, 1, "h", 64, &ht), Status::Ok);
-    for (uint64_t k = 1; k <= 20; ++k)
-        ASSERT_EQ(ht.put(k, Value::ofU64(k * 7)), Status::Ok);
+    return Ds::create(s, 1, "ds", out);
+}
+Status
+createNamed(FrontendSession &s, HashTable *out)
+{
+    return HashTable::create(s, 1, "ds", 64, out);
+}
+template <typename Ds>
+Status
+upsert(Ds &ds, Key k, const Value &v)
+{
+    return ds.insert(k, v);
+}
+Status
+upsert(HashTable &ht, Key k, const Value &v)
+{
+    return ht.put(k, v);
+}
+template <typename Ds>
+Status
+lookup(Ds &ds, Key k, Value *v)
+{
+    return ds.find(k, v);
+}
+Status
+lookup(HashTable &ht, Key k, Value *v)
+{
+    return ht.get(k, v);
+}
 
-    cluster.keepAlive().renew(1, s->clock().now());
-    cluster.crashBackendTransient(1);
-
-    // The very next operation heals the session: Case 3 restart, shadow
-    // replay, and a transparent re-issue at the op boundary.
-    ASSERT_EQ(ht.put(21, Value::ofU64(21 * 7)), Status::Ok);
-    EXPECT_EQ(s->failoversCompleted(), 1u);
-    ASSERT_EQ(s->flushAll(), Status::Ok);
-    for (uint64_t k = 1; k <= 21; ++k) {
-        Value v;
-        ASSERT_EQ(ht.get(k, &v), Status::Ok) << "key " << k;
-        EXPECT_EQ(v.asU64(), k * 7);
+/**
+ * One structure's live-handle failover case: write(k) stores 7k (under
+ * key k for keyed structures), and expectContents checks that elements
+ * 1..n are all there exactly once — every key, or the whole LIFO/FIFO
+ * drain.
+ */
+template <typename Ds>
+struct Keyed
+{
+    using Handle = Ds;
+    static Status write(Ds &ds, uint64_t k)
+    {
+        return upsert(ds, k, Value::ofU64(k * 7));
     }
+    static void expectContents(Ds &ds, uint64_t n)
+    {
+        for (uint64_t k = 1; k <= n; ++k) {
+            Value v;
+            ASSERT_EQ(lookup(ds, k, &v), Status::Ok) << "key " << k;
+            EXPECT_EQ(v.asU64(), k * 7) << "key " << k;
+        }
+    }
+};
+
+/** Drain @p ds through @p take: 7k for each k of @p order, then empty. */
+template <typename Ds>
+void
+expectDrain(Ds &ds, Status (Ds::*take)(Value *),
+            const std::vector<uint64_t> &order)
+{
+    for (const uint64_t k : order) {
+        Value v;
+        ASSERT_EQ((ds.*take)(&v), Status::Ok) << "element " << k;
+        ASSERT_EQ(v.asU64(), k * 7) << "exactly once, in order";
+    }
+    Value v;
+    EXPECT_EQ((ds.*take)(&v), Status::NotFound) << "no duplicates";
+}
+
+struct StackCase
+{
+    using Handle = Stack;
+    static Status write(Stack &st, uint64_t k)
+    {
+        return st.push(Value::ofU64(k * 7));
+    }
+    static void expectContents(Stack &st, uint64_t n)
+    {
+        std::vector<uint64_t> lifo;
+        for (uint64_t k = n; k >= 1; --k)
+            lifo.push_back(k);
+        expectDrain(st, &Stack::pop, lifo);
+    }
+};
+
+struct QueueCase
+{
+    using Handle = Queue;
+    static Status write(Queue &q, uint64_t k)
+    {
+        return q.enqueue(Value::ofU64(k * 7));
+    }
+    static void expectContents(Queue &q, uint64_t n)
+    {
+        std::vector<uint64_t> fifo;
+        for (uint64_t k = 1; k <= n; ++k)
+            fifo.push_back(k);
+        expectDrain(q, &Queue::dequeue, fifo);
+    }
+};
+
+enum class BackendLoss
+{
+    Restart,   //!< transient crash: Case 3, the node restarts
+    Promotion, //!< condemned node: Case 4, a mirror is promoted
+};
+
+template <typename C>
+class LiveHandleFailoverTest : public ::testing::Test
+{
+  protected:
+    using Ds = typename C::Handle;
+
+    /**
+     * 20 writes under group commit (the last four still batched), lose
+     * the back-end, then write a 21st: the session heals inside that
+     * call, and the live handle must resync to the recovered image
+     * before op-log replay — or replayed ops double-count.
+     */
+    void run(BackendLoss loss)
+    {
+        Cluster cluster(failoverCluster());
+        auto s = cluster.makeSession(SessionConfig::rcb(1, 1 << 20, 16));
+        ASSERT_NE(s, nullptr);
+        Ds ds;
+        ASSERT_EQ(createNamed(*s, &ds), Status::Ok);
+        for (uint64_t k = 1; k <= 20; ++k)
+            ASSERT_EQ(C::write(ds, k), Status::Ok);
+
+        cluster.keepAlive().renew(1, s->clock().now());
+        BackendNode *old = cluster.backend(1);
+        if (loss == BackendLoss::Restart)
+            cluster.crashBackendTransient(1);
+        else
+            cluster.condemnBackend(1);
+
+        ASSERT_EQ(C::write(ds, 21), Status::Ok);
+        EXPECT_EQ(s->failoversCompleted(), 1u);
+        if (loss == BackendLoss::Promotion) {
+            EXPECT_NE(cluster.backend(1), old) << "a mirror was promoted";
+        }
+        EXPECT_EQ(ds.size(), 21u);
+        ASSERT_EQ(s->flushAll(), Status::Ok);
+
+        auto s2 = cluster.makeSession(SessionConfig::rc(2, 1 << 20));
+        ASSERT_NE(s2, nullptr);
+        Ds reopened;
+        ASSERT_EQ(Ds::open(*s2, 1, "ds", &reopened), Status::Ok);
+        EXPECT_EQ(reopened.size(), 21u) << "durable count";
+
+        C::expectContents(ds, 21);
+    }
+};
+
+using LiveHandleCases =
+    ::testing::Types<Keyed<HashTable>, Keyed<SkipList>, Keyed<BpTree>,
+                     Keyed<Bst>, Keyed<MvBst>, Keyed<MvBpTree>, StackCase,
+                     QueueCase>;
+
+struct LiveHandleCaseNames
+{
+    template <typename C>
+    static std::string GetName(int i)
+    {
+        static const char *const kNames[] = {
+            "HashTable", "SkipList", "BpTree", "Bst",
+            "MvBst",     "MvBpTree", "Stack",  "Queue"};
+        return kNames[i];
+    }
+};
+
+TYPED_TEST_SUITE(LiveHandleFailoverTest, LiveHandleCases,
+                 LiveHandleCaseNames);
+
+TYPED_TEST(LiveHandleFailoverTest, TransientCrashHealsWithoutAppHelp)
+{
+    this->run(BackendLoss::Restart);
+}
+
+TYPED_TEST(LiveHandleFailoverTest, PromotionHealsWithoutAppHelp)
+{
+    this->run(BackendLoss::Promotion);
 }
 
 TEST(TransparentFailoverTest, CondemnedNodeWaitsOutLeaseThenPromotes)
