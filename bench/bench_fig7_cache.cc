@@ -31,17 +31,20 @@ uint64_t kOps = 8000;
 
 uint64_t session_counter = 4000;
 
-/** One Figure 7 cell: KOPS plus the measured phase's write-allocations. */
+/** One Figure 7 cell: KOPS plus the measured phase's write-allocations,
+ *  cache miss ratio and back-end RPCs. */
 struct Cell
 {
     double kops = -1;
     uint64_t write_allocs = 0;
+    double miss_ratio = 0;
+    uint64_t rpcs = 0;
 };
 
 Cell
-cellOf(FrontendSession &s, Throughput t)
+cellOf(FrontendSession &s, Throughput t, uint64_t rpcs = 0)
 {
-    return {t.kops(), s.cache().writeAllocs()};
+    return {t.kops(), s.cache().writeAllocs(), s.cache().missRatio(), rpcs};
 }
 
 template <typename DS>
@@ -73,7 +76,9 @@ runAtCache(double pct)
     mcfg.seed = 99;
     Workload w(mcfg);
     const auto ops = w.generate(kOps);
-    return cellOf(s, runKvWorkload(s, ds, ops));
+    const uint64_t rpcs0 = be.rpcCalls();
+    const Throughput t = runKvWorkload(s, ds, ops);
+    return cellOf(s, t, be.rpcCalls() - rpcs0);
 }
 
 Cell
@@ -369,6 +374,19 @@ run()
         for (const Cell &c : main_rows[n])
             std::printf(" %9" PRIu64, c.write_allocs);
         std::printf("\n");
+    }
+    // The MV cells move with the delayed-free RPC storm (ROADMAP item 9),
+    // not with the cache: print the RPCs next to the miss ratio.
+    printHeader("MV cells: cache miss ratio and back-end RPCs (measured "
+                "phase)",
+                "Cache%  MV-BPT miss      RPCs  MV-BST miss      RPCs");
+    for (size_t n = 0; n < main_rows.size(); ++n) {
+        const Cell &bpt = main_rows[n][4];
+        const Cell &bst = main_rows[n][5];
+        std::printf("%5.0f%%  %10.1f%% %9" PRIu64 "  %10.1f%% %9" PRIu64
+                    "\n",
+                    pcts[n] * 100, bpt.miss_ratio * 100, bpt.rpcs,
+                    bst.miss_ratio * 100, bst.rpcs);
     }
     const double lru_adaptive = runAtCache<BpTree>(0.10).kops;
     const double lru_native = runBptNativeLru(0.10);

@@ -21,6 +21,7 @@ struct PolicyResult
 {
     double miss_ratio;
     double kops;
+    uint64_t samples; //!< Hybrid sampling passes (evictionSamples)
 };
 
 PolicyResult
@@ -34,10 +35,10 @@ runPolicy(CachePolicy policy, uint32_t sample_k)
     cfg.cache_sample_k = sample_k;
     FrontendSession s(cfg);
     if (!ok(s.connect(&be)))
-        return {-1, -1};
+        return {-1, -1, 0};
     HashTable ht;
     if (!ok(HashTable::create(s, 1, "p", kPreload * 2, &ht)))
-        return {-1, -1};
+        return {-1, -1, 0};
     WorkloadConfig wcfg;
     wcfg.key_space = kPreload;
     wcfg.seed = 42;
@@ -56,7 +57,8 @@ runPolicy(CachePolicy policy, uint32_t sample_k)
         (void)ht.get(w.next().key, &v);
     }
     return {s.cache().missRatio(),
-            Throughput{kOps, s.clock().now() - t0}.kops()};
+            Throughput{kOps, s.clock().now() - t0}.kops(),
+            s.cache().evictionSamples()};
 }
 
 void
@@ -64,20 +66,22 @@ run()
 {
     printHeader("Section 4.4: cache replacement policies, Zipf(0.9) "
                 "reads, cache = 10% of data",
-                "Policy             MissRatio      KOPS");
+                "Policy             MissRatio      KOPS   Samples");
     const PolicyResult rr = runPolicy(CachePolicy::Random, 0);
     const PolicyResult lru = runPolicy(CachePolicy::Lru, 0);
     const PolicyResult hybrid = runPolicy(CachePolicy::Hybrid, 32);
-    std::printf("%-18s %8.1f%% %9.1f\n", "Random (RR)",
-                rr.miss_ratio * 100, rr.kops);
-    std::printf("%-18s %8.1f%% %9.1f\n", "LRU", lru.miss_ratio * 100,
-                lru.kops);
-    std::printf("%-18s %8.1f%% %9.1f\n", "Hybrid (sample 32)",
-                hybrid.miss_ratio * 100, hybrid.kops);
-    std::printf("\nSample-set sweep (hybrid policy):\nK     MissRatio\n");
+    const char *names[] = {"Random (RR)", "LRU", "Hybrid (sample 32)"};
+    const PolicyResult *results[] = {&rr, &lru, &hybrid};
+    for (size_t i = 0; i < std::size(results); ++i)
+        std::printf("%-18s %8.1f%% %9.1f %9" PRIu64 "\n", names[i],
+                    results[i]->miss_ratio * 100, results[i]->kops,
+                    results[i]->samples);
+    std::printf("\nSample-set sweep (hybrid policy):\n"
+                "K     MissRatio   Samples\n");
     for (uint32_t k : {2u, 4u, 8u, 16u, 32u, 64u}) {
         const PolicyResult r = runPolicy(CachePolicy::Hybrid, k);
-        std::printf("%-5u %8.1f%%\n", k, r.miss_ratio * 100);
+        std::printf("%-5u %8.1f%% %9" PRIu64 "\n", k, r.miss_ratio * 100,
+                    r.samples);
     }
     std::printf("\nPaper (Sec. 4.4) reference: hybrid(32) 29.2%% miss vs "
                 "RR 62.7%%, miss ratio similar\nto LRU with ~27.5%% "

@@ -15,6 +15,7 @@ PageCache::PageCache(CachePolicy policy, uint64_t capacity, SimClock *clock,
     // of thousands of them in a roomy cache. Sizing the table for that
     // up front spares the host a rehash of every entry at each growth.
     map_.reserve(capacity_ / 64);
+    sample_.reserve(sample_k_);
 }
 
 bool
@@ -77,8 +78,7 @@ PageCache::insert(DsId ds, RemotePtr addr, const void *data, uint32_t len)
         // loop keeps size_bytes_ within capacity_.
         removeKey(raw);
     }
-    while (size_bytes_ + len > capacity_ && !map_.empty())
-        evictOne();
+    makeRoom(len);
     Entry e;
     e.ds = ds;
     e.data.assign(static_cast<const uint8_t *>(data),
@@ -128,8 +128,7 @@ PageCache::insertSpeculative(DsId ds, RemotePtr addr, const void *data,
             return; // never downgrade a live entry to speculative
         removeKey(raw);
     }
-    while (size_bytes_ + len > capacity_ && !map_.empty())
-        evictOne();
+    makeRoom(len);
     Entry e;
     e.ds = ds;
     e.data.assign(static_cast<const uint8_t *>(data),
@@ -201,12 +200,12 @@ PageCache::update(RemotePtr addr, const void *data, uint32_t len)
     clock_->advance(lat_->dram_access_ns);
 }
 
-void
+bool
 PageCache::removeKey(uint64_t raw)
 {
     auto it = map_.find(raw);
     if (it == map_.end())
-        return;
+        return false;
     Entry &e = it->second;
     if (e.speculative)
         recordSpec(e.ds, false); // evicted/invalidated before any hit
@@ -221,6 +220,7 @@ PageCache::removeKey(uint64_t raw)
         lru_list_.erase(e.lru_it);
     size_bytes_ -= e.data.size();
     map_.erase(it);
+    return true;
 }
 
 void
@@ -252,43 +252,40 @@ PageCache::clear()
 }
 
 void
-PageCache::evictOne()
+PageCache::makeRoom(uint64_t len)
 {
-    if (map_.empty())
-        return;
-    ++evictions_;
-    evicted_since_clear_ = true;
-    switch (policy_) {
-      case CachePolicy::Lru: {
-        removeKey(lru_list_.back());
-        clock_->advance(lat_->dram_access_ns);
-        return;
-      }
-      case CachePolicy::Random: {
-        const uint64_t raw = keys_[rng_.nextBounded(keys_.size())];
-        removeKey(raw);
-        clock_->advance(lat_->dram_access_ns);
-        return;
-      }
-      case CachePolicy::Hybrid: {
-        // Sample a random set and discard the least-recently-used member.
-        uint64_t victim = 0;
-        uint64_t best_tick = UINT64_MAX;
-        const uint32_t k =
-            static_cast<uint32_t>(std::min<uint64_t>(sample_k_,
-                                                     keys_.size()));
-        for (uint32_t i = 0; i < k; ++i) {
-            const size_t idx = rng_.nextBounded(keys_.size());
-            if (ticks_[idx] < best_tick) {
-                best_tick = ticks_[idx];
-                victim = keys_[idx];
-            }
+    while (size_bytes_ + len > capacity_ && !map_.empty()) {
+        evicted_since_clear_ = true;
+        if (policy_ != CachePolicy::Hybrid) {
+            // One victim per step: the LRU tail, or a random entry.
+            ++evictions_;
+            removeKey(policy_ == CachePolicy::Lru
+                          ? lru_list_.back()
+                          : keys_[rng_.nextBounded(keys_.size())]);
+            clock_->advance(lat_->dram_access_ns);
+            continue;
         }
-        removeKey(victim);
+        // One Hybrid pass: sample k entries, then evict them by last use
+        // until the object fits. The first-drawn oldest goes first, as a
+        // stable sort would rank it; an evicted member is ranked out with
+        // tick UINT64_MAX. Only a sample that cannot free enough bytes
+        // makes the loop draw another.
+        const size_t k = std::min<size_t>(sample_k_, keys_.size());
+        sample_.clear();
+        for (size_t i = 0; i < k; ++i) {
+            const size_t idx = rng_.nextBounded(keys_.size());
+            sample_.push_back({ticks_[idx], keys_[idx]});
+        }
+        ++eviction_samples_;
         // Sampling touches k cache slots' metadata.
         clock_->advance(k * lat_->dram_access_ns / 8);
-        return;
-      }
+        for (size_t n = 0; n < k && size_bytes_ + len > capacity_; ++n) {
+            auto oldest = std::min_element(
+                sample_.begin(), sample_.end(),
+                [](const Drawn &a, const Drawn &b) { return a.tick < b.tick; });
+            evictions_ += removeKey(oldest->raw); // a repeat draw is gone
+            oldest->tick = UINT64_MAX;
+        }
     }
 }
 

@@ -16,7 +16,9 @@
  *  - Random: random replacement; cheap but keeps no hot data,
  *  - Hybrid: the paper's policy — sample a random set of K pages and
  *            evict the least recently used one of the set, combining
- *            LRU-quality hit ratios with RR-level bookkeeping cost.
+ *            LRU-quality hit ratios with RR-level bookkeeping cost. One
+ *            sample serves a whole insert: its members are evicted
+ *            oldest first until the object fits.
  *
  * Entries are tagged with the owning data structure so multi-version
  * readers can flush a structure's entries when its gc_epoch advances
@@ -133,6 +135,8 @@ class PageCache
     uint64_t prefetchHits() const { return prefetch_hits_; }
     uint64_t prefetchWasted() const { return prefetch_wasted_; }
     uint64_t writeAllocs() const { return write_allocs_; }
+    /** Hybrid sampling passes, each charged k × dram_access_ns / 8. */
+    uint64_t evictionSamples() const { return eviction_samples_; }
 
     /**
      * Speculation gate (DESIGN.md §9): true while read-gather prefetch
@@ -168,13 +172,14 @@ class PageCache
     {
         hits_ = misses_ = evictions_ = 0;
         prefetch_hits_ = prefetch_wasted_ = 0;
-        write_allocs_ = 0;
+        write_allocs_ = eviction_samples_ = 0;
     }
 
   private:
     /** Gate rule: open while wasted < kGateSlack + kGateHitWorth × hits.
-     *  A hit saves a ~2 µs round trip; a wasted install into a full
-     *  cache costs ~250-450 ns, so one hit is worth about 8 wastes. */
+     *  A hit saves a ~2 µs round trip; a wasted install costs ~200 ns,
+     *  ~450 ns with the one Hybrid sample a full cache adds, so one hit
+     *  is worth about 8 wastes. */
     static constexpr uint64_t kGateHitWorth = 8;
     static constexpr uint64_t kGateSlack = 64;
     /** Ledger window: at this many outcomes both counts halve, so old
@@ -206,8 +211,18 @@ class PageCache
      *  @p ds's ledger. */
     void recordSpec(DsId ds, bool hit);
 
-    void evictOne();
-    void removeKey(uint64_t raw);
+    /** Hybrid sample member: last-use tick and key. A key, not an index,
+     *  because removeKey swap-pops the dense vectors. */
+    struct Drawn
+    {
+        uint64_t tick;
+        uint64_t raw;
+    };
+
+    /** Evict per policy until @p len more bytes fit. */
+    void makeRoom(uint64_t len);
+    /** Drop @p raw if present; false when it was already gone. */
+    bool removeKey(uint64_t raw);
 
     CachePolicy policy_;
     uint64_t capacity_;
@@ -222,6 +237,7 @@ class PageCache
      *  sample reads it without a hash probe. */
     std::vector<uint64_t> ticks_;
     std::list<uint64_t> lru_list_;  //!< MRU at front (Lru policy only)
+    std::vector<Drawn> sample_;     //!< Hybrid scratch: the current sample
 
     uint64_t tick_ = 0;
     uint64_t epoch_ = 1;
@@ -234,6 +250,7 @@ class PageCache
     uint64_t prefetch_hits_ = 0;
     uint64_t prefetch_wasted_ = 0;
     uint64_t write_allocs_ = 0;
+    uint64_t eviction_samples_ = 0;
     bool evicted_since_clear_ = false; //!< closes write-allocate admission
 };
 

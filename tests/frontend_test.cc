@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "backend/backend_node.h"
@@ -209,6 +211,232 @@ TEST_F(CacheTest, LruChargesMorePerHitThanHybrid)
     hybrid.lookup(RemotePtr(1, 0), out, 64);
     const uint64_t hybrid_cost = clock.now() - t1;
     EXPECT_GT(lru_cost, hybrid_cost);
+}
+
+/**
+ * Reference Hybrid/Random cache for one object size, written the way the
+ * cache evicted before one sample served a whole insert: every victim
+ * draws and pays for its own sample. Same dense key/tick vectors, same
+ * swap-pop, same PRNG, so the victims and the clock must match.
+ */
+struct PerVictimRef
+{
+    CachePolicy policy;
+    uint64_t slots;
+    uint32_t k;
+    const LatencyModel &lat;
+    Rng rng{1234}; // PageCache's default seed
+    std::vector<uint64_t> keys, ticks;
+    std::unordered_map<uint64_t, size_t> idx;
+    uint64_t tick = 0;
+    uint64_t ns = 0;
+
+    bool lookup(uint64_t key)
+    {
+        ns += lat.cache_probe_ns;
+        auto it = idx.find(key);
+        if (it == idx.end())
+            return false;
+        ticks[it->second] = ++tick;
+        ns += lat.dram_access_ns;
+        return true;
+    }
+
+    /** Returns the victim, or 0 when the insert evicted nothing. */
+    uint64_t insert(uint64_t key)
+    {
+        uint64_t victim = 0;
+        if (keys.size() == slots) {
+            if (policy == CachePolicy::Random) {
+                victim = keys[rng.nextBounded(keys.size())];
+                ns += lat.dram_access_ns;
+            } else {
+                const size_t n = std::min<size_t>(k, keys.size());
+                uint64_t best = UINT64_MAX;
+                for (size_t i = 0; i < n; ++i) {
+                    const size_t j = rng.nextBounded(keys.size());
+                    if (ticks[j] < best) {
+                        best = ticks[j];
+                        victim = keys[j];
+                    }
+                }
+                ns += n * lat.dram_access_ns / 8;
+            }
+            const size_t j = idx[victim];
+            keys[j] = keys.back();
+            ticks[j] = ticks.back();
+            idx[keys[j]] = j;
+            keys.pop_back();
+            ticks.pop_back();
+            idx.erase(victim);
+        }
+        idx[key] = keys.size();
+        keys.push_back(key);
+        ticks.push_back(++tick);
+        ns += lat.dram_access_ns;
+        return victim;
+    }
+};
+
+TEST_F(CacheTest, OneSizeTraceEvictsLikeAPerVictimSampler)
+{
+    const uint64_t slots = 64;
+    for (CachePolicy policy : {CachePolicy::Hybrid, CachePolicy::Random}) {
+        for (uint32_t k : {4u, 32u}) {
+            PageCache cache(policy, slots * 64, &clock, &lat, k);
+            PerVictimRef ref{policy, slots, k, lat};
+            ZipfGenerator zipf(400, 0.9, 5);
+            const auto data = blob(3);
+            uint8_t out[64];
+            const uint64_t t0 = clock.now();
+            for (int i = 0; i < 20000; ++i) {
+                const RemotePtr p(1, 4096 + zipf.next() * 64);
+                const bool hit = cache.lookup(p, out, 64);
+                ASSERT_EQ(hit, ref.lookup(p.raw())) << "op " << i;
+                if (hit)
+                    continue;
+                cache.insert(0, p, data.data(), 64);
+                const uint64_t victim = ref.insert(p.raw());
+                if (victim != 0)
+                    ASSERT_FALSE(cache.contains(RemotePtr::fromRaw(victim),
+                                                64))
+                        << "op " << i;
+                ASSERT_EQ(cache.entryCount(), ref.keys.size());
+                ASSERT_EQ(clock.now() - t0, ref.ns) << "op " << i;
+            }
+            EXPECT_GT(cache.evictions(), 5000u);
+            EXPECT_EQ(cache.evictionSamples(),
+                      policy == CachePolicy::Hybrid ? cache.evictions()
+                                                    : 0u)
+                << "one victim per sample at one size";
+        }
+    }
+}
+
+/** Fills a 64-slot cache with 64 B entries, oldest first: keys_[i] is
+ *  the i-th insert and has tick i + 1. */
+class HybridSampleTest : public CacheTest
+{
+  protected:
+    static RemotePtr slot(uint64_t i) { return RemotePtr(1, 4096 + i * 64); }
+
+    PageCache fill(uint64_t slots, uint32_t k)
+    {
+        PageCache cache(CachePolicy::Hybrid, slots * 64, &clock, &lat, k);
+        const auto data = blob(1);
+        for (uint64_t i = 0; i < slots; ++i)
+            cache.insert(0, slot(i), data.data(), 64);
+        return cache;
+    }
+
+    /** The distinct slots the cache's first sample draws, oldest first. */
+    static std::set<uint64_t> firstSample(uint64_t slots, uint32_t k)
+    {
+        Rng rng(1234);
+        std::set<uint64_t> drawn;
+        for (uint32_t i = 0; i < std::min<uint64_t>(k, slots); ++i)
+            drawn.insert(rng.nextBounded(slots));
+        return drawn;
+    }
+};
+
+TEST_F(HybridSampleTest, LargeInsertChargesOneSampleAndEvictsItsOldest)
+{
+    auto cache = fill(64, 32);
+    const std::set<uint64_t> drawn = firstSample(64, 32);
+    ASSERT_GE(drawn.size(), 9u);
+    const auto node = blob(7, 528);
+    const uint64_t t0 = clock.now();
+    cache.insert(0, RemotePtr(1, 1 << 20), node.data(), 528);
+    EXPECT_EQ(clock.now() - t0, 32 * lat.dram_access_ns / 8 +
+                                    lat.dram_access_ns)
+        << "one sample, then the install";
+    EXPECT_EQ(cache.evictionSamples(), 1u);
+    EXPECT_EQ(cache.evictions(), 9u) << "9 × 64 B is the least >= 528 B";
+    // Ticks follow insertion order, so the sample's nine lowest slots go.
+    std::set<uint64_t> victims(drawn.begin(), std::next(drawn.begin(), 9));
+    for (uint64_t i = 0; i < 64; ++i)
+        EXPECT_EQ(cache.contains(slot(i), 64), victims.count(i) == 0)
+            << "slot " << i;
+    EXPECT_LE(cache.sizeBytes(), 64u * 64);
+}
+
+TEST_F(HybridSampleTest, SampleTooSmallToFreeTheBytesDrawsAnother)
+{
+    auto cache = fill(8, 2);
+    const auto big = blob(7, 256);
+    const uint64_t t0 = clock.now();
+    cache.insert(0, RemotePtr(1, 1 << 20), big.data(), 256);
+    // A 2-entry sample frees at most 128 B of the 256 B needed.
+    EXPECT_GE(cache.evictionSamples(), 2u);
+    EXPECT_EQ(cache.evictions(), 4u);
+    EXPECT_EQ(clock.now() - t0,
+              cache.evictionSamples() * (2 * lat.dram_access_ns / 8) +
+                  lat.dram_access_ns);
+    EXPECT_EQ(cache.sizeBytes(), 8u * 64);
+}
+
+TEST_F(HybridSampleTest, DuplicateDrawsAreEvictedOnce)
+{
+    auto cache = fill(4, 32);
+    ASSERT_LT(firstSample(4, 32).size(), 4u)
+        << "the first 4-draw sample must repeat a slot";
+    const auto big = blob(7, 256);
+    cache.insert(0, RemotePtr(1, 1 << 20), big.data(), 256);
+    EXPECT_EQ(cache.evictions(), 4u) << "each entry counted once";
+    EXPECT_GE(cache.evictionSamples(), 2u)
+        << "the repeats left too few bytes: a second sample";
+    EXPECT_EQ(cache.entryCount(), 1u);
+    EXPECT_EQ(cache.sizeBytes(), 256u);
+}
+
+TEST_F(HybridSampleTest, SpeculativeEntriesGoFirstAndCountAsWasted)
+{
+    PageCache cache(CachePolicy::Hybrid, 16 * 64, &clock, &lat);
+    const auto data = blob(1);
+    for (uint64_t i = 0; i < 16; ++i) {
+        if (i % 4 == 0)
+            cache.insert(0, slot(i), data.data(), 64);
+        else
+            cache.insertSpeculative(0, slot(i), data.data(), 64,
+                                    cache.epochNow());
+    }
+    // All speculative entries tie at tick 0: the first two drawn go.
+    Rng rng(1234);
+    std::vector<uint64_t> victims;
+    for (int i = 0; i < 16; ++i) {
+        const uint64_t j = rng.nextBounded(16);
+        if (j % 4 != 0 && victims.size() < 2 &&
+            std::find(victims.begin(), victims.end(), j) == victims.end())
+            victims.push_back(j);
+    }
+    ASSERT_EQ(victims.size(), 2u);
+    const auto two = blob(7, 128);
+    cache.insert(0, RemotePtr(1, 1 << 20), two.data(), 128);
+    EXPECT_EQ(cache.evictionSamples(), 1u);
+    EXPECT_EQ(cache.evictions(), 2u);
+    EXPECT_EQ(cache.prefetchWasted(), 2u) << "both victims were unread";
+    for (uint64_t i = 0; i < 16; ++i) {
+        const bool victim = i == victims[0] || i == victims[1];
+        EXPECT_EQ(cache.contains(slot(i), 64), !victim) << "slot " << i;
+    }
+}
+
+TEST_F(HybridSampleTest, FirstEvictionClosesWriteAllocate)
+{
+    auto cache = fill(4, 32);
+    cache.invalidate(slot(0));
+    const auto data = blob(2);
+    EXPECT_TRUE(cache.insertFresh(0, slot(100), data.data(), 64))
+        << "free space, never evicted";
+    cache.insert(0, slot(101), data.data(), 64); // evicts
+    ASSERT_EQ(cache.evictions(), 1u);
+    cache.invalidate(slot(1));
+    cache.invalidate(slot(2));
+    EXPECT_FALSE(cache.insertFresh(0, slot(102), data.data(), 64))
+        << "sticky after the first eviction, despite free space";
+    cache.clear();
+    EXPECT_TRUE(cache.insertFresh(0, slot(102), data.data(), 64));
 }
 
 TEST(LevelAdmissionTest, StartsPermissiveAndTightensOnMisses)

@@ -511,9 +511,12 @@ TEST(SpeculationGateTest, RangeLocalColdLookupsIssueWhatUngatedCodeIssues)
 {
     // bench_fig7_cache's prefetch ablation at tiny size: 1500 uniform
     // preloaded keys, a cold cache a quarter of the tree, 200 Zipf(0.9)
-    // lookups over adjacent keys. The siblings pay, the gate never
-    // closes, and the run is the one the code before the gate measured:
-    // 259 issued, 52 hits, 57 wasted, 73 doorbells, 1509.8 ns/op.
+    // lookups over adjacent keys. The siblings pay and the gate never
+    // closes (gated == 0), so the run is the one ungated code measures.
+    // With one ranked Hybrid sample per insert it is 255 issued, 53 hits,
+    // 38 wasted, 72 doorbells, 1471.3 ns/op. (A fresh sample per victim
+    // gave 259, 52, 57, 73 and 1509.8: fewer samples, fewer RNG draws,
+    // so other victims.)
     BackendConfig bcfg = testConfig();
     bcfg.nvm_size = 128ull << 20;
     bcfg.max_frontends = 8;
@@ -554,11 +557,11 @@ TEST(SpeculationGateTest, RangeLocalColdLookupsIssueWhatUngatedCodeIssues)
     const SessionStats st = s.stats();
     EXPECT_TRUE(s.cache().speculationPays(ds.id()));
     EXPECT_EQ(st.prefetch.gated, 0u);
-    EXPECT_EQ(st.prefetch.issued, 259u);
-    EXPECT_EQ(st.prefetch.hits, 52u);
-    EXPECT_EQ(st.prefetch.wasted, 57u);
-    EXPECT_EQ(st.verbs.doorbells, 73u);
-    EXPECT_EQ(s.clock().now() - t0, 301955u);
+    EXPECT_EQ(st.prefetch.issued, 255u);
+    EXPECT_EQ(st.prefetch.hits, 53u);
+    EXPECT_EQ(st.prefetch.wasted, 38u);
+    EXPECT_EQ(st.verbs.doorbells, 72u);
+    EXPECT_EQ(s.clock().now() - t0, 294265u);
 }
 
 TEST(SpeculationGateTest, ClosedGateReopensWhenLookupsTurnRangeLocal)
