@@ -14,8 +14,7 @@
  *    overhead is paid once per operation. LogB/op is the persisted log
  *    bytes (tx + op records) per completed operation.
  *
- * ASYMNVM_BENCH_TINY=1 switches to smoke-test sizes; the run always
- * emits BENCH_ablation_logging.json next to the binary's cwd.
+ * ASYMNVM_BENCH_TINY=1 switches to gate sizes.
  */
 
 #include "bench_common.h"
@@ -27,6 +26,8 @@ uint64_t kPreload = 20000;
 uint64_t kOps = 8000;
 
 uint64_t session_counter = 13000;
+
+Report report("ablation_logging");
 
 struct AblationRow
 {
@@ -72,44 +73,15 @@ runBpt(const AblationRow &row)
     Workload w(mcfg);
     const auto ops = w.generate(kOps);
     const uint64_t bytes0 = s.verbs().bytesMoved();
-    const Throughput t = runKvWorkload(s, tree, ops);
+    Meter m(s, be);
+    const Throughput t = runKvWorkload(m, s, tree, ops);
+    report.add({{"config", row.label}}, m.finish(ops.size()));
     const LogFormatStats lf = s.stats().logfmt;
     return {t.kops(),
             static_cast<double>(s.verbs().bytesMoved() - bytes0) / 1e6,
             static_cast<double>(lf.tx_wire_bytes + lf.op_wire_bytes) /
                 static_cast<double>(kOps),
             be.replayedEntries()};
-}
-
-void
-writeJson(const AblationRow *rows, const AblationResult *results,
-          size_t n, const char *path)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ablation_logging\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"ops\": %" PRIu64 ", \"tiny\": %s},\n"
-                    "  \"columns\": [\"kops\", \"wire_mb\", "
-                    "\"log_bytes_per_op\", \"replayed_logs\"],\n"
-                    "  \"rows\": [\n",
-                 kPreload, kOps, benchTiny() ? "true" : "false");
-    for (size_t i = 0; i < n; ++i) {
-        std::fprintf(f,
-                     "    {\"label\": \"%s\", "
-                     "\"kops\": %.1f, \"wire_mb\": %.3f, "
-                     "\"log_bytes_per_op\": %.1f, \"replayed_logs\": %"
-                     PRIu64 "}%s\n",
-                     rows[i].label, results[i].kops, results[i].wire_mb,
-                     results[i].log_bytes_per_op, results[i].replayed,
-                     i + 1 == n ? "" : ",");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
 }
 
 void
@@ -130,19 +102,16 @@ run()
         {"RCB, inline + no coalescing", false, false, 1024},
         {"per-op commit (batch 1)", true, true, 1},
     };
-    AblationResult results[std::size(rows)];
-    for (size_t i = 0; i < std::size(rows); ++i) {
-        results[i] = runBpt(rows[i]);
+    for (const AblationRow &row : rows) {
+        const AblationResult r = runBpt(row);
         std::printf("%-38s %7.1f  %7.2f  %8.1f  %13" PRIu64 "\n",
-                    rows[i].label, results[i].kops, results[i].wire_mb,
-                    results[i].log_bytes_per_op, results[i].replayed);
+                    row.label, r.kops, r.wire_mb, r.log_bytes_per_op,
+                    r.replayed);
     }
     std::printf(
         "\nExpected shape: op-refs shrink wire bytes at equal"
         "\nthroughput; coalescing cuts replayed log count; the per-op"
         "\ncommit row shows what group commit buys (Section 4.2/4.3).\n");
-    writeJson(rows, results, std::size(rows),
-              "BENCH_ablation_logging.json");
 }
 
 } // namespace
@@ -152,5 +121,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

@@ -2,11 +2,12 @@
  * @file
  * Pipeline-depth ablation (DESIGN.md §11 and §14), three sections:
  *
- * 1. Reads — cold-cache B+tree point lookups through BpTree::findMany
- *    with `pipeline_depth` swept 1 → 16. Depth 1 runs the serial
- *    protocol bit-for-bit (the reactor never engages); deeper windows
- *    keep that many descents in flight and multiplex their remote reads
- *    onto shared doorbell-batched gather rounds.
+ * 1. Reads — cold-cache B+tree point lookups, windows of findAsync
+ *    (what BpTree::findMany runs) with `pipeline_depth` swept 1 → 16.
+ *    Depth 1 runs the serial protocol bit-for-bit (the reactor never
+ *    engages); deeper windows keep that many descents in flight and
+ *    multiplex their remote reads onto shared doorbell-batched gather
+ *    rounds. It is the 0% row of section 2, printed on its own.
  *
  * 2. Write-ratio × depth — the same cold-cache B+tree under mixed
  *    windows of native write (insertAsync) and read (findAsync)
@@ -23,12 +24,7 @@
  * Same cold-cache setup as the Figure 7 prefetch ablation: cache sized
  * to 25% of the data and dropped after the preload, Zipf theta 0.9 over
  * unhashed (range-local) keys.
- *
- * ASYMNVM_BENCH_PIPE_SECTION=reads|writes runs one section (the smoke
- * tests split them); unset runs everything.
  */
-
-#include <cstring>
 
 #include "bench_common.h"
 
@@ -36,15 +32,28 @@ namespace asymnvm::bench {
 namespace {
 
 // Full-size parameters reproduce the paper-scale shape;
-// ASYMNVM_BENCH_TINY shrinks them so the bench_smoke_pipeline ctest
-// target exercises the reactor plumbing in seconds.
+// ASYMNVM_BENCH_TINY shrinks them so the bench's gate exercises the
+// reactor plumbing in seconds.
 uint64_t kPreload = 30000;
 uint64_t kOps = 8000;
 
-/** Keys handed to one findMany call (the application batch size). */
+/** Ops in one pipelined window (the application batch size). */
 constexpr size_t kBatch = 32;
 
 uint64_t session_counter = 7000;
+
+Report report("ablation_pipeline");
+
+/** Close @p m's cell of @p section at @p depth. */
+void
+addCell(Meter &m, uint64_t ops, const char *section, uint64_t depth,
+        double write_ratio = 0)
+{
+    report.add({{"section", section},
+                {"write_ratio", num(write_ratio)},
+                {"depth", std::to_string(depth)}},
+               m.finish(ops));
+}
 
 /** Outcome of one depth point of the sweep. */
 struct DepthPoint
@@ -56,61 +65,6 @@ struct DepthPoint
     uint64_t reads = 0;
     PipelineStats pipe;
 };
-
-/**
- * Cold-cache B+tree lookups at one pipeline depth. Every run replays
- * the same Zipf key stream through the same batch boundaries, so the
- * only variable across depth points is how many descents overlap.
- */
-DepthPoint
-runBptColdLookupAtDepth(uint64_t depth)
-{
-    DepthPoint out;
-    out.depth = depth;
-    BackendNode be(1, benchBackendConfig());
-    SessionConfig cfg = sessionFor(Mode::RC, ++session_counter,
-                                   cacheBytesFor<BpTree>(0.25, kPreload));
-    cfg.pipeline_depth = static_cast<uint32_t>(depth);
-    FrontendSession s(cfg);
-    if (!ok(s.connect(&be)))
-        return out;
-    BpTree ds;
-    if (!ok(BpTree::create(s, 1, "c", &ds)))
-        return out;
-    WorkloadConfig wcfg;
-    wcfg.key_space = kPreload;
-    wcfg.seed = 42;
-    wcfg.hashed_keys = false;
-    preloadKeys(s, ds, wcfg, kPreload);
-    s.cache().clear(); // start cold: every lookup descends remote
-    s.resetStats();
-    WorkloadConfig mcfg = wcfg;
-    mcfg.put_ratio = 0.0;
-    mcfg.dist = KeyDist::Zipf;
-    mcfg.zipf_theta = 0.9;
-    mcfg.seed = 99;
-    Workload w(mcfg);
-    const uint64_t nops = kOps / 2;
-    std::vector<Key> keys(nops);
-    for (uint64_t i = 0; i < nops; ++i)
-        keys[i] = w.next().key;
-    std::vector<Value> vals(kBatch);
-    std::vector<Status> results(kBatch);
-    const uint64_t t0 = s.clock().now();
-    for (size_t base = 0; base < keys.size(); base += kBatch) {
-        const size_t n = std::min(kBatch, keys.size() - base);
-        (void)ds.findMany({keys.data() + base, n}, vals.data(),
-                          results.data());
-    }
-    const uint64_t dt = s.clock().now() - t0;
-    const SessionStats st = s.stats();
-    out.ns_per_op = static_cast<double>(dt) / static_cast<double>(nops);
-    out.kops = Throughput{nops, dt}.kops();
-    out.doorbells = st.verbs.doorbells;
-    out.reads = st.verbs.reads;
-    out.pipe = st.pipeline;
-    return out;
-}
 
 /**
  * Mixed read/write windows at one depth: the same cold-cache Zipf
@@ -153,6 +107,7 @@ runBptMixedAtDepth(uint64_t depth, double put_ratio)
         items.push_back(w.next());
     std::vector<Value> vals(kBatch);
     std::vector<Status> results(kBatch);
+    Meter m(s, be);
     const uint64_t t0 = s.clock().now();
     for (size_t base = 0; base < items.size(); base += kBatch) {
         const size_t n = std::min(kBatch, items.size() - base);
@@ -165,10 +120,13 @@ runBptMixedAtDepth(uint64_t depth, double put_ratio)
             else
                 ops.push_back(ds.findAsync(item.key, &vals[j]));
         }
-        s.executePipelined(std::span<OpTask>(ops),
-                           std::span<Status>(results.data(), n));
+        m.call(s, [&] {
+            s.executePipelined(std::span<OpTask>(ops),
+                               std::span<Status>(results.data(), n));
+        });
     }
     const uint64_t dt = s.clock().now() - t0;
+    addCell(m, nops, "write_mix", depth, put_ratio);
     const SessionStats st = s.stats();
     out.ns_per_op = static_cast<double>(dt) / static_cast<double>(nops);
     out.kops = Throughput{nops, dt}.kops();
@@ -215,16 +173,20 @@ runStackPopFanoutAtDepth(uint64_t depth)
     const uint64_t nops = per * kStacks;
     std::vector<Value> outs(kStacks);
     std::vector<Status> results(kStacks);
+    Meter m(s, be);
     const uint64_t t0 = s.clock().now();
     for (uint64_t round = 0; round < per; ++round) {
         std::vector<OpTask> ops;
         ops.reserve(kStacks);
         for (size_t i = 0; i < kStacks; ++i)
             ops.push_back(stacks[i].popAsync(&outs[i]));
-        s.executePipelined(std::span<OpTask>(ops),
-                           std::span<Status>(results.data(), kStacks));
+        m.call(s, [&] {
+            s.executePipelined(std::span<OpTask>(ops),
+                               std::span<Status>(results.data(), kStacks));
+        });
     }
     const uint64_t dt = s.clock().now() - t0;
+    addCell(m, nops, "stack_fanout", depth);
     const SessionStats st = s.stats();
     out.ns_per_op = static_cast<double>(dt) / static_cast<double>(nops);
     out.kops = Throughput{nops, dt}.kops();
@@ -245,168 +207,83 @@ printDepthRow(const DepthPoint &p, double base)
 }
 
 void
-fprintDepthRows(std::FILE *f, const std::vector<DepthPoint> &points,
-                const char *extra_key, double extra_val,
-                bool trailing_comma = false)
-{
-    const double base = points.empty() ? 0.0 : points[0].ns_per_op;
-    for (size_t i = 0; i < points.size(); ++i) {
-        const DepthPoint &p = points[i];
-        std::fprintf(f, "    {");
-        if (extra_key != nullptr)
-            std::fprintf(f, "\"%s\": %.2f, ", extra_key, extra_val);
-        const bool last = i + 1 == points.size();
-        std::fprintf(f,
-                     "\"depth\": %" PRIu64 ", \"kops\": %.1f, "
-                     "\"ns_per_op\": %.1f, \"speedup\": %.2f, "
-                     "\"doorbells\": %" PRIu64 ", \"reads\": %" PRIu64
-                     ", \"rounds\": %" PRIu64 ", \"batched_reads\": %"
-                     PRIu64 ", \"overlap\": %.2f, \"max_in_flight\": %"
-                     PRIu64 ", \"batched_appends\": %" PRIu64
-                     ", \"coalesced_fences\": %" PRIu64
-                     ", \"dep_stalls\": %" PRIu64 "}%s\n",
-                     p.depth, p.kops, p.ns_per_op,
-                     p.ns_per_op > 0 ? base / p.ns_per_op : 0.0,
-                     p.doorbells, p.reads, p.pipe.rounds,
-                     p.pipe.batched_reads, p.pipe.overlap(),
-                     p.pipe.max_in_flight, p.pipe.batched_appends,
-                     p.pipe.coalesced_fences, p.pipe.dep_stalls,
-                     last ? (trailing_comma ? "," : "") : ",");
-    }
-}
-
-/**
- * Machine-readable companion of the printed tables: per-depth rows for
- * whichever sections ran (reads / write-ratio mix / stack fan-out).
- * Format documented in EXPERIMENTS.md.
- */
-void
-writeJson(const std::vector<DepthPoint> &reads,
-          const std::vector<std::pair<double, std::vector<DepthPoint>>>
-              &mixes,
-          const std::vector<DepthPoint> &stack_points, const char *path)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ablation_pipeline\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"ops\": %" PRIu64 ", \"batch\": %zu"
-                    ", \"stacks\": %zu, \"tiny\": %s},\n"
-                    "  \"rows\": [\n",
-                 kPreload, kOps / 2, kBatch, kStacks,
-                 benchTiny() ? "true" : "false");
-    fprintDepthRows(f, reads, nullptr, 0.0);
-    std::fprintf(f, "  ],\n  \"write_rows\": [\n");
-    for (size_t m = 0; m < mixes.size(); ++m)
-        fprintDepthRows(f, mixes[m].second, "write_ratio",
-                        mixes[m].first,
-                        /*trailing_comma=*/m + 1 != mixes.size());
-    std::fprintf(f, "  ],\n  \"stack_rows\": [\n");
-    fprintDepthRows(f, stack_points, nullptr, 0.0);
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
-}
-
-void
 run()
 {
     if (benchTiny()) {
         kPreload = 1500;
         kOps = 400;
     }
-    const char *sec = std::getenv("ASYMNVM_BENCH_PIPE_SECTION");
-    const bool do_reads =
-        sec == nullptr || std::strcmp(sec, "reads") == 0;
-    const bool do_writes =
-        sec == nullptr || std::strcmp(sec, "writes") == 0;
     const uint64_t depths[] = {1, 2, 4, 8, 16};
     char label[64];
 
+    printHeader("Pipeline-depth ablation (BPT, cold cache, 100% "
+                "point lookups via findMany)",
+                "Depth       KOPS      ns/op    speedup  doorbells"
+                "      reads");
     std::vector<DepthPoint> points;
-    if (do_reads) {
-        printHeader("Pipeline-depth ablation (BPT, cold cache, 100% "
-                    "point lookups via findMany)",
-                    "Depth       KOPS      ns/op    speedup  doorbells"
-                    "      reads");
-        for (uint64_t d : depths)
-            points.push_back(runBptColdLookupAtDepth(d));
-        const double base = points[0].ns_per_op;
-        for (const DepthPoint &p : points)
-            printDepthRow(p, base);
+    for (uint64_t d : depths)
+        points.push_back(runBptMixedAtDepth(d, 0.0));
+    for (const DepthPoint &p : points)
+        printDepthRow(p, points[0].ns_per_op);
 
-        std::printf("\nReactor profile per depth (depth 1 runs the "
-                    "serial protocol — all zeros):\n");
-        for (const DepthPoint &p : points) {
-            std::snprintf(label, sizeof label, "depth %" PRIu64,
-                          p.depth);
-            printPipelineCounters(label, p.pipe);
-        }
-
-        std::printf(
-            "\nExpected shape: ns/op drops as the window widens — "
-            "each gather round retires\nreads for several in-flight "
-            "descents, so the per-op RTT cost falls toward\n"
-            "RTT/overlap — with diminishing returns once the window "
-            "covers the tree's\nindependent descents (speedup "
-            "saturates by depth 8-16).\n");
+    std::printf("\nReactor profile per depth (depth 1 runs the "
+                "serial protocol — all zeros):\n");
+    for (const DepthPoint &p : points) {
+        std::snprintf(label, sizeof label, "depth %" PRIu64, p.depth);
+        printPipelineCounters(label, p.pipe);
     }
 
-    std::vector<std::pair<double, std::vector<DepthPoint>>> mixes;
-    std::vector<DepthPoint> stack_points;
-    if (do_writes) {
-        const double ratios[] = {0.0, 0.5, 1.0};
-        for (const double r : ratios) {
-            std::snprintf(label, sizeof label,
-                          "Write-ratio sweep (BPT, %.0f%% insertAsync "
-                          "per window)",
-                          100.0 * r);
-            printHeader(label,
-                        "Depth       KOPS      ns/op    speedup  "
-                        "doorbells      reads");
-            std::vector<DepthPoint> row;
+    std::printf(
+        "\nExpected shape: ns/op drops as the window widens — "
+        "each gather round retires\nreads for several in-flight "
+        "descents, so the per-op RTT cost falls toward\n"
+        "RTT/overlap — with diminishing returns once the window "
+        "covers the tree's\nindependent descents (speedup "
+        "saturates by depth 8-16).\n");
+
+    for (const double r : {0.0, 0.5, 1.0}) {
+        std::snprintf(label, sizeof label,
+                      "Write-ratio sweep (BPT, %.0f%% insertAsync "
+                      "per window)",
+                      100.0 * r);
+        printHeader(label,
+                    "Depth       KOPS      ns/op    speedup  "
+                    "doorbells      reads");
+        std::vector<DepthPoint> row = points;
+        if (r != 0.0) {
+            row.clear();
             for (uint64_t d : depths)
                 row.push_back(runBptMixedAtDepth(d, r));
-            const double base = row[0].ns_per_op;
-            for (const DepthPoint &p : row)
-                printDepthRow(p, base);
-            for (const DepthPoint &p : row) {
-                std::snprintf(label, sizeof label, "depth %" PRIu64,
-                              p.depth);
-                printPipelineCounters(label, p.pipe);
-            }
-            mixes.emplace_back(r, std::move(row));
         }
-
-        printHeader("Write-heavy fan-out (8 Stack RCB pop chains, one "
-                    "pop per stack per window)",
-                    "Depth       KOPS      ns/op    speedup  doorbells"
-                    "      reads");
-        for (uint64_t d : depths)
-            stack_points.push_back(runStackPopFanoutAtDepth(d));
-        const double base = stack_points[0].ns_per_op;
-        for (const DepthPoint &p : stack_points)
-            printDepthRow(p, base);
-        for (const DepthPoint &p : stack_points) {
-            std::snprintf(label, sizeof label, "depth %" PRIu64,
-                          p.depth);
+        for (const DepthPoint &p : row)
+            printDepthRow(p, row[0].ns_per_op);
+        for (const DepthPoint &p : row) {
+            std::snprintf(label, sizeof label, "depth %" PRIu64, p.depth);
             printPipelineCounters(label, p.pipe);
         }
-        std::printf(
-            "\nExpected shape: write windows keep the read-side "
-            "overlap (descents gather)\nand add log-side wins — "
-            "appends ride one WQE chain per round, fences\ncoalesce "
-            "to the drain — so the 100%%-write column scales with "
-            "depth too.\nThe stack cell turns eight dependent pop "
-            "chains into lockstep gather\nrounds: >= 1.3x at depth 8 "
-            "with doorbells well below the depth-1 count.\n");
     }
 
-    writeJson(points, mixes, stack_points,
-              "BENCH_ablation_pipeline.json");
+    printHeader("Write-heavy fan-out (8 Stack RCB pop chains, one "
+                "pop per stack per window)",
+                "Depth       KOPS      ns/op    speedup  doorbells"
+                "      reads");
+    std::vector<DepthPoint> stack_points;
+    for (uint64_t d : depths)
+        stack_points.push_back(runStackPopFanoutAtDepth(d));
+    for (const DepthPoint &p : stack_points)
+        printDepthRow(p, stack_points[0].ns_per_op);
+    for (const DepthPoint &p : stack_points) {
+        std::snprintf(label, sizeof label, "depth %" PRIu64, p.depth);
+        printPipelineCounters(label, p.pipe);
+    }
+    std::printf(
+        "\nExpected shape: write windows keep the read-side "
+        "overlap (descents gather)\nand add log-side wins — "
+        "appends ride one WQE chain per round, fences\ncoalesce "
+        "to the drain — so the 100%%-write column scales with "
+        "depth too.\nThe stack cell turns eight dependent pop "
+        "chains into lockstep gather\nrounds: >= 1.3x at depth 8 "
+        "with doorbells well below the depth-1 count.\n");
 }
 
 } // namespace
@@ -416,5 +293,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

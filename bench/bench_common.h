@@ -10,7 +10,8 @@
  * RDMA verb and CPU step, so `ops / virtual seconds` reproduces the
  * paper's performance shape deterministically, with no wall-clock
  * benchmarking library. Each binary is a self-contained harness that
- * prints the same rows/series the paper's table or figure reports.
+ * prints the same rows/series the paper's table or figure reports and
+ * writes its cells through the one report writer (report.h).
  */
 
 #include <cinttypes>
@@ -33,6 +34,8 @@
 #include "ds/stack.h"
 #include "frontend/session.h"
 #include "workload/workload.h"
+
+#include "report.h"
 
 namespace asymnvm::bench {
 
@@ -99,6 +102,29 @@ sessionFor(Mode mode, uint64_t id, uint64_t cache_bytes = 12ull << 20,
     return SessionConfig::naive(id);
 }
 
+/** A structure's column name in the paper's tables. */
+template <typename DS>
+constexpr const char *
+dsName()
+{
+    if constexpr (std::is_same_v<DS, BpTree>)
+        return "BPT";
+    else if constexpr (std::is_same_v<DS, Bst>)
+        return "BST";
+    else if constexpr (std::is_same_v<DS, SkipList>)
+        return "SkipList";
+    else if constexpr (std::is_same_v<DS, MvBpTree>)
+        return "MV-BPT";
+    else if constexpr (std::is_same_v<DS, MvBst>)
+        return "MV-BST";
+    else if constexpr (std::is_same_v<DS, HashTable>)
+        return "HashTbl";
+    else if constexpr (std::is_same_v<DS, Queue>)
+        return "Queue";
+    else
+        return "Stack";
+}
+
 /**
  * Approximate NVM footprint per key of each structure, used to size the
  * front-end cache at a *fraction of the data set* (the paper's "caching
@@ -149,8 +175,30 @@ dsGet(DS &ds, Key key, Value *out)
         return ds.find(key, out);
 }
 
+/** List-structure driver: push/pop at whichever end the DS has. */
+template <typename DS>
+Status
+dsPush(DS &ds, const Value &v)
+{
+    if constexpr (std::is_same_v<DS, Queue>)
+        return ds.enqueue(v);
+    else
+        return ds.push(v);
+}
+
+template <typename DS>
+Status
+dsPop(DS &ds, Value *out)
+{
+    if constexpr (std::is_same_v<DS, Queue>)
+        return ds.dequeue(out);
+    else
+        return ds.pop(out);
+}
+
 /**
- * Run a pre-generated workload against a keyed structure.
+ * Run a pre-generated workload against a keyed structure on session
+ * @p s, one measured call per operation on @p m.
  *
  * @p interleave yields the host thread after every operation so that
  * concurrent sessions interleave at operation granularity — on a host
@@ -160,21 +208,26 @@ dsGet(DS &ds, Key key, Value *out)
  */
 template <typename DS>
 Throughput
-runKvWorkload(FrontendSession &s, DS &ds,
+runKvWorkload(Meter &m, FrontendSession &s, DS &ds,
               const std::vector<WorkItem> &ops, bool interleave = false)
 {
     const uint64_t t0 = s.clock().now();
+    uint64_t puts = 0;
     for (const WorkItem &item : ops) {
-        if (item.op == WorkOp::Put) {
-            (void)dsPut(ds, item.key, item.value);
-        } else {
-            Value v;
-            (void)dsGet(ds, item.key, &v);
-        }
+        m.call(s, [&] {
+            if (item.op == WorkOp::Put) {
+                (void)dsPut(ds, item.key, item.value);
+                ++puts;
+            } else {
+                Value v;
+                (void)dsGet(ds, item.key, &v);
+            }
+        });
         if (interleave)
             std::this_thread::yield();
     }
     (void)s.flushAll();
+    m.wrotePairs(puts);
     return Throughput{ops.size(), s.clock().now() - t0};
 }
 

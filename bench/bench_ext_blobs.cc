@@ -22,6 +22,8 @@ constexpr uint64_t kOps = 4000;
 
 uint64_t session_counter = 14000;
 
+Report report("ext_blobs");
+
 struct BlobResult
 {
     double kops;
@@ -54,22 +56,29 @@ runBlobSize(uint32_t value_size, double put_ratio)
     s.resetStats();
 
     Histogram lat;
+    Meter m(s, be);
     const uint64_t t0 = s.clock().now();
     for (uint64_t i = 0; i < kOps; ++i) {
         const uint64_t op_t0 = s.clock().now();
-        const Key k = 1 + rng.nextBounded(kKeys);
-        if (rng.nextDouble() < put_ratio) {
-            payload[0] = static_cast<uint8_t>(i);
-            (void)store.put(k, payload.data(), value_size);
-        } else {
-            std::vector<uint8_t> out;
-            (void)store.get(k, &out);
-        }
+        m.call(s, [&] {
+            const Key k = 1 + rng.nextBounded(kKeys);
+            if (rng.nextDouble() < put_ratio) {
+                payload[0] = static_cast<uint8_t>(i);
+                (void)store.put(k, payload.data(), value_size);
+            } else {
+                std::vector<uint8_t> out;
+                (void)store.get(k, &out);
+            }
+        });
         lat.record(s.clock().now() - op_t0);
     }
     (void)s.flushAll();
     const uint64_t elapsed = s.clock().now() - t0;
     const double kops = Throughput{kOps, elapsed}.kops();
+    Cell cell = m.finish(kOps);
+    cell.virt["mb_per_s"] = kops * 1000 * value_size / 1e6;
+    report.add({{"value_bytes", std::to_string(value_size)}},
+               std::move(cell));
     return {kops, kops * 1000 * value_size / 1e6,
             lat.percentile(50) / 1000, lat.percentile(99) / 1000};
 }
@@ -98,5 +107,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

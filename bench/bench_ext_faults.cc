@@ -33,14 +33,17 @@ uint64_t kMsOpsPerSession = 1200;
 
 uint64_t session_counter = 21000;
 
+Report report("ext_faults");
+
 struct FaultPoint
 {
     double kops = -1;
     RetryStats retry;
 };
 
+/** @p sweep names the fault mix the cell belongs to. */
 FaultPoint
-runBpt(Mode mode, const FaultConfig &fc)
+runBpt(Mode mode, const char *sweep, const FaultConfig &fc)
 {
     BackendNode be(1, benchBackendConfig());
     FrontendSession s(sessionFor(mode, ++session_counter,
@@ -64,24 +67,15 @@ runBpt(Mode mode, const FaultConfig &fc)
     mcfg.put_ratio = 0.5;
     mcfg.seed = 99;
     Workload w(mcfg);
-    out.kops = runKvWorkload(s, tree, w.generate(kOps)).kops();
+    Meter m(s, be);
+    out.kops = runKvWorkload(m, s, tree, w.generate(kOps)).kops();
+    report.add({{"sweep", sweep},
+                {"drop_rate", num(fc.drop_rate)},
+                {"system", modeName(mode)}},
+               m.finish(kOps));
     out.retry = s.stats().retry;
     return out;
 }
-
-/** One point of the session-count sweep under a mid-run promotion. */
-struct MsPoint
-{
-    uint32_t sessions = 0;
-    double agg_kops = -1;       //!< total ops / max per-session vtime
-    double mean_stall_us = 0;   //!< mean per-session failover wait
-    double max_stall_us = 0;    //!< worst per-session failover wait
-    uint64_t promotions = 0;
-    uint64_t promo_won = 0;
-    uint64_t promo_lost = 0;
-    uint64_t stale_fenced = 0;
-    RetryStats retry;           //!< summed across sessions
-};
 
 /**
  * k sessions hammer one back-end; halfway through, the back-end is
@@ -90,12 +84,12 @@ struct MsPoint
  * exactly one of them wins the claim. Virtual time runs per session, so
  * the aggregate rate divides total ops by the *slowest* session's
  * elapsed virtual time (the fleet is done when its laggard is).
+ * Prints the sweep row; returns the sessions' summed retry profile.
  */
-MsPoint
+RetryStats
 runMultiSession(uint32_t nsessions)
 {
-    MsPoint out;
-    out.sessions = nsessions;
+    RetryStats retry;
 
     ClusterConfig ccfg;
     ccfg.num_backends = 1;
@@ -121,11 +115,11 @@ runMultiSession(uint32_t nsessions)
         ln.s = cluster.makeSession(
             SessionConfig::rcb(1, 256ull << 10, 64));
         if (ln.s == nullptr)
-            return out;
+            return retry;
         if (!ok(HashTable::create(*ln.s, 1,
                                   "ms_" + std::to_string(j), 64,
                                   &ln.ht)))
-            return out;
+            return retry;
         WorkloadConfig wcfg;
         wcfg.key_space = kMsPreload;
         wcfg.seed = 42 + j;
@@ -137,6 +131,9 @@ runMultiSession(uint32_t nsessions)
         ln.s->resetStats();
         ln.t0 = ln.s->clock().now();
     }
+    Meter m;
+    for (Lane &ln : lanes)
+        m.watch(*ln.s);
 
     auto renewAll = [&](bool primary) {
         uint64_t mx = 0;
@@ -169,62 +166,49 @@ runMultiSession(uint32_t nsessions)
         }
         Lane &ln = lanes[i % nsessions];
         const WorkItem item = ln.w.next();
-        if (item.op == WorkOp::Put)
-            (void)ln.ht.put(item.key, item.value);
-        else {
-            Value v;
-            (void)ln.ht.get(item.key, &v);
-        }
+        m.call(*ln.s, [&] {
+            if (item.op == WorkOp::Put)
+                (void)ln.ht.put(item.key, item.value);
+            else {
+                Value v;
+                (void)ln.ht.get(item.key, &v);
+            }
+        });
     }
     for (Lane &ln : lanes)
         (void)ln.s->flushAll();
+    Cell cell = m.finish(total_ops);
 
     uint64_t max_dt = 0;
-    double stall_sum = 0;
+    double stall_sum = 0, max_stall_us = 0;
     for (Lane &ln : lanes) {
         max_dt = std::max(max_dt, ln.s->clock().now() - ln.t0);
         const SessionStats st = ln.s->stats();
-        out.retry.merge(st.retry);
+        retry.merge(st.retry);
         const double stall_us = st.retry.failover_wait_ns / 1000.0;
         stall_sum += stall_us;
-        out.max_stall_us = std::max(out.max_stall_us, stall_us);
+        max_stall_us = std::max(max_stall_us, stall_us);
     }
-    out.mean_stall_us = stall_sum / nsessions;
-    out.agg_kops =
-        Throughput{total_ops, max_dt}.kops();
-    out.promotions = cluster.failoverEpochs().history().size();
-    out.promo_won = out.retry.promotions_won;
-    out.promo_lost = out.retry.promotions_lost;
-    out.stale_fenced = out.retry.stale_epoch_fenced;
-    return out;
-}
-
-void
-writeMultiSessionJson(const std::vector<MsPoint> &points,
-                      const char *path)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ext_faults_multisession\",\n"
-                    "  \"unit\": \"kops\",\n  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const MsPoint &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"sessions\": %u, \"agg_kops\": %.1f, "
-            "\"mean_stall_us\": %.1f, \"max_stall_us\": %.1f, "
-            "\"promotions\": %" PRIu64 ", \"promo_won\": %" PRIu64 ", "
-            "\"promo_lost\": %" PRIu64 ", \"stale_fenced\": %" PRIu64
-            "}%s\n",
-            p.sessions, p.agg_kops, p.mean_stall_us, p.max_stall_us,
-            p.promotions, p.promo_won, p.promo_lost, p.stale_fenced,
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    const double mean_stall_us = stall_sum / nsessions;
+    const uint64_t promotions = cluster.failoverEpochs().history().size();
+    std::printf("%8u %10.1f %16.1f %15.1f %12" PRIu64 " %6" PRIu64
+                "/%" PRIu64 "/%" PRIu64 "\n",
+                nsessions, Throughput{total_ops, max_dt}.kops(),
+                mean_stall_us, max_stall_us, promotions,
+                retry.promotions_won, retry.promotions_lost,
+                retry.stale_epoch_fenced);
+    const double per_promotion = promotions == 0 ? 0 : 1.0 / promotions;
+    cell.virt["cluster.promotions"] = static_cast<double>(promotions);
+    cell.virt["cluster.promo_lost_per_promotion"] =
+        retry.promotions_lost * per_promotion;
+    cell.virt["cluster.stale_fenced_per_promotion"] =
+        retry.stale_epoch_fenced * per_promotion;
+    cell.virt["failover_stall_mean_us"] = mean_stall_us;
+    cell.virt["failover_stall_max_us"] = max_stall_us;
+    report.add({{"sweep", "promotion"},
+                {"sessions", std::to_string(nsessions)}},
+               std::move(cell));
+    return retry;
 }
 
 void
@@ -237,28 +221,20 @@ runMultiSessionSweep()
                 "promotion (HT, 50% put, RCB)",
                 "sessions   agg KOPS   mean-stall(us)   max-stall(us)"
                 "   promotions   won/lost/fenced");
-    std::vector<MsPoint> points;
-    for (const uint32_t k : fleet) {
-        const MsPoint p = runMultiSession(k);
-        std::printf("%8u %10.1f %16.1f %15.1f %12" PRIu64
-                    " %6" PRIu64 "/%" PRIu64 "/%" PRIu64 "\n",
-                    p.sessions, p.agg_kops, p.mean_stall_us,
-                    p.max_stall_us, p.promotions, p.promo_won,
-                    p.promo_lost, p.stale_fenced);
-        points.push_back(p);
-    }
+    std::vector<RetryStats> retries;
+    for (const uint32_t k : fleet)
+        retries.push_back(runMultiSession(k));
     std::printf("\nRetry profile of the sweep rows:\n");
-    for (const MsPoint &p : points) {
+    for (size_t i = 0; i < fleet.size(); ++i) {
         char label[32];
-        std::snprintf(label, sizeof(label), "k=%u", p.sessions);
-        printRetryCounters(label, p.retry);
+        std::snprintf(label, sizeof(label), "k=%u", fleet[i]);
+        printRetryCounters(label, retries[i]);
     }
     std::printf("\nReference shape: exactly one promotion per point, one"
                 "\nwinner; losers and late sessions re-resolve via the"
                 "\nepoch fence. The failover stall is one lease wait and"
                 "\ndoes not grow with the session count; aggregate KOPS"
                 "\nis flat-ish (virtual clocks advance per session).\n");
-    writeMultiSessionJson(points, "BENCH_ext_faults_multisession.json");
 }
 
 void
@@ -286,8 +262,9 @@ run()
             fc.drop_rate = rate;
             if (with_qp)
                 fc.qp_error_rate = rate / 10.0;
-            const FaultPoint rcb = runBpt(Mode::RCB, fc);
-            const FaultPoint naive = runBpt(Mode::Naive, fc);
+            const char *sweep = with_qp ? "drops+qp" : "drops";
+            const FaultPoint rcb = runBpt(Mode::RCB, sweep, fc);
+            const FaultPoint naive = runBpt(Mode::Naive, sweep, fc);
             if (rate == 0.0)
                 clean_rcb = rcb.kops;
             std::printf("%9.0e %13.1f %15.1f %11.2f\n", rate, rcb.kops,
@@ -317,5 +294,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

@@ -22,8 +22,12 @@ constexpr uint64_t kOps = 8000;
 
 uint64_t session_counter = 15000;
 
+Report report("ext_sensitivity");
+
+/** @p sweep and @p value label the cell: which constant, at what. */
 double
-runBpt(Mode mode, const LatencyModel &lat)
+runBpt(Mode mode, const LatencyModel &lat, const char *sweep,
+       uint64_t value)
 {
     BackendNode be(1, benchBackendConfig(), lat);
     FrontendSession s(sessionFor(mode, ++session_counter,
@@ -44,7 +48,13 @@ runBpt(Mode mode, const LatencyModel &lat)
     mcfg.put_ratio = 0.5;
     mcfg.seed = 99;
     Workload w(mcfg);
-    return runKvWorkload(s, tree, w.generate(kOps)).kops();
+    Meter m(s, be);
+    const double kops = runKvWorkload(m, s, tree, w.generate(kOps)).kops();
+    report.add({{"sweep", sweep},
+                {"value", std::to_string(value)},
+                {"system", modeName(mode)}},
+               m.finish(kOps));
+    return kops;
 }
 
 void
@@ -58,8 +68,8 @@ run()
         lat.rdma_read_rtt_ns = rtt;
         lat.rdma_write_rtt_ns = rtt * 19 / 20;
         lat.rdma_atomic_rtt_ns = rtt * 21 / 20;
-        const double asym = runBpt(Mode::RCB, lat);
-        const double sym = runBpt(Mode::SymmetricB, lat);
+        const double asym = runBpt(Mode::RCB, lat, "rtt_ns", rtt);
+        const double sym = runBpt(Mode::SymmetricB, lat, "rtt_ns", rtt);
         std::printf("%7.1f   %11.1f   %11.1f   %8.2f\n", rtt / 1000.0,
                     asym, sym, asym / sym);
     }
@@ -70,8 +80,8 @@ run()
     for (uint64_t nvm : {500u, 300u, 200u, 100u}) {
         LatencyModel lat;
         lat.nvm_read_ns = nvm;
-        const double asym = runBpt(Mode::RCB, lat);
-        const double sym = runBpt(Mode::SymmetricB, lat);
+        const double asym = runBpt(Mode::RCB, lat, "nvm_read_ns", nvm);
+        const double sym = runBpt(Mode::SymmetricB, lat, "nvm_read_ns", nvm);
         std::printf("%11" PRIu64 "   %11.1f   %11.1f   %8.2f\n", nvm,
                     asym, sym, asym / sym);
     }
@@ -89,5 +99,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

@@ -20,13 +20,15 @@ namespace asymnvm::bench {
 namespace {
 
 // Full-size parameters reproduce the paper's shape; ASYMNVM_BENCH_TINY
-// shrinks them so the bench_smoke_fig10 ctest target exercises the
-// partitioned fan-out plumbing in seconds.
+// shrinks them so the bench's gate exercises the partitioned fan-out
+// plumbing in seconds.
 uint64_t kPreload = 20000;
 uint64_t kOps = 8000;
 constexpr uint32_t kMaxBackends = 7;
 
 uint64_t session_counter = 7000;
+
+Report report("fig10_partition");
 
 struct PartitionResult
 {
@@ -34,9 +36,10 @@ struct PartitionResult
     Histogram fanout_hist;
 };
 
+/** @p table names the printed table the cell belongs to. */
 template <typename DS>
 PartitionResult
-partitionedRun(uint32_t nbackends, bool parallel)
+partitionedRun(uint32_t nbackends, bool parallel, const char *table)
 {
     PartitionResult res;
     std::vector<std::unique_ptr<BackendNode>> backends;
@@ -76,12 +79,22 @@ partitionedRun(uint32_t nbackends, bool parallel)
     mcfg.seed = 99;
     Workload w(mcfg);
     s.resetStats();
+    Meter m;
+    m.watch(s);
+    for (auto &be : backends)
+        m.watch(*be);
     const uint64_t t0 = s.clock().now();
     for (uint64_t i = 0; i < kOps; ++i) {
         const WorkItem item = w.next();
-        (void)part.insert(item.key, item.value);
+        m.call(s, [&] { (void)part.insert(item.key, item.value); });
     }
     (void)s.flushAll();
+    m.wrotePairs(kOps);
+    report.add({{"table", table},
+                {"structure", dsName<DS>()},
+                {"backends", std::to_string(nbackends)},
+                {"fanout", parallel ? "parallel" : "serial"}},
+               m.finish(kOps));
     res.kops = Throughput{kOps, s.clock().now() - t0}.kops();
     res.fanout_hist = s.fanoutHistogram();
     return res;
@@ -91,53 +104,8 @@ template <typename DS>
 double
 partitionedKops(uint32_t nbackends)
 {
-    return partitionedRun<DS>(nbackends, /*parallel=*/true).kops;
-}
-
-/**
- * Machine-readable companion of the printed tables: per-structure KOPS
- * under the parallel fan-out, plus the serial-fence ablation series.
- * Format documented in EXPERIMENTS.md.
- */
-void
-writeJson(const std::vector<std::vector<double>> &main_rows,
-          const std::vector<double> &par_series,
-          const std::vector<double> &ser_series, const char *path)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig10_partition\",\n"
-                    "  \"unit\": \"kops\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"ops\": %" PRIu64 ", \"tiny\": %s},\n",
-                 kPreload, kOps, benchTiny() ? "true" : "false");
-    static constexpr const char *kCols[] = {"SkipList", "BST", "BPT",
-                                            "MV-BST", "MV-BPT"};
-    std::fprintf(f, "  \"columns\": [");
-    for (size_t i = 0; i < std::size(kCols); ++i)
-        std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ", kCols[i]);
-    std::fprintf(f, "],\n  \"rows\": [\n");
-    for (size_t n = 0; n < main_rows.size(); ++n) {
-        std::fprintf(f, "    {\"backends\": %zu, \"cells\": [", n + 1);
-        for (size_t i = 0; i < main_rows[n].size(); ++i)
-            std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ",
-                         main_rows[n][i]);
-        std::fprintf(f, "]}%s\n",
-                     n + 1 == main_rows.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ],\n  \"fanout_ablation\": {\"structure\": "
-                    "\"BPT\", \"parallel\": [");
-    for (size_t i = 0; i < par_series.size(); ++i)
-        std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ", par_series[i]);
-    std::fprintf(f, "], \"serial\": [");
-    for (size_t i = 0; i < ser_series.size(); ++i)
-        std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ", ser_series[i]);
-    std::fprintf(f, "]}\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    return partitionedRun<DS>(nbackends, /*parallel=*/true, "partitions")
+        .kops;
 }
 
 void
@@ -151,15 +119,13 @@ run()
                 "(KOPS, single front-end, 100% write)",
                 "Backends  SkipList        BST        BPT     MV-BST"
                 "     MV-BPT");
-    std::vector<std::vector<double>> main_rows;
     for (uint32_t n = 1; n <= kMaxBackends; ++n) {
-        std::vector<double> row = {
+        const double row[] = {
             partitionedKops<SkipList>(n), partitionedKops<Bst>(n),
             partitionedKops<BpTree>(n), partitionedKops<MvBst>(n),
             partitionedKops<MvBpTree>(n)};
         std::printf("%8u  %9.1f  %9.1f  %9.1f  %9.1f  %9.1f\n", n,
                     row[0], row[1], row[2], row[3], row[4]);
-        main_rows.push_back(std::move(row));
     }
     std::printf("\nPaper (Fig. 10) reference shape: flat — partitioning "
                 "across back-ends causes no significant degradation.\n");
@@ -168,13 +134,12 @@ run()
         "Fan-out ablation (BPT): parallel doorbell fan-out vs one "
         "serial commit fence per back-end",
         "Backends   Parallel     Serial    Speedup");
-    std::vector<double> par_series, ser_series;
     Histogram deepest_fanout;
     for (uint32_t n = 1; n <= kMaxBackends; ++n) {
-        const PartitionResult par = partitionedRun<BpTree>(n, true);
-        const PartitionResult ser = partitionedRun<BpTree>(n, false);
-        par_series.push_back(par.kops);
-        ser_series.push_back(ser.kops);
+        const PartitionResult par =
+            partitionedRun<BpTree>(n, true, "fanout_ablation");
+        const PartitionResult ser =
+            partitionedRun<BpTree>(n, false, "fanout_ablation");
         std::printf("%8u  %9.1f  %9.1f  %8.2fx\n", n, par.kops,
                     ser.kops, ser.kops > 0 ? par.kops / ser.kops : 0.0);
         if (n == kMaxBackends)
@@ -187,9 +152,6 @@ run()
     if (deepest_fanout.count() > 0)
         std::printf("\nFan-out flush latency at %u back-ends: %s\n",
                     kMaxBackends, deepest_fanout.summary().c_str());
-
-    writeJson(main_rows, par_series, ser_series,
-              "BENCH_fig10_partition.json");
 }
 
 } // namespace
@@ -199,5 +161,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

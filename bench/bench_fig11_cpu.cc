@@ -19,6 +19,8 @@ constexpr uint64_t kPreload = 30000;
 constexpr uint64_t kOpsPerInterval = 2000;
 constexpr uint32_t kIntervals = 10;
 
+Report report("fig11_cpu");
+
 void
 run()
 {
@@ -45,14 +47,18 @@ run()
     for (uint32_t i = 0; i < kIntervals; ++i) {
         const uint64_t fe_t0 = s.clock().now();
         be.resetStats();
+        s.resetStats();
+        Meter m(s, be);
         for (uint64_t op = 0; op < kOpsPerInterval; ++op) {
             const WorkItem item = w.next();
-            if (item.op == WorkOp::Put)
-                (void)tree.insert(item.key, item.value);
-            else {
-                Value v;
-                (void)tree.find(item.key, &v);
-            }
+            m.call(s, [&] {
+                if (item.op == WorkOp::Put)
+                    (void)tree.insert(item.key, item.value);
+                else {
+                    Value v;
+                    (void)tree.find(item.key, &v);
+                }
+            });
         }
         (void)s.flushAll();
         const uint64_t elapsed = s.clock().now() - fe_t0;
@@ -66,6 +72,10 @@ run()
                                static_cast<double>(elapsed);
         std::printf("%13" PRIu64 "   %9.1f%%   %8.1f%%\n", total_ops,
                     fe_util, be_util);
+        Cell cell = m.finish(kOpsPerInterval);
+        cell.virt["backend_util_pct"] = be_util;
+        report.add({{"ops_done", std::to_string(total_ops)}},
+                   std::move(cell));
     }
     std::printf("\nPaper (Fig. 11) reference shape: front-end pinned at "
                 "~100%%, back-end at 4-10%% —\nthe back-end's only work "
@@ -79,5 +89,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

@@ -11,15 +11,20 @@
 namespace asymnvm::bench {
 namespace {
 
-constexpr uint64_t kPreload = 30000;
-constexpr uint64_t kOps = 8000;
+// Full-size parameters reproduce the paper's shape; ASYMNVM_BENCH_TINY
+// shrinks them so the bench's gate runs every cell in about a second.
+uint64_t kPreload = 30000;
+uint64_t kOps = 8000;
 
 uint64_t session_counter = 9000;
+
+Report report("fig12_zipf");
 
 /** @p rpcs, when given, receives the measured phase's back-end RPCs. */
 template <typename DS>
 double
-runAtSkew(KeyDist dist, double theta, uint64_t *rpcs = nullptr)
+runAtSkew(const char *workload, KeyDist dist, double theta,
+          uint64_t *rpcs = nullptr)
 {
     BackendNode be(1, benchBackendConfig());
     FrontendSession s(sessionFor(Mode::RCB, ++session_counter,
@@ -42,7 +47,10 @@ runAtSkew(KeyDist dist, double theta, uint64_t *rpcs = nullptr)
     Workload w(mcfg);
     const auto ops = w.generate(kOps);
     const uint64_t rpcs0 = be.rpcCalls();
-    const double kops = runKvWorkload(s, ds, ops).kops();
+    Meter m(s, be);
+    const double kops = runKvWorkload(m, s, ds, ops).kops();
+    report.add({{"workload", workload}, {"structure", dsName<DS>()}},
+               m.finish(ops.size()));
     if (rpcs != nullptr)
         *rpcs = be.rpcCalls() - rpcs0;
     return kops;
@@ -51,6 +59,10 @@ runAtSkew(KeyDist dist, double theta, uint64_t *rpcs = nullptr)
 void
 run()
 {
+    if (benchTiny()) {
+        kPreload = 1500;
+        kOps = 400;
+    }
     struct Row
     {
         const char *label;
@@ -71,12 +83,12 @@ run()
     for (size_t r = 0; r < std::size(rows); ++r) {
         const Row &row = rows[r];
         std::printf("%-12s %9.1f %9.1f %9.1f %9.1f %9.1f\n", row.label,
-                    runAtSkew<BpTree>(row.dist, row.theta),
-                    runAtSkew<Bst>(row.dist, row.theta),
-                    runAtSkew<SkipList>(row.dist, row.theta),
-                    runAtSkew<MvBpTree>(row.dist, row.theta,
+                    runAtSkew<BpTree>(row.label, row.dist, row.theta),
+                    runAtSkew<Bst>(row.label, row.dist, row.theta),
+                    runAtSkew<SkipList>(row.label, row.dist, row.theta),
+                    runAtSkew<MvBpTree>(row.label, row.dist, row.theta,
                                         &mv_rpcs[r].first),
-                    runAtSkew<MvBst>(row.dist, row.theta,
+                    runAtSkew<MvBst>(row.label, row.dist, row.theta,
                                      &mv_rpcs[r].second));
     }
     printHeader("Back-end RPCs of the MV cells (measured phase)",
@@ -96,5 +108,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

@@ -14,10 +14,14 @@
 namespace asymnvm::bench {
 namespace {
 
-constexpr uint64_t kPreload = 30000;
-constexpr uint64_t kOps = 8000;
+// Full-size parameters reproduce the paper's shape; ASYMNVM_BENCH_TINY
+// shrinks them so the bench's gate runs every cell in about a second.
+uint64_t kPreload = 30000;
+uint64_t kOps = 8000;
 
 uint64_t session_counter = 10000;
+
+Report report("fig13_mixes");
 
 struct Mix
 {
@@ -35,7 +39,7 @@ const Mode kModes[] = {Mode::Naive, Mode::R, Mode::RC};
 
 template <typename DS>
 double
-runMix(Mode mode, double put_ratio)
+runMix(Mode mode, const char *mix, double put_ratio)
 {
     BackendNode be(1, benchBackendConfig());
     FrontendSession s(sessionFor(mode, ++session_counter,
@@ -62,13 +66,19 @@ runMix(Mode mode, double put_ratio)
     mcfg.seed = 99;
     Workload w(mcfg);
     const auto ops = w.generate(kOps);
-    return runKvWorkload(s, ds, ops).kops();
+    Meter m(s, be);
+    const double kops = runKvWorkload(m, s, ds, ops).kops();
+    report.add({{"structure", dsName<DS>()},
+                {"mix", mix},
+                {"system", modeName(mode)}},
+               m.finish(ops.size()));
+    return kops;
 }
 
 /** Queue/stack mixes: push ratio instead of put ratio. */
 template <typename DS>
 double
-runListMix(Mode mode, double push_ratio)
+runListMix(Mode mode, const char *mix, double push_ratio)
 {
     BackendNode be(1, benchBackendConfig());
     FrontendSession s(sessionFor(mode, ++session_counter, 64 << 10));
@@ -78,30 +88,26 @@ runListMix(Mode mode, double push_ratio)
     if (!ok(DS::create(s, 1, "l", &ds)))
         return -1;
     // Preload elements so pops have work to do.
-    for (uint64_t i = 0; i < kOps; ++i) {
-        if constexpr (std::is_same_v<DS, Queue>)
-            (void)ds.enqueue(Value::ofU64(i));
-        else
-            (void)ds.push(Value::ofU64(i));
-    }
+    for (uint64_t i = 0; i < kOps; ++i)
+        (void)dsPush(ds, Value::ofU64(i));
     (void)s.flushAll();
     Rng rng(9);
+    Meter m(s, be);
     const uint64_t t0 = s.clock().now();
     for (uint64_t i = 0; i < kOps; ++i) {
-        Value v = Value::ofU64(i);
-        if (rng.nextDouble() < push_ratio) {
-            if constexpr (std::is_same_v<DS, Queue>)
-                (void)ds.enqueue(v);
+        m.call(s, [&] {
+            Value v = Value::ofU64(i);
+            if (rng.nextDouble() < push_ratio)
+                (void)dsPush(ds, v);
             else
-                (void)ds.push(v);
-        } else {
-            if constexpr (std::is_same_v<DS, Queue>)
-                (void)ds.dequeue(&v);
-            else
-                (void)ds.pop(&v);
-        }
+                (void)dsPop(ds, &v);
+        });
     }
     (void)s.flushAll();
+    report.add({{"structure", dsName<DS>()},
+                {"mix", mix},
+                {"system", modeName(mode)}},
+               m.finish(kOps));
     return Throughput{kOps, s.clock().now() - t0}.kops();
 }
 
@@ -116,7 +122,7 @@ kvPanel(const char *title)
     for (const Mix &mix : kMixes) {
         std::printf("%-10s ", mix.label);
         for (Mode m : kModes)
-            std::printf("%14.1f", runMix<DS>(m, mix.put_ratio));
+            std::printf("%14.1f", runMix<DS>(m, mix.label, mix.put_ratio));
         std::printf("\n");
     }
 }
@@ -135,7 +141,8 @@ listPanel(const char *title)
     for (const Mix &mix : mixes) {
         std::printf("%-10s ", mix.label);
         for (Mode m : kModes)
-            std::printf("%14.1f", runListMix<DS>(m, mix.put_ratio));
+            std::printf("%14.1f",
+                        runListMix<DS>(m, mix.label, mix.put_ratio));
         std::printf("\n");
     }
 }
@@ -143,6 +150,10 @@ listPanel(const char *title)
 void
 run()
 {
+    if (benchTiny()) {
+        kPreload = 600;
+        kOps = 200;
+    }
     printHeader("Figure 13: throughput (KOPS) across read/write mixes, "
                 "power-law workload",
                 "");
@@ -168,5 +179,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

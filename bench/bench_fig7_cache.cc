@@ -24,16 +24,18 @@ namespace asymnvm::bench {
 namespace {
 
 // Full-size parameters reproduce the paper's shape; ASYMNVM_BENCH_TINY
-// shrinks them so the bench_smoke_fig7 ctest target exercises the cache
-// and prefetch plumbing in seconds.
+// shrinks them so the bench's gate exercises the cache and prefetch
+// plumbing in seconds.
 uint64_t kPreload = 30000;
 uint64_t kOps = 8000;
 
 uint64_t session_counter = 4000;
 
-/** One Figure 7 cell: KOPS plus the measured phase's write-allocations,
- *  cache miss ratio and back-end RPCs. */
-struct Cell
+Report report("fig7_cache");
+
+/** One printed Figure 7 cell: KOPS plus the measured phase's
+ *  write-allocations, cache miss ratio and back-end RPCs. */
+struct Point
 {
     double kops = -1;
     uint64_t write_allocs = 0;
@@ -41,15 +43,23 @@ struct Cell
     uint64_t rpcs = 0;
 };
 
-Cell
-cellOf(FrontendSession &s, Throughput t, uint64_t rpcs = 0)
+/** Close @p m's cell in @p table and the matching printed point. */
+Point
+pointOf(Meter &m, FrontendSession &s, const char *table,
+        const char *structure, double pct, Throughput t, uint64_t rpcs = 0)
 {
+    Cell cell = m.finish(t.ops);
+    cell.virt["write_allocs"] = static_cast<double>(s.cache().writeAllocs());
+    report.add({{"table", table},
+                {"structure", structure},
+                {"cache_pct", num(pct * 100)}},
+               std::move(cell));
     return {t.kops(), s.cache().writeAllocs(), s.cache().missRatio(), rpcs};
 }
 
 template <typename DS>
-Cell
-runAtCache(double pct)
+Point
+runAtCache(double pct, const char *table = "cache_sweep")
 {
     BackendNode be(1, benchBackendConfig());
     FrontendSession s(sessionFor(Mode::RCB, ++session_counter,
@@ -77,53 +87,38 @@ runAtCache(double pct)
     Workload w(mcfg);
     const auto ops = w.generate(kOps);
     const uint64_t rpcs0 = be.rpcCalls();
-    const Throughput t = runKvWorkload(s, ds, ops);
-    return cellOf(s, t, be.rpcCalls() - rpcs0);
+    Meter m(s, be);
+    const Throughput t = runKvWorkload(m, s, ds, ops);
+    return pointOf(m, s, table, dsName<DS>(), pct, t,
+                   be.rpcCalls() - rpcs0);
 }
 
-Cell
-runTatpAtCache(double pct)
+/** TATP/SmallBank column at @p pct: kOps/2 transactions over 10000
+ *  accounts with a @p cache_bytes (at least 16 KiB) cache. */
+template <typename App>
+Point
+runTxAtCache(double pct, Mode mode, uint64_t cache_bytes,
+             const char *column, uint64_t rng_seed)
 {
     BackendNode be(1, benchBackendConfig());
-    const uint64_t bytes = static_cast<uint64_t>(pct * 6.0 * 1024 * 1024);
-    FrontendSession s(sessionFor(Mode::RCB, ++session_counter,
-                                 std::max<uint64_t>(bytes, 16 << 10), 64));
+    FrontendSession s(sessionFor(mode, ++session_counter,
+                                 std::max<uint64_t>(cache_bytes, 16 << 10),
+                                 64));
     if (!ok(s.connect(&be)))
         return {};
-    Tatp tatp;
-    if (!ok(Tatp::create(s, 1, 10000, &tatp)))
+    App app;
+    if (!ok(App::create(s, 1, 10000, &app)))
         return {};
     s.resetStats();
-    Rng rng(6);
+    Rng rng(rng_seed);
+    Meter m(s, be);
     const uint64_t t0 = s.clock().now();
     const uint64_t n = kOps / 2;
     for (uint64_t i = 0; i < n; ++i)
-        (void)tatp.runOne(rng);
+        m.call(s, [&] { (void)app.runOne(rng); });
     (void)s.flushAll();
-    return cellOf(s, Throughput{n, s.clock().now() - t0});
-}
-
-Cell
-runSmallBankAtCache(double pct)
-{
-    BackendNode be(1, benchBackendConfig());
-    const uint64_t bytes =
-        static_cast<uint64_t>(pct * 10000 * 88);
-    FrontendSession s(sessionFor(Mode::RC, ++session_counter,
-                                 std::max<uint64_t>(bytes, 16 << 10)));
-    if (!ok(s.connect(&be)))
-        return {};
-    SmallBank bank;
-    if (!ok(SmallBank::create(s, 1, 10000, &bank)))
-        return {};
-    s.resetStats();
-    Rng rng(5);
-    const uint64_t t0 = s.clock().now();
-    const uint64_t n = kOps / 2;
-    for (uint64_t i = 0; i < n; ++i)
-        (void)bank.runOne(rng);
-    (void)s.flushAll();
-    return cellOf(s, Throughput{n, s.clock().now() - t0});
+    return pointOf(m, s, "cache_sweep", column, pct,
+                   Throughput{n, s.clock().now() - t0});
 }
 
 /** Tree-aware adaptive admission vs admitting everything (native LRU). */
@@ -154,43 +149,10 @@ runBptNativeLru(double pct)
     mcfg.zipf_theta = 0.9;
     mcfg.seed = 99;
     Workload w(mcfg);
-    const uint64_t t0 = s.clock().now();
-    for (const WorkItem &item : w.generate(kOps)) {
-        if (item.op == WorkOp::Put) {
-            (void)ds.insert(item.key, item.value);
-        } else {
-            Value v;
-            (void)ds.find(item.key, &v);
-        }
-    }
-    (void)s.flushAll();
-    return Throughput{kOps, s.clock().now() - t0}.kops();
+    Meter m(s, be);
+    const Throughput t = runKvWorkload(m, s, ds, w.generate(kOps));
+    return pointOf(m, s, "lru_ablation", "BPT (native LRU)", pct, t).kops;
 }
-
-/** Outcome of one cold-cache lookup run of the prefetch ablation. */
-struct PrefetchAblation
-{
-    double ns_per_op = -1;
-    uint64_t doorbells = 0;
-    uint64_t issued = 0;
-    uint64_t hits = 0;
-    uint64_t wasted = 0;
-    uint64_t gated = 0;
-};
-
-/** One key order and cache size of the prefetch ablation, on and off. */
-struct AblationShape
-{
-    bool scattered;
-    double cache_pct;
-    PrefetchAblation on;
-    PrefetchAblation off;
-
-    const char *keys() const
-    {
-        return scattered ? "scattered" : "range-local";
-    }
-};
 
 /**
  * Read-gather prefetch ablation: cold-cache B+tree point lookups with the
@@ -205,11 +167,11 @@ struct AblationShape
  * of perfbench's read_pipelined: a miss's siblings are keys nobody asks
  * for soon. At read_pipelined's 10% cache the speculation gate closes;
  * at 25% enough siblings are hot that it stays open (EXPERIMENTS.md).
+ * Prints the run's row.
  */
-PrefetchAblation
+void
 runBptColdLookup(bool prefetch_on, bool scattered, double cache_pct)
 {
-    PrefetchAblation out;
     BackendNode be(1, benchBackendConfig());
     SessionConfig cfg = sessionFor(Mode::RC, ++session_counter,
                                    cacheBytesFor<BpTree>(cache_pct, kPreload));
@@ -218,10 +180,10 @@ runBptColdLookup(bool prefetch_on, bool scattered, double cache_pct)
         cfg.pipeline_depth = 8;
     FrontendSession s(cfg);
     if (!ok(s.connect(&be)))
-        return out;
+        return;
     BpTree ds;
     if (!ok(BpTree::create(s, 1, "c", &ds)))
-        return out;
+        return;
     WorkloadConfig wcfg;
     wcfg.key_space = kPreload;
     wcfg.seed = 42;
@@ -236,11 +198,14 @@ runBptColdLookup(bool prefetch_on, bool scattered, double cache_pct)
     mcfg.seed = 99;
     Workload w(mcfg);
     const uint64_t nops = kOps / 2;
+    Meter m(s, be);
     const uint64_t t0 = s.clock().now();
     if (!scattered) {
         for (uint64_t i = 0; i < nops; ++i) {
-            Value v;
-            (void)ds.find(w.next().key, &v);
+            m.call(s, [&] {
+                Value v;
+                (void)ds.find(w.next().key, &v);
+            });
         }
     } else {
         constexpr size_t kBatch = 32;
@@ -252,91 +217,28 @@ runBptColdLookup(bool prefetch_on, bool scattered, double cache_pct)
                 static_cast<size_t>(std::min<uint64_t>(kBatch, nops - base));
             for (size_t i = 0; i < n; ++i)
                 keys[i] = w.next().key;
-            (void)ds.findMany({keys.data(), n}, vals.data(),
-                              results.data());
+            m.call(s, [&] {
+                (void)ds.findMany({keys.data(), n}, vals.data(),
+                                  results.data());
+            });
         }
     }
     const uint64_t dt = s.clock().now() - t0;
     const SessionStats st = s.stats();
-    out.ns_per_op = static_cast<double>(dt) / static_cast<double>(nops);
-    out.doorbells = st.verbs.doorbells;
-    out.issued = st.prefetch.issued;
-    out.hits = st.prefetch.hits;
-    out.wasted = st.prefetch.wasted;
-    out.gated = st.prefetch.gated;
-    return out;
-}
-
-/**
- * Machine-readable companion of the printed tables: per-structure KOPS
- * and write-allocations per cache fraction, the native-LRU ablation, and
- * the cold-cache prefetch ablation. Format documented in EXPERIMENTS.md.
- */
-void
-writeJson(const std::vector<std::vector<Cell>> &main_rows,
-          const double *pcts, size_t npcts, double lru_adaptive,
-          double lru_native, const std::vector<AblationShape> &ablation,
-          const char *path)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig7_cache\",\n"
-                    "  \"unit\": \"kops\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"ops\": %" PRIu64 ", \"tiny\": %s},\n",
-                 kPreload, kOps, benchTiny() ? "true" : "false");
-    static constexpr const char *kCols[] = {
-        "BPT", "BST", "SkipList", "TATP",
-        "MV-BPT", "MV-BST", "HashTable", "SmallBank"};
-    std::fprintf(f, "  \"columns\": [");
-    for (size_t i = 0; i < std::size(kCols); ++i)
-        std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ", kCols[i]);
-    std::fprintf(f, "],\n  \"rows\": [\n");
-    for (size_t n = 0; n < main_rows.size(); ++n) {
-        std::fprintf(f, "    {\"cache_pct\": %.0f, \"cells\": [",
-                     pcts[n] * 100);
-        for (size_t i = 0; i < main_rows[n].size(); ++i)
-            std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ",
-                         main_rows[n][i].kops);
-        std::fprintf(f, "], \"write_allocs\": [");
-        for (size_t i = 0; i < main_rows[n].size(); ++i)
-            std::fprintf(f, "%s%" PRIu64, i == 0 ? "" : ", ",
-                         main_rows[n][i].write_allocs);
-        std::fprintf(f, "]}%s\n",
-                     n + 1 == main_rows.size() ? "" : ",");
-    }
-    (void)npcts;
-    std::fprintf(f, "  ],\n  \"lru_ablation\": {\"structure\": \"BPT\", "
-                    "\"adaptive\": %.1f, \"native_lru\": %.1f},\n",
-                 lru_adaptive, lru_native);
-    // The range-local shape keeps its original top-level fields; the
-    // scattered shapes follow in an array.
-    const auto fields = [f](const AblationShape &a) {
-        std::fprintf(f, "\"prefetch_on\": %.1f, \"prefetch_off\": %.1f, "
-                        "\"doorbells_on\": %" PRIu64
-                        ", \"doorbells_off\": %" PRIu64 ", \"issued\": %" PRIu64
-                        ", \"hits\": %" PRIu64 ", \"wasted\": %" PRIu64
-                        ", \"gated\": %" PRIu64,
-                     a.on.ns_per_op, a.off.ns_per_op, a.on.doorbells,
-                     a.off.doorbells, a.on.issued, a.on.hits, a.on.wasted,
-                     a.on.gated);
-    };
-    std::fprintf(f, "  \"prefetch_ablation\": {\"structure\": \"BPT\", "
-                    "\"unit\": \"ns/op\", ");
-    fields(ablation.front());
-    std::fprintf(f, ",\n    \"scattered\": [");
-    for (size_t i = 1; i < ablation.size(); ++i) {
-        std::fprintf(f, "%s\n      {\"cache_pct\": %.0f, ",
-                     i == 1 ? "" : ",", ablation[i].cache_pct * 100);
-        fields(ablation[i]);
-        std::fprintf(f, "}");
-    }
-    std::fprintf(f, "]}\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    const char *keys = scattered ? "scattered" : "range-local";
+    std::printf("%-11s  %4.0f%%  %-8s  %9.1f  %9" PRIu64 "  %9" PRIu64
+                "  %9" PRIu64 "  %9" PRIu64 "  %9" PRIu64 "\n",
+                keys, cache_pct * 100, prefetch_on ? "on" : "off",
+                static_cast<double>(dt) / static_cast<double>(nops),
+                st.verbs.doorbells, st.prefetch.issued, st.prefetch.hits,
+                st.prefetch.wasted, st.prefetch.gated);
+    Cell cell = m.finish(nops);
+    cell.virt["prefetch_gated"] = static_cast<double>(st.prefetch.gated);
+    report.add({{"table", "prefetch_ablation"},
+                {"keys", keys},
+                {"cache_pct", num(cache_pct * 100)},
+                {"prefetch", prefetch_on ? "on" : "off"}},
+               std::move(cell));
 }
 
 void
@@ -350,13 +252,19 @@ run()
     printHeader("Figure 7: throughput (KOPS) vs cache size (% of data)",
                 "Cache%        BPT       BST  SkipList      TATP"
                 "    MV-BPT    MV-BST   HashTbl SmallBank");
-    std::vector<std::vector<Cell>> main_rows;
+    std::vector<std::vector<Point>> main_rows;
     for (double pct : pcts) {
-        std::vector<Cell> row = {
+        std::vector<Point> row = {
             runAtCache<BpTree>(pct),     runAtCache<Bst>(pct),
-            runAtCache<SkipList>(pct),   runTatpAtCache(pct),
+            runAtCache<SkipList>(pct),
+            runTxAtCache<Tatp>(pct, Mode::RCB,
+                               static_cast<uint64_t>(pct * 6.0 * 1024 * 1024),
+                               "TATP", 6),
             runAtCache<MvBpTree>(pct),   runAtCache<MvBst>(pct),
-            runAtCache<HashTable>(pct),  runSmallBankAtCache(pct)};
+            runAtCache<HashTable>(pct),
+            runTxAtCache<SmallBank>(pct, Mode::RC,
+                                    static_cast<uint64_t>(pct * 10000 * 88),
+                                    "SmallBank", 5)};
         std::printf("%5.0f%%  %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f"
                     " %9.1f %9.1f\n",
                     pct * 100, row[0].kops, row[1].kops, row[2].kops,
@@ -371,7 +279,7 @@ run()
                 "    MV-BPT    MV-BST   HashTbl SmallBank");
     for (size_t n = 0; n < main_rows.size(); ++n) {
         std::printf("%5.0f%% ", pcts[n] * 100);
-        for (const Cell &c : main_rows[n])
+        for (const Point &c : main_rows[n])
             std::printf(" %9" PRIu64, c.write_allocs);
         std::printf("\n");
     }
@@ -381,14 +289,15 @@ run()
                 "phase)",
                 "Cache%  MV-BPT miss      RPCs  MV-BST miss      RPCs");
     for (size_t n = 0; n < main_rows.size(); ++n) {
-        const Cell &bpt = main_rows[n][4];
-        const Cell &bst = main_rows[n][5];
+        const Point &bpt = main_rows[n][4];
+        const Point &bst = main_rows[n][5];
         std::printf("%5.0f%%  %10.1f%% %9" PRIu64 "  %10.1f%% %9" PRIu64
                     "\n",
                     pcts[n] * 100, bpt.miss_ratio * 100, bpt.rpcs,
                     bst.miss_ratio * 100, bst.rpcs);
     }
-    const double lru_adaptive = runAtCache<BpTree>(0.10).kops;
+    const double lru_adaptive =
+        runAtCache<BpTree>(0.10, "lru_ablation").kops;
     const double lru_native = runBptNativeLru(0.10);
     std::printf("\nTree-aware caching ablation (BPT, 10%% cache): "
                 "adaptive level admission %.1f KOPS vs native LRU "
@@ -399,19 +308,10 @@ run()
                 "100% point lookups)",
                 "Keys         Cache  Prefetch      ns/op  doorbells"
                 "     issued       hits     wasted      gated");
-    std::vector<AblationShape> ablation = {
-        {false, 0.25, {}, {}}, {true, 0.25, {}, {}}, {true, 0.10, {}, {}}};
-    for (AblationShape &a : ablation) {
-        a.on = runBptColdLookup(true, a.scattered, a.cache_pct);
-        a.off = runBptColdLookup(false, a.scattered, a.cache_pct);
-        for (const PrefetchAblation *r : {&a.on, &a.off})
-            std::printf("%-11s  %4.0f%%  %-8s  %9.1f  %9" PRIu64
-                        "  %9" PRIu64 "  %9" PRIu64 "  %9" PRIu64
-                        "  %9" PRIu64 "\n",
-                        a.keys(), a.cache_pct * 100,
-                        r == &a.on ? "on" : "off", r->ns_per_op,
-                        r->doorbells, r->issued, r->hits, r->wasted,
-                        r->gated);
+    for (const auto &[scattered, pct] :
+         {std::pair{false, 0.25}, {true, 0.25}, {true, 0.10}}) {
+        runBptColdLookup(true, scattered, pct);
+        runBptColdLookup(false, scattered, pct);
     }
     std::printf("\nExpected shape: on range-local keys prefetch-on "
                 "finishes the same lookups in fewer\nvirtual ns/op and "
@@ -424,9 +324,6 @@ run()
                 "cache size;\nMV variants barely improve (their modified "
                 "data stays in front-end memory);\nnative LRU trails the "
                 "level-aware policy by ~38%% on BPT.\n");
-
-    writeJson(main_rows, pcts, std::size(pcts), lru_adaptive, lru_native,
-              ablation, "BENCH_fig7_cache.json");
 }
 
 } // namespace
@@ -436,5 +333,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

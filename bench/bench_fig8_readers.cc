@@ -20,14 +20,16 @@ namespace asymnvm::bench {
 namespace {
 
 // Full-size parameters reproduce the paper's shape; ASYMNVM_BENCH_TINY
-// shrinks them so the bench_smoke_fig8 ctest target exercises the shared
-// reader/writer plumbing in seconds.
+// shrinks them so the bench's gate exercises the shared reader/writer
+// plumbing in seconds.
 uint64_t kPreload = 20000;
 uint64_t kWriterOps = 6000;
 uint64_t kReaderOps = 6000;
 constexpr uint32_t kMaxReaders = 6;
 
 uint64_t session_counter = 5000;
+
+Report report("fig8_readers");
 
 struct RunResult
 {
@@ -36,9 +38,11 @@ struct RunResult
     double retry_ratio;
 };
 
+/** @p table names the printed table the cell belongs to. */
 template <typename DS>
 RunResult
-runWithReaders(uint32_t nreaders, bool reader_prefetch = true)
+runWithReaders(uint32_t nreaders, const char *table,
+               bool reader_prefetch = true)
 {
     BackendNode be(1, benchBackendConfig());
     DsOptions shared;
@@ -76,6 +80,11 @@ runWithReaders(uint32_t nreaders, bool reader_prefetch = true)
             return {-1, -1, 0};
     }
 
+    Meter m;
+    m.watch(be);
+    m.watch(writer);
+    for (auto &s : rsessions)
+        m.watch(*s);
     std::atomic<bool> go{false};
     std::vector<double> reader_kops(nreaders, 0);
     std::vector<double> retry_ratios(nreaders, 0);
@@ -92,8 +101,10 @@ runWithReaders(uint32_t nreaders, bool reader_prefetch = true)
             Workload w(rcfg);
             const uint64_t t0 = s.clock().now();
             for (uint64_t i = 0; i < kReaderOps; ++i) {
-                Value v;
-                (void)dsGet(ds, w.next().key, &v);
+                m.call(s, [&] {
+                    Value v;
+                    (void)dsGet(ds, w.next().key, &v);
+                });
                 std::this_thread::yield(); // op-granular interleaving
             }
             reader_kops[r] =
@@ -113,7 +124,7 @@ runWithReaders(uint32_t nreaders, bool reader_prefetch = true)
         const uint64_t t0 = writer.clock().now();
         for (uint64_t i = 0; i < kWriterOps; ++i) {
             const WorkItem item = w.next();
-            (void)dsPut(wds, item.key, item.value);
+            m.call(writer, [&] { (void)dsPut(wds, item.key, item.value); });
             std::this_thread::yield(); // op-granular interleaving
         }
         (void)writer.flushAll();
@@ -131,79 +142,32 @@ runWithReaders(uint32_t nreaders, bool reader_prefetch = true)
         total += reader_kops[r];
         retries += retry_ratios[r];
     }
-    return {writer_kops, total,
-            nreaders == 0 ? 0 : retries / nreaders};
+    const RunResult res{writer_kops, total,
+                        nreaders == 0 ? 0 : retries / nreaders};
+    m.wrotePairs(kWriterOps);
+    Cell cell = m.finish(kWriterOps + nreaders * kReaderOps);
+    cell.virt["writer_kops"] = res.writer_kops;
+    cell.virt["readers_total_kops"] = res.reader_total_kops;
+    cell.virt["read_retry_ratio"] = res.retry_ratio;
+    report.add({{"table", table},
+                {"structure", dsName<DS>()},
+                {"readers", std::to_string(nreaders)},
+                {"reader_prefetch", reader_prefetch ? "on" : "off"}},
+               std::move(cell));
+    return res;
 }
 
 template <typename DS>
-std::vector<RunResult>
+void
 series(const char *label)
 {
     std::printf("%s\n", label);
     std::printf("Readers   Writer-KOPS  Readers-KOPS(total)  RetryRatio\n");
-    std::vector<RunResult> rows;
     for (uint32_t n = 1; n <= kMaxReaders; ++n) {
-        const RunResult r = runWithReaders<DS>(n);
+        const RunResult r = runWithReaders<DS>(n, "readers");
         std::printf("%7u   %11.1f  %19.1f  %9.1f%%\n", n, r.writer_kops,
                     r.reader_total_kops, r.retry_ratio * 100);
-        rows.push_back(r);
     }
-    return rows;
-}
-
-/**
- * Machine-readable companion of the printed tables: one series per
- * structure plus the reader-prefetch ablation. Format documented in
- * EXPERIMENTS.md.
- */
-void
-writeJson(const std::vector<const char *> &names,
-          const std::vector<std::vector<RunResult>> &series_rows,
-          const std::vector<RunResult> &pf_on,
-          const std::vector<RunResult> &pf_off, const char *path)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig8_readers\",\n"
-                    "  \"unit\": \"kops\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"writer_ops\": %" PRIu64 ", \"reader_ops\": %" PRIu64
-                    ", \"tiny\": %s},\n",
-                 kPreload, kWriterOps, kReaderOps,
-                 benchTiny() ? "true" : "false");
-    std::fprintf(f, "  \"series\": [\n");
-    for (size_t s = 0; s < names.size(); ++s) {
-        std::fprintf(f, "    {\"structure\": \"%s\", \"rows\": [\n",
-                     names[s]);
-        for (size_t n = 0; n < series_rows[s].size(); ++n) {
-            const RunResult &r = series_rows[s][n];
-            std::fprintf(f,
-                         "      {\"readers\": %zu, \"writer\": %.1f, "
-                         "\"readers_total\": %.1f, \"retry_ratio\": "
-                         "%.4f}%s\n",
-                         n + 1, r.writer_kops, r.reader_total_kops,
-                         r.retry_ratio,
-                         n + 1 == series_rows[s].size() ? "" : ",");
-        }
-        std::fprintf(f, "    ]}%s\n",
-                     s + 1 == names.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ],\n  \"prefetch_ablation\": {\"structure\": "
-                    "\"BPT\", \"rows\": [\n");
-    for (size_t n = 0; n < pf_on.size(); ++n) {
-        std::fprintf(f,
-                     "    {\"readers\": %zu, \"readers_total_on\": %.1f, "
-                     "\"readers_total_off\": %.1f}%s\n",
-                     n + 1, pf_on[n].reader_total_kops,
-                     pf_off[n].reader_total_kops,
-                     n + 1 == pf_on.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ]}\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
 }
 
 void
@@ -214,23 +178,16 @@ run()
         kWriterOps = 300;
         kReaderOps = 300;
     }
-    std::vector<const char *> names;
-    std::vector<std::vector<RunResult>> series_rows;
     printHeader("Figure 8a: lock-free (multi-version) structures, "
                 "1 writer + N readers",
                 "");
-    names.push_back("MV-BPT");
-    series_rows.push_back(series<MvBpTree>("MV-BPT:"));
-    names.push_back("MV-BST");
-    series_rows.push_back(series<MvBst>("MV-BST:"));
+    series<MvBpTree>("MV-BPT:");
+    series<MvBst>("MV-BST:");
     printHeader("Figure 8b: lock-based structures, 1 writer + N readers",
                 "");
-    names.push_back("BPT");
-    series_rows.push_back(series<BpTree>("BPT:"));
-    names.push_back("BST");
-    series_rows.push_back(series<Bst>("BST:"));
-    names.push_back("SkipList");
-    series_rows.push_back(series<SkipList>("SkipList:"));
+    series<BpTree>("BPT:");
+    series<Bst>("BST:");
+    series<SkipList>("SkipList:");
     std::printf(
         "\nPaper (Fig. 8) reference shape: reader throughput scales with"
         "\nreader count; lock-free readers outpace lock-based ~2.0-2.8x;"
@@ -239,13 +196,13 @@ run()
 
     printHeader("Reader-prefetch ablation (BPT, 1 writer + N readers)",
                 "Readers   Readers-KOPS(on)  Readers-KOPS(off)");
-    std::vector<RunResult> pf_on, pf_off;
     for (uint32_t n = 1; n <= kMaxReaders; ++n) {
-        pf_on.push_back(runWithReaders<BpTree>(n, true));
-        pf_off.push_back(runWithReaders<BpTree>(n, false));
-        std::printf("%7u   %16.1f  %17.1f\n", n,
-                    pf_on.back().reader_total_kops,
-                    pf_off.back().reader_total_kops);
+        const RunResult on =
+            runWithReaders<BpTree>(n, "prefetch_ablation", true);
+        const RunResult off =
+            runWithReaders<BpTree>(n, "prefetch_ablation", false);
+        std::printf("%7u   %16.1f  %17.1f\n", n, on.reader_total_kops,
+                    off.reader_total_kops);
     }
     std::printf("\nExpected shape: no fixed order. Readers draw uniform "
                 "hashed keys, whose siblings\nthey seldom read next, so "
@@ -253,9 +210,6 @@ run()
                 "the threads interleave differently every run, and single "
                 "cells move by up to 2x.\nCompare on and off over several "
                 "runs, not one.\n");
-
-    writeJson(names, series_rows, pf_on, pf_off,
-              "BENCH_fig8_readers.json");
 }
 
 } // namespace
@@ -265,5 +219,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

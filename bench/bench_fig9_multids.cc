@@ -14,10 +14,14 @@
 namespace asymnvm::bench {
 namespace {
 
-constexpr uint64_t kPreload = 10000;
-constexpr uint64_t kOps = 6000;
+// Full-size parameters reproduce the paper's shape; ASYMNVM_BENCH_TINY
+// shrinks them so the bench's gate runs every cell in about a second.
+uint64_t kPreload = 10000;
+uint64_t kOps = 6000;
 
 uint64_t session_counter = 6000;
+
+Report report("fig9_multids");
 
 template <typename DS>
 double
@@ -43,6 +47,10 @@ totalKops(uint32_t nclients)
     }
     be.nic().resetStats();
 
+    Meter m;
+    m.watch(be);
+    for (auto &s : sessions)
+        m.watch(*s);
     std::atomic<bool> go{false};
     std::vector<double> kops(nclients, 0);
     std::vector<std::thread> threads;
@@ -56,7 +64,7 @@ totalKops(uint32_t nclients)
             wcfg.seed = 1000 + c;
             Workload w(wcfg);
             const auto ops = w.generate(kOps);
-            kops[c] = runKvWorkload(s, *dss[c], ops,
+            kops[c] = runKvWorkload(m, s, *dss[c], ops,
                                     /*interleave=*/true).kops();
         });
     }
@@ -66,12 +74,21 @@ totalKops(uint32_t nclients)
     double total = 0;
     for (double k : kops)
         total += k;
+    Cell cell = m.finish(kOps * nclients);
+    cell.virt["sum_client_kops"] = total;
+    report.add({{"structure", dsName<DS>()},
+                {"clients", std::to_string(nclients)}},
+               std::move(cell));
     return total;
 }
 
 void
 run()
 {
+    if (benchTiny()) {
+        kPreload = 400;
+        kOps = 150;
+    }
     printHeader("Figure 9: multiple front-ends, one back-end, one DS "
                 "instance per front-end (total KOPS)",
                 "Clients   SkipList        BST        BPT     MV-BST"
@@ -104,5 +121,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

@@ -36,8 +36,6 @@
  * drain ahead of each foreground burst and paces the shipper, so
  * foreground p99 holds near its idle-background value while background
  * still moves at the configured share.
- *
- * Emits BENCH_multisession.json with both tables.
  */
 
 #include <algorithm>
@@ -52,6 +50,8 @@ namespace {
 uint64_t kPreloadPerSession = 200;
 uint64_t kOpsPerSession = 400;
 uint64_t kFrontierOps = 4000;
+
+Report report("multisession");
 
 /** NIC-model variants of the session sweep. */
 enum class NicMode
@@ -102,34 +102,19 @@ multiSessionBackend(uint32_t nsessions)
     return cfg;
 }
 
-/** One row of the session-count sweep. */
-struct SweepPoint
-{
-    NicMode mode = NicMode::Legacy;
-    uint32_t sessions = 0;
-    double agg_kops = -1;     //!< total ops / slowest session's vtime
-    uint64_t p50_ns = 0;      //!< merged per-session op-latency p50
-    uint64_t p99_ns = 0;
-    uint64_t p999_ns = 0;
-    uint64_t worst_p99_ns = 0; //!< max over sessions of per-session p99
-    double merged_pct = 0;     //!< doorbells that coalesced (merge only)
-    uint64_t nic_verbs = 0;
-};
-
 /**
  * k sessions, each with a private hash table on one shared back-end,
  * interleaved at operation granularity (round-robin) so their virtual
  * clocks stay in rough lockstep — the regime in which cross-session
  * timestamps at the NIC are comparable. Per-op latency is the issuing
  * session's clock delta, recorded into a per-session histogram.
+ * Prints the sweep row: aggregate KOPS (total ops over the slowest
+ * session's virtual time), merged per-session latency percentiles, the
+ * worst session's p99 and the share of doorbells that coalesced.
  */
-SweepPoint
+void
 runSweepPoint(NicMode mode, uint32_t nsessions)
 {
-    SweepPoint out;
-    out.mode = mode;
-    out.sessions = nsessions;
-
     BackendConfig bcfg = multiSessionBackend(nsessions);
     bcfg.nic_qos = nicQosFor(mode);
     BackendNode be(1, bcfg);
@@ -148,10 +133,10 @@ runSweepPoint(NicMode mode, uint32_t nsessions)
         ln.s = std::make_unique<FrontendSession>(
             SessionConfig::rcb(j + 1, 256ull << 10, 64));
         if (!ok(ln.s->connect(&be)))
-            return out;
+            return;
         if (!ok(HashTable::create(*ln.s, 1, "ms_" + std::to_string(j), 64,
                                   &ln.ht)))
-            return out;
+            return;
         WorkloadConfig wcfg;
         wcfg.key_space = kPreloadPerSession;
         wcfg.seed = 42 + j;
@@ -164,55 +149,55 @@ runSweepPoint(NicMode mode, uint32_t nsessions)
         ln.t0 = ln.s->clock().now();
     }
     be.nic().resetStats();
+    Meter m;
+    m.watch(be);
+    for (Lane &ln : lanes)
+        m.watch(*ln.s);
 
     const uint64_t total_ops = kOpsPerSession * nsessions;
     for (uint64_t i = 0; i < total_ops; ++i) {
         Lane &ln = lanes[i % nsessions];
         const uint64_t op_t0 = ln.s->clock().now();
-        const WorkItem item = ln.w.next();
-        if (item.op == WorkOp::Put)
-            (void)ln.ht.put(item.key, item.value);
-        else {
-            Value v;
-            (void)ln.ht.get(item.key, &v);
-        }
+        m.call(*ln.s, [&] {
+            const WorkItem item = ln.w.next();
+            if (item.op == WorkOp::Put)
+                (void)ln.ht.put(item.key, item.value);
+            else {
+                Value v;
+                (void)ln.ht.get(item.key, &v);
+            }
+        });
         ln.lat.record(ln.s->clock().now() - op_t0);
     }
     for (Lane &ln : lanes)
         (void)ln.s->flushAll();
+    Cell cell = m.finish(total_ops);
 
-    uint64_t max_dt = 0;
+    uint64_t max_dt = 0, worst_p99 = 0;
     Histogram all;
     for (Lane &ln : lanes) {
         max_dt = std::max(max_dt, ln.s->clock().now() - ln.t0);
-        out.worst_p99_ns =
-            std::max(out.worst_p99_ns, ln.lat.percentileInterp(99));
+        worst_p99 = std::max(worst_p99, ln.lat.percentileInterp(99));
         all.merge(ln.lat);
     }
-    out.agg_kops = Throughput{total_ops, max_dt}.kops();
-    out.p50_ns = all.percentileInterp(50);
-    out.p99_ns = all.percentileInterp(99);
-    out.p999_ns = all.percentileInterp(99.9);
     const uint64_t bursts = be.nic().classBursts(VerbClass::Foreground);
-    if (bursts > 0)
-        out.merged_pct = 100.0 *
-                         be.nic().classMerged(VerbClass::Foreground) /
-                         bursts;
-    out.nic_verbs = be.nic().verbCount();
-    return out;
+    const double merged_pct =
+        bursts == 0 ? 0
+                    : 100.0 * be.nic().classMerged(VerbClass::Foreground) /
+                          bursts;
+    std::printf("%-8s %8u %10.1f %8" PRIu64 " %8" PRIu64 " %8" PRIu64
+                " %13" PRIu64 " %8.1f\n",
+                nicModeName(mode), nsessions,
+                Throughput{total_ops, max_dt}.kops(),
+                all.percentileInterp(50), all.percentileInterp(99),
+                all.percentileInterp(99.9), worst_p99, merged_pct);
+    cell.virt["worst_session_p99_ns"] = static_cast<double>(worst_p99);
+    cell.virt["merged_pct"] = merged_pct;
+    report.add({{"table", "sweep"},
+                {"nic", nicModeName(mode)},
+                {"sessions", std::to_string(nsessions)}},
+               std::move(cell));
 }
-
-/** One row of the foreground/background frontier. */
-struct FrontierPoint
-{
-    uint32_t bg_share_pct = 100;
-    uint64_t bg_wqes_per_round = 0; //!< storm intensity (0 = idle)
-    uint64_t fg_p50_ns = 0;
-    uint64_t fg_p99_ns = 0;
-    double bg_mbps = 0;          //!< background goodput (virtual time)
-    double bg_throttle_us = 0;   //!< pacing stall the arbiter charged
-    double fg_kops = 0;
-};
 
 /**
  * One foreground RCB session against a storm on a background shipper
@@ -222,14 +207,11 @@ struct FrontierPoint
  * burst's own queueing wait is the shipper's problem and is charged to
  * nobody here, but its backlog is what foreground verbs now contend
  * with. 64B per background WQE approximates coalesced log ranges.
+ * Prints the frontier row.
  */
-FrontierPoint
+void
 runFrontierPoint(uint32_t bg_share_pct, uint64_t bg_wqes_per_round)
 {
-    FrontierPoint out;
-    out.bg_share_pct = bg_share_pct;
-    out.bg_wqes_per_round = bg_wqes_per_round;
-
     BackendConfig bcfg = multiSessionBackend(1);
     bcfg.nic_qos.cross_session_merge = true;
     bcfg.nic_qos.bg_share_pct = bg_share_pct;
@@ -237,10 +219,10 @@ runFrontierPoint(uint32_t bg_share_pct, uint64_t bg_wqes_per_round)
 
     FrontendSession s(SessionConfig::rcb(1, 256ull << 10, 64));
     if (!ok(s.connect(&be)))
-        return out;
+        return;
     HashTable ht;
     if (!ok(HashTable::create(s, 1, "frontier", 64, &ht)))
-        return out;
+        return;
     WorkloadConfig wcfg;
     wcfg.key_space = kPreloadPerSession * 4;
     wcfg.seed = 42;
@@ -253,7 +235,7 @@ runFrontierPoint(uint32_t bg_share_pct, uint64_t bg_wqes_per_round)
     mcfg.seed = 7;
     Workload w(mcfg);
     Histogram lat;
-    uint64_t bg_busy_ns = 0;
+    Meter m(s, be);
     const uint64_t t0 = s.clock().now();
     for (uint64_t i = 0; i < kFrontierOps; ++i) {
         if (bg_wqes_per_round != 0 && i % 4 == 0) {
@@ -263,24 +245,23 @@ runFrontierPoint(uint32_t bg_share_pct, uint64_t bg_wqes_per_round)
                                         s.clock().now(),
                                         kShipperQpBase + 1,
                                         VerbClass::Background);
-            bg_busy_ns += bg_wqes_per_round * be.nic().serviceNs();
         }
         const uint64_t op_t0 = s.clock().now();
-        const WorkItem item = w.next();
-        if (item.op == WorkOp::Put)
-            (void)ht.put(item.key, item.value);
-        else {
-            Value v;
-            (void)ht.get(item.key, &v);
-        }
+        m.call(s, [&] {
+            const WorkItem item = w.next();
+            if (item.op == WorkOp::Put)
+                (void)ht.put(item.key, item.value);
+            else {
+                Value v;
+                (void)ht.get(item.key, &v);
+            }
+        });
         lat.record(s.clock().now() - op_t0);
     }
     (void)s.flushAll();
+    Cell cell = m.finish(kFrontierOps);
 
     const uint64_t dt = s.clock().now() - t0;
-    out.fg_p50_ns = lat.percentileInterp(50);
-    out.fg_p99_ns = lat.percentileInterp(99);
-    out.fg_kops = Throughput{kFrontierOps, dt}.kops();
     // Background goodput: 64B per WQE over the background stream's own
     // completion horizon — the run's span plus the pacing stall the
     // arbiter charged the shipper. A capped shipper delivers the same
@@ -288,52 +269,21 @@ runFrontierPoint(uint32_t bg_share_pct, uint64_t bg_wqes_per_round)
     // cap look like a bandwidth win instead of the trade it is.
     const uint64_t bg_wqes = be.nic().classWqes(VerbClass::Background);
     const uint64_t bg_span = dt + be.nic().bgThrottleNs();
-    out.bg_mbps =
+    const double bg_mbps =
         bg_span == 0 ? 0 : 64.0 * bg_wqes * 1e9 / (1u << 20) / bg_span;
-    out.bg_throttle_us = be.nic().bgThrottleNs() / 1000.0;
-    (void)bg_busy_ns;
-    return out;
-}
-
-void
-writeJson(const std::vector<SweepPoint> &sweep,
-          const std::vector<FrontierPoint> &frontier, const char *path)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"multisession\",\n"
-                    "  \"unit\": \"kops\",\n  \"points\": [\n");
-    for (size_t i = 0; i < sweep.size(); ++i) {
-        const SweepPoint &p = sweep[i];
-        std::fprintf(
-            f,
-            "    {\"mode\": \"%s\", \"sessions\": %u, "
-            "\"agg_kops\": %.1f, \"p50_ns\": %" PRIu64 ", "
-            "\"p99_ns\": %" PRIu64 ", \"p999_ns\": %" PRIu64 ", "
-            "\"worst_session_p99_ns\": %" PRIu64 ", "
-            "\"merged_pct\": %.1f}%s\n",
-            nicModeName(p.mode), p.sessions, p.agg_kops, p.p50_ns,
-            p.p99_ns, p.p999_ns, p.worst_p99_ns, p.merged_pct,
-            i + 1 < sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"frontier\": [\n");
-    for (size_t i = 0; i < frontier.size(); ++i) {
-        const FrontierPoint &p = frontier[i];
-        std::fprintf(
-            f,
-            "    {\"bg_share_pct\": %u, \"bg_wqes_per_round\": %" PRIu64
-            ", \"fg_p50_ns\": %" PRIu64 ", \"fg_p99_ns\": %" PRIu64 ", "
-            "\"fg_kops\": %.1f, \"bg_mbps\": %.2f, "
-            "\"bg_throttle_us\": %.1f}%s\n",
-            p.bg_share_pct, p.bg_wqes_per_round, p.fg_p50_ns, p.fg_p99_ns,
-            p.fg_kops, p.bg_mbps, p.bg_throttle_us,
-            i + 1 < frontier.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    const double bg_throttle_us = be.nic().bgThrottleNs() / 1000.0;
+    std::printf("%8u %15" PRIu64 " %9.1f %12" PRIu64 " %12" PRIu64
+                " %9.2f %17.1f\n",
+                bg_share_pct, bg_wqes_per_round,
+                Throughput{kFrontierOps, dt}.kops(),
+                lat.percentileInterp(50), lat.percentileInterp(99), bg_mbps,
+                bg_throttle_us);
+    cell.virt["bg_mbps"] = bg_mbps;
+    cell.virt["bg_throttle_us"] = bg_throttle_us;
+    report.add({{"table", "frontier"},
+                {"bg_share_pct", std::to_string(bg_share_pct)},
+                {"bg_wqes_per_round", std::to_string(bg_wqes_per_round)}},
+               std::move(cell));
 }
 
 void
@@ -352,18 +302,10 @@ run()
                 "(HT, 50% put, RCB; per-op latency in ns)",
                 "mode     sessions   agg KOPS      p50      p99     p999"
                 "   worst-s-p99   merged%");
-    std::vector<SweepPoint> sweep;
     for (const NicMode mode :
          {NicMode::Legacy, NicMode::NoAgg, NicMode::Merge}) {
-        for (const uint32_t k : fleet) {
-            const SweepPoint p = runSweepPoint(mode, k);
-            std::printf("%-8s %8u %10.1f %8" PRIu64 " %8" PRIu64
-                        " %8" PRIu64 " %13" PRIu64 " %8.1f\n",
-                        nicModeName(p.mode), p.sessions, p.agg_kops,
-                        p.p50_ns, p.p99_ns, p.p999_ns, p.worst_p99_ns,
-                        p.merged_pct);
-            sweep.push_back(p);
-        }
+        for (const uint32_t k : fleet)
+            runSweepPoint(mode, k);
     }
 
     printHeader("Foreground latency vs background bandwidth frontier "
@@ -371,17 +313,9 @@ run()
                 "bg-share   bg-wqes/round   fg KOPS   fg-p50(ns)   "
                 "fg-p99(ns)   bg MB/s   bg-throttle(us)");
     const uint64_t storms[] = {0, 16, 64, 256};
-    std::vector<FrontierPoint> frontier;
     for (const uint32_t share : {100u, 25u}) {
-        for (const uint64_t storm : storms) {
-            const FrontierPoint p = runFrontierPoint(share, storm);
-            std::printf("%8u %15" PRIu64 " %9.1f %12" PRIu64
-                        " %12" PRIu64 " %9.2f %17.1f\n",
-                        p.bg_share_pct, p.bg_wqes_per_round, p.fg_kops,
-                        p.fg_p50_ns, p.fg_p99_ns, p.bg_mbps,
-                        p.bg_throttle_us);
-            frontier.push_back(p);
-        }
+        for (const uint64_t storm : storms)
+            runFrontierPoint(share, storm);
     }
 
     std::printf(
@@ -393,8 +327,6 @@ run()
         "\nof foreground verbs (fg p99 collapses as the storm grows);"
         "\nbg-share 25 bounds that backlog per foreground burst and"
         "\npaces the shipper, holding fg p99 within 2x its idle value.\n");
-
-    writeJson(sweep, frontier, "BENCH_multisession.json");
 }
 
 } // namespace
@@ -404,5 +336,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

@@ -17,6 +17,8 @@ constexpr uint64_t kOps = 50000;
 
 uint64_t session_counter = 11000;
 
+Report report("sec44_cachepolicy");
+
 struct PolicyResult
 {
     double miss_ratio;
@@ -24,8 +26,10 @@ struct PolicyResult
     uint64_t samples; //!< Hybrid sampling passes (evictionSamples)
 };
 
+/** @p table and @p name label the cell. */
 PolicyResult
-runPolicy(CachePolicy policy, uint32_t sample_k)
+runPolicy(CachePolicy policy, uint32_t sample_k, const char *table,
+          const char *name)
 {
     BackendNode be(1, benchBackendConfig());
     SessionConfig cfg = sessionFor(Mode::RC, ++session_counter,
@@ -51,11 +55,21 @@ runPolicy(CachePolicy policy, uint32_t sample_k)
     mcfg.zipf_theta = 0.99;
     mcfg.seed = 99;
     Workload w(mcfg);
+    Meter m(s, be);
     const uint64_t t0 = s.clock().now();
     for (uint64_t i = 0; i < kOps; ++i) {
-        Value v;
-        (void)ht.get(w.next().key, &v);
+        m.call(s, [&] {
+            Value v;
+            (void)ht.get(w.next().key, &v);
+        });
     }
+    Cell cell = m.finish(kOps);
+    cell.virt["cache.eviction_samples"] =
+        static_cast<double>(s.cache().evictionSamples());
+    report.add({{"table", table},
+                {"policy", name},
+                {"sample_k", std::to_string(sample_k)}},
+               std::move(cell));
     return {s.cache().missRatio(),
             Throughput{kOps, s.clock().now() - t0}.kops(),
             s.cache().evictionSamples()};
@@ -67,10 +81,13 @@ run()
     printHeader("Section 4.4: cache replacement policies, Zipf(0.9) "
                 "reads, cache = 10% of data",
                 "Policy             MissRatio      KOPS   Samples");
-    const PolicyResult rr = runPolicy(CachePolicy::Random, 0);
-    const PolicyResult lru = runPolicy(CachePolicy::Lru, 0);
-    const PolicyResult hybrid = runPolicy(CachePolicy::Hybrid, 32);
     const char *names[] = {"Random (RR)", "LRU", "Hybrid (sample 32)"};
+    const PolicyResult rr =
+        runPolicy(CachePolicy::Random, 0, "policies", names[0]);
+    const PolicyResult lru =
+        runPolicy(CachePolicy::Lru, 0, "policies", names[1]);
+    const PolicyResult hybrid =
+        runPolicy(CachePolicy::Hybrid, 32, "policies", names[2]);
     const PolicyResult *results[] = {&rr, &lru, &hybrid};
     for (size_t i = 0; i < std::size(results); ++i)
         std::printf("%-18s %8.1f%% %9.1f %9" PRIu64 "\n", names[i],
@@ -79,7 +96,8 @@ run()
     std::printf("\nSample-set sweep (hybrid policy):\n"
                 "K     MissRatio   Samples\n");
     for (uint32_t k : {2u, 4u, 8u, 16u, 32u, 64u}) {
-        const PolicyResult r = runPolicy(CachePolicy::Hybrid, k);
+        const PolicyResult r =
+            runPolicy(CachePolicy::Hybrid, k, "sample_sweep", "Hybrid");
         std::printf("%-5u %8.1f%% %9" PRIu64 "\n", k, r.miss_ratio * 100,
                     r.samples);
     }
@@ -95,5 +113,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

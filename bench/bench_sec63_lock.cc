@@ -23,6 +23,8 @@ constexpr uint32_t kReaders = 6;
 
 uint64_t session_counter = 12000;
 
+Report report("sec63_lock");
+
 struct PingResult
 {
     double reader_each_kops;
@@ -62,6 +64,11 @@ runPingPoint(double write_share)
             return {};
     }
 
+    Meter m;
+    m.watch(be);
+    m.watch(writer);
+    for (auto &s : rsessions)
+        m.watch(*s);
     std::atomic<bool> go{false};
     std::atomic<bool> writer_done{false};
     std::vector<double> reader_kops(kReaders, 0);
@@ -75,8 +82,10 @@ runPingPoint(double write_share)
             HashTable &ht = *rhts[r];
             const uint64_t t0 = s.clock().now();
             for (uint64_t i = 0; i < kReaderOps; ++i) {
-                Value v;
-                (void)ht.get(1, &v);
+                m.call(s, [&] {
+                    Value v;
+                    (void)ht.get(1, &v);
+                });
             }
             reader_kops[r] =
                 Throughput{kReaderOps, s.clock().now() - t0}.kops();
@@ -93,12 +102,14 @@ runPingPoint(double write_share)
         for (uint64_t i = 0; done < kWriterOps; ++i) {
             // The writer's share of ops are writes; the rest are reads
             // (the workload's 10%/50% write mix from the writer's side).
-            if (rng.nextDouble() < write_share) {
-                (void)wht.put(1, Value::ofU64(i));
-            } else {
-                Value v;
-                (void)wht.get(1, &v);
-            }
+            m.call(writer, [&] {
+                if (rng.nextDouble() < write_share) {
+                    (void)wht.put(1, Value::ofU64(i));
+                } else {
+                    Value v;
+                    (void)wht.get(1, &v);
+                }
+            });
             ++done;
         }
         (void)writer.flushAll();
@@ -119,6 +130,12 @@ runPingPoint(double write_share)
     res.reader_each_kops = res.reader_total_kops / kReaders;
     res.fail_ratio /= kReaders;
     res.writer_kops = writer_kops;
+    Cell cell = m.finish(kWriterOps + kReaders * kReaderOps);
+    cell.virt["reader_each_kops"] = res.reader_each_kops;
+    cell.virt["writer_kops"] = res.writer_kops;
+    cell.virt["read_fail_ratio"] = res.fail_ratio;
+    report.add({{"write_share_pct", num(write_share * 100)}},
+               std::move(cell));
     return res;
 }
 
@@ -150,5 +167,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

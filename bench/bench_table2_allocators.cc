@@ -26,6 +26,8 @@ namespace {
 
 constexpr uint64_t kOps = 20000;
 
+Report report("table2_allocators");
+
 struct Result
 {
     double alloc_mops;
@@ -149,6 +151,9 @@ void
 printRow(const char *name, const Result &r)
 {
     std::printf("%-36s %8.2f %8.2f\n", name, r.alloc_mops, r.free_mops);
+    report.add({{"allocator", name}},
+               {{{"alloc_mops", r.alloc_mops}, {"free_mops", r.free_mops}},
+                {}});
 }
 
 void
@@ -175,5 +180,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

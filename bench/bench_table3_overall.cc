@@ -20,8 +20,8 @@ namespace asymnvm::bench {
 namespace {
 
 // Full-size parameters reproduce the paper's shape; ASYMNVM_BENCH_TINY
-// shrinks them so the bench_smoke ctest target exercises every cell in
-// seconds (the numbers are then meaningless, only the plumbing counts).
+// shrinks them so the bench's gate exercises every cell in seconds (the
+// numbers are then meaningless, only the plumbing counts).
 uint64_t kPreload = 50000;
 uint64_t kOps = 12000;
 uint64_t kTxOps = 4000;
@@ -32,14 +32,12 @@ uint64_t session_counter = 1000;
  *  with the delayed-free RPC storm (ROADMAP item 9), not the cache. */
 uint64_t last_cell_rpcs = 0;
 
-std::unique_ptr<FrontendSession>
-freshSession(Mode mode, BackendNode &be)
+Report report("table3_overall");
+
+Labels
+cellLabels(Mode mode, const char *column)
 {
-    auto s = std::make_unique<FrontendSession>(
-        sessionFor(mode, ++session_counter));
-    if (!ok(s->connect(&be)))
-        return nullptr;
-    return s;
+    return {{"system", modeName(mode)}, {"structure", column}};
 }
 
 /** Per-path latency + replication profile captured from one cell. */
@@ -93,8 +91,10 @@ kvCell(Mode mode, const char *name, VerbCounters *out = nullptr,
     Workload w(mcfg);
     const auto ops = w.generate(kOps);
     const uint64_t rpcs0 = be.rpcCalls();
-    const Throughput t = runKvWorkload(*s, ds, ops);
+    Meter m(*s, be);
+    const Throughput t = runKvWorkload(m, *s, ds, ops);
     last_cell_rpcs = be.rpcCalls() - rpcs0;
+    report.add(cellLabels(mode, dsName<DS>()), m.finish(ops.size()));
     if (out != nullptr)
         *out = s->verbs().counters();
     if (retry_out != nullptr)
@@ -111,75 +111,51 @@ kvCell(Mode mode, const char *name, VerbCounters *out = nullptr,
     return t.kops();
 }
 
+/** Queue/Stack column: kOps pushes of workload values. */
+template <typename DS>
 double
-queueCell(Mode mode)
-{
-    BackendNode be(1, benchBackendConfig());
-    auto s = freshSession(mode, be);
-    Queue q;
-    if (!ok(Queue::create(*s, 1, "q", &q)))
-        return -1;
-    Workload w(WorkloadConfig{});
-    const uint64_t t0 = s->clock().now();
-    for (uint64_t i = 0; i < kOps; ++i)
-        (void)q.enqueue(w.next().value);
-    (void)s->flushAll();
-    return Throughput{kOps, s->clock().now() - t0}.kops();
-}
-
-double
-stackCell(Mode mode)
-{
-    BackendNode be(1, benchBackendConfig());
-    auto s = freshSession(mode, be);
-    Stack st;
-    if (!ok(Stack::create(*s, 1, "s", &st)))
-        return -1;
-    Workload w(WorkloadConfig{});
-    const uint64_t t0 = s->clock().now();
-    for (uint64_t i = 0; i < kOps; ++i)
-        (void)st.push(w.next().value);
-    (void)s->flushAll();
-    return Throughput{kOps, s->clock().now() - t0}.kops();
-}
-
-double
-smallBankCell(Mode mode)
+listCell(Mode mode, const char *name)
 {
     BackendNode be(1, benchBackendConfig());
     auto s = std::make_unique<FrontendSession>(
-        sessionFor(mode, ++session_counter, /*cache=*/88ull << 10));
+        sessionFor(mode, ++session_counter));
     if (!ok(s->connect(&be)))
         return -1;
-    SmallBank bank;
-    if (!ok(SmallBank::create(*s, 1, 10000, &bank)))
+    DS ds;
+    if (!ok(DS::create(*s, 1, name, &ds)))
         return -1;
-    s->resetStats();
-    Rng rng(5);
+    Workload w(WorkloadConfig{});
+    Meter m(*s, be);
     const uint64_t t0 = s->clock().now();
-    for (uint64_t i = 0; i < kTxOps; ++i)
-        (void)bank.runOne(rng);
+    for (uint64_t i = 0; i < kOps; ++i)
+        m.call(*s, [&] { (void)dsPush(ds, w.next().value); });
     (void)s->flushAll();
-    return Throughput{kTxOps, s->clock().now() - t0}.kops();
+    report.add(cellLabels(mode, dsName<DS>()), m.finish(kOps));
+    return Throughput{kOps, s->clock().now() - t0}.kops();
 }
 
+/** SmallBank/TATP column: kTxOps transactions over 10000 accounts. */
+template <typename App>
 double
-tatpCell(Mode mode)
+txCell(Mode mode, const char *column, uint64_t cache_bytes,
+       uint64_t rng_seed)
 {
     BackendNode be(1, benchBackendConfig());
     auto s = std::make_unique<FrontendSession>(
-        sessionFor(mode, ++session_counter, /*cache=*/600ull << 10));
+        sessionFor(mode, ++session_counter, cache_bytes));
     if (!ok(s->connect(&be)))
         return -1;
-    Tatp tatp;
-    if (!ok(Tatp::create(*s, 1, 10000, &tatp)))
+    App app;
+    if (!ok(App::create(*s, 1, 10000, &app)))
         return -1;
     s->resetStats();
-    Rng rng(6);
+    Rng rng(rng_seed);
+    Meter m(*s, be);
     const uint64_t t0 = s->clock().now();
     for (uint64_t i = 0; i < kTxOps; ++i)
-        (void)tatp.runOne(rng);
+        m.call(*s, [&] { (void)app.runOne(rng); });
     (void)s->flushAll();
+    report.add(cellLabels(mode, column), m.finish(kTxOps));
     return Throughput{kTxOps, s->clock().now() - t0}.kops();
 }
 
@@ -192,49 +168,6 @@ printCell(double kops)
         std::printf("%9.1f", kops);
 }
 
-constexpr const char *kColumns[] = {
-    "SmallBank", "TATP",     "Queue", "Stack", "HashTbl",
-    "SkipList",  "BST",      "BPT",   "MV-BST", "MV-BPT"};
-
-/**
- * Machine-readable companion of the printed table: blank cells are JSON
- * null, everything else KOPS. Format documented in EXPERIMENTS.md.
- */
-void
-writeJson(const Mode *modes, size_t nmodes,
-          const std::vector<std::vector<double>> &rows, const char *path)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"table3_overall\",\n"
-                    "  \"unit\": \"kops\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"ops\": %" PRIu64 ", \"tx_ops\": %" PRIu64
-                    ", \"tiny\": %s},\n",
-                 kPreload, kOps, kTxOps, benchTiny() ? "true" : "false");
-    std::fprintf(f, "  \"columns\": [");
-    for (size_t i = 0; i < std::size(kColumns); ++i)
-        std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ", kColumns[i]);
-    std::fprintf(f, "],\n  \"rows\": [\n");
-    for (size_t m = 0; m < nmodes; ++m) {
-        std::fprintf(f, "    {\"system\": \"%s\", \"cells\": [",
-                     modeName(modes[m]));
-        for (size_t i = 0; i < rows[m].size(); ++i) {
-            if (rows[m][i] < 0)
-                std::fprintf(f, "%snull", i == 0 ? "" : ", ");
-            else
-                std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ", rows[m][i]);
-        }
-        std::fprintf(f, "]}%s\n", m + 1 == nmodes ? "" : ",");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
-}
-
 void
 run()
 {
@@ -245,7 +178,6 @@ run()
         kOps = 600;
         kTxOps = 200;
     }
-    std::vector<std::vector<double>> rows;
     std::vector<VerbCounters> profiles;
     std::vector<RetryStats> retry_profiles;
     std::vector<PathProfile> path_profiles;
@@ -270,10 +202,12 @@ run()
         OptimisticReadStats read_profile;
         PipelineStats pipe_profile;
         std::vector<double> cells;
-        cells.push_back(batch_row ? -1 : smallBankCell(mode));
-        cells.push_back(tatpCell(mode));
-        cells.push_back(mode == Mode::RC ? -1 : queueCell(mode));
-        cells.push_back(mode == Mode::RC ? -1 : stackCell(mode));
+        cells.push_back(batch_row ? -1
+                                  : txCell<SmallBank>(mode, "SmallBank",
+                                                      88ull << 10, 5));
+        cells.push_back(txCell<Tatp>(mode, "TATP", 600ull << 10, 6));
+        cells.push_back(mode == Mode::RC ? -1 : listCell<Queue>(mode, "q"));
+        cells.push_back(mode == Mode::RC ? -1 : listCell<Stack>(mode, "s"));
         cells.push_back(batch_row ? -1 : kvCell<HashTable>(mode, "h"));
         cells.push_back(kvCell<SkipList>(mode, "sl"));
         cells.push_back(kvCell<Bst>(mode, "bst"));
@@ -288,7 +222,6 @@ run()
         for (double c : cells)
             printCell(c);
         std::printf("\n");
-        rows.push_back(std::move(cells));
         profiles.push_back(profile);
         retry_profiles.push_back(retry_profile);
         path_profiles.push_back(std::move(path_profile));
@@ -359,8 +292,6 @@ run()
                              : 0.0,
                     r.bytes / 1024.0, r.retries);
     }
-
-    writeJson(modes, std::size(modes), rows, "BENCH_table3.json");
 }
 
 } // namespace
@@ -370,5 +301,5 @@ int
 main()
 {
     asymnvm::bench::run();
-    return 0;
+    return asymnvm::bench::report.write() ? 0 : 1;
 }

@@ -113,11 +113,9 @@ void
 BackendNode::addMirror(MirrorNode *mirror)
 {
     std::lock_guard lock(mu_);
-    // Bring the mirror replica up to date with a full device image; from
+    // Bring the mirror replica up to date with a full device copy; from
     // here on, incremental writes keep it in sync (pre-commit shipping).
-    std::vector<uint8_t> image(device_->size());
-    device_->read(0, image.data(), image.size());
-    mirror->applyWrite(0, image.data(), image.size());
+    mirror->syncFrom(*device_);
     mirrors_.push_back(mirror);
 }
 

@@ -46,16 +46,16 @@ class MirrorNode
     bool hasNvm() const { return has_nvm_; }
 
     /**
-     * Apply one replicated write and persist it immediately. Used for the
-     * full-image synchronization when a mirror attaches; the steady-state
-     * path is the batched stageWrite/persistBatch pair below.
+     * Bring the replica up to date with a durable full copy of
+     * @p primary: the synchronization when a mirror attaches (or
+     * re-attaches after a restart or promotion). The steady-state path
+     * is the batched stageWrite/persistBatch pair below.
      */
-    void applyWrite(uint64_t off, const void *src, size_t len)
+    void syncFrom(const NvmDevice &primary)
     {
-        device_->write(off, src, len);
-        device_->persist();
+        device_->copyFrom(primary);
         persists_.add();
-        bytes_replicated_.add(len);
+        bytes_replicated_.add(primary.size());
     }
 
     /**

@@ -91,6 +91,37 @@ NvmDevice::persist()
     pending_.clear();
 }
 
+namespace {
+
+bool
+allZero(const uint8_t *p, size_t len)
+{
+    return p[0] == 0 && std::memcmp(p, p + 1, len - 1) == 0;
+}
+
+} // namespace
+
+void
+NvmDevice::copyFrom(const NvmDevice &src)
+{
+    std::unique_lock dst_lock(mu_, std::defer_lock);
+    std::shared_lock src_lock(src.mu_, std::defer_lock);
+    std::lock(dst_lock, src_lock);
+    assert(src.size_ == size_);
+    constexpr uint64_t kPage = 4096;
+    for (uint64_t off = 0; off < size_; off += kPage) {
+        const size_t len = static_cast<size_t>(std::min(kPage, size_ - off));
+        const uint8_t *from = src.mem_.get() + off;
+        uint8_t *to = mem_.get() + off;
+        // Untouched calloc pages on both sides stay unfaulted.
+        if (allZero(from, len) && allZero(to, len))
+            continue;
+        std::memcpy(to, from, len);
+    }
+    pending_.clear(); // the copy is durable, as is everything staged
+    bytes_written_ += size_;
+}
+
 size_t
 NvmDevice::pendingWrites() const
 {

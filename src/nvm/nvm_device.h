@@ -62,6 +62,15 @@ class NvmDevice
     /** Make all staged writes durable (persist barrier / DMA complete). */
     void persist();
 
+    /**
+     * Make this device a durable byte-for-byte copy of @p src (same
+     * size), under both devices' locks. A 4 KiB page is skipped only when
+     * it is zero on both sides: a stale replica's non-zero page must be
+     * overwritten even where the source is zero. Counts the whole device
+     * as written, as a full-image write would.
+     */
+    void copyFrom(const NvmDevice &src);
+
     /** Number of writes staged since the last persist(). */
     size_t pendingWrites() const;
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -72,6 +73,43 @@ TEST(MirrorBatchTest, StagedBatchRollsBackOnCrash)
     EXPECT_EQ(m.device().read64(64), b);
     EXPECT_EQ(m.device().read64(128), 0u);
     EXPECT_EQ(m.persistCount(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Attach onto a stale replica
+// ---------------------------------------------------------------------
+
+TEST(MirrorAttachTest, SyncOverwritesStaleReplicaWherePrimaryIsZero)
+{
+    BackendNode be(1, testConfig());
+    const uint64_t size = testConfig().nvm_size;
+    MirrorNode m(100, size);
+
+    // A replica that held another image (re-attach after a restart or
+    // promotion): one stale word where the primary's page is all zero,
+    // and one in the primary's formatted superblock page.
+    const uint64_t stale_off = size - 4096 + 512;
+    std::vector<uint8_t> primary_page(4096);
+    be.nvm().read(size - 4096, primary_page.data(), primary_page.size());
+    ASSERT_TRUE(std::all_of(primary_page.begin(), primary_page.end(),
+                            [](uint8_t b) { return b == 0; }));
+    const uint64_t junk = 0xDEADBEEFCAFEF00Dull;
+    m.stageWrite(stale_off, &junk, 8);
+    m.stageWrite(8, &junk, 8);
+    m.persistBatch();
+
+    const uint64_t persists0 = m.persistCount();
+    const uint64_t replicated0 = m.bytesReplicated();
+    const uint64_t written0 = m.device().bytesWritten();
+    be.addMirror(&m);
+
+    EXPECT_TRUE(devicesIdentical(be.nvm(), m.device()))
+        << "a page zero only on the primary must still be copied";
+    EXPECT_EQ(m.device().read64(stale_off), 0u);
+    EXPECT_EQ(m.persistCount() - persists0, 1u) << "one durable sync";
+    EXPECT_EQ(m.bytesReplicated() - replicated0, size);
+    EXPECT_EQ(m.device().bytesWritten() - written0, size);
+    EXPECT_EQ(m.device().pendingWrites(), 0u) << "the sync is durable";
 }
 
 // ---------------------------------------------------------------------
