@@ -1,50 +1,201 @@
 #include "ds/bptree.h"
 
-#include <algorithm>
+#include <iterator>
+#include <type_traits>
+
+#include "ds/mv_common.h"
 
 namespace asymnvm {
 
-namespace {
-constexpr uint32_t kMaxHeight = 64;
-} // namespace
+// ---------------------------------------------------------------------
+// BpNode: the in-DRAM node edits both trees share
+// ---------------------------------------------------------------------
 
-Status
-BpTree::reload()
+BpNode
+BpNode::firstLeaf(Key key, uint64_t cell_raw)
 {
-    return s_->readAux(id_, backend_, 1, &count_);
+    BpNode leaf{};
+    leaf.is_leaf = 1;
+    leaf.count = 1;
+    leaf.keys[0] = key;
+    leaf.children[0] = cell_raw;
+    return leaf;
 }
 
-Status
-BpTree::readRoot(uint64_t *root_raw)
+BpNode
+BpNode::grownRoot(uint64_t left_raw, Key sep, uint64_t right_raw)
 {
-    ReadHint hint;
-    hint.ds = id_;
-    hint.cacheable = true;
-    hint.level = 0;
-    return s_->read(s_->namingField(id_, backend_, naming_field::kRoot),
-                    root_raw, 8, hint);
-}
-
-Status
-BpTree::writeRoot(uint64_t root_raw)
-{
-    return s_->logWrite(id_,
-                        s_->namingField(id_, backend_, naming_field::kRoot),
-                        &root_raw, 8);
+    BpNode root{};
+    root.is_leaf = 0;
+    root.count = 2;
+    root.keys[0] = 0;
+    root.children[0] = left_raw;
+    root.keys[1] = sep;
+    root.children[1] = right_raw;
+    return root;
 }
 
 uint32_t
-BpTree::routeIndex(const Node &n, Key key)
+BpNode::routeIndex(Key key) const
 {
     // Largest i with keys[i] <= key; index 0 catches everything smaller.
     uint32_t lo = 0;
-    for (uint32_t i = 1; i < n.count; ++i) {
-        if (n.keys[i] <= key)
+    for (uint32_t i = 1; i < count; ++i) {
+        if (keys[i] <= key)
             lo = i;
         else
             break;
     }
     return lo;
+}
+
+void
+BpNode::insertSorted(Key key, uint64_t child)
+{
+    uint32_t pos = 0;
+    while (pos < count && keys[pos] < key)
+        ++pos;
+    for (uint32_t i = count; i > pos; --i) {
+        keys[i] = keys[i - 1];
+        children[i] = children[i - 1];
+    }
+    keys[pos] = key;
+    children[pos] = child;
+    ++count;
+}
+
+void
+BpNode::eraseAt(uint32_t i)
+{
+    for (uint32_t j = i + 1; j < count; ++j) {
+        keys[j - 1] = keys[j];
+        children[j - 1] = children[j];
+    }
+    --count;
+}
+
+BpNode
+BpNode::splitInsert(Key key, uint64_t child)
+{
+    BpNode right{};
+    right.is_leaf = is_leaf;
+    right.count = kFanout / 2;
+    for (uint32_t i = 0; i < kFanout / 2; ++i) {
+        right.keys[i] = keys[kFanout / 2 + i];
+        right.children[i] = children[kFanout / 2 + i];
+    }
+    if (is_leaf)
+        right.next_raw = next_raw;
+    count = kFanout / 2;
+    (key >= right.keys[0] ? right : *this).insertSorted(key, child);
+    return right;
+}
+
+size_t
+BpNode::neighbors(uint32_t r, uint32_t len, PrefetchCandidate *out,
+                  size_t cap) const
+{
+    size_t n = 0;
+    for (uint32_t dist = 1; dist < count && n < cap; ++dist) {
+        if (r + dist < count)
+            out[n++] = PrefetchCandidate{children[r + dist], len};
+        if (dist <= r && n < cap)
+            out[n++] = PrefetchCandidate{children[r - dist], len};
+    }
+    return n;
+}
+
+// ---------------------------------------------------------------------
+// BpTreeCore: the one lookup
+// ---------------------------------------------------------------------
+
+template <typename Base>
+OpTask
+BpTreeCore<Base>::findAsync(Key key, Value *out)
+{
+    // The MV tree orders all its writers on one gate (key 0), and its
+    // readers walk an immutable snapshot, where a malformed node is
+    // corruption rather than a torn view for the seqlock to retry.
+    constexpr bool kMv = std::is_base_of_v<MvBase, Base>;
+    constexpr Status kTorn = kMv ? Status::Corruption : Status::Conflict;
+    FrontendSession *const s = this->s_;
+
+    // Read-your-writes: a write admitted earlier in this window holds
+    // its gate until its local effects (overlay writes, the staged MV
+    // root) land; wait it out so this lookup observes them. Readers
+    // hold nothing, so concurrent lookups never serialize on each other.
+    while (s->pipelineGateHeld(this->id_, kMv ? 0 : key))
+        co_await s->pipelineYield();
+    uint64_t cur_raw = 0;
+    if constexpr (kMv) {
+        const Status st = this->readerRoot(&cur_raw);
+        if (!ok(st))
+            co_return st;
+    } else {
+        const Status st = co_await this->readRootAsync(&cur_raw);
+        if (!ok(st))
+            co_return st;
+    }
+    if (cur_raw == 0)
+        co_return Status::NotFound;
+
+    // Every remote read is co_awaited, so inside a pipelined window a
+    // cache miss suspends the traversal and the session reactor batches
+    // it with the other in-flight lookups' misses. The candidate arrays
+    // live in the coroutine frame, so the hint spans stay valid across
+    // suspension.
+    uint32_t d = 0;
+    Node node;
+    PrefetchCandidate neigh[8];
+    size_t nn = 0;
+    while (true) {
+        if (d > kMaxHeight)
+            co_return kTorn;
+        const Status st = co_await this->readNodeAsync(
+            RemotePtr::fromRaw(cur_raw), &node, d, true, false,
+            std::span<const PrefetchCandidate>(neigh, nn));
+        if (!ok(st))
+            co_return st;
+        if (node.count > kFanout)
+            co_return kTorn;
+        if (node.is_leaf)
+            break;
+        if (node.count == 0)
+            co_return kTorn;
+        const uint32_t r = node.routeIndex(key);
+        cur_raw = node.children[r];
+        nn = node.neighbors(r, sizeof(Node), neigh, std::size(neigh));
+        ++d;
+    }
+    for (uint32_t i = 0; i < node.count; ++i) {
+        if (node.keys[i] != key)
+            continue;
+        PrefetchCandidate cells[4];
+        const size_t nc =
+            node.neighbors(i, Value::kSize, cells, std::size(cells));
+        ReadHint hint;
+        hint.ds = this->id_;
+        hint.cacheable = true;
+        hint.level = d + 1;
+        hint.admission = &this->admission_;
+        hint.neighbors = std::span<const PrefetchCandidate>(cells, nc);
+        co_return co_await s->asyncRead(
+            RemotePtr::fromRaw(node.children[i]), out, Value::kSize, hint);
+    }
+    co_return Status::NotFound;
+}
+
+template class BpTreeCore<DsBase>;
+template class BpTreeCore<MvBase>;
+
+// ---------------------------------------------------------------------
+// BpTree: in-place write-out
+// ---------------------------------------------------------------------
+
+Status
+BpTree::reload()
+{
+    return s_->readAux(id_, backend_, 1, &count_);
 }
 
 Status
@@ -65,10 +216,7 @@ BpTree::insertWriteout(std::span<PathEnt> path, Key key, const Value &v,
         }
     }
     RemotePtr cell;
-    Status st = s_->alloc(backend_, Value::kSize, &cell);
-    if (!ok(st))
-        return st;
-    st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
+    Status st = newCell(v, &cell);
     if (!ok(st))
         return st;
     *added = true;
@@ -78,69 +226,30 @@ BpTree::insertWriteout(std::span<PathEnt> path, Key key, const Value &v,
     for (size_t lvl = path.size(); lvl-- > 0;) {
         Node &node = path[lvl].node;
         const RemotePtr node_ptr = RemotePtr::fromRaw(path[lvl].raw);
-        if (node.count == kFanout) {
-            Node right{};
-            right.is_leaf = node.is_leaf;
-            right.count = kFanout / 2;
-            for (uint32_t i = 0; i < kFanout / 2; ++i) {
-                right.keys[i] = node.keys[kFanout / 2 + i];
-                right.children[i] = node.children[kFanout / 2 + i];
-            }
-            if (node.is_leaf)
-                right.next_raw = node.next_raw;
-            RemotePtr right_ptr;
-            st = s_->alloc(backend_, sizeof(Node), &right_ptr);
-            if (!ok(st))
-                return st;
-            node.count = kFanout / 2;
-            if (node.is_leaf)
-                node.next_raw = right_ptr.raw();
-
-            Node *target = ins_key >= right.keys[0] ? &right : &node;
-            uint32_t pos = 0;
-            while (pos < target->count && target->keys[pos] < ins_key)
-                ++pos;
-            for (uint32_t i = target->count; i > pos; --i) {
-                target->keys[i] = target->keys[i - 1];
-                target->children[i] = target->children[i - 1];
-            }
-            target->keys[pos] = ins_key;
-            target->children[pos] = ins_child;
-            ++target->count;
-
-            st = writeNode(right_ptr, right);
-            if (!ok(st))
-                return st;
-            st = writeNode(node_ptr, node);
-            if (!ok(st))
-                return st;
-            ins_key = right.keys[0];
-            ins_child = right_ptr.raw();
-            continue; // propagate the split upward
+        if (node.count < kFanout) {
+            node.insertSorted(ins_key, ins_child);
+            return writeNode(node_ptr, node); // absorbed: unwind stops here
         }
-        uint32_t pos = 0;
-        while (pos < node.count && node.keys[pos] < ins_key)
-            ++pos;
-        for (uint32_t i = node.count; i > pos; --i) {
-            node.keys[i] = node.keys[i - 1];
-            node.children[i] = node.children[i - 1];
-        }
-        node.keys[pos] = ins_key;
-        node.children[pos] = ins_child;
-        ++node.count;
-        return writeNode(node_ptr, node); // absorbed: unwind stops here
+        const Node right = node.splitInsert(ins_key, ins_child);
+        RemotePtr right_ptr;
+        st = s_->alloc(backend_, sizeof(Node), &right_ptr);
+        if (!ok(st))
+            return st;
+        if (node.is_leaf)
+            node.next_raw = right_ptr.raw();
+        st = writeNode(right_ptr, right);
+        if (!ok(st))
+            return st;
+        st = writeNode(node_ptr, node);
+        if (!ok(st))
+            return st;
+        ins_key = right.keys[0];
+        ins_child = right_ptr.raw(); // propagate the split upward
     }
-    // The split propagated past the root: grow the tree. Entry 0's key
-    // is a low sentinel (never compared at index 0).
-    Node new_root{};
-    new_root.is_leaf = 0;
-    new_root.count = 2;
-    new_root.keys[0] = 0;
-    new_root.children[0] = path[0].raw;
-    new_root.keys[1] = ins_key;
-    new_root.children[1] = ins_child;
+    // The split propagated past the root: grow the tree.
     RemotePtr root_ptr;
-    st = allocNode(new_root, &root_ptr);
+    st = allocNode(Node::grownRoot(path[0].raw, ins_key, ins_child),
+                   &root_ptr);
     if (!ok(st))
         return st;
     return writeRoot(root_ptr.raw());
@@ -155,27 +264,14 @@ BpTree::insert(Key key, const Value &v)
 OpTask
 BpTree::insertAsync(Key key, Value v, bool pin)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
-    if (!ok(st))
-        co_return st;
-    if (opt_.shared && !held) {
-        st = s_->readAux(id_, backend_, 1, &count_);
-        if (!ok(st))
-            co_return st;
-    }
     // Same-key ordering: a later op on this key parks until the earlier
     // one's local effects (overlay writes) have landed.
-    FrontendSession::WindowGate gate(s_, id_, key);
-    while (!gate.tryAcquire())
+    WriteOp w(this, key);
+    while (!w.admitted())
         co_await s_->pipelineYield();
-    st = s_->opBegin(id_, backend_, OpType::Insert, key, v.bytes.data(),
-                     Value::kSize);
+    Status st = w.begin(OpType::Insert, key, v.bytes.data(), Value::kSize);
     if (!ok(st))
         co_return st;
-    // Sibling ops may opBegin while this descent is suspended; remember
-    // our own op-log record so phase B's memory logs reference it.
-    const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
     FrameVec<PathEnt, 8> path_buf;
     std::pmr::vector<PathEnt> &path = path_buf.v;
@@ -190,18 +286,11 @@ BpTree::insertAsync(Key key, Value v, bool pin)
         stamps.clear();
         root_raw = 0;
         {
-            ReadHint hint;
-            hint.ds = id_;
-            hint.cacheable = true;
-            hint.level = 0;
-            hint.pin = pin;
-            const RemotePtr rp =
-                s_->namingField(id_, backend_, naming_field::kRoot);
-            auto aw = s_->asyncRead(rp, &root_raw, 8, hint);
+            auto aw = readRootAsync(&root_raw, pin);
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
-            stamps.push_back({rp.raw(), aw.served_seq});
+            stamps.push_back({aw.addr.raw(), aw.served_seq});
         }
         if (root_raw != 0) {
             uint64_t cur_raw = root_raw;
@@ -224,7 +313,7 @@ BpTree::insertAsync(Key key, Value v, bool pin)
                     co_return Status::Corruption;
                 if (node.is_leaf)
                     break;
-                cur_raw = node.children[routeIndex(node, key)];
+                cur_raw = node.children[node.routeIndex(key)];
                 ++d;
             }
         }
@@ -236,23 +325,15 @@ BpTree::insertAsync(Key key, Value v, bool pin)
     }
 
     // Phase B: inline write-out — atomic with respect to sibling ops.
-    s_->restoreOpRef(backend_, opref);
+    w.writeOut();
     bool added = false;
     if (root_raw == 0) {
         RemotePtr cell;
-        st = s_->alloc(backend_, Value::kSize, &cell);
+        st = newCell(v, &cell);
         if (!ok(st))
             co_return st;
-        st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
-        if (!ok(st))
-            co_return st;
-        Node leaf{};
-        leaf.is_leaf = 1;
-        leaf.count = 1;
-        leaf.keys[0] = key;
-        leaf.children[0] = cell.raw();
         RemotePtr leaf_ptr;
-        st = allocNode(leaf, &leaf_ptr);
+        st = allocNode(Node::firstLeaf(key, cell.raw()), &leaf_ptr);
         if (!ok(st))
             co_return st;
         st = writeRoot(leaf_ptr.raw());
@@ -286,18 +367,9 @@ BpTree::insertMany(std::span<const std::pair<Key, Value>> kvs,
 Status
 BpTree::insertBatch(std::span<const std::pair<Key, Value>> kvs)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    std::vector<std::pair<Key, Value>> sorted(kvs.begin(), kvs.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    for (const auto &[key, value] : sorted) {
-        st = s_->runInline(insertAsync(key, value, /*pin=*/true));
-        if (!ok(st))
-            return st;
-    }
-    return Status::Ok;
+    return vectorInsert(kvs, [&](Key key, const Value &v) {
+        return s_->runInline(insertAsync(key, v, /*pin=*/true));
+    });
 }
 
 Status
@@ -330,24 +402,13 @@ BpTree::findLeaf(Key key, uint64_t *leaf_raw, Node *leaf, uint32_t *depth)
         }
         if (node.count == 0)
             return Status::Conflict;
-        const uint32_t r = routeIndex(node, key);
+        const uint32_t r = node.routeIndex(key);
         cur_raw = node.children[r];
         // Nearest-first siblings of the child we descend into: range-
         // local workloads make them the likeliest next miss, and their
         // addresses are known before the child read — so they can ride
         // its doorbell.
-        nn = 0;
-        for (uint32_t dist = 1;
-             dist < node.count && nn < std::size(neigh); ++dist) {
-            if (r + dist < node.count)
-                neigh[nn++] = PrefetchCandidate{
-                    node.children[r + dist],
-                    static_cast<uint32_t>(sizeof(Node))};
-            if (dist <= r && nn < std::size(neigh))
-                neigh[nn++] = PrefetchCandidate{
-                    node.children[r - dist],
-                    static_cast<uint32_t>(sizeof(Node))};
-        }
+        nn = node.neighbors(r, sizeof(Node), neigh, std::size(neigh));
         ++d;
     }
 }
@@ -357,98 +418,6 @@ BpTree::find(Key key, Value *out)
 {
     return optimisticRead(
         [&] { return s_->runInline(findAsync(key, out)); });
-}
-
-OpTask
-BpTree::findAsync(Key key, Value *out)
-{
-    // Every remote read is co_awaited, so inside a pipelined window a
-    // cache miss suspends the traversal and the session reactor batches
-    // it with the other in-flight lookups' misses. The candidate arrays
-    // live in the coroutine frame, so the hint spans stay valid across
-    // suspension. Each child read gathers the nearest siblings around the
-    // taken route, as in findLeaf.
-    //
-    // Read-your-writes: a same-key write admitted earlier in this
-    // window holds the (ds, key) gate until its local effects land;
-    // wait it out so this lookup observes them. Readers hold nothing,
-    // so concurrent lookups never serialize on each other.
-    while (s_->pipelineGateHeld(id_, key))
-        co_await s_->pipelineYield();
-    uint64_t cur_raw = 0;
-    {
-        ReadHint hint;
-        hint.ds = id_;
-        hint.cacheable = true;
-        hint.level = 0;
-        const Status st = co_await s_->asyncRead(
-            s_->namingField(id_, backend_, naming_field::kRoot), &cur_raw,
-            8, hint);
-        if (!ok(st))
-            co_return st;
-    }
-    if (cur_raw == 0)
-        co_return Status::NotFound;
-    uint32_t d = 0;
-    Node node;
-    PrefetchCandidate neigh[8];
-    size_t nn = 0;
-    while (true) {
-        if (d > kMaxHeight)
-            co_return Status::Conflict;
-        const Status st = co_await readNodeAsync(
-            RemotePtr::fromRaw(cur_raw), &node, d, true, false,
-            std::span<const PrefetchCandidate>(neigh, nn));
-        if (!ok(st))
-            co_return st;
-        if (node.count > kFanout)
-            co_return Status::Conflict; // torn view
-        if (node.is_leaf)
-            break;
-        if (node.count == 0)
-            co_return Status::Conflict;
-        const uint32_t r = routeIndex(node, key);
-        cur_raw = node.children[r];
-        nn = 0;
-        for (uint32_t dist = 1;
-             dist < node.count && nn < std::size(neigh); ++dist) {
-            if (r + dist < node.count)
-                neigh[nn++] = PrefetchCandidate{
-                    node.children[r + dist],
-                    static_cast<uint32_t>(sizeof(Node))};
-            if (dist <= r && nn < std::size(neigh))
-                neigh[nn++] = PrefetchCandidate{
-                    node.children[r - dist],
-                    static_cast<uint32_t>(sizeof(Node))};
-        }
-        ++d;
-    }
-    for (uint32_t i = 0; i < node.count; ++i) {
-        if (node.keys[i] != key)
-            continue;
-        PrefetchCandidate cells[4];
-        size_t nc = 0;
-        for (uint32_t dist = 1;
-             dist < node.count && nc < std::size(cells); ++dist) {
-            if (i + dist < node.count)
-                cells[nc++] = PrefetchCandidate{
-                    node.children[i + dist],
-                    static_cast<uint32_t>(Value::kSize)};
-            if (dist <= i && nc < std::size(cells))
-                cells[nc++] = PrefetchCandidate{
-                    node.children[i - dist],
-                    static_cast<uint32_t>(Value::kSize)};
-        }
-        ReadHint hint;
-        hint.ds = id_;
-        hint.cacheable = true;
-        hint.level = d + 1;
-        hint.admission = &admission_;
-        hint.neighbors = std::span<const PrefetchCandidate>(cells, nc);
-        co_return co_await s_->asyncRead(
-            RemotePtr::fromRaw(node.children[i]), out, Value::kSize, hint);
-    }
-    co_return Status::NotFound;
 }
 
 Status
@@ -534,22 +503,12 @@ BpTree::erase(Key key)
 OpTask
 BpTree::eraseAsync(Key key)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
-    if (!ok(st))
-        co_return st;
-    if (opt_.shared && !held) {
-        st = s_->readAux(id_, backend_, 1, &count_);
-        if (!ok(st))
-            co_return st;
-    }
-    FrontendSession::WindowGate gate(s_, id_, key);
-    while (!gate.tryAcquire())
+    WriteOp w(this, key);
+    while (!w.admitted())
         co_await s_->pipelineYield();
-    st = s_->opBegin(id_, backend_, OpType::Erase, key, nullptr, 0);
+    Status st = w.begin(OpType::Erase, key, nullptr, 0);
     if (!ok(st))
         co_return st;
-    const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
     // Phase A: descent to the leaf (no prefetch — write path), with
     // every read stamped for validation. `desc_st` carries the verdict
@@ -564,17 +523,11 @@ BpTree::eraseAsync(Key key)
         desc_st = Status::Ok;
         uint64_t cur_raw = 0;
         {
-            ReadHint hint;
-            hint.ds = id_;
-            hint.cacheable = true;
-            hint.level = 0;
-            const RemotePtr rp =
-                s_->namingField(id_, backend_, naming_field::kRoot);
-            auto aw = s_->asyncRead(rp, &cur_raw, 8, hint);
+            auto aw = readRootAsync(&cur_raw);
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
-            stamps.push_back({rp.raw(), aw.served_seq});
+            stamps.push_back({aw.addr.raw(), aw.served_seq});
         }
         if (cur_raw == 0) {
             desc_st = Status::NotFound;
@@ -605,7 +558,7 @@ BpTree::eraseAsync(Key key)
                     desc_st = Status::Conflict;
                     break;
                 }
-                cur_raw = node.children[routeIndex(node, key)];
+                cur_raw = node.children[node.routeIndex(key)];
                 ++d;
             }
         }
@@ -622,16 +575,12 @@ BpTree::eraseAsync(Key key)
 
     // Phase B: leaf compaction (lazy deletion — leaves never merge),
     // inline.
-    s_->restoreOpRef(backend_, opref);
+    w.writeOut();
     for (uint32_t i = 0; i < leaf.count; ++i) {
         if (leaf.keys[i] != key)
             continue;
         const RemotePtr cell = RemotePtr::fromRaw(leaf.children[i]);
-        for (uint32_t j = i + 1; j < leaf.count; ++j) {
-            leaf.keys[j - 1] = leaf.keys[j];
-            leaf.children[j - 1] = leaf.children[j];
-        }
-        --leaf.count;
+        leaf.eraseAt(i);
         st = writeNode(RemotePtr::fromRaw(leaf_raw), leaf);
         if (!ok(st))
             co_return st;

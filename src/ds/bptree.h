@@ -10,6 +10,9 @@
  * with the adaptive level threshold; leaves and value cells mostly read
  * remote. Deletion is by lazy leaf compaction (no merges), a common
  * simplification for NVM trees.
+ *
+ * BpNode and BpTreeCore are the B+tree core the multi-version tree
+ * (mv_bptree.h) shares: node layout and edits, descent path, lookup.
  */
 
 #include <span>
@@ -19,12 +22,114 @@
 
 namespace asymnvm {
 
-/** A persistent ordered map implemented as a B+tree. */
-class BpTree : public DsBase
+/**
+ * The node both B+trees store, and the in-DRAM edits both apply to it.
+ * Internal nodes route by separator keys (entry 0's key is a low
+ * sentinel, never compared); leaves hold pointers to 64-byte value
+ * cells. Only the in-place BpTree chains its leaves through next_raw;
+ * the multi-version tree leaves it 0.
+ */
+struct BpNode
 {
-  public:
     static constexpr uint32_t kFanout = 32;
 
+    uint16_t is_leaf;
+    uint16_t count;
+    uint32_t pad;
+    uint64_t next_raw; //!< leaf chain (in-place tree only)
+    Key keys[kFanout];
+    uint64_t children[kFanout];
+
+    /** The one-entry leaf that starts an empty tree. */
+    static BpNode firstLeaf(Key key, uint64_t cell_raw);
+
+    /** The root grown over a split root: (sentinel, left), (sep, right). */
+    static BpNode grownRoot(uint64_t left_raw, Key sep, uint64_t right_raw);
+
+    /** Index of the child to descend into (internal nodes). */
+    uint32_t routeIndex(Key key) const;
+
+    /** Insert (key, child) at its sorted position; the node has room. */
+    void insertSorted(Key key, uint64_t child);
+
+    /** Remove entry @p i, shifting the later entries down. */
+    void eraseAt(uint32_t i);
+
+    /**
+     * Split this full node in half: the upper half (and a leaf's chain
+     * link) moves to the returned right sibling, then (key, child) goes
+     * into the half that covers it. The caller gives the right node an
+     * address; its separator is its keys[0].
+     */
+    BpNode splitInsert(Key key, uint64_t child);
+
+    /**
+     * Prefetch candidates around entry @p r: the children nearest to it,
+     * alternating right and left, each read as @p len bytes. Fills up to
+     * @p cap entries of @p out and returns how many.
+     */
+    size_t neighbors(uint32_t r, uint32_t len, PrefetchCandidate *out,
+                     size_t cap) const;
+};
+static_assert(sizeof(BpNode) == 16 + 16 * BpNode::kFanout);
+
+/**
+ * What the in-place and the multi-version B+tree share on top of their
+ * handle base (DsBase or MvBase): the node and descent-path types, the
+ * value-cell write, and the one lookup coroutine. Each tree adds only
+ * its own write-out policy.
+ */
+template <typename Base>
+class BpTreeCore : public Base
+{
+  public:
+    static constexpr uint32_t kFanout = BpNode::kFanout;
+
+    /**
+     * Point lookup as a resumable op: the traversal co_awaits every
+     * remote node read, letting FrontendSession::executePipelined keep
+     * several lookups' reads in flight per round trip, and each child
+     * read gathers the nearest siblings around the taken route (read
+     * path only; writers never speculate). Only the root differs per
+     * tree: the in-place tree reads the naming entry's root field (a
+     * suspendable read); the MV tree takes MvBase::readerRoot, so each
+     * op traverses the snapshot it fetched, whatever other in-flight ops
+     * do.
+     */
+    OpTask findAsync(Key key, Value *out);
+
+  protected:
+    using Base::Base;
+
+    using Node = BpNode;
+
+    /** One level of a write descent: the node's address, its copy, and
+     *  the child taken (internal nodes; the MV path copy re-points it). */
+    struct PathEnt
+    {
+        PathEnt() {} // node left uninitialized: the descent's read fills it
+        uint64_t raw = 0;
+        Node node;
+        uint32_t idx = 0;
+    };
+
+    static constexpr uint32_t kMaxHeight = 64;
+
+    /** Allocate a value cell and log @p v into it (op-ref encoded). */
+    Status newCell(const Value &v, RemotePtr *cell)
+    {
+        const Status st = this->s_->alloc(this->backend_, Value::kSize, cell);
+        if (!ok(st))
+            return st;
+        return this->s_->logWriteFromOp(this->id_, *cell, v.bytes.data(),
+                                        Value::kSize);
+    }
+};
+
+/** A persistent ordered map implemented as a B+tree. */
+class BpTree : public BpTreeCore<DsBase>
+{
+  public:
     BpTree() = default; //!< unbound; use create()/open()
 
     static Status create(FrontendSession &s, NodeId backend,
@@ -70,17 +175,13 @@ class BpTree : public DsBase
     /** Vector insertion (Algorithm 3; sorted, path-sharing). */
     Status insertBatch(std::span<const std::pair<Key, Value>> kvs);
 
-    /** Point lookup: findAsync run inline under the reader protocol. */
-    Status find(Key key, Value *out);
-
     /**
-     * Point lookup as a resumable op: the traversal co_awaits every
-     * remote read, letting FrontendSession::executePipelined keep
-     * several lookups' reads in flight per round trip. Pipelined only
-     * on handles where pipelineEligible() holds; find() runs it inline
-     * inside the seqlock retry loop on shared handles.
+     * Point lookup: findAsync run inline under the reader protocol.
+     * findAsync is pipelined only on handles where pipelineEligible()
+     * holds; on shared handles find() runs it inside the seqlock retry
+     * loop.
      */
-    OpTask findAsync(Key key, Value *out);
+    Status find(Key key, Value *out);
 
     /**
      * Pipelined multi-lookup: runs up to SessionConfig::pipeline_depth
@@ -119,31 +220,10 @@ class BpTree : public DsBase
 
     BpTree(FrontendSession &s, NodeId backend, std::string name, DsId id,
            const DsOptions &opt)
-        : DsBase(s, backend, std::move(name), id, opt)
+        : BpTreeCore(s, backend, std::move(name), id, opt)
     {}
 
-    struct Node
-    {
-        uint16_t is_leaf;
-        uint16_t count;
-        uint32_t pad;
-        uint64_t next_raw; //!< leaf chain
-        Key keys[kFanout];
-        uint64_t children[kFanout];
-    };
-    static_assert(sizeof(Node) == 16 + 16 * kFanout);
-
-    /** One level of a write descent: the node's address and its copy. */
-    struct PathEnt
-    {
-        PathEnt() {} // node left uninitialized: the descent's read fills it
-        uint64_t raw = 0;
-        Node node;
-    };
-
     Status reload();
-    Status readRoot(uint64_t *root_raw);
-    Status writeRoot(uint64_t root_raw);
     /**
      * scan()'s serial descent to the leaf covering @p key: each child
      * read carries the nearest sibling children around the taken route
@@ -157,14 +237,11 @@ class BpTree : public DsBase
      * Phase B of insertAsync: the write sequence (value-cell alloc +
      * memory log, leaf insert or split, bottom-up split absorption, root
      * growth) against the validated node copies captured during the
-     * suspendable descent. Runs inline — no suspension — so it is atomic
-     * with respect to sibling window ops.
+     * suspendable descent, written in place. Runs inline — no
+     * suspension — so it is atomic with respect to sibling window ops.
      */
     Status insertWriteout(std::span<PathEnt> path, Key key,
                           const Value &v, bool *added);
-
-    /** Index of the child to descend into (internal nodes). */
-    static uint32_t routeIndex(const Node &n, Key key);
 
     uint64_t count_ = 0; //!< aux1
 };

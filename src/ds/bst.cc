@@ -1,37 +1,48 @@
 #include "ds/bst.h"
 
-#include <algorithm>
+#include <type_traits>
+
+#include "ds/mv_common.h"
 
 namespace asymnvm {
 
-namespace {
-constexpr uint32_t kMaxDepth = 1u << 16;
-} // namespace
+template <typename Base>
+Status
+BstCore<Base>::lookup(Key key, Value *out)
+{
+    constexpr bool kMv = std::is_base_of_v<MvBase, Base>;
+    uint64_t cur_raw = 0;
+    Status st = Status::Ok;
+    if constexpr (kMv)
+        st = this->readerRoot(&cur_raw);
+    else
+        st = this->readRoot(&cur_raw);
+    if (!ok(st))
+        return st;
+    uint32_t depth = 0;
+    while (cur_raw != 0) {
+        if (++depth > kMaxDepth)
+            return kMv ? Status::Corruption : Status::Conflict;
+        Node node;
+        st = this->readNode(RemotePtr::fromRaw(cur_raw), &node, depth - 1);
+        if (!ok(st))
+            return st;
+        if (node.key == key) {
+            *out = node.value;
+            return Status::Ok;
+        }
+        cur_raw = key < node.key ? node.left_raw : node.right_raw;
+    }
+    return Status::NotFound;
+}
+
+template class BstCore<DsBase>;
+template class BstCore<MvBase>;
 
 Status
 Bst::reload()
 {
     return s_->readAux(id_, backend_, 1, &count_);
-}
-
-Status
-Bst::readRoot(uint64_t *root_raw, bool pin)
-{
-    ReadHint hint;
-    hint.ds = id_;
-    hint.cacheable = true;
-    hint.level = 0;
-    hint.pin = pin;
-    return s_->read(s_->namingField(id_, backend_, naming_field::kRoot),
-                    root_raw, 8, hint);
-}
-
-Status
-Bst::writeRoot(uint64_t root_raw)
-{
-    return s_->logWrite(id_,
-                        s_->namingField(id_, backend_, naming_field::kRoot),
-                        &root_raw, 8);
 }
 
 Status
@@ -100,66 +111,24 @@ Bst::insertOne(Key key, const Value &v, bool pin)
 Status
 Bst::insert(Key key, const Value &v)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
+    const Status st = lockForWrite();
     if (!ok(st))
         return st;
-    if (opt_.shared && !held) {
-        st = s_->readAux(id_, backend_, 1, &count_);
-        if (!ok(st))
-            return st;
-    }
     return insertOne(key, v, /*pin=*/false);
 }
 
 Status
 Bst::insertBatch(std::span<const std::pair<Key, Value>> kvs)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    // Algorithm 3: sorting lets consecutive inserts share path prefixes;
-    // pinning serves the repeated path reads from DRAM.
-    std::vector<std::pair<Key, Value>> sorted(kvs.begin(), kvs.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    for (const auto &[key, value] : sorted) {
-        st = insertOne(key, value, /*pin=*/true);
-        if (!ok(st))
-            return st;
-    }
-    return Status::Ok;
-}
-
-Status
-Bst::findLocked(Key key, Value *out, bool pin)
-{
-    uint64_t cur_raw = 0;
-    Status st = readRoot(&cur_raw, pin);
-    if (!ok(st))
-        return st;
-    uint32_t depth = 0;
-    while (cur_raw != 0) {
-        if (++depth > kMaxDepth)
-            return Status::Conflict;
-        Node node;
-        st = readNode(RemotePtr::fromRaw(cur_raw), &node, depth - 1,
-                      true, pin);
-        if (!ok(st))
-            return st;
-        if (node.key == key) {
-            *out = node.value;
-            return Status::Ok;
-        }
-        cur_raw = key < node.key ? node.left_raw : node.right_raw;
-    }
-    return Status::NotFound;
+    return vectorInsert(kvs, [&](Key key, const Value &v) {
+        return insertOne(key, v, /*pin=*/true);
+    });
 }
 
 Status
 Bst::find(Key key, Value *out)
 {
-    return optimisticRead([&] { return findLocked(key, out, false); });
+    return optimisticRead([&] { return lookup(key, out); });
 }
 
 bool
@@ -176,7 +145,7 @@ Bst::eraseLocked(Key key)
     if (!ok(st))
         return st;
     uint64_t root_raw = 0;
-    st = readRoot(&root_raw, false);
+    st = readRoot(&root_raw);
     if (!ok(st))
         return st;
 
@@ -279,15 +248,9 @@ Bst::eraseLocked(Key key)
 Status
 Bst::erase(Key key)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
+    const Status st = lockForWrite();
     if (!ok(st))
         return st;
-    if (opt_.shared && !held) {
-        st = s_->readAux(id_, backend_, 1, &count_);
-        if (!ok(st))
-            return st;
-    }
     return eraseLocked(key);
 }
 

@@ -25,8 +25,42 @@
 
 namespace asymnvm {
 
+/** The 88-byte node both BSTs store (Bst in place, MvBst path-copied). */
+struct BstNode
+{
+    Key key;
+    uint64_t left_raw;
+    uint64_t right_raw;
+    Value value;
+};
+static_assert(sizeof(BstNode) == 88);
+
+/**
+ * What the in-place and the multi-version BST share on top of their
+ * handle base (DsBase or MvBase): the node type and the one lookup loop.
+ */
+template <typename Base>
+class BstCore : public Base
+{
+  protected:
+    using Base::Base;
+
+    using Node = BstNode;
+
+    static constexpr uint32_t kMaxDepth = 1u << 16;
+
+    /**
+     * Point lookup. Only the root differs per tree: the in-place tree
+     * reads the naming entry's root field, the MV tree takes
+     * MvBase::readerRoot (a lock-free snapshot). A path deeper than
+     * kMaxDepth is a torn view in place (Conflict, for the seqlock to
+     * retry) and corruption in an immutable snapshot.
+     */
+    Status lookup(Key key, Value *out);
+};
+
 /** A persistent ordered map implemented as a binary search tree. */
-class Bst : public DsBase
+class Bst : public BstCore<DsBase>
 {
   public:
     Bst() = default; //!< unbound; use create()/open()
@@ -69,23 +103,11 @@ class Bst : public DsBase
 
     Bst(FrontendSession &s, NodeId backend, std::string name, DsId id,
         const DsOptions &opt)
-        : DsBase(s, backend, std::move(name), id, opt)
+        : BstCore(s, backend, std::move(name), id, opt)
     {}
 
-    struct Node
-    {
-        Key key;
-        uint64_t left_raw;
-        uint64_t right_raw;
-        Value value;
-    };
-    static_assert(sizeof(Node) == 88);
-
     Status reload();
-    Status readRoot(uint64_t *root_raw, bool pin);
-    Status writeRoot(uint64_t root_raw);
     Status insertOne(Key key, const Value &v, bool pin);
-    Status findLocked(Key key, Value *out, bool pin);
     Status eraseLocked(Key key);
 
     uint64_t count_ = 0; //!< aux1

@@ -114,6 +114,8 @@ class DsBase
      *    open() runs it once; transparent failover runs it again on the
      *    live handle, after the session retargets to the recovered
      *    back-end and before op-log replay (Section 7.2, Cases 3/4);
+     *    and lockForWrite runs it when another writer held the lock
+     *    since this session last did;
      *  - optionally `Status replay(const ParsedOpLog &)`, when its ops
      *    are not the keyed Insert/Update/Erase that replayKeyed handles;
      *  - optionally `void installHooks()`, its flush-time session hooks.
@@ -283,6 +285,56 @@ class DsBase
         return Status::Ok;
     }
 
+    /**
+     * The naming entry's root field of an in-place structure (BpTree,
+     * Bst): the hottest word of all, read cacheable at level 0; @p pin
+     * keeps it in the batch-local pin set (vector insertion).
+     */
+    Status readRoot(uint64_t *root_raw, bool pin = false)
+    {
+        return s_->read(rootField(), root_raw, 8, rootHint(pin));
+    }
+
+    /** Async twin of readRoot; the awaitable's addr is the field. */
+    FrontendSession::ReadAwaitable readRootAsync(uint64_t *root_raw,
+                                                 bool pin = false)
+    {
+        return s_->asyncRead(rootField(), root_raw, 8, rootHint(pin));
+    }
+
+    /** Point the root field at @p root_raw through the log pipeline. */
+    Status writeRoot(uint64_t root_raw)
+    {
+        return s_->logWrite(id_, rootField(), &root_raw, 8);
+    }
+
+    /**
+     * The body of every insertBatch, vector insertion (Algorithm 3):
+     * take the writer lock once, sort the batch so consecutive inserts
+     * share path prefixes, and run @p insert_pinned(key, value) — an
+     * insert whose path reads stay in the batch-local pin set — on each
+     * pair in key order. Stops at the first failure.
+     */
+    template <typename InsertPinned>
+    Status vectorInsert(std::span<const std::pair<Key, Value>> kvs,
+                        InsertPinned &&insert_pinned)
+    {
+        Status st = lockForWrite();
+        if (!ok(st))
+            return st;
+        std::vector<std::pair<Key, Value>> sorted(kvs.begin(), kvs.end());
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        for (const auto &[key, value] : sorted) {
+            st = insert_pinned(key, value);
+            if (!ok(st))
+                return st;
+        }
+        return Status::Ok;
+    }
+
     /** Typed whole-node write through the log pipeline. */
     template <typename Node>
     Status writeNode(RemotePtr p, const Node &node)
@@ -300,13 +352,80 @@ class DsBase
         return writeNode(*p, node);
     }
 
-    /** Acquire the writer lock when the structure is shared. */
+    /**
+     * Acquire the writer lock when the structure is shared: the one
+     * place a writer takes the lock and refreshes its state. When the
+     * writer generation shows that another writer may have held the
+     * lock since this session last did (FrontendSession::writerLock),
+     * every shadow this handle keeps (aux-word copies, MV roots) may be
+     * stale, so the handle runs its own reload() — the step open() and
+     * failover run — before it writes anything.
+     */
     Status lockForWrite()
     {
         if (!opt_.shared)
             return Status::Ok;
-        return s_->writerLock(id_, backend_);
+        bool moved = false;
+        const Status st = s_->writerLock(id_, backend_, &moved);
+        if (!ok(st) || !moved)
+            return st;
+        return reload_(*this);
     }
+
+    /**
+     * The prologue every keyed write coroutine opens with, in this
+     * order: lockForWrite, the WindowGate over the op's conflict key
+     * (the key itself, or 0 to order all writes to the structure), and
+     * once the gate is held, opBegin plus the OpRef snapshot phase B
+     * restores. Declared in the coroutine frame:
+     *
+     *     WriteOp w(this, gate_key);
+     *     while (!w.admitted())
+     *         co_await s_->pipelineYield();
+     *     Status st = w.begin(OpType::Insert, key, bytes, len);
+     *     if (!ok(st))
+     *         co_return st;
+     *     ...phase A: suspendable reads...
+     *     w.writeOut();
+     *     ...phase B: inline writes...
+     */
+    class WriteOp
+    {
+      public:
+        WriteOp(DsBase *ds, Key gate_key)
+            : ds_(ds), gate_(ds->s_, ds->id_, gate_key),
+              st_(ds->lockForWrite())
+        {}
+
+        /** True once begin() may run: the gate is held, or the lock
+         *  failed (begin() then returns why). */
+        bool admitted() { return !ok(st_) || gate_.tryAcquire(); }
+
+        /** opBegin, remembering this op's op-log record. */
+        Status begin(OpType op, Key key, const void *value, uint32_t len)
+        {
+            if (!ok(st_))
+                return st_;
+            FrontendSession &s = *ds_->s_;
+            const Status st =
+                s.opBegin(ds_->id_, ds_->backend_, op, key, value, len);
+            if (ok(st))
+                opref_ = s.currentOpRef(ds_->backend_);
+            return st;
+        }
+
+        /**
+         * Enter phase B: sibling ops may have opBegun while this one was
+         * suspended, so point op-ref encoding back at this op's record.
+         */
+        void writeOut() { ds_->s_->restoreOpRef(ds_->backend_, opref_); }
+
+      private:
+        DsBase *ds_;
+        FrontendSession::WindowGate gate_;
+        Status st_;
+        FrontendSession::OpRef opref_;
+    };
 
     /**
      * Run @p body under the optimistic reader protocol: retried until
@@ -354,6 +473,24 @@ class DsBase
     OptimisticReadStats read_stats_;
 
   private:
+    RemotePtr rootField()
+    {
+        return s_->namingField(id_, backend_, naming_field::kRoot);
+    }
+
+    ReadHint rootHint(bool pin)
+    {
+        ReadHint hint;
+        hint.ds = id_;
+        hint.cacheable = true;
+        hint.level = 0;
+        hint.pin = pin;
+        return hint;
+    }
+
+    /** The structure's own reload(), bound by install(). */
+    Status (*reload_)(DsBase &) = nullptr;
+
     /**
      * Re-execute one uncovered keyed op log (Section 7.2): Insert and
      * Update upsert the logged value (HashTable's upsert is put(), the
@@ -382,14 +519,19 @@ class DsBase
     }
 
     /**
-     * Register @p self's session hooks. The failover hook is the same
+     * Bind @p self's reload() and register its session hooks. The
+     * failover hook and lockForWrite's writer refresh are the same
      * reload() that open() ran, so a live handle resyncs to the
-     * recovered image exactly as a fresh open would.
+     * recovered or successor writer's image exactly as a fresh open
+     * would.
      */
     template <typename Ds>
     static void install(Ds *self)
     {
         FrontendSession &s = *self->s_;
+        self->reload_ = [](DsBase &ds) {
+            return static_cast<Ds &>(ds).reload();
+        };
         s.setFailoverHook(self->id_, self->backend_,
                           [self] { return self->reload(); });
         self->installHooks();

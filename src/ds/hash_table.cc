@@ -93,27 +93,14 @@ HashTable::put(Key key, const Value &v)
 OpTask
 HashTable::putAsync(Key key, Value v)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
-    if (!ok(st))
-        co_return st;
-    if (opt_.shared && !held) {
-        st = s_->readAux(id_, backend_, 2, &count_);
-        if (!ok(st))
-            co_return st;
-    }
     // Same-key ordering: a later op on this key parks until the earlier
     // one's local effects (overlay writes) have landed.
-    FrontendSession::WindowGate gate(s_, id_, key);
-    while (!gate.tryAcquire())
+    WriteOp w(this, key);
+    while (!w.admitted())
         co_await s_->pipelineYield();
-    st = s_->opBegin(id_, backend_, OpType::Insert, key, v.bytes.data(),
-                     Value::kSize);
+    Status st = w.begin(OpType::Insert, key, v.bytes.data(), Value::kSize);
     if (!ok(st))
         co_return st;
-    // Sibling ops may opBegin while this walk is suspended; remember our
-    // own op-log record so phase B's memory logs reference it.
-    const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
     // Phase A: the chain walk, every read stamped so the set can be
     // validated against sibling window writes before we mutate.
@@ -161,7 +148,7 @@ HashTable::putAsync(Key key, Value v)
 
     // Phase B: in-place rewrite, or fresh node + bucket-head relink —
     // inline and unsuspended.
-    s_->restoreOpRef(backend_, opref);
+    w.writeOut();
     if (match_raw != 0) {
         match.value = v; // update in place (whole-node rewrite)
         st = writeNode(RemotePtr::fromRaw(match_raw), match);
@@ -272,22 +259,12 @@ HashTable::erase(Key key)
 OpTask
 HashTable::eraseAsync(Key key)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
-    if (!ok(st))
-        co_return st;
-    if (opt_.shared && !held) {
-        st = s_->readAux(id_, backend_, 2, &count_);
-        if (!ok(st))
-            co_return st;
-    }
-    FrontendSession::WindowGate gate(s_, id_, key);
-    while (!gate.tryAcquire())
+    WriteOp w(this, key);
+    while (!w.admitted())
         co_await s_->pipelineYield();
-    st = s_->opBegin(id_, backend_, OpType::Erase, key, nullptr, 0);
+    Status st = w.begin(OpType::Erase, key, nullptr, 0);
     if (!ok(st))
         co_return st;
-    const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
     // Phase A: the chain walk (tracking the predecessor copy), stamped
     // for validation.
@@ -341,7 +318,7 @@ HashTable::eraseAsync(Key key)
     }
 
     // Phase B: unlink, free/retire, count update — inline.
-    s_->restoreOpRef(backend_, opref);
+    w.writeOut();
     const RemotePtr cur = RemotePtr::fromRaw(match_raw);
     if (prev_raw == 0) {
         st = s_->logWrite(id_, bucketPtr(key), &match.next_raw, 8);

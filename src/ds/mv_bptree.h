@@ -14,16 +14,15 @@
 #include <span>
 #include <vector>
 
+#include "ds/bptree.h"
 #include "ds/mv_common.h"
 
 namespace asymnvm {
 
 /** A persistent multi-version (lock-free for readers) B+tree. */
-class MvBpTree : public MvBase
+class MvBpTree : public BpTreeCore<MvBase>
 {
   public:
-    static constexpr uint32_t kFanout = 32;
-
     MvBpTree() = default; //!< unbound; use create()/open()
 
     static Status create(FrontendSession &s, NodeId backend,
@@ -61,17 +60,9 @@ class MvBpTree : public MvBase
 
     Status insertBatch(std::span<const std::pair<Key, Value>> kvs);
 
-    /** Point lookup: findAsync run inline. */
+    /** Point lookup: findAsync run inline (snapshot readers need no
+     *  reader protocol). */
     Status find(Key key, Value *out);
-
-    /**
-     * Point lookup as a resumable op: the descent co_awaits every remote
-     * node read so executePipelined can overlap several lookups per
-     * round trip. The root fetch stays synchronous (for pure readers it
-     * is an atomic meta verb, not a gatherable read); the snapshot
-     * property is unchanged — each op traverses the root it fetched.
-     */
-    OpTask findAsync(Key key, Value *out);
 
     /** Pipelined multi-lookup; results[i] receives keys[i]'s status. */
     Status findMany(std::span<const Key> keys, Value *vals,
@@ -98,37 +89,19 @@ class MvBpTree : public MvBase
 
     MvBpTree(FrontendSession &s, NodeId backend, std::string name,
              DsId id, const DsOptions &opt)
-        : MvBase(s, backend, std::move(name), id, opt)
+        : BpTreeCore(s, backend, std::move(name), id, opt)
     {}
 
-    struct Node
-    {
-        uint16_t is_leaf;
-        uint16_t count;
-        uint32_t pad;
-        uint64_t unused; //!< no leaf chain across versions
-        Key keys[kFanout];
-        uint64_t children[kFanout];
-    };
-    static_assert(sizeof(Node) == 16 + 16 * kFanout);
-
-    /** One level of a write descent: the node as read, and the route. */
-    struct PathEnt
-    {
-        PathEnt() {} // node left uninitialized: the descent's read fills it
-        uint64_t raw = 0;
-        Node node;
-        uint32_t idx = 0; //!< child taken (internal nodes)
-    };
-
-    struct Split
-    {
-        bool happened = false;
-        Key sep_key = 0;
-        uint64_t right_raw = 0;
-    };
-
-    static uint32_t routeIndex(const Node &n, Key key);
+    /**
+     * Phase B of insertAsync: the path copy against the validated
+     * descent. Every path node is retired; the leaf takes the new cell,
+     * and each level, bottom-up, is written to a fresh node that points
+     * at its copied child, absorbing or splitting on a pending
+     * separator. Sets @p new_root_raw to the new version's root.
+     */
+    Status insertWriteout(std::span<PathEnt> path, Key key,
+                          const Value &v, bool *added,
+                          uint64_t *new_root_raw);
 };
 
 } // namespace asymnvm

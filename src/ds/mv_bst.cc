@@ -1,18 +1,6 @@
 #include "ds/mv_bst.h"
 
-#include <algorithm>
-
 namespace asymnvm {
-
-namespace {
-constexpr uint32_t kMaxDepth = 1u << 16;
-} // namespace
-
-Status
-MvBst::readNodeMv(uint64_t raw, Node *out, uint32_t depth, bool pin)
-{
-    return readNode(RemotePtr::fromRaw(raw), out, depth, true, pin);
-}
 
 Status
 MvBst::copyPathUp(const std::vector<PathElem> &path,
@@ -55,7 +43,8 @@ MvBst::insertOne(Key key, const Value &v, bool pin)
         if (++depth > kMaxDepth)
             return Status::Conflict;
         Node node;
-        st = readNodeMv(cur_raw, &node, depth - 1, pin);
+        st = readNode(RemotePtr::fromRaw(cur_raw), &node, depth - 1, true,
+                      pin);
         if (!ok(st))
             return st;
         if (node.key == key) {
@@ -114,42 +103,15 @@ MvBst::insert(Key key, const Value &v)
 Status
 MvBst::insertBatch(std::span<const std::pair<Key, Value>> kvs)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    std::vector<std::pair<Key, Value>> sorted(kvs.begin(), kvs.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    for (const auto &[key, value] : sorted) {
-        st = insertOne(key, value, /*pin=*/true);
-        if (!ok(st))
-            return st;
-    }
-    return Status::Ok;
+    return vectorInsert(kvs, [&](Key key, const Value &v) {
+        return insertOne(key, v, /*pin=*/true);
+    });
 }
 
 Status
 MvBst::find(Key key, Value *out)
 {
-    uint64_t cur_raw = 0;
-    Status st = readerRoot(&cur_raw);
-    if (!ok(st))
-        return st;
-    uint32_t depth = 0;
-    while (cur_raw != 0) {
-        if (++depth > kMaxDepth)
-            return Status::Corruption;
-        Node node;
-        st = readNodeMv(cur_raw, &node, depth - 1, false);
-        if (!ok(st))
-            return st;
-        if (node.key == key) {
-            *out = node.value;
-            return Status::Ok;
-        }
-        cur_raw = key < node.key ? node.left_raw : node.right_raw;
-    }
-    return Status::NotFound;
+    return lookup(key, out);
 }
 
 bool
@@ -178,7 +140,7 @@ MvBst::erase(Key key)
         if (++depth > kMaxDepth)
             return Status::Conflict;
         Node node;
-        st = readNodeMv(cur_raw, &node, depth - 1, false);
+        st = readNode(RemotePtr::fromRaw(cur_raw), &node, depth - 1);
         if (!ok(st))
             return st;
         if (node.key == key) {
@@ -205,7 +167,7 @@ MvBst::erase(Key key)
         std::vector<PathElem> succ_path;
         uint64_t succ_raw = victim.right_raw;
         Node succ;
-        st = readNodeMv(succ_raw, &succ, depth, false);
+        st = readNode(RemotePtr::fromRaw(succ_raw), &succ, depth);
         if (!ok(st))
             return st;
         uint32_t hops = 0;
@@ -214,7 +176,7 @@ MvBst::erase(Key key)
                 return Status::Conflict;
             succ_path.push_back({succ_raw, succ, /*went_left=*/true});
             succ_raw = succ.left_raw;
-            st = readNodeMv(succ_raw, &succ, depth, false);
+            st = readNode(RemotePtr::fromRaw(succ_raw), &succ, depth);
             if (!ok(st))
                 return st;
         }

@@ -19,12 +19,13 @@
 #include <span>
 #include <vector>
 
+#include "ds/bst.h"
 #include "ds/mv_common.h"
 
 namespace asymnvm {
 
 /** A persistent multi-version (lock-free for readers) BST. */
-class MvBst : public MvBase
+class MvBst : public BstCore<MvBase>
 {
   public:
     MvBst() = default; //!< unbound; use create()/open()
@@ -63,17 +64,8 @@ class MvBst : public MvBase
 
     MvBst(FrontendSession &s, NodeId backend, std::string name, DsId id,
           const DsOptions &opt)
-        : MvBase(s, backend, std::move(name), id, opt)
+        : BstCore(s, backend, std::move(name), id, opt)
     {}
-
-    struct Node
-    {
-        Key key;
-        uint64_t left_raw;
-        uint64_t right_raw;
-        Value value;
-    };
-    static_assert(sizeof(Node) == 88);
 
     struct PathElem
     {
@@ -83,7 +75,6 @@ class MvBst : public MvBase
     };
 
     Status insertOne(Key key, const Value &v, bool pin);
-    Status readNodeMv(uint64_t raw, Node *out, uint32_t depth, bool pin);
 
     /** Rebuild the path above a replaced child, bottom-up (Figure 5). */
     Status copyPathUp(const std::vector<PathElem> &path,

@@ -41,7 +41,7 @@ class MvBase : public DsBase
             if (dirty_)
                 s_->setGroupCoverage(id_, backend_, cov_opn_);
         });
-        s_->setPostFlushHook(id_, backend_, [this] { publish(); });
+        s_->setPostFlushHook(id_, backend_, [this] { return publish(); });
     }
 
     /**
@@ -96,11 +96,14 @@ class MvBase : public DsBase
     /**
      * Root used by read operations: the writer sees its own unpublished
      * version; pure readers fetch the published root (one verbs read
-     * that also carries the GC epoch for cache invalidation).
+     * that also carries the GC epoch for cache invalidation). A shared
+     * handle is the writer only while it holds the lock: once released,
+     * a successor writer may publish past its working version.
      */
     Status readerRoot(uint64_t *root_raw)
     {
-        if (is_writer_) {
+        if (is_writer_ &&
+            (!opt_.shared || s_->holdsWriterLock(id_, backend_))) {
             *root_raw = pending_root_; // writer reads its own version
             return Status::Ok;
         }

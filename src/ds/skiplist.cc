@@ -104,38 +104,22 @@ SkipList::insert(Key key, const Value &v)
 Status
 SkipList::insertBatch(std::span<const std::pair<Key, Value>> kvs)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    std::vector<std::pair<Key, Value>> sorted(kvs.begin(), kvs.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    for (const auto &[key, value] : sorted) {
-        st = s_->runInline(insertAsync(key, value, /*pin=*/true));
-        if (!ok(st))
-            return st;
-    }
-    return Status::Ok;
+    return vectorInsert(kvs, [&](Key key, const Value &v) {
+        return s_->runInline(insertAsync(key, v, /*pin=*/true));
+    });
 }
 
 OpTask
 SkipList::insertAsync(Key key, Value v, bool pin)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        co_return st;
     // Same-key ordering: a later op on this key parks until the earlier
     // one's local effects (overlay writes) have landed.
-    FrontendSession::WindowGate gate(s_, id_, key);
-    while (!gate.tryAcquire())
+    WriteOp w(this, key);
+    while (!w.admitted())
         co_await s_->pipelineYield();
-    st = s_->opBegin(id_, backend_, OpType::Insert, key, v.bytes.data(),
-                     Value::kSize);
+    Status st = w.begin(OpType::Insert, key, v.bytes.data(), Value::kSize);
     if (!ok(st))
         co_return st;
-    // Sibling ops may opBegin while this walk is suspended; remember our
-    // own op-log record so phase B's memory logs reference it.
-    const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
     // Phase A: the predecessor walk (Figure 2 lines 2-13; write path,
     // so no prefetch), every read stamped for validation against sibling
@@ -203,7 +187,7 @@ SkipList::insertAsync(Key key, Value v, bool pin)
     // and unsuspended (its reads run synchronously — they are local
     // after the walk), so the whole write-out is atomic with respect to
     // sibling ops.
-    s_->restoreOpRef(backend_, opref);
+    w.writeOut();
     if (found) {
         const RemotePtr target = RemotePtr::fromRaw(succs[0]);
         Node node;
@@ -397,16 +381,12 @@ SkipList::erase(Key key)
 OpTask
 SkipList::eraseAsync(Key key)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        co_return st;
-    FrontendSession::WindowGate gate(s_, id_, key);
-    while (!gate.tryAcquire())
+    WriteOp w(this, key);
+    while (!w.admitted())
         co_await s_->pipelineYield();
-    st = s_->opBegin(id_, backend_, OpType::Erase, key, nullptr, 0);
+    Status st = w.begin(OpType::Erase, key, nullptr, 0);
     if (!ok(st))
         co_return st;
-    const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
     // Phase A: suspendable predecessor walk, stamped (see insertAsync).
     uint64_t preds[kMaxLevel], succs[kMaxLevel];
@@ -475,7 +455,7 @@ SkipList::eraseAsync(Key key)
     // state). The reverse order would strand upper-level links routing
     // through a node already gone from level 0, silently swallowing any
     // later insert whose level-0 predecessor resolves to the dead node.
-    s_->restoreOpRef(backend_, opref);
+    w.writeOut();
     const RemotePtr target = RemotePtr::fromRaw(succs[0]);
     Node victim;
     st = readNode(target, &victim, kMaxLevel - 1);

@@ -60,7 +60,6 @@ SessionConfig::symmetricBase(uint64_t id, bool batched)
     SessionConfig c;
     c.session_id = id;
     c.symmetric = true;
-    c.symmetric_batch = batched;
     c.use_cache = false; // data is already local
     c.batch_size = batched ? 1024 : 1;
     return c;
@@ -980,7 +979,7 @@ FrontendSession::opEnd()
     in_op_ = false; // batch flush below happens at a safe boundary
     ++ops_in_batch_;
     if (cfg_.symmetric) {
-        if (!cfg_.symmetric_batch) {
+        if (cfg_.batch_size <= 1) {
             // Ship this op's logs now: launch the posted chain with one
             // doorbell and fence it at the replica (remote persist).
             const uint64_t t0 = clock_.now();
@@ -1088,7 +1087,7 @@ FrontendSession::setFlushHook(DsId ds, NodeId backend,
 
 void
 FrontendSession::setPostFlushHook(DsId ds, NodeId backend,
-                                  std::function<void()> fn)
+                                  std::function<Status()> fn)
 {
     post_flush_hooks_[{backend, ds}] = std::move(fn);
 }
@@ -1227,9 +1226,14 @@ FrontendSession::flushAllInner()
         return result;
     }
 
-    // Publish multi-version roots now that the batch is durable.
-    for (auto &[ds, fn] : post_flush_hooks_)
-        fn();
+    // Publish multi-version roots now that the batch is durable. A
+    // failed swap is reported, but the batch itself stands: retirements
+    // still ship and the locks still release below.
+    for (auto &[ds, fn] : post_flush_hooks_) {
+        const Status st = fn();
+        if (ok(result))
+            result = st;
+    }
 
     // Ship deferred MV retirements and reclaim locally-due regions.
     for (auto &[id, c] : backends_) {
@@ -1358,8 +1362,10 @@ FrontendSession::namingField(DsId ds, NodeId backend, uint64_t field_off)
 }
 
 Status
-FrontendSession::writerLock(DsId ds, NodeId backend)
+FrontendSession::writerLock(DsId ds, NodeId backend, bool *moved)
 {
+    if (moved != nullptr)
+        *moved = false;
     const auto key = std::make_pair(backend, ds);
     if (held_locks_.count(key) != 0)
         return Status::Ok;
@@ -1414,6 +1420,8 @@ FrontendSession::writerLock(DsId ds, NodeId backend)
                 cache_->invalidateDs(ds);
             prefetch_.invalidateDs(ds); // learned runs may be stale too
             writer_gen_[key] = gen;
+            if (moved != nullptr)
+                *moved = true;
         }
         held_locks_[key] = true;
         return Status::Ok;

@@ -81,8 +81,11 @@ struct SessionConfig
     CachePolicy cache_policy = CachePolicy::Hybrid;
     uint32_t cache_sample_k = 32;
     uint64_t memlog_buffer_cap = 512ull << 10;
-    bool symmetric = false;       //!< symmetric-architecture baseline
-    bool symmetric_batch = false; //!< Symmetric-B (batched log shipping)
+    /**
+     * Symmetric-architecture baseline; with batch_size > 1 it is
+     * Symmetric-B (batched log shipping), else every op ships its logs.
+     */
+    bool symmetric = false;
     /**
      * Multi-back-end group commits overlap their per-back-end round
      * trips: the flush driver posts every back-end's WQE chain, rings
@@ -531,10 +534,13 @@ class FrontendSession
     /**
      * Post-flush hook: runs after the batch is durable and replayed,
      * before locks release. Multi-version structures publish their new
-     * root here with an atomic root swap (Section 6.2).
+     * root here with an atomic root swap (Section 6.2). flushAll returns
+     * the first hook failure (e.g. a root swap that lost to another
+     * writer, Conflict); the remaining hooks and the lock release still
+     * run.
      */
     void setPostFlushHook(DsId ds, NodeId backend,
-                          std::function<void()> fn);
+                          std::function<Status()> fn);
 
     /**
      * Override the covered-OPN recorded in @p ds's next transaction.
@@ -568,8 +574,15 @@ class FrontendSession
      * writer_lock (Algorithm 1): RDMA_CAS spin plus the lock-ahead
      * record. When batching, the lock is held until the group commit
      * releases it. Re-acquiring a lock already held is a no-op.
+     *
+     * On acquisition the writer-generation word is compared with the
+     * one this session saw when it last released the lock; when it
+     * moved (or this session never held the lock) another writer may
+     * have changed the structure, so the cache entries of @p ds are
+     * dropped and @p *moved is set: the caller's handle must reload its
+     * volatile shadows (DsBase::lockForWrite).
      */
-    Status writerLock(DsId ds, NodeId backend);
+    Status writerLock(DsId ds, NodeId backend, bool *moved = nullptr);
 
     /** writer_unlock: flushes this structure's logs first. */
     Status writerUnlock(DsId ds, NodeId backend);
@@ -1002,7 +1015,7 @@ class FrontendSession
     std::map<std::pair<NodeId, DsId>, std::function<Status()>>
         failover_hooks_;
     std::map<std::pair<NodeId, DsId>, std::function<void()>> flush_hooks_;
-    std::map<std::pair<NodeId, DsId>, std::function<void()>>
+    std::map<std::pair<NodeId, DsId>, std::function<Status()>>
         post_flush_hooks_;
     bool in_flush_ = false;
 

@@ -273,7 +273,10 @@ TEST(FrontendCrashStateTest, FailedCommitKeepsLocksAndSkipsPublish)
     ASSERT_EQ(ht.put(7, Value::ofU64(7)), Status::Ok);
     ASSERT_TRUE(s->holdsWriterLock(ht.id(), 1));
     bool published = false;
-    s->setPostFlushHook(ht.id(), 1, [&] { published = true; });
+    s->setPostFlushHook(ht.id(), 1, [&] {
+        published = true;
+        return Status::Ok;
+    });
 
     cl.backend(1)->failure().armCrashAfterVerbs(0);
     EXPECT_NE(s->flushAll(), Status::Ok);
