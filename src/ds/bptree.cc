@@ -195,6 +195,9 @@ template class BpTreeCore<MvBase>;
 Status
 BpTree::reload()
 {
+    const Status st = loadRoot();
+    if (!ok(st))
+        return st;
     return s_->readAux(id_, backend_, 1, &count_);
 }
 

@@ -91,10 +91,10 @@ class BpTreeCore : public Base
      * several lookups' reads in flight per round trip, and each child
      * read gathers the nearest siblings around the taken route (read
      * path only; writers never speculate). Only the root differs per
-     * tree: the in-place tree reads the naming entry's root field (a
-     * suspendable read); the MV tree takes MvBase::readerRoot, so each
-     * op traverses the snapshot it fetched, whatever other in-flight ops
-     * do.
+     * tree: the in-place tree takes readRootAsync (the held root word,
+     * or for a lock-free shared reader the naming entry's field); the
+     * MV tree takes MvBase::readerRoot, so each op traverses the
+     * snapshot it fetched, whatever other in-flight ops do.
      */
     OpTask findAsync(Key key, Value *out);
 

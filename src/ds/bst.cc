@@ -42,6 +42,9 @@ template class BstCore<MvBase>;
 Status
 Bst::reload()
 {
+    const Status st = loadRoot();
+    if (!ok(st))
+        return st;
     return s_->readAux(id_, backend_, 1, &count_);
 }
 

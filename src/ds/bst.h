@@ -51,7 +51,8 @@ class BstCore : public Base
 
     /**
      * Point lookup. Only the root differs per tree: the in-place tree
-     * reads the naming entry's root field, the MV tree takes
+     * takes readRoot (the held root word, or for a lock-free shared
+     * reader the naming entry's field), the MV tree takes
      * MvBase::readerRoot (a lock-free snapshot). A path deeper than
      * kMaxDepth is a torn view in place (Conflict, for the seqlock to
      * retry) and corruption in an immutable snapshot.

@@ -110,7 +110,8 @@ class DsBase
      *  - `static constexpr DsType kType`, its naming-entry type;
      *  - the bound constructor `Ds(session, backend, name, id, options)`;
      *  - `Status reload()`, which resets every volatile shadow (aux-word
-     *    copies, published root, pending buffers) to the NVM image.
+     *    copies, the held root word root_, pending buffers) to the NVM
+     *    image.
      *    open() runs it once; transparent failover runs it again on the
      *    live handle, after the session retargets to the recovered
      *    back-end and before op-log replay (Section 7.2, Cases 3/4);
@@ -247,6 +248,19 @@ class DsBase
     }
 
     /**
+     * The one ownership predicate: true when no other session can move
+     * this structure's naming entry under the handle — it is unshared
+     * (SWMR holds trivially), or shared and its session holds the writer
+     * lock (Section 6). Such a handle owns its anchor words: the root
+     * word it holds (readRoot, MvBase::readerRoot) is the structure's,
+     * and its reads need no seqlock protocol.
+     */
+    bool ownsRoot()
+    {
+        return !opt_.shared || s_->holdsWriterLock(id_, backend_);
+    }
+
+    /**
      * True when this handle's reads may run as pipelined coroutines.
      * Shared handles under the seqlock protocol must not: readerLock /
      * readerValidate use session-global read-tracking state that
@@ -254,10 +268,7 @@ class DsBase
      * fall back to serial protected reads (the lock-holding writer is
      * exempt — its reads are already unprotected).
      */
-    bool pipelineEligible()
-    {
-        return !opt_.shared || s_->holdsWriterLock(id_, backend_);
-    }
+    bool pipelineEligible() { return ownsRoot(); }
 
     /**
      * The body of every multi-key entry point (insertMany, findMany,
@@ -287,25 +298,55 @@ class DsBase
 
     /**
      * The naming entry's root field of an in-place structure (BpTree,
-     * Bst): the hottest word of all, read cacheable at level 0; @p pin
-     * keeps it in the batch-local pin set (vector insertion).
+     * Bst). A handle that ownsRoot() takes the word it holds: no cache
+     * probe, no virtual time. A shared reader without the writer lock
+     * reads the field, cacheable at level 0 (under its seqlock); @p pin
+     * keeps that read in the batch-local pin set (vector insertion).
      */
     Status readRoot(uint64_t *root_raw, bool pin = false)
     {
+        if (ownsRoot()) {
+            *root_raw = root_;
+            return Status::Ok;
+        }
         return s_->read(rootField(), root_raw, 8, rootHint(pin));
     }
 
-    /** Async twin of readRoot; the awaitable's addr is the field. */
+    /**
+     * Async twin of readRoot; the awaitable's addr is the field. The
+     * held word comes back as an awaitable completed at construction,
+     * served at the current pipeline write sequence, so a write
+     * descent's stamp on the field still fails validation once a
+     * sibling's writeRoot grows the root.
+     */
     FrontendSession::ReadAwaitable readRootAsync(uint64_t *root_raw,
                                                  bool pin = false)
     {
-        return s_->asyncRead(rootField(), root_raw, 8, rootHint(pin));
+        if (!ownsRoot())
+            return s_->asyncRead(rootField(), root_raw, 8, rootHint(pin));
+        *root_raw = root_;
+        return FrontendSession::ReadAwaitable::completed(
+            rootField(), s_->pipelineWriteSeq());
     }
 
-    /** Point the root field at @p root_raw through the log pipeline. */
+    /**
+     * Point the root field at @p root_raw through the log pipeline, and
+     * hold the new word.
+     */
     Status writeRoot(uint64_t root_raw)
     {
-        return s_->logWrite(id_, rootField(), &root_raw, 8);
+        const Status st = s_->logWrite(id_, rootField(), &root_raw, 8);
+        if (ok(st))
+            root_ = root_raw;
+        return st;
+    }
+
+    /** reload()'s step for the held root word: the field's current value
+     *  as this session sees it (its own unflushed write, else NVM). */
+    Status loadRoot()
+    {
+        return s_->readNamingWord(id_, backend_, naming_field::kRoot,
+                                  &root_);
     }
 
     /**
@@ -436,7 +477,7 @@ class DsBase
     template <typename Fn>
     Status optimisticRead(Fn &&body)
     {
-        if (!opt_.shared || s_->holdsWriterLock(id_, backend_))
+        if (ownsRoot())
             return body();
         uint64_t backoff = opt_.retry_backoff_ns;
         for (uint32_t attempt = 0; attempt < opt_.max_read_retries;
@@ -471,6 +512,12 @@ class DsBase
     DsOptions opt_;
     LevelAdmission admission_;
     OptimisticReadStats read_stats_;
+    /**
+     * The held root word, valid while ownsRoot(): an in-place tree's
+     * root field (loadRoot, writeRoot), a multi-version tree's working
+     * version (MvBase). reload() sets it.
+     */
+    uint64_t root_ = 0;
 
   private:
     RemotePtr rootField()

@@ -40,6 +40,7 @@ class MvBase : public DsBase
         s_->setFlushHook(id_, backend_, [this] {
             if (dirty_)
                 s_->setGroupCoverage(id_, backend_, cov_opn_);
+            return Status::Ok;
         });
         s_->setPostFlushHook(id_, backend_, [this] { return publish(); });
     }
@@ -56,19 +57,22 @@ class MvBase : public DsBase
         if (!ok(st))
             return st;
         published_root_ = meta.root_raw;
-        pending_root_ = meta.root_raw;
+        root_ = meta.root_raw;
         dirty_ = false;
         cov_opn_ = s_->currentOpn(backend_);
         return s_->readAux(id_, backend_, 1, &count_);
     }
 
-    /** The version the writer extends (readers use the published one). */
-    uint64_t workingRoot() const { return pending_root_; }
+    /**
+     * The version the writer extends (readers use the published one):
+     * the handle's held root word, DsBase::root_.
+     */
+    uint64_t workingRoot() const { return root_; }
 
     /** Record the new version produced by one write operation. */
     void stageRoot(uint64_t new_root_raw)
     {
-        pending_root_ = new_root_raw;
+        root_ = new_root_raw;
         dirty_ = true;
         is_writer_ = true;
     }
@@ -76,18 +80,18 @@ class MvBase : public DsBase
     /** Atomic root swap after the batch's logs are durable. */
     Status publish()
     {
-        if (!dirty_ || pending_root_ == published_root_) {
+        if (!dirty_ || root_ == published_root_) {
             dirty_ = false;
             return Status::Ok;
         }
         uint64_t old_raw = 0;
         const Status st = s_->casRoot(id_, backend_, published_root_,
-                                      pending_root_, &old_raw);
+                                      root_, &old_raw);
         if (!ok(st))
             return st;
         if (old_raw != published_root_)
             return Status::Conflict; // SWMR violation
-        published_root_ = pending_root_;
+        published_root_ = root_;
         cov_opn_ = s_->currentOpn(backend_);
         dirty_ = false;
         return Status::Ok;
@@ -98,13 +102,14 @@ class MvBase : public DsBase
      * version; pure readers fetch the published root (one verbs read
      * that also carries the GC epoch for cache invalidation). A shared
      * handle is the writer only while it holds the lock: once released,
-     * a successor writer may publish past its working version.
+     * a successor writer may publish past its working version. The
+     * ownership predicate is DsBase::ownsRoot, the one the in-place
+     * trees' readRoot uses.
      */
     Status readerRoot(uint64_t *root_raw)
     {
-        if (is_writer_ &&
-            (!opt_.shared || s_->holdsWriterLock(id_, backend_))) {
-            *root_raw = pending_root_; // writer reads its own version
+        if (is_writer_ && ownsRoot()) {
+            *root_raw = root_; // writer reads its own version
             return Status::Ok;
         }
         DsMeta meta{};
@@ -117,7 +122,6 @@ class MvBase : public DsBase
 
     uint64_t count_ = 0; //!< aux1 (writer-maintained)
     uint64_t published_root_ = 0;
-    uint64_t pending_root_ = 0;
     uint64_t cov_opn_ = 0;
     bool dirty_ = false;
     bool is_writer_ = false;

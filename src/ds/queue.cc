@@ -21,7 +21,7 @@ Queue::reload()
 void
 Queue::installHooks()
 {
-    s_->setFlushHook(id_, backend_, [this] { materializePending(); });
+    s_->setFlushHook(id_, backend_, [this] { return materializePending(); });
 }
 
 Status
@@ -79,15 +79,21 @@ Queue::materializeOne(const Value &v)
 Status
 Queue::materializePending()
 {
-    if (pending_.empty())
-        return Status::Ok;
-    for (const Value &v : pending_) {
-        const Status st = materializeOne(v);
+    // On a failure only the materialized prefix leaves pending_, so
+    // size() counts every enqueue once; the rest waits for the next
+    // flush.
+    size_t done = 0;
+    Status st = Status::Ok;
+    for (; done < pending_.size(); ++done) {
+        st = materializeOne(pending_[done]);
         if (!ok(st))
-            return st;
+            break;
     }
-    pending_.clear();
-    return writeShadows();
+    if (done == 0)
+        return st;
+    pending_.erase(pending_.begin(), pending_.begin() + done);
+    const Status wst = writeShadows();
+    return ok(st) ? wst : st;
 }
 
 Status

@@ -18,7 +18,7 @@ Stack::reload()
 void
 Stack::installHooks()
 {
-    s_->setFlushHook(id_, backend_, [this] { materializePending(); });
+    s_->setFlushHook(id_, backend_, [this] { return materializePending(); });
 }
 
 Status
@@ -52,16 +52,21 @@ Stack::materializeOne(const Value &v)
 Status
 Stack::materializePending()
 {
-    if (pending_.empty())
-        return Status::Ok;
-    for (const Value &v : pending_) {
-        const Status st = materializeOne(v);
+    // On a failure only the materialized prefix leaves pending_, so
+    // size() counts every push once; the rest waits for the next flush.
+    size_t done = 0;
+    Status st = Status::Ok;
+    for (; done < pending_.size(); ++done) {
+        st = materializeOne(pending_[done]);
         if (!ok(st))
-            return st;
+            break;
     }
-    pending_.clear();
+    if (done == 0)
+        return st;
+    pending_.erase(pending_.begin(), pending_.begin() + done);
     const uint64_t vals[2] = {head_raw_, count_};
-    return s_->writeAuxRange(id_, backend_, 0, vals, 2);
+    const Status wst = s_->writeAuxRange(id_, backend_, 0, vals, 2);
+    return ok(st) ? wst : st;
 }
 
 Status

@@ -475,6 +475,8 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
 bool
 FrontendSession::ReadAwaitable::await_ready()
 {
+    if (s == nullptr)
+        return true; // completed()
     if (!s->suspendable()) {
         // No reactor owns the session (depth 1, or an op run inline):
         // take the serial read path — same verbs, same clock charges,
@@ -1080,7 +1082,7 @@ FrontendSession::flushGroup(BackendCtx &c, DsId ds, bool sync_commit)
 
 void
 FrontendSession::setFlushHook(DsId ds, NodeId backend,
-                              std::function<void()> fn)
+                              std::function<Status()> fn)
 {
     flush_hooks_[{backend, ds}] = std::move(fn);
 }
@@ -1130,9 +1132,16 @@ FrontendSession::flushAllInner()
         return Status::Ok;
     in_flush_ = true;
     // Materialize deferred operations (stack/queue annulment survivors)
-    // before serializing the batch's memory logs.
-    for (auto &[ds, fn] : flush_hooks_)
-        fn();
+    // before serializing the batch's memory logs. A failed hook stops
+    // the commit here: nothing is serialized, the batch stays buffered.
+    for (auto &[key, fn] : flush_hooks_) {
+        const Status st = fn();
+        if (!ok(st)) {
+            in_flush_ = false;
+            last_failed_node_ = key.first;
+            return st;
+        }
+    }
     in_flush_ = false;
     if (cfg_.symmetric) {
         // Ship the accumulated log chain to the remote replica: one
@@ -1611,10 +1620,10 @@ FrontendSession::casRoot(DsId ds, NodeId backend, uint64_t expected_raw,
 }
 
 Status
-FrontendSession::readAux(DsId ds, NodeId backend, uint32_t idx, uint64_t *v)
+FrontendSession::readNamingWord(DsId ds, NodeId backend, uint64_t field_off,
+                                uint64_t *v)
 {
-    const RemotePtr p = namingField(ds, backend,
-                                    naming_field::kAux0 + idx * 8);
+    const RemotePtr p = namingField(ds, backend, field_off);
     if (overlayLookup(p, v, sizeof(*v))) {
         clock_.advance(lat_.dram_access_ns);
         return Status::Ok;

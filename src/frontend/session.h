@@ -312,6 +312,19 @@ class FrontendSession
          *  the captured bytes stale). */
         uint64_t served_seq = 0;
 
+        /**
+         * A read already complete, with no session: the caller filled
+         * the destination from a word it holds. @p addr and @p seq keep
+         * read-set validation on the address it stands for.
+         */
+        static ReadAwaitable completed(RemotePtr addr, uint64_t seq)
+        {
+            ReadAwaitable aw;
+            aw.addr = addr;
+            aw.served_seq = seq;
+            return aw;
+        }
+
         bool await_ready();
         void await_suspend(std::coroutine_handle<> h);
         /**
@@ -527,9 +540,12 @@ class FrontendSession
     /**
      * Pre-flush hook: runs at the start of every group commit, before
      * memory logs serialize. Stack/queue use this to materialize their
-     * surviving (un-annulled) pending operations (Section 8.1).
+     * surviving (un-annulled) pending operations (Section 8.1). The
+     * first hook failure (e.g. an allocation that ran out of NVM,
+     * OutOfMemory) stops the commit before any memory log is
+     * serialized, and flushAll returns it; the batch stays buffered.
      */
-    void setFlushHook(DsId ds, NodeId backend, std::function<void()> fn);
+    void setFlushHook(DsId ds, NodeId backend, std::function<Status()> fn);
 
     /**
      * Post-flush hook: runs after the batch is durable and replayed,
@@ -619,8 +635,19 @@ class FrontendSession
     Status casRoot(DsId ds, NodeId backend, uint64_t expected_raw,
                    uint64_t desired_raw, uint64_t *old_raw);
 
+    /**
+     * Read one 8-byte naming-entry word at @p field_off: this session's
+     * unflushed write of it when the overlay holds one, else one verb.
+     */
+    Status readNamingWord(DsId ds, NodeId backend, uint64_t field_off,
+                          uint64_t *v);
+
     /** Read/write naming-entry auxiliary words (through the log path). */
-    Status readAux(DsId ds, NodeId backend, uint32_t idx, uint64_t *v);
+    Status readAux(DsId ds, NodeId backend, uint32_t idx, uint64_t *v)
+    {
+        return readNamingWord(ds, backend, naming_field::kAux0 + idx * 8,
+                              v);
+    }
     Status writeAux(DsId ds, NodeId backend, uint32_t idx, uint64_t v);
 
     /**
@@ -1014,7 +1041,7 @@ class FrontendSession
     std::map<std::pair<NodeId, DsId>, Replayer> replayers_;
     std::map<std::pair<NodeId, DsId>, std::function<Status()>>
         failover_hooks_;
-    std::map<std::pair<NodeId, DsId>, std::function<void()>> flush_hooks_;
+    std::map<std::pair<NodeId, DsId>, std::function<Status()>> flush_hooks_;
     std::map<std::pair<NodeId, DsId>, std::function<Status()>>
         post_flush_hooks_;
     bool in_flush_ = false;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "check/chaos.h"
@@ -232,6 +233,7 @@ template <typename Ds>
 struct Keyed
 {
     using Handle = Ds;
+    static constexpr bool kLookupAudit = true; //!< expectContents only reads
     static Status write(Ds &ds, uint64_t k)
     {
         return upsert(ds, k, Value::ofU64(k * 7));
@@ -264,6 +266,7 @@ expectDrain(Ds &ds, Status (Ds::*take)(Value *),
 struct StackCase
 {
     using Handle = Stack;
+    static constexpr bool kLookupAudit = false; //!< expectContents drains
     static Status write(Stack &st, uint64_t k)
     {
         return st.push(Value::ofU64(k * 7));
@@ -280,6 +283,7 @@ struct StackCase
 struct QueueCase
 {
     using Handle = Queue;
+    static constexpr bool kLookupAudit = false;
     static Status write(Queue &q, uint64_t k)
     {
         return q.enqueue(Value::ofU64(k * 7));
@@ -306,19 +310,20 @@ class LiveHandleFailoverTest : public ::testing::Test
     using Ds = typename C::Handle;
 
     /**
-     * 20 writes under group commit (the last four still batched), lose
-     * the back-end, then write a 21st: the session heals inside that
-     * call, and the live handle must resync to the recovered image
-     * before op-log replay — or replayed ops double-count.
+     * @p n writes under group commit every 16 (by default 20: the last
+     * four still batched), lose the back-end, then write one more: the
+     * session heals inside that call, and the live handle must resync to
+     * the recovered image before op-log replay — or replayed ops
+     * double-count.
      */
-    void run(BackendLoss loss)
+    void run(BackendLoss loss, uint64_t n = 20)
     {
         Cluster cluster(failoverCluster());
         auto s = cluster.makeSession(SessionConfig::rcb(1, 1 << 20, 16));
         ASSERT_NE(s, nullptr);
         Ds ds;
         ASSERT_EQ(createNamed(*s, &ds), Status::Ok);
-        for (uint64_t k = 1; k <= 20; ++k)
+        for (uint64_t k = 1; k <= n; ++k)
             ASSERT_EQ(C::write(ds, k), Status::Ok);
 
         cluster.keepAlive().renew(1, s->clock().now());
@@ -328,21 +333,23 @@ class LiveHandleFailoverTest : public ::testing::Test
         else
             cluster.condemnBackend(1);
 
-        ASSERT_EQ(C::write(ds, 21), Status::Ok);
+        ASSERT_EQ(C::write(ds, n + 1), Status::Ok);
         EXPECT_EQ(s->failoversCompleted(), 1u);
         if (loss == BackendLoss::Promotion) {
             EXPECT_NE(cluster.backend(1), old) << "a mirror was promoted";
         }
-        EXPECT_EQ(ds.size(), 21u);
+        EXPECT_EQ(ds.size(), n + 1);
         ASSERT_EQ(s->flushAll(), Status::Ok);
 
         auto s2 = cluster.makeSession(SessionConfig::rc(2, 1 << 20));
         ASSERT_NE(s2, nullptr);
         Ds reopened;
         ASSERT_EQ(Ds::open(*s2, 1, "ds", &reopened), Status::Ok);
-        EXPECT_EQ(reopened.size(), 21u) << "durable count";
+        EXPECT_EQ(reopened.size(), n + 1) << "durable count";
+        if constexpr (C::kLookupAudit)
+            C::expectContents(reopened, n + 1); // the durable root too
 
-        C::expectContents(ds, 21);
+        C::expectContents(ds, n + 1);
     }
 };
 
@@ -374,6 +381,44 @@ TYPED_TEST(LiveHandleFailoverTest, TransientCrashHealsWithoutAppHelp)
 TYPED_TEST(LiveHandleFailoverTest, PromotionHealsWithoutAppHelp)
 {
     this->run(BackendLoss::Promotion);
+}
+
+/**
+ * The in-place trees hold their root word in the handle. Here the root
+ * moves inside the batch the back-end loses: the B+tree's root leaf
+ * splits at the 33rd key (keys 33..40 are unflushed), and the BST's
+ * root is set by its first key (all eight unflushed). Failover must
+ * reload the held root from the recovered image before replay.
+ */
+template <typename C>
+class RootMoveFailoverTest : public LiveHandleFailoverTest<C>
+{
+  protected:
+    static constexpr uint64_t kWrites =
+        std::is_same_v<typename C::Handle, BpTree> ? 40 : 8;
+};
+
+using RootMoveCases = ::testing::Types<Keyed<BpTree>, Keyed<Bst>>;
+
+struct RootMoveCaseNames
+{
+    template <typename C>
+    static std::string GetName(int i)
+    {
+        return i == 0 ? "BpTree" : "Bst";
+    }
+};
+
+TYPED_TEST_SUITE(RootMoveFailoverTest, RootMoveCases, RootMoveCaseNames);
+
+TYPED_TEST(RootMoveFailoverTest, TransientCrashInsideRootMove)
+{
+    this->run(BackendLoss::Restart, this->kWrites);
+}
+
+TYPED_TEST(RootMoveFailoverTest, PromotionInsideRootMove)
+{
+    this->run(BackendLoss::Promotion, this->kWrites);
 }
 
 TEST(TransparentFailoverTest, CondemnedNodeWaitsOutLeaseThenPromotes)
