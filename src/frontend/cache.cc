@@ -252,9 +252,9 @@ PageCache::clear()
 }
 
 void
-PageCache::makeRoom(uint64_t len)
+PageCache::makeRoom(uint64_t bytes)
 {
-    while (size_bytes_ + len > capacity_ && !map_.empty()) {
+    while (size_bytes_ + bytes > capacity_ && !map_.empty()) {
         evicted_since_clear_ = true;
         if (policy_ != CachePolicy::Hybrid) {
             // One victim per step: the LRU tail, or a random entry.
@@ -279,7 +279,7 @@ PageCache::makeRoom(uint64_t len)
         ++eviction_samples_;
         // Sampling touches k cache slots' metadata.
         clock_->advance(k * lat_->dram_access_ns / 8);
-        for (size_t n = 0; n < k && size_bytes_ + len > capacity_; ++n) {
+        for (size_t n = 0; n < k && size_bytes_ + bytes > capacity_; ++n) {
             auto oldest = std::min_element(
                 sample_.begin(), sample_.end(),
                 [](const Drawn &a, const Drawn &b) { return a.tick < b.tick; });

@@ -71,6 +71,15 @@ class PageCache
     void insert(DsId ds, RemotePtr addr, const void *data, uint32_t len);
 
     /**
+     * Evict per policy until @p bytes more fit on top of the current
+     * contents. insert() and insertSpeculative() call it for their own
+     * object. A read miss calls it ahead of its fills, while the read is
+     * in flight, once per fill with the fills' cumulative bytes, so each
+     * fill then finds its room made and evicts nothing itself.
+     */
+    void makeRoom(uint64_t bytes);
+
+    /**
      * Insert bytes fetched speculatively by a read gather. The entry is
      * tagged speculative and pre-aged (logical tick 0, LRU tail) so it is
      * the preferred victim under every policy until a real lookup hits it
@@ -131,6 +140,7 @@ class PageCache
     uint64_t misses() const { return misses_; }
     uint64_t evictions() const { return evictions_; }
     uint64_t sizeBytes() const { return size_bytes_; }
+    uint64_t capacity() const { return capacity_; }
     uint64_t entryCount() const { return map_.size(); }
     uint64_t prefetchHits() const { return prefetch_hits_; }
     uint64_t prefetchWasted() const { return prefetch_wasted_; }
@@ -178,7 +188,8 @@ class PageCache
   private:
     /** Gate rule: open while wasted < kGateSlack + kGateHitWorth × hits.
      *  A hit saves a ~2 µs round trip; a wasted install costs ~200 ns,
-     *  ~450 ns with the one Hybrid sample a full cache adds, so one hit
+     *  ~450 ns with the one Hybrid sample a full cache adds when that
+     *  sample does not hide under the gather's round trip, so one hit
      *  is worth about 8 wastes. */
     static constexpr uint64_t kGateHitWorth = 8;
     static constexpr uint64_t kGateSlack = 64;
@@ -219,8 +230,6 @@ class PageCache
         uint64_t raw;
     };
 
-    /** Evict per policy until @p len more bytes fit. */
-    void makeRoom(uint64_t len);
     /** Drop @p raw if present; false when it was already gone. */
     bool removeKey(uint64_t raw);
 

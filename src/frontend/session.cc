@@ -425,8 +425,16 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
             gather_specs_[nspec++] = sp;
     }
     gather_specs_.resize(nspec);
+    // Room for the fills needs none of the fetched bytes, so the cache
+    // makes it while the gather is in flight; the fills then evict
+    // nothing themselves.
+    const Verbs::InFlightWork make_room = [this] {
+        for (uint64_t bytes : room_steps_)
+            cache_->makeRoom(bytes);
+    };
+    planRoom();
     verbs_.tagGatherOps(gather_posted_.size());
-    Status st = verbs_.readGather();
+    Status st = verbs_.readGather(make_room);
     if (st == Status::InvalidArgument && !gather_specs_.empty()) {
         // A learned candidate fell outside the target (stale prediction
         // over reclaimed NVM): forget those predictions and re-run the
@@ -436,8 +444,9 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
         gather_specs_.clear();
         for (ReadAwaitable *aw : gather_posted_)
             verbs_.postRead(aw->addr, aw->dst, aw->len);
+        planRoom();
         verbs_.tagGatherOps(gather_posted_.size());
-        st = verbs_.readGather();
+        st = verbs_.readGather(make_room);
     }
     if (!ok(st)) {
         // The all-or-nothing chain failed on the demanded set itself
@@ -466,6 +475,23 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
         if (tracking_)
             tracked_reads_.push_back(p);
     }
+}
+
+void
+FrontendSession::planRoom()
+{
+    room_steps_.clear();
+    uint64_t bytes = 0;
+    const auto step = [&](uint32_t len) {
+        if (len <= cache_->capacity()) // insert skips larger objects
+            room_steps_.push_back(bytes += len);
+    };
+    for (const ReadAwaitable *aw : gather_posted_)
+        if (aw->cacheable && aw->admitted &&
+            !cache_->contains(aw->addr, aw->len))
+            step(aw->len);
+    for (const GatherSpec &sp : gather_specs_)
+        step(sp.len);
 }
 
 // ---------------------------------------------------------------------

@@ -922,11 +922,22 @@ class FrontendSession
      * doorbell-batched gather, park the extras in the cache as
      * speculative entries, and set each miss's result. Misses whose
      * structure fails PageCache::admitSpeculation carry no neighbors.
-     * A gather of one WQE is a plain RDMA_Read. An out-of-bounds learned
-     * candidate re-runs the gather without speculation; a failed chain
-     * of several demanded reads is re-served one read at a time.
+     * A gather of one WQE is a plain RDMA_Read. The cache makes room
+     * for the fills while the gather is in flight (planRoom). An
+     * out-of-bounds learned candidate re-runs the gather without
+     * speculation; a failed chain of several demanded reads is
+     * re-served one read at a time.
      */
     void gatherMisses(std::span<ReadAwaitable *const> misses);
+
+    /**
+     * Fill room_steps_ with the cumulative bytes of the cache fills the
+     * posted gather feeds: the cacheable, admitted, non-resident
+     * demanded misses, then the kept speculative candidates.
+     * PageCache::makeRoom runs once per step under the round trip, so a
+     * miss with one fill draws exactly the sample its insert would.
+     */
+    void planRoom();
 
     /** True when a ReadAwaitable/YieldAwaitable may suspend: a reactor
      *  owns the session and no op is being run inline. */
@@ -1091,6 +1102,7 @@ class FrontendSession
     std::vector<GatherSpec> gather_specs_;            //!< kept candidates
     std::vector<ReadAwaitable *> gather_posted_;      //!< demanded, posted
     std::vector<std::vector<uint8_t>> prefetch_bufs_; //!< gather landing
+    std::vector<uint64_t> room_steps_; //!< cumulative fill bytes (planRoom)
     uint64_t prefetch_batches_ = 0; //!< gathers that carried speculation
     uint64_t prefetch_issued_ = 0;  //!< speculative WQEs issued
     uint64_t prefetch_gated_ = 0;   //!< misses the speculation gate kept

@@ -89,9 +89,22 @@ Verbs::begin(NodeId id, VerbKind kind, uint64_t write_len, RdmaTarget **out)
 }
 
 void
-Verbs::charge(uint64_t base_rtt, uint64_t payload)
+Verbs::awaitCompletion(uint64_t wait_ns, const InFlightWork **in_flight)
 {
-    clock_->advance(base_rtt + lat_->wireBytes(payload));
+    const uint64_t done = clock_->now() + wait_ns;
+    if (in_flight != nullptr && *in_flight != nullptr) {
+        const InFlightWork *work = *in_flight;
+        *in_flight = nullptr; // once per verb call, never on a retry
+        (*work)();
+    }
+    clock_->advanceTo(done);
+}
+
+void
+Verbs::charge(uint64_t base_rtt, uint64_t payload,
+              const InFlightWork **in_flight)
+{
+    awaitCompletion(base_rtt + lat_->wireBytes(payload), in_flight);
     ++verbs_issued_;
     ++counters_.doorbells; // every synchronous verb kicks the NIC itself
     bytes_moved_ += payload;
@@ -138,23 +151,27 @@ Verbs::nextAttempt(VerbKind kind, NodeId id, Status st, uint32_t *attempt,
 }
 
 Status
-Verbs::read(RemotePtr src, void *dst, size_t len)
+Verbs::read(RemotePtr src, void *dst, size_t len,
+            const InFlightWork &in_flight)
 {
+    const InFlightWork *pending = in_flight ? &in_flight : nullptr;
     return retrying(VerbKind::Read, src.backend,
-                    [&] { return readOnce(src, dst, len); });
+                    [&] { return readOnce(src, dst, len, &pending); });
 }
 
 Status
-Verbs::readOnce(RemotePtr src, void *dst, size_t len)
+Verbs::readOnce(RemotePtr src, void *dst, size_t len,
+                const InFlightWork **in_flight)
 {
     RdmaTarget *t = nullptr;
     const Status st = begin(src.backend, VerbKind::Read, 0, &t);
-    charge(lat_->rdma_read_rtt_ns, len);
+    const bool delivers = ok(st) && src.offset + len <= t->nvm->size();
+    charge(lat_->rdma_read_rtt_ns, len, delivers ? in_flight : nullptr);
     ++counters_.reads;
     counters_.read_bytes += len;
     if (!ok(st))
         return st;
-    if (src.offset + len > t->nvm->size())
+    if (!delivers)
         return Status::InvalidArgument; // RNIC access violation
     t->nvm->read(src.offset, dst, len);
     return Status::Ok;
@@ -386,20 +403,21 @@ Verbs::postRead(RemotePtr src, void *dst, uint32_t len)
 }
 
 Status
-Verbs::readGather()
+Verbs::readGather(const InFlightWork &in_flight)
 {
+    const InFlightWork *pending = in_flight ? &in_flight : nullptr;
     Status result = Status::Ok;
     for (auto &[id, wqes] : read_chains_) {
         if (wqes.empty())
             continue;
         // A chain of one WQE is a plain RDMA_Read: nothing shares its
         // doorbell, so it pays exactly what read() pays.
-        const Status st =
-            wqes.size() == 1
-                ? read(RemotePtr(id, wqes[0].offset), wqes[0].dst,
-                       wqes[0].len)
-                : retrying(VerbKind::Read, id,
-                           [&] { return readGatherOnce(id, wqes); });
+        const Status st = retrying(VerbKind::Read, id, [&] {
+            return wqes.size() == 1
+                       ? readOnce(RemotePtr(id, wqes[0].offset),
+                                  wqes[0].dst, wqes[0].len, &pending)
+                       : readGatherOnce(id, wqes, &pending);
+        });
         if (!ok(st) && ok(result))
             result = st;
         wqes.clear(); // keep the capacity: the next miss reuses it
@@ -409,7 +427,8 @@ Verbs::readGather()
 }
 
 Status
-Verbs::readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes)
+Verbs::readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes,
+                      const InFlightWork **in_flight)
 {
     auto it = targets_.find(id);
     if (it == targets_.end())
@@ -488,7 +507,8 @@ Verbs::readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes)
             n, clock_->now(), next_gather_ops_, qp_id_, verb_class_));
     // One completion wait: the chained WQEs travel back to back, so the
     // session pays a single round trip plus the combined wire time.
-    clock_->advance(lat_->rdma_read_rtt_ns + lat_->wireBytes(total));
+    awaitCompletion(lat_->rdma_read_rtt_ns + lat_->wireBytes(total),
+                    in_flight);
     for (const ReadWqe &w : wqes)
         t.nvm->read(w.offset, w.dst, w.len);
     return Status::Ok;

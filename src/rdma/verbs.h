@@ -145,8 +145,21 @@ class Verbs
 
     bool isAttached(NodeId id) const { return targets_.count(id) != 0; }
 
-    /** RDMA_Read of @p len bytes. */
-    Status read(RemotePtr src, void *dst, size_t len);
+    /**
+     * CPU work a read overlaps with its own round trip: it must not need
+     * the fetched bytes (the front-end makes cache room with it).
+     */
+    using InFlightWork = std::function<void()>;
+
+    /**
+     * RDMA_Read of @p len bytes. @p in_flight, when set, runs once on
+     * the attempt that delivers the bytes, after the post, NIC and fault
+     * charges and before the completion wait: the clock waits for the
+     * completion time computed before the work ran, so only work longer
+     * than the wait shows. A failed attempt does not run it.
+     */
+    Status read(RemotePtr src, void *dst, size_t len,
+                const InFlightWork &in_flight = {});
 
     /** RDMA_Write of @p len bytes; durable in NVM once it returns Ok. */
     Status write(RemotePtr dst, const void *src, size_t len);
@@ -212,9 +225,10 @@ class Verbs
      * RetryPolicy; no destination buffer is written unless every WQE in
      * the chain succeeded, so callers never observe a partial gather.
      * A chain of one WQE is issued as a plain read(): same clock charge,
-     * same counters, no read_gathers tick.
+     * same counters, no read_gathers tick. @p in_flight runs under the
+     * first chain that delivers, as in read().
      */
-    Status readGather();
+    Status readGather(const InFlightWork &in_flight = {});
 
     /**
      * Tag the NEXT readGather with the number of independent operations
@@ -336,8 +350,19 @@ class Verbs
     Status begin(NodeId id, VerbKind kind, uint64_t write_len,
                  RdmaTarget **out);
 
-    /** Charge one round trip of @p base_rtt plus @p payload bytes. */
-    void charge(uint64_t base_rtt, uint64_t payload);
+    /**
+     * Charge one round trip of @p base_rtt plus @p payload bytes, running
+     * the pending in-flight work (if any) under it.
+     */
+    void charge(uint64_t base_rtt, uint64_t payload,
+                const InFlightWork **in_flight = nullptr);
+
+    /**
+     * Wait @p wait_ns for a completion. The pending @p *in_flight work
+     * runs first and is then cleared, so it runs once per verb call; the
+     * clock ends at the later of the completion and the work's end.
+     */
+    void awaitCompletion(uint64_t wait_ns, const InFlightWork **in_flight);
 
     /**
      * Charge @p chain's deferred cost. With @p own_doorbell the chain is
@@ -369,8 +394,10 @@ class Verbs
     }
 
     // Single-attempt verb bodies wrapped by the public retry loops.
-    Status readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes);
-    Status readOnce(RemotePtr src, void *dst, size_t len);
+    Status readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes,
+                          const InFlightWork **in_flight);
+    Status readOnce(RemotePtr src, void *dst, size_t len,
+                    const InFlightWork **in_flight);
     Status writeOnce(RemotePtr dst, const void *src, size_t len);
     Status writeAsyncOnce(RemotePtr dst, const void *src, size_t len);
     Status postWriteOnce(RemotePtr dst, const void *src, size_t len);
