@@ -26,13 +26,13 @@ FrontendAllocator::reindex(Slab &slab)
     for (const auto &[off, len] : slab.holes)
         largest = std::max(largest, len);
     if (largest != slab.largest_hole) {
-        by_hole_.erase({slab.largest_hole, slab.base});
+        vol_.by_hole.erase({slab.largest_hole, slab.base});
         slab.largest_hole = largest;
         if (largest != 0)
-            by_hole_.insert({largest, slab.base});
+            vol_.by_hole.insert({largest, slab.base});
     } else if (largest != 0 &&
-               by_hole_.count({largest, slab.base}) == 0) {
-        by_hole_.insert({largest, slab.base});
+               vol_.by_hole.count({largest, slab.base}) == 0) {
+        vol_.by_hole.insert({largest, slab.base});
     }
 }
 
@@ -76,10 +76,10 @@ FrontendAllocator::newSlab()
         slab.free_bytes = slab_size_;
         slab.largest_hole = slab_size_;
         slab.holes[0] = slab_size_;
-        by_hole_.insert({slab_size_, slab.base});
-        slabs_.emplace(slab.base, std::move(slab));
+        vol_.by_hole.insert({slab_size_, slab.base});
+        vol_.slabs.emplace(slab.base, std::move(slab));
     }
-    empty_count_ += static_cast<uint32_t>(got);
+    vol_.empty_count += static_cast<uint32_t>(got);
     return Status::Ok;
 }
 
@@ -95,12 +95,12 @@ FrontendAllocator::alloc(uint64_t size, RemotePtr *out)
     // First allocation after a free phase opens a new demand cycle; the
     // closed cycle's consumption enters the hysteresis window and the
     // oldest entry beyond the window rotates out.
-    if (in_free_phase_) {
-        in_free_phase_ = false;
-        past_cycles_.push_back(cycle_consumed_);
-        while (past_cycles_.size() >= hysteresis_cycles_)
-            past_cycles_.pop_front();
-        cycle_consumed_ = 0;
+    if (vol_.in_free_phase) {
+        vol_.in_free_phase = false;
+        vol_.past_cycles.push_back(vol_.cycle_consumed);
+        while (vol_.past_cycles.size() >= hysteresis_cycles_)
+            vol_.past_cycles.pop_front();
+        vol_.cycle_consumed = 0;
     }
 
     // Best fit: the partial slab hole with the least leftover wins.
@@ -123,9 +123,9 @@ FrontendAllocator::alloc(uint64_t size, RemotePtr *out)
     // Best-fit slab: the smallest largest-hole that still fits, found
     // with one ordered lookup; a couple of neighbors refine the choice.
     uint32_t candidates = 0;
-    for (auto it = by_hole_.lower_bound({size, 0});
-         it != by_hole_.end(); ++it) {
-        consider(slabs_.at(it->second));
+    for (auto it = vol_.by_hole.lower_bound({size, 0});
+         it != vol_.by_hole.end(); ++it) {
+        consider(vol_.slabs.at(it->second));
         if (best_leftover == 0 || ++candidates >= 4)
             break;
     }
@@ -140,8 +140,8 @@ FrontendAllocator::alloc(uint64_t size, RemotePtr *out)
     if (hole_len > size)
         best_slab->holes[best_off + size] = hole_len - size;
     if (best_slab->free_bytes == slab_size_) {
-        --empty_count_;
-        ++cycle_consumed_; // the empty list met demand this cycle
+        --vol_.empty_count;
+        ++vol_.cycle_consumed; // the empty list met demand this cycle
     }
     best_slab->free_bytes -= size;
     reindex(*best_slab);
@@ -162,8 +162,8 @@ FrontendAllocator::free(RemotePtr p, uint64_t size)
         return rpc_(RpcOp::FreeBlocks, args, {}, nullptr);
     }
     // Locate the owning slab: the greatest base <= offset.
-    auto sit = slabs_.upper_bound(p.offset);
-    if (sit != slabs_.begin()) {
+    auto sit = vol_.slabs.upper_bound(p.offset);
+    if (sit != vol_.slabs.begin()) {
         --sit;
         Slab &slab = sit->second;
         const uint64_t base = sit->first;
@@ -188,8 +188,8 @@ FrontendAllocator::free(RemotePtr p, uint64_t size)
             slab.free_bytes += size;
             reindex(slab);
             if (slab.free_bytes == slab_size_)
-                ++empty_count_;
-            in_free_phase_ = true;
+                ++vol_.empty_count;
+            vol_.in_free_phase = true;
             maybeReclaim();
             return Status::Ok;
         }
@@ -215,19 +215,19 @@ FrontendAllocator::maybeReclaim()
     // demand collapses sees keep follow it down within a window of
     // cycles and the surplus drains to the floor.
     uint64_t keep =
-        std::max<uint64_t>(reclaim_threshold_ / 2, cycle_consumed_);
-    for (const uint64_t c : past_cycles_)
+        std::max<uint64_t>(reclaim_threshold_ / 2, vol_.cycle_consumed);
+    for (const uint64_t c : vol_.past_cycles)
         keep = std::max(keep, c);
-    if (empty_count_ <= std::max<uint64_t>(reclaim_threshold_, keep))
+    if (vol_.empty_count <= std::max<uint64_t>(reclaim_threshold_, keep))
         return;
     // Collect fully free slabs (top of the hole-size index), keep the
     // hysteresis level's worth around, and return the rest — contiguous
     // runs coalesce into single FreeBlocks calls so a burst of frees
     // costs O(runs) round trips, not O(slabs).
     std::vector<uint64_t> bases;
-    for (auto it = by_hole_.lower_bound({slab_size_, 0});
-         it != by_hole_.end() && it->first == slab_size_ &&
-         empty_count_ - bases.size() > keep;
+    for (auto it = vol_.by_hole.lower_bound({slab_size_, 0});
+         it != vol_.by_hole.end() && it->first == slab_size_ &&
+         vol_.empty_count - bases.size() > keep;
          ++it) {
         bases.push_back(it->second);
     }
@@ -246,21 +246,16 @@ FrontendAllocator::maybeReclaim()
         }
     }
     for (uint64_t base : bases) {
-        by_hole_.erase({slab_size_, base});
-        slabs_.erase(base);
-        --empty_count_;
+        vol_.by_hole.erase({slab_size_, base});
+        vol_.slabs.erase(base);
+        --vol_.empty_count;
     }
 }
 
 void
 FrontendAllocator::loseVolatileState()
 {
-    slabs_.clear();
-    by_hole_.clear();
-    empty_count_ = 0;
-    cycle_consumed_ = 0;
-    past_cycles_.clear();
-    in_free_phase_ = false;
+    vol_ = {};
 }
 
 } // namespace asymnvm

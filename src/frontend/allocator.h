@@ -87,12 +87,12 @@ class FrontendAllocator
     /** Drop all volatile sub-slab state (front-end crash simulation). */
     void loseVolatileState();
 
-    uint64_t slabsHeld() const { return slabs_.size(); }
+    uint64_t slabsHeld() const { return vol_.slabs.size(); }
     uint64_t rpcAllocs() const { return rpc_allocs_; }
     uint64_t localAllocs() const { return local_allocs_; }
     uint64_t leakedForeignFrees() const { return leaked_foreign_; }
     /** Empty slabs the adaptive hysteresis currently retains. */
-    uint64_t emptySlabsHeld() const { return empty_count_; }
+    uint64_t emptySlabsHeld() const { return vol_.empty_count; }
     /** Configured demand-window length (cycles). */
     uint32_t hysteresisCycles() const { return hysteresis_cycles_; }
 
@@ -101,7 +101,7 @@ class FrontendAllocator
     {
         uint64_t base;                    //!< absolute NVM offset
         uint64_t free_bytes;
-        uint64_t largest_hole;            //!< index key into by_hole_
+        uint64_t largest_hole;            //!< index key into by_hole
         std::map<uint64_t, uint64_t> holes; //!< offset -> length
     };
 
@@ -116,21 +116,28 @@ class FrontendAllocator
     RpcFn rpc_;
     uint32_t reclaim_threshold_;
 
-    std::map<uint64_t, Slab> slabs_; //!< keyed by base offset (ordered)
-    /** (largest hole, base): best-fit slab lookup is one lower_bound. */
-    std::set<std::pair<uint64_t, uint64_t>> by_hole_;
-    uint32_t empty_count_ = 0;
-    /**
-     * Demand estimate for the adaptive hysteresis: empty slabs consumed
-     * (turned partial, including fresh refills) during the current
-     * alloc phase, plus the per-cycle totals of up to
-     * hysteresis_cycles_ - 1 closed cycles (newest at the back). A free
-     * after an alloc closes the cycle.
-     */
-    uint64_t cycle_consumed_ = 0;
-    std::deque<uint64_t> past_cycles_;
     uint32_t hysteresis_cycles_;
-    bool in_free_phase_ = false;
+
+    /** Sub-slab state: volatile, loseVolatileState() assigns {}. */
+    struct Slabs
+    {
+        std::map<uint64_t, Slab> slabs; //!< keyed by base offset (ordered)
+        /** (largest hole, base): best-fit slab lookup is one lower_bound. */
+        std::set<std::pair<uint64_t, uint64_t>> by_hole;
+        uint32_t empty_count = 0;
+        /**
+         * Demand estimate for the adaptive hysteresis: empty slabs
+         * consumed (turned partial, including fresh refills) during the
+         * current alloc phase, plus the per-cycle totals of up to
+         * hysteresis_cycles_ - 1 closed cycles (newest at the back). A
+         * free after an alloc closes the cycle.
+         */
+        uint64_t cycle_consumed = 0;
+        std::deque<uint64_t> past_cycles;
+        bool in_free_phase = false;
+    } vol_;
+
+    // Counters: never reset.
     uint64_t rpc_allocs_ = 0;
     uint64_t local_allocs_ = 0;
     uint64_t leaked_foreign_ = 0;

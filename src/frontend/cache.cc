@@ -11,35 +11,32 @@ PageCache::PageCache(CachePolicy policy, uint64_t capacity, SimClock *clock,
     : policy_(policy), capacity_(capacity), clock_(clock), lat_(lat),
       sample_k_(sample_k), rng_(seed)
 {
-    // Write-allocate can fill the cache with 64 B value cells, hundreds
-    // of thousands of them in a roomy cache. Sizing the table for that
-    // up front spares the host a rehash of every entry at each growth.
-    map_.reserve(capacity_ / 64);
+    clear();
     sample_.reserve(sample_k_);
 }
 
 bool
 PageCache::entryValid(const Entry &e) const
 {
-    auto it = ds_min_epoch_.find(e.ds);
-    return it == ds_min_epoch_.end() || e.epoch >= it->second;
+    auto it = vol_.ds_min_epoch.find(e.ds);
+    return it == vol_.ds_min_epoch.end() || e.epoch >= it->second;
 }
 
 bool
 PageCache::lookup(RemotePtr addr, void *dst, uint32_t len)
 {
     clock_->advance(lat_->cache_probe_ns);
-    auto it = map_.find(addr.raw());
-    if (it == map_.end() || it->second.data.size() != len ||
+    auto it = vol_.map.find(addr.raw());
+    if (it == vol_.map.end() || it->second.data.size() != len ||
         !entryValid(it->second)) {
-        if (it != map_.end() && !entryValid(it->second))
+        if (it != vol_.map.end() && !entryValid(it->second))
             removeKey(addr.raw()); // lazily drop invalidated entries
-        ++misses_;
+        ++ctr_.misses;
         return false;
     }
     Entry &e = it->second;
     std::memcpy(dst, e.data.data(), len);
-    ticks_[e.keys_idx] = ++tick_;
+    vol_.ticks[e.keys_idx] = ++tick_;
     if (e.speculative) {
         // First real hit: the prefetch paid off — promote to a normal
         // entry so it competes for residency like any other hot object.
@@ -50,10 +47,10 @@ PageCache::lookup(RemotePtr addr, void *dst, uint32_t len)
     if (policy_ == CachePolicy::Lru) {
         // Exact LRU pays list maintenance on every access — this is the
         // overhead the hybrid policy avoids (Section 4.4).
-        lru_list_.splice(lru_list_.begin(), lru_list_, e.lru_it);
+        vol_.lru_list.splice(vol_.lru_list.begin(), vol_.lru_list, e.lru_it);
         clock_->advance(2 * lat_->dram_access_ns);
     }
-    ++hits_;
+    ++ctr_.hits;
     return true;
 }
 
@@ -63,19 +60,19 @@ PageCache::insert(DsId ds, RemotePtr addr, const void *data, uint32_t len)
     if (len > capacity_)
         return;
     const uint64_t raw = addr.raw();
-    auto it = map_.find(raw);
-    if (it != map_.end()) {
+    auto it = vol_.map.find(raw);
+    if (it != vol_.map.end()) {
         if (it->second.data.size() == len) {
             it->second.ds = ds;
             std::memcpy(it->second.data.data(), data, len);
-            ticks_[it->second.keys_idx] = ++tick_;
+            vol_.ticks[it->second.keys_idx] = ++tick_;
             it->second.epoch = epoch_;
             it->second.speculative = false; // demanded bytes: a real entry
             clock_->advance(lat_->dram_access_ns);
             return;
         }
         // Size changed: fall through to a fresh insert so the eviction
-        // loop keeps size_bytes_ within capacity_.
+        // loop keeps vol_.size_bytes within capacity_.
         removeKey(raw);
     }
     makeRoom(len);
@@ -84,15 +81,15 @@ PageCache::insert(DsId ds, RemotePtr addr, const void *data, uint32_t len)
     e.data.assign(static_cast<const uint8_t *>(data),
                   static_cast<const uint8_t *>(data) + len);
     e.epoch = epoch_;
-    e.keys_idx = keys_.size();
-    keys_.push_back(raw);
-    ticks_.push_back(++tick_);
+    e.keys_idx = vol_.keys.size();
+    vol_.keys.push_back(raw);
+    vol_.ticks.push_back(++tick_);
     if (policy_ == CachePolicy::Lru) {
-        lru_list_.push_front(raw);
-        e.lru_it = lru_list_.begin();
+        vol_.lru_list.push_front(raw);
+        e.lru_it = vol_.lru_list.begin();
     }
-    size_bytes_ += len;
-    map_.emplace(raw, std::move(e));
+    vol_.size_bytes += len;
+    vol_.map.emplace(raw, std::move(e));
     clock_->advance(lat_->dram_access_ns);
 }
 
@@ -100,10 +97,10 @@ bool
 PageCache::insertFresh(DsId ds, RemotePtr addr, const void *data,
                        uint32_t len)
 {
-    if (evicted_since_clear_ || size_bytes_ + len > capacity_)
+    if (vol_.evicted_since_clear || vol_.size_bytes + len > capacity_)
         return false;
     insert(ds, addr, data, len);
-    ++write_allocs_;
+    ++ctr_.write_allocs;
     return true;
 }
 
@@ -116,14 +113,14 @@ PageCache::insertSpeculative(DsId ds, RemotePtr addr, const void *data,
     // An invalidateDs between gather issue and completion outranks the
     // data: the fetched bytes may predate a gc-epoch bump (reclaimed NVM
     // could already be reused), so the in-flight entry is dropped.
-    auto eit = ds_min_epoch_.find(ds);
-    if (eit != ds_min_epoch_.end() && issue_epoch < eit->second) {
+    auto eit = vol_.ds_min_epoch.find(ds);
+    if (eit != vol_.ds_min_epoch.end() && issue_epoch < eit->second) {
         recordSpec(ds, false);
         return;
     }
     const uint64_t raw = addr.raw();
-    auto it = map_.find(raw);
-    if (it != map_.end()) {
+    auto it = vol_.map.find(raw);
+    if (it != vol_.map.end()) {
         if (entryValid(it->second))
             return; // never downgrade a live entry to speculative
         removeKey(raw);
@@ -135,26 +132,26 @@ PageCache::insertSpeculative(DsId ds, RemotePtr addr, const void *data,
                   static_cast<const uint8_t *>(data) + len);
     e.epoch = issue_epoch;
     e.speculative = true;
-    e.keys_idx = keys_.size();
-    keys_.push_back(raw);
+    e.keys_idx = vol_.keys.size();
+    vol_.keys.push_back(raw);
     // Pre-aged on purpose: tick 0 loses every Hybrid sample comparison
     // and the LRU tail position is the next victim, so an unproven
     // prefetch never displaces a proven-hot entry under either policy.
-    ticks_.push_back(0);
+    vol_.ticks.push_back(0);
     if (policy_ == CachePolicy::Lru) {
-        lru_list_.push_back(raw);
-        e.lru_it = std::prev(lru_list_.end());
+        vol_.lru_list.push_back(raw);
+        e.lru_it = std::prev(vol_.lru_list.end());
     }
-    size_bytes_ += len;
-    map_.emplace(raw, std::move(e));
+    vol_.size_bytes += len;
+    vol_.map.emplace(raw, std::move(e));
     clock_->advance(lat_->dram_access_ns);
 }
 
 void
 PageCache::recordSpec(DsId ds, bool hit)
 {
-    ++(hit ? prefetch_hits_ : prefetch_wasted_);
-    SpecLedger &l = spec_ledger_[ds];
+    ++(hit ? ctr_.prefetch_hits : ctr_.prefetch_wasted);
+    SpecLedger &l = vol_.spec_ledger[ds];
     ++(hit ? l.hits : l.wasted);
     if (l.hits + l.wasted >= kLedgerWindow) {
         l.hits /= 2;
@@ -165,8 +162,8 @@ PageCache::recordSpec(DsId ds, bool hit)
 bool
 PageCache::speculationPays(DsId ds) const
 {
-    auto it = spec_ledger_.find(ds);
-    return it == spec_ledger_.end() ||
+    auto it = vol_.spec_ledger.find(ds);
+    return it == vol_.spec_ledger.end() ||
            it->second.wasted < kGateSlack + kGateHitWorth * it->second.hits;
 }
 
@@ -175,22 +172,22 @@ PageCache::admitSpeculation(DsId ds)
 {
     if (speculationPays(ds))
         return true;
-    return ++spec_ledger_[ds].closed_misses % kProbeInterval == 0;
+    return ++vol_.spec_ledger[ds].closed_misses % kProbeInterval == 0;
 }
 
 bool
 PageCache::contains(RemotePtr addr, uint32_t len) const
 {
-    auto it = map_.find(addr.raw());
-    return it != map_.end() && it->second.data.size() == len &&
+    auto it = vol_.map.find(addr.raw());
+    return it != vol_.map.end() && it->second.data.size() == len &&
            entryValid(it->second);
 }
 
 void
 PageCache::update(RemotePtr addr, const void *data, uint32_t len)
 {
-    auto it = map_.find(addr.raw());
-    if (it == map_.end())
+    auto it = vol_.map.find(addr.raw());
+    if (it == vol_.map.end())
         return;
     if (it->second.data.size() != len) {
         invalidate(addr);
@@ -203,23 +200,23 @@ PageCache::update(RemotePtr addr, const void *data, uint32_t len)
 bool
 PageCache::removeKey(uint64_t raw)
 {
-    auto it = map_.find(raw);
-    if (it == map_.end())
+    auto it = vol_.map.find(raw);
+    if (it == vol_.map.end())
         return false;
     Entry &e = it->second;
     if (e.speculative)
         recordSpec(e.ds, false); // evicted/invalidated before any hit
     // Swap-pop from the dense key and tick vectors.
     const size_t idx = e.keys_idx;
-    keys_[idx] = keys_.back();
-    ticks_[idx] = ticks_.back();
-    map_.find(keys_[idx])->second.keys_idx = idx;
-    keys_.pop_back();
-    ticks_.pop_back();
+    vol_.keys[idx] = vol_.keys.back();
+    vol_.ticks[idx] = vol_.ticks.back();
+    vol_.map.find(vol_.keys[idx])->second.keys_idx = idx;
+    vol_.keys.pop_back();
+    vol_.ticks.pop_back();
     if (policy_ == CachePolicy::Lru)
-        lru_list_.erase(e.lru_it);
-    size_bytes_ -= e.data.size();
-    map_.erase(it);
+        vol_.lru_list.erase(e.lru_it);
+    vol_.size_bytes -= e.data.size();
+    vol_.map.erase(it);
     return true;
 }
 
@@ -234,34 +231,31 @@ PageCache::invalidateDs(DsId ds)
 {
     // O(1): entries of this structure inserted before the new epoch are
     // treated as misses and lazily removed on their next probe.
-    ds_min_epoch_[ds] = ++epoch_;
+    vol_.ds_min_epoch[ds] = ++epoch_;
     clock_->advance(lat_->dram_access_ns);
 }
 
 void
 PageCache::clear()
 {
-    map_.clear();
-    keys_.clear();
-    ticks_.clear();
-    lru_list_.clear();
-    ds_min_epoch_.clear();
-    spec_ledger_.clear(); // a cleared cache has no evidence either way
-    size_bytes_ = 0;
-    evicted_since_clear_ = false;
+    vol_ = {};
+    // Write-allocate can fill the cache with 64 B value cells, hundreds
+    // of thousands of them in a roomy cache. Sizing the table for that
+    // up front spares the host a rehash of every entry at each growth.
+    vol_.map.reserve(capacity_ / 64);
 }
 
 void
 PageCache::makeRoom(uint64_t bytes)
 {
-    while (size_bytes_ + bytes > capacity_ && !map_.empty()) {
-        evicted_since_clear_ = true;
+    while (vol_.size_bytes + bytes > capacity_ && !vol_.map.empty()) {
+        vol_.evicted_since_clear = true;
         if (policy_ != CachePolicy::Hybrid) {
             // One victim per step: the LRU tail, or a random entry.
-            ++evictions_;
+            ++ctr_.evictions;
             removeKey(policy_ == CachePolicy::Lru
-                          ? lru_list_.back()
-                          : keys_[rng_.nextBounded(keys_.size())]);
+                          ? vol_.lru_list.back()
+                          : vol_.keys[rng_.nextBounded(vol_.keys.size())]);
             clock_->advance(lat_->dram_access_ns);
             continue;
         }
@@ -270,20 +264,20 @@ PageCache::makeRoom(uint64_t bytes)
         // stable sort would rank it; an evicted member is ranked out with
         // tick UINT64_MAX. Only a sample that cannot free enough bytes
         // makes the loop draw another.
-        const size_t k = std::min<size_t>(sample_k_, keys_.size());
+        const size_t k = std::min<size_t>(sample_k_, vol_.keys.size());
         sample_.clear();
         for (size_t i = 0; i < k; ++i) {
-            const size_t idx = rng_.nextBounded(keys_.size());
-            sample_.push_back({ticks_[idx], keys_[idx]});
+            const size_t idx = rng_.nextBounded(vol_.keys.size());
+            sample_.push_back({vol_.ticks[idx], vol_.keys[idx]});
         }
-        ++eviction_samples_;
+        ++ctr_.eviction_samples;
         // Sampling touches k cache slots' metadata.
         clock_->advance(k * lat_->dram_access_ns / 8);
-        for (size_t n = 0; n < k && size_bytes_ + bytes > capacity_; ++n) {
+        for (size_t n = 0; n < k && vol_.size_bytes + bytes > capacity_; ++n) {
             auto oldest = std::min_element(
                 sample_.begin(), sample_.end(),
                 [](const Drawn &a, const Drawn &b) { return a.tick < b.tick; });
-            evictions_ += removeKey(oldest->raw); // a repeat draw is gone
+            ctr_.evictions += removeKey(oldest->raw); // a repeat draw is gone
             oldest->tick = UINT64_MAX;
         }
     }

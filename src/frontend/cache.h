@@ -136,17 +136,17 @@ class PageCache
      */
     uint64_t epochNow() const { return epoch_; }
 
-    uint64_t hits() const { return hits_; }
-    uint64_t misses() const { return misses_; }
-    uint64_t evictions() const { return evictions_; }
-    uint64_t sizeBytes() const { return size_bytes_; }
+    uint64_t hits() const { return ctr_.hits; }
+    uint64_t misses() const { return ctr_.misses; }
+    uint64_t evictions() const { return ctr_.evictions; }
+    uint64_t sizeBytes() const { return vol_.size_bytes; }
     uint64_t capacity() const { return capacity_; }
-    uint64_t entryCount() const { return map_.size(); }
-    uint64_t prefetchHits() const { return prefetch_hits_; }
-    uint64_t prefetchWasted() const { return prefetch_wasted_; }
-    uint64_t writeAllocs() const { return write_allocs_; }
+    uint64_t entryCount() const { return vol_.map.size(); }
+    uint64_t prefetchHits() const { return ctr_.prefetch_hits; }
+    uint64_t prefetchWasted() const { return ctr_.prefetch_wasted; }
+    uint64_t writeAllocs() const { return ctr_.write_allocs; }
     /** Hybrid sampling passes, each charged k × dram_access_ns / 8. */
-    uint64_t evictionSamples() const { return eviction_samples_; }
+    uint64_t evictionSamples() const { return ctr_.eviction_samples; }
 
     /**
      * Speculation gate (DESIGN.md §9): true while read-gather prefetch
@@ -168,9 +168,9 @@ class PageCache
     /** Observed miss ratio since the last resetStats(). */
     double missRatio() const
     {
-        const uint64_t total = hits_ + misses_;
+        const uint64_t total = ctr_.hits + ctr_.misses;
         return total == 0 ? 0.0
-                          : static_cast<double>(misses_) / total;
+                          : static_cast<double>(ctr_.misses) / total;
     }
 
     /**
@@ -178,12 +178,7 @@ class PageCache
      * which reads are issued, and a stats reset must never move virtual
      * time. Only clear() forgets it.
      */
-    void resetStats()
-    {
-        hits_ = misses_ = evictions_ = 0;
-        prefetch_hits_ = prefetch_wasted_ = 0;
-        write_allocs_ = eviction_samples_ = 0;
-    }
+    void resetStats() { ctr_ = {}; }
 
   private:
     /** Gate rule: open while wasted < kGateSlack + kGateHitWorth × hits.
@@ -211,7 +206,7 @@ class PageCache
     {
         std::vector<uint8_t> data;
         uint64_t epoch;             //!< insertion epoch (DS invalidation)
-        size_t keys_idx;            //!< position in keys_ and ticks_
+        size_t keys_idx;            //!< position in keys and ticks
         std::list<uint64_t>::iterator lru_it; //!< valid under Lru
         DsId ds;
         bool speculative = false;   //!< prefetched, no real hit yet
@@ -233,34 +228,46 @@ class PageCache
     /** Drop @p raw if present; false when it was already gone. */
     bool removeKey(uint64_t raw);
 
+    // Wiring: never reset. The RNG keeps its stream across clear(), and
+    // tick_ and epoch_ never repeat a value: a gather's epochNow()
+    // snapshot may still be held across a clear().
     CachePolicy policy_;
     uint64_t capacity_;
     SimClock *clock_;
     const LatencyModel *lat_;
     uint32_t sample_k_;
     Rng rng_;
-
-    std::unordered_map<uint64_t, Entry> map_;
-    std::vector<uint64_t> keys_;    //!< dense key set for random sampling
-    /** Last-use logical time of keys_[i], kept dense so a Hybrid
-     *  sample reads it without a hash probe. */
-    std::vector<uint64_t> ticks_;
-    std::list<uint64_t> lru_list_;  //!< MRU at front (Lru policy only)
-    std::vector<Drawn> sample_;     //!< Hybrid scratch: the current sample
-
     uint64_t tick_ = 0;
     uint64_t epoch_ = 1;
-    std::unordered_map<DsId, uint64_t> ds_min_epoch_;
-    std::unordered_map<DsId, SpecLedger> spec_ledger_;
-    uint64_t size_bytes_ = 0;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
-    uint64_t evictions_ = 0;
-    uint64_t prefetch_hits_ = 0;
-    uint64_t prefetch_wasted_ = 0;
-    uint64_t write_allocs_ = 0;
-    uint64_t eviction_samples_ = 0;
-    bool evicted_since_clear_ = false; //!< closes write-allocate admission
+    std::vector<Drawn> sample_; //!< Hybrid scratch: the current sample
+
+    /** The contents: everything clear() drops. */
+    struct Contents
+    {
+        std::unordered_map<uint64_t, Entry> map;
+        std::vector<uint64_t> keys; //!< dense key set for random sampling
+        /** Last-use logical time of keys[i], kept dense so a Hybrid
+         *  sample reads it without a hash probe. */
+        std::vector<uint64_t> ticks;
+        std::list<uint64_t> lru_list; //!< MRU at front (Lru policy only)
+        std::unordered_map<DsId, uint64_t> ds_min_epoch;
+        /** A cleared cache has no speculation evidence either way. */
+        std::unordered_map<DsId, SpecLedger> spec_ledger;
+        uint64_t size_bytes = 0;
+        bool evicted_since_clear = false; //!< closes write-allocate admission
+    } vol_;
+
+    /** Everything resetStats() zeroes. */
+    struct Counters
+    {
+        uint64_t hits = 0;
+        uint64_t misses = 0;
+        uint64_t evictions = 0;
+        uint64_t prefetch_hits = 0;
+        uint64_t prefetch_wasted = 0;
+        uint64_t write_allocs = 0;
+        uint64_t eviction_samples = 0;
+    } ctr_;
 };
 
 /**

@@ -217,8 +217,8 @@ bool
 FrontendSession::overlayLookup(RemotePtr addr, void *dst,
                                uint32_t len) const
 {
-    auto it = overlay_.find(addr.raw());
-    if (it == overlay_.end() || it->second.size() != len)
+    auto it = vol_.view.overlay.find(addr.raw());
+    if (it == vol_.view.overlay.end() || it->second.size() != len)
         return false;
     std::memcpy(dst, it->second.data(), len);
     return true;
@@ -228,7 +228,7 @@ void
 FrontendSession::overlayInsert(RemotePtr addr, const void *value,
                                uint32_t len)
 {
-    auto &slot = overlay_[addr.raw()];
+    auto &slot = vol_.view.overlay[addr.raw()];
     slot.assign(static_cast<const uint8_t *>(value),
                 static_cast<const uint8_t *>(value) + len);
 }
@@ -255,7 +255,7 @@ FrontendSession::read(RemotePtr addr, void *dst, uint32_t len,
     last_read_remote_ = false;
     const Status st = guarded(
         addr.backend, [&] { return readInner(addr, dst, len, hint); });
-    (last_read_remote_ ? hist_read_remote_ : hist_read_local_)
+    (last_read_remote_ ? ctr_.hist_read_remote : ctr_.hist_read_local)
         .record(clock_.now() - t0);
     return st;
 }
@@ -280,9 +280,9 @@ FrontendSession::readInner(RemotePtr addr, void *dst, uint32_t len,
 bool
 FrontendSession::readLocal(ReadAwaitable &rd)
 {
-    rd.served_seq = pipe_write_seq_; // service happens now (or at park)
-    if (tracking_)
-        tracked_reads_.push_back(rd.addr);
+    rd.served_seq = vol_.pipe_write_seq; // service happens now (or at park)
+    if (vol_.tracking)
+        vol_.tracked_reads.push_back(rd.addr);
     if (overlayOrPinHit(rd))
         return true;
     if (cfg_.symmetric) {
@@ -304,15 +304,15 @@ bool
 FrontendSession::overlayOrPinHit(ReadAwaitable &rd)
 {
     // Read-your-writes: buffered memory logs shadow remote state.
-    if (!overlay_.empty() && overlayLookup(rd.addr, rd.dst, rd.len)) {
+    if (!vol_.view.overlay.empty() && overlayLookup(rd.addr, rd.dst, rd.len)) {
         clock_.advance(lat_.dram_access_ns);
         rd.result = Status::Ok;
         return true;
     }
     // Batch-local pins (vector operations reread shared path nodes).
-    if (rd.hint.pin && !pinned_.empty()) {
-        auto it = pinned_.find(rd.addr.raw());
-        if (it != pinned_.end() && it->second.size() == rd.len) {
+    if (rd.hint.pin && !vol_.view.pinned.empty()) {
+        auto it = vol_.view.pinned.find(rd.addr.raw());
+        if (it != vol_.view.pinned.end() && it->second.size() == rd.len) {
             std::memcpy(rd.dst, it->second.data(), rd.len);
             clock_.advance(lat_.dram_access_ns);
             rd.result = Status::Ok;
@@ -344,7 +344,7 @@ FrontendSession::fillAfterMiss(ReadAwaitable &rd)
         cache_->insert(rd.hint.ds, rd.addr, rd.dst, rd.len);
     }
     if (rd.hint.pin) {
-        auto &slot = pinned_[rd.addr.raw()];
+        auto &slot = vol_.view.pinned[rd.addr.raw()];
         slot.assign(static_cast<uint8_t *>(rd.dst),
                     static_cast<uint8_t *>(rd.dst) + rd.len);
     }
@@ -368,7 +368,7 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
             (hint.neighbors.empty() && hint.stream == 0))
             continue;
         if (!cache_->admitSpeculation(hint.ds)) {
-            ++prefetch_gated_;
+            ++ctr_.prefetch.gated;
             continue;
         }
         prefetch_scratch_.assign(hint.neighbors.begin(),
@@ -393,8 +393,8 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
             for (size_t j = 0; !dup && j < gather_specs_.size(); ++j)
                 if (gather_specs_[j].addr_raw == c.addr_raw)
                     dup = true;
-            if (dup ||
-                (!overlay_.empty() && overlay_.count(c.addr_raw) != 0))
+            const auto &overlay = vol_.view.overlay;
+            if (dup || (!overlay.empty() && overlay.count(c.addr_raw) != 0))
                 continue;
             if (cache_->contains(p, c.len))
                 continue;
@@ -463,8 +463,8 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
         aw->result = Status::Ok;
     if (gather_specs_.empty())
         return;
-    ++prefetch_batches_;
-    prefetch_issued_ += gather_specs_.size();
+    ++ctr_.prefetch.batches;
+    ctr_.prefetch.issued += gather_specs_.size();
     for (size_t i = 0; i < gather_specs_.size(); ++i) {
         const GatherSpec &sp = gather_specs_[i];
         const RemotePtr p = RemotePtr::fromRaw(sp.addr_raw);
@@ -472,8 +472,8 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
                                   sp.len, issue_epoch);
         // Speculative bytes are subject to the same seqlock-conflict
         // invalidation as the demanded reads.
-        if (tracking_)
-            tracked_reads_.push_back(p);
+        if (vol_.tracking)
+            vol_.tracked_reads.push_back(p);
     }
 }
 
@@ -508,12 +508,12 @@ FrontendSession::ReadAwaitable::await_ready()
         // take the serial read path — same verbs, same clock charges,
         // same histograms, and the transparent-failover re-run.
         result = s->read(addr, dst, len, hint);
-        served_seq = s->pipe_write_seq_; // 0 outside a window
+        served_seq = s->vol_.pipe_write_seq; // 0 outside a window
         return true;
     }
     const uint64_t t0 = s->clock_.now();
     if (s->readLocal(*this)) {
-        s->hist_read_local_.record(s->clock_.now() - t0);
+        s->ctr_.hist_read_local.record(s->clock_.now() - t0);
         return true;
     }
     return false; // remote miss: park with the reactor and suspend
@@ -525,7 +525,7 @@ FrontendSession::ReadAwaitable::await_suspend(std::coroutine_handle<>)
     // The awaitable lives in the coroutine frame, which stays alive
     // until the reactor resumes the op past this co_await — so parking
     // a raw pointer is safe.
-    s->pending_reads_.push_back(this);
+    s->vol_.pending_reads.push_back(this);
 }
 
 bool
@@ -534,7 +534,7 @@ FrontendSession::pipelineRecheckLocal(ReadAwaitable &aw)
     const uint64_t t0 = clock_.now();
     if (!overlayOrPinHit(aw) && !cacheHit(aw))
         return false;
-    hist_read_local_.record(clock_.now() - t0);
+    ctr_.hist_read_local.record(clock_.now() - t0);
     return true;
 }
 
@@ -543,20 +543,20 @@ FrontendSession::pipelineRefreshIfStale(ReadAwaitable &aw)
 {
     if (!ok(aw.result))
         return;
-    const auto it = pipe_dirty_.find(aw.addr.raw());
-    if (it == pipe_dirty_.end() || it->second <= aw.served_seq)
+    const auto it = vol_.pipe_dirty.find(aw.addr.raw());
+    if (it == vol_.pipe_dirty.end() || it->second <= aw.served_seq)
         return;
     if (pipelineRecheckLocal(aw))
-        aw.served_seq = pipe_write_seq_;
+        aw.served_seq = vol_.pipe_write_seq;
 }
 
 void
 FrontendSession::serveBatchRound()
 {
-    if (pending_reads_.empty())
+    if (vol_.pending_reads.empty())
         return;
-    std::vector<ReadAwaitable *> round = std::move(pending_reads_);
-    pending_reads_.clear();
+    std::vector<ReadAwaitable *> round = std::move(vol_.pending_reads);
+    vol_.pending_reads.clear();
     // A sibling op's window write may have landed at a parked read's
     // address after it suspended: such reads re-run the local tiers
     // (overlay now holds the fresh bytes — read-your-writes) instead of
@@ -565,8 +565,8 @@ FrontendSession::serveBatchRound()
     std::vector<ReadAwaitable *> remote;
     remote.reserve(round.size());
     for (ReadAwaitable *aw : round) {
-        aw->served_seq = pipe_write_seq_; // service time is now
-        if (pipe_dirty_.count(aw->addr.raw()) != 0 &&
+        aw->served_seq = vol_.pipe_write_seq; // service time is now
+        if (vol_.pipe_dirty.count(aw->addr.raw()) != 0 &&
             pipelineRecheckLocal(*aw))
             continue;
         remote.push_back(aw);
@@ -574,10 +574,10 @@ FrontendSession::serveBatchRound()
     if (remote.empty())
         return; // everything was served locally: not a gather round
     round = std::move(remote);
-    ++pipe_rounds_;
+    ++ctr_.pipeline.rounds;
     if (round.size() <= 1)
-        ++pipe_solo_rounds_; // nothing to overlap with: a pipeline stall
-    pipe_batched_reads_ += round.size();
+        ++ctr_.pipeline.solo_rounds; // nothing to overlap with: a stall
+    ctr_.pipeline.batched_reads += round.size();
     const uint64_t t0 = clock_.now();
 
     // Dedupe demanded addresses across ops: the first op fetches, the
@@ -614,7 +614,7 @@ FrontendSession::serveBatchRound()
         if (!ok(aw->result))
             continue;
         fillAfterMiss(*aw);
-        hist_read_remote_.record(clock_.now() - t0);
+        ctr_.hist_read_remote.record(clock_.now() - t0);
     }
 }
 
@@ -643,7 +643,7 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
         return;
     }
     pipeline_active_ = true;
-    ++pipe_runs_;
+    ++ctr_.pipeline.runs;
     std::vector<size_t> window; // in-flight (suspended) op indices
     window.reserve(depth);
     size_t next = 0;
@@ -652,7 +652,7 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
         ops[i].resume();
         if (ops[i].done()) {
             results[i] = ops[i].status();
-            ++pipe_ops_;
+            ++ctr_.pipeline.ops;
             return false;
         }
         return true;
@@ -666,8 +666,8 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
     };
     admit();
     while (!window.empty()) {
-        pipe_max_in_flight_ =
-            std::max<uint64_t>(pipe_max_in_flight_, window.size());
+        ctr_.pipeline.max_in_flight =
+            std::max<uint64_t>(ctr_.pipeline.max_in_flight, window.size());
         // Every in-flight op is parked on exactly one demanded read:
         // serve them all as one gather wave, then resume each op, which
         // either finishes, re-parks at its next hop, or frees a window
@@ -686,15 +686,15 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
     // released at each op's co_return (these clears are insurance for
     // ops destroyed mid-flight), and the dirty map only orders reads
     // against writes *within* one window.
-    pipe_gates_.clear();
-    pipe_dirty_.clear();
-    pipe_write_seq_ = 0;
-    if (pipeline_commit_deferred_) {
+    vol_.pipe_gates.clear();
+    vol_.pipe_dirty.clear();
+    vol_.pipe_write_seq = 0;
+    if (vol_.pipeline_commit_deferred) {
         // In-flight ops' batch boundaries were coalesced: one group
         // commit fences every posted op-log/memlog chain at window
         // drain (composing with — not fighting — doorbell batching).
-        pipeline_commit_deferred_ = false;
-        ++pipe_deferred_commits_;
+        vol_.pipeline_commit_deferred = false;
+        ++ctr_.pipeline.deferred_commits;
         (void)flushAll();
     }
 }
@@ -720,17 +720,17 @@ FrontendSession::WindowGate::tryAcquire()
         return true; // already holding the key
     if (!s_->suspendable())
         return true; // serial: no sibling ops can exist
-    auto it = s_->pipe_gates_.find(key_);
-    if (it == s_->pipe_gates_.end()) {
+    auto it = s_->vol_.pipe_gates.find(key_);
+    if (it == s_->vol_.pipe_gates.end()) {
         ticket_ = ++s_->pipe_ticket_;
-        s_->pipe_gates_.emplace(key_, ticket_);
+        s_->vol_.pipe_gates.emplace(key_, ticket_);
         return true;
     }
     if (!stalled_) {
         // One dependency stall per wait episode, however many service
         // rounds the waiter sleeps through.
         stalled_ = true;
-        ++s_->pipe_dep_stalls_;
+        ++s_->ctr_.pipeline.dep_stalls;
     }
     return false;
 }
@@ -740,9 +740,9 @@ FrontendSession::WindowGate::release()
 {
     if (ticket_ == 0)
         return;
-    auto it = s_->pipe_gates_.find(key_);
-    if (it != s_->pipe_gates_.end() && it->second == ticket_)
-        s_->pipe_gates_.erase(it);
+    auto it = s_->vol_.pipe_gates.find(key_);
+    if (it != s_->vol_.pipe_gates.end() && it->second == ticket_)
+        s_->vol_.pipe_gates.erase(it);
     ticket_ = 0;
     stalled_ = false;
 }
@@ -829,7 +829,7 @@ FrontendSession::logWriteInternal(DsId ds, RemotePtr addr,
         // it earlier fail read-set validation (and parked reads re-check
         // the local tiers instead of fetching a stale remote image).
         // Bookkeeping only — no clock charge, no wire traffic.
-        pipe_dirty_[addr.raw()] = ++pipe_write_seq_;
+        vol_.pipe_dirty[addr.raw()] = ++vol_.pipe_write_seq;
     }
     if (cfg_.symmetric)
         return symmetricWrite(addr, value, len);
@@ -850,16 +850,16 @@ FrontendSession::logWriteInternal(DsId ds, RemotePtr addr,
         // object the cache may install it. Any other write patches a
         // cached copy, if there is one.
         bool whole_fresh = false;
-        if (addr.raw() == fresh_.raw) {
-            whole_fresh = len == fresh_.size;
-            fresh_ = {};
+        if (addr.raw() == vol_.view.fresh.raw) {
+            whole_fresh = len == vol_.view.fresh.size;
+            vol_.view.fresh = {};
         }
         if (!whole_fresh || !cache_->insertFresh(ds, addr, value, len))
             cache_->update(addr, value, len);
     }
     clock_.advance(lat_.dram_access_ns); // build the log entry in DRAM
 
-    auto &group = c->groups[ds];
+    auto &group = c->batch.groups[ds];
     const uint64_t raw = addr.raw();
     auto idx = cfg_.coalesce_memlogs ? group.index.find(raw)
                                      : group.index.end();
@@ -902,11 +902,11 @@ Status
 FrontendSession::opBegin(DsId ds, NodeId backend, OpType op, Key key,
                          const void *value, uint32_t val_len)
 {
-    ++ops_started_;
-    in_op_ = false; // a previous op may have aborted without opEnd
+    ++ctr_.ops_started;
+    vol_.in_op = false; // a previous op may have aborted without opEnd
     clock_.advance(lat_.cpu_op_overhead_ns);
     if (cfg_.symmetric || !cfg_.use_oplog) {
-        in_op_ = true;
+        vol_.in_op = true;
         return Status::Ok;
     }
     // Re-resolve the context on every attempt: a failover in between
@@ -928,18 +928,18 @@ FrontendSession::opBegin(DsId ds, NodeId backend, OpType op, Key key,
         if (!ok(ast))
             return ast;
         if (!sync && pipeline_active_) {
-            pipeline_posted_ops_ = true;
-            ++pipe_batched_appends_; // rode the WQE chain, not a fence
+            vol_.pipeline_posted_ops = true;
+            ++ctr_.pipeline.batched_appends; // rode the WQE chain, not a fence
         }
-        logfmt_.op_records += 1;
-        logfmt_.op_wire_bytes += rec.size();
-        logfmt_.op_payload_bytes += val_len;
+        ctr_.logfmt.op_records += 1;
+        ctr_.logfmt.op_wire_bytes += rec.size();
+        ctr_.logfmt.op_payload_bytes += val_len;
         c->last_oplog_len = val_len;
         c->opn += 1;
         return Status::Ok;
     });
     if (ok(st))
-        in_op_ = true;
+        vol_.in_op = true;
     return st;
 }
 
@@ -1004,8 +1004,8 @@ FrontendSession::ringReserve(uint64_t *head, uint64_t ring_size,
 Status
 FrontendSession::opEnd()
 {
-    in_op_ = false; // batch flush below happens at a safe boundary
-    ++ops_in_batch_;
+    vol_.in_op = false; // batch flush below happens at a safe boundary
+    ++vol_.ops_in_batch;
     if (cfg_.symmetric) {
         if (cfg_.batch_size <= 1) {
             // Ship this op's logs now: launch the posted chain with one
@@ -1013,21 +1013,21 @@ FrontendSession::opEnd()
             const uint64_t t0 = clock_.now();
             verbs_.ringDoorbell();
             clock_.advance(lat_.persist_fence_ns);
-            hist_commit_.record(clock_.now() - t0);
-            ops_in_batch_ = 0;
+            ctr_.hist_commit.record(clock_.now() - t0);
+            endBatch();
             return Status::Ok;
         }
-        if (ops_in_batch_ >= cfg_.batch_size)
+        if (vol_.ops_in_batch >= cfg_.batch_size)
             return flushAll();
         return Status::Ok;
     }
-    if (ops_in_batch_ >= cfg_.batch_size) {
+    if (vol_.ops_in_batch >= cfg_.batch_size) {
         if (pipeline_active_) {
             // Other in-flight ops are suspended mid-traversal: defer the
             // group commit to the window drain, where ONE flush fences
             // every pipelined op's posted chain together.
-            pipeline_commit_deferred_ = true;
-            ++pipe_coalesced_fences_; // this op's fence moved to drain
+            vol_.pipeline_commit_deferred = true;
+            ++ctr_.pipeline.coalesced_fences; // this op's fence moved to drain
             processLocalRetired();
             return Status::Ok;
         }
@@ -1040,10 +1040,10 @@ FrontendSession::opEnd()
 void
 FrontendSession::processLocalRetired()
 {
-    while (!local_retired_.empty() &&
-           local_retired_.front().free_at_ns <= clock_.now()) {
-        const auto item = local_retired_.front();
-        local_retired_.pop_front();
+    while (!vol_.local_retired.empty() &&
+           vol_.local_retired.front().free_at_ns <= clock_.now()) {
+        const auto item = vol_.local_retired.front();
+        vol_.local_retired.pop_front();
         free(item.ptr, item.size);
     }
 }
@@ -1051,9 +1051,9 @@ FrontendSession::processLocalRetired()
 Status
 FrontendSession::flushGroup(BackendCtx &c, DsId ds, bool sync_commit)
 {
-    auto git = c.groups.find(ds);
-    if (git == c.groups.end() || git->second.logs.empty()) {
-        c.groups.erase(ds);
+    auto git = c.batch.groups.find(ds);
+    if (git == c.batch.groups.end() || git->second.logs.empty()) {
+        c.batch.groups.erase(ds);
         return Status::Ok;
     }
     const uint64_t covered =
@@ -1091,7 +1091,7 @@ FrontendSession::flushGroup(BackendCtx &c, DsId ds, bool sync_commit)
     const Status st =
         sync_commit ? verbs_.write(dst, tx.data(), tx.size())
                     : verbs_.postWrite(dst, tx.data(), tx.size());
-    c.groups.erase(git);
+    c.batch.groups.erase(git);
     if (!ok(st))
         return st;
     const Status bst = c.node->onTxAppended(
@@ -1099,10 +1099,10 @@ FrontendSession::flushGroup(BackendCtx &c, DsId ds, bool sync_commit)
     if (!ok(bst))
         return bst;
     c.lpn += 1;
-    ++tx_flushes_;
-    logfmt_.tx_records += 1;
-    logfmt_.tx_wire_bytes += tx.size();
-    logfmt_.tx_payload_bytes += payload_bytes;
+    ++ctr_.tx_flushes;
+    ctr_.logfmt.tx_records += 1;
+    ctr_.logfmt.tx_wire_bytes += tx.size();
+    ctr_.logfmt.tx_payload_bytes += payload_bytes;
     return Status::Ok;
 }
 
@@ -1110,14 +1110,14 @@ void
 FrontendSession::setFlushHook(DsId ds, NodeId backend,
                               std::function<Status()> fn)
 {
-    flush_hooks_[{backend, ds}] = std::move(fn);
+    vol_.flush_hooks[{backend, ds}] = std::move(fn);
 }
 
 void
 FrontendSession::setPostFlushHook(DsId ds, NodeId backend,
                                   std::function<Status()> fn)
 {
-    post_flush_hooks_[{backend, ds}] = std::move(fn);
+    vol_.post_flush_hooks[{backend, ds}] = std::move(fn);
 }
 
 void
@@ -1126,7 +1126,7 @@ FrontendSession::setGroupCoverage(DsId ds, NodeId backend,
 {
     BackendCtx *c = ctx(backend);
     if (c != nullptr)
-        c->groups[ds].covered_opn = covered_opn;
+        c->batch.groups[ds].covered_opn = covered_opn;
 }
 
 uint64_t
@@ -1160,7 +1160,7 @@ FrontendSession::flushAllInner()
     // Materialize deferred operations (stack/queue annulment survivors)
     // before serializing the batch's memory logs. A failed hook stops
     // the commit here: nothing is serialized, the batch stays buffered.
-    for (auto &[key, fn] : flush_hooks_) {
+    for (auto &[key, fn] : vol_.flush_hooks) {
         const Status st = fn();
         if (!ok(st)) {
             in_flush_ = false;
@@ -1178,9 +1178,9 @@ FrontendSession::flushAllInner()
         const uint64_t t0 = clock_.now();
         verbs_.ringDoorbell();
         clock_.advance(lat_.persist_fence_ns);
-        hist_commit_.record(clock_.now() - t0);
-        ops_in_batch_ = 0;
-        held_locks_.clear();
+        ctr_.hist_commit.record(clock_.now() - t0);
+        endBatch();
+        vol_.held_locks.clear();
         return Status::Ok;
     }
     const uint64_t commit_t0 = clock_.now();
@@ -1191,13 +1191,13 @@ FrontendSession::flushAllInner()
     // durability point moved here (the drain flush).
     const bool need_sync =
         cfg_.use_txlog && (cfg_.batch_size > 1 || !cfg_.use_oplog ||
-                           pipeline_posted_ops_);
-    pipeline_posted_ops_ = false;
+                           vol_.pipeline_posted_ops);
+    vol_.pipeline_posted_ops = false;
     // Collect the flush plan first so we know which write is last.
     // backends_ is an ordered map, so the plan is grouped by back-end.
     std::vector<std::pair<BackendCtx *, DsId>> plan;
     for (auto &[id, c] : backends_) {
-        for (auto &[ds, group] : c.groups) {
+        for (auto &[ds, group] : c.batch.groups) {
             if (!group.logs.empty())
                 plan.emplace_back(&c, ds);
         }
@@ -1234,9 +1234,9 @@ FrontendSession::flushAllInner()
     if (fanout && ok(result)) {
         const uint64_t t0 = clock_.now();
         verbs_.ringDoorbellFanout();
-        hist_fanout_.record(clock_.now() - t0);
+        ctr_.hist_fanout.record(clock_.now() - t0);
     }
-    if (plan.empty() && need_sync && ops_in_batch_ > 0 && cfg_.use_oplog) {
+    if (plan.empty() && need_sync && vol_.ops_in_batch > 0 && cfg_.use_oplog) {
         // Read-annulled batches (stack/queue) may commit with no memory
         // logs at all; the op logs still sit on the doorbell chain, so
         // launch it and fence it — overlapped across back-ends when the
@@ -1255,16 +1255,14 @@ FrontendSession::flushAllInner()
     // protocol's lock-ahead scan (Section 7).
     if (!ok(result)) {
         verbs_.dropPosted(); // the chain died with the back-end
-        overlay_.clear();
-        pinned_.clear();
-        ops_in_batch_ = 0;
+        endBatch();
         return result;
     }
 
     // Publish multi-version roots now that the batch is durable. A
     // failed swap is reported, but the batch itself stands: retirements
     // still ship and the locks still release below.
-    for (auto &[ds, fn] : post_flush_hooks_) {
+    for (auto &[ds, fn] : vol_.post_flush_hooks) {
         const Status st = fn();
         if (ok(result))
             result = st;
@@ -1272,38 +1270,35 @@ FrontendSession::flushAllInner()
 
     // Ship deferred MV retirements and reclaim locally-due regions.
     for (auto &[id, c] : backends_) {
-        if (!c.retired.empty()) {
-            std::vector<uint8_t> payload(c.retired.size() * 16);
-            for (size_t i = 0; i < c.retired.size(); ++i) {
-                std::memcpy(payload.data() + i * 16, &c.retired[i].first,
+        auto &retired = c.batch.retired;
+        if (!retired.empty()) {
+            std::vector<uint8_t> payload(retired.size() * 16);
+            for (size_t i = 0; i < retired.size(); ++i) {
+                std::memcpy(payload.data() + i * 16, &retired[i].first, 8);
+                std::memcpy(payload.data() + i * 16 + 8, &retired[i].second,
                             8);
-                std::memcpy(payload.data() + i * 16 + 8,
-                            &c.retired[i].second, 8);
             }
-            uint64_t args[3] = {c.retired_ds, c.retired.size(),
+            uint64_t args[3] = {c.batch.retired_ds, retired.size(),
                                 clock_.now()};
             rpcCall(c, RpcOp::Retire, args, payload, nullptr);
             // Hand the regions to the local delayed-free queue.
-            for (const auto &[off, size] : c.retired)
-                local_retired_.push_back(
+            for (const auto &[off, size] : retired)
+                vol_.local_retired.push_back(
                     {RemotePtr(id, off), size,
                      clock_.now() + c.node->config().gc_delay_ns});
-            c.retired.clear();
+            retired.clear();
         }
     }
     processLocalRetired();
-
-    overlay_.clear();
-    pinned_.clear();
-    ops_in_batch_ = 0;
+    endBatch();
 
     // Release writer locks only after the batch is durable. The three
     // release records are posted onto the doorbell chain *behind* the
     // commit write: the queue pair executes WQEs in order, so another
     // front-end can only observe the lock free after the batch's logs
     // are in NVM.
-    auto locks = held_locks_;
-    held_locks_.clear();
+    auto locks = vol_.held_locks;
+    vol_.held_locks.clear();
     for (const auto &[key, held] : locks) {
         if (!held)
             continue;
@@ -1311,7 +1306,7 @@ FrontendSession::flushAllInner()
         BackendCtx *c = ctx(backend);
         if (c == nullptr)
             continue;
-        const uint64_t gen = ++writer_gen_[key];
+        const uint64_t gen = ++vol_.writer_gen[key];
         verbs_.postWrite(namingField(ds, backend, naming_field::kAux0 +
                                                       3 * 8),
                          &gen, sizeof(gen));
@@ -1333,8 +1328,16 @@ FrontendSession::flushAllInner()
     // releases, posted transactions of non-final groups, aux updates).
     verbs_.ringDoorbell();
     if (!plan.empty())
-        hist_commit_.record(clock_.now() - commit_t0);
+        ctr_.hist_commit.record(clock_.now() - commit_t0);
     return result;
+}
+
+void
+FrontendSession::endBatch()
+{
+    vol_.view.overlay.clear();
+    vol_.view.pinned.clear();
+    vol_.ops_in_batch = 0;
 }
 
 // ---------------------------------------------------------------------
@@ -1350,7 +1353,7 @@ FrontendSession::alloc(NodeId backend, uint64_t size, RemotePtr *out)
     clock_.advance(lat_.dram_access_ns); // free-list walk
     const Status st = c->alloc->alloc(size, out);
     if (ok(st))
-        fresh_ = {out->raw(), size};
+        vol_.view.fresh = {out->raw(), size};
     return st;
 }
 
@@ -1363,11 +1366,11 @@ FrontendSession::free(RemotePtr p, uint64_t size)
     if (pipeline_active_) {
         // A freed node's bytes may be reused within the window: poison
         // any sibling descent that read it before the free landed.
-        pipe_dirty_[p.raw()] = ++pipe_write_seq_;
+        vol_.pipe_dirty[p.raw()] = ++vol_.pipe_write_seq;
     }
     clock_.advance(lat_.dram_access_ns);
-    if (p.raw() == fresh_.raw)
-        fresh_ = {};
+    if (p.raw() == vol_.view.fresh.raw)
+        vol_.view.fresh = {};
     if (cfg_.use_cache)
         cache_->invalidate(p);
     return c->alloc->free(p, size);
@@ -1379,8 +1382,8 @@ FrontendSession::retire(DsId ds, RemotePtr p, uint64_t size)
     BackendCtx *c = ctx(p.backend);
     if (c == nullptr)
         return;
-    c->retired.emplace_back(p.offset, size);
-    c->retired_ds = ds;
+    c->batch.retired.emplace_back(p.offset, size);
+    c->batch.retired_ds = ds;
 }
 
 // ---------------------------------------------------------------------
@@ -1402,14 +1405,14 @@ FrontendSession::writerLock(DsId ds, NodeId backend, bool *moved)
     if (moved != nullptr)
         *moved = false;
     const auto key = std::make_pair(backend, ds);
-    if (held_locks_.count(key) != 0)
+    if (vol_.held_locks.count(key) != 0)
         return Status::Ok;
     BackendCtx *c = ctx(backend);
     if (c == nullptr)
         return Status::Unavailable;
     if (cfg_.symmetric) {
         clock_.advance(lat_.dram_access_ns);
-        held_locks_[key] = true;
+        vol_.held_locks[key] = true;
         return Status::Ok;
     }
     // Acquisition is re-runnable after a failover: the replacement's
@@ -1449,16 +1452,16 @@ FrontendSession::writerLock(DsId ds, NodeId backend, bool *moved)
             namingField(ds, backend, naming_field::kAux0 + 3 * 8), &gen);
         if (!ok(gst))
             return gst;
-        auto git = writer_gen_.find(key);
-        if (git == writer_gen_.end() || git->second != gen) {
+        auto git = vol_.writer_gen.find(key);
+        if (git == vol_.writer_gen.end() || git->second != gen) {
             if (cfg_.use_cache)
                 cache_->invalidateDs(ds);
             prefetch_.invalidateDs(ds); // learned runs may be stale too
-            writer_gen_[key] = gen;
+            vol_.writer_gen[key] = gen;
             if (moved != nullptr)
                 *moved = true;
         }
-        held_locks_[key] = true;
+        vol_.held_locks[key] = true;
         return Status::Ok;
     });
 }
@@ -1467,7 +1470,7 @@ Status
 FrontendSession::writerUnlock(DsId ds, NodeId backend)
 {
     const auto key = std::make_pair(backend, ds);
-    if (held_locks_.count(key) == 0)
+    if (vol_.held_locks.count(key) == 0)
         return Status::Ok;
     // The flush releases every held lock after the commit.
     return flushAll();
@@ -1476,7 +1479,7 @@ FrontendSession::writerUnlock(DsId ds, NodeId backend)
 bool
 FrontendSession::holdsWriterLock(DsId ds, NodeId backend) const
 {
-    return held_locks_.count(std::make_pair(backend, ds)) != 0;
+    return vol_.held_locks.count(std::make_pair(backend, ds)) != 0;
 }
 
 Status
@@ -1502,32 +1505,32 @@ FrontendSession::readerLock(DsId ds, NodeId backend, uint64_t *sn)
     // A moved SN means the structure changed since our last critical
     // section: every cached copy of it may be stale.
     const auto key = std::make_pair(backend, ds);
-    auto it = sn_seen_.find(key);
-    if (it == sn_seen_.end()) {
+    auto it = vol_.sn_seen.find(key);
+    if (it == vol_.sn_seen.end()) {
         // No baseline yet. A session that once held the writer lock
         // cached nodes under it, and a successor writer may have changed
         // them since the release, so an ex-writer starts cold.
-        if (writer_gen_.count(key) != 0) {
+        if (vol_.writer_gen.count(key) != 0) {
             if (cfg_.use_cache)
                 cache_->invalidateDs(ds);
             prefetch_.invalidateDs(ds);
         }
-        sn_seen_[key] = *sn;
+        vol_.sn_seen[key] = *sn;
     } else if (it->second != *sn) {
         if (cfg_.use_cache)
             cache_->invalidateDs(ds);
         prefetch_.invalidateDs(ds);
         it->second = *sn;
     }
-    tracking_ = true;
-    tracked_reads_.clear();
+    vol_.tracking = true;
+    vol_.tracked_reads.clear();
     return Status::Ok;
 }
 
 bool
 FrontendSession::readerValidate(DsId ds, NodeId backend, uint64_t sn)
 {
-    tracking_ = false;
+    vol_.tracking = false;
     uint64_t now_sn = 0;
     if (cfg_.symmetric) {
         BackendCtx *c = ctx(backend);
@@ -1547,10 +1550,10 @@ FrontendSession::readerValidate(DsId ds, NodeId backend, uint64_t sn)
     // Conflict: drop every cache entry this read touched so the retry
     // fetches fresh data instead of spinning on stale copies.
     if (cfg_.use_cache) {
-        for (const RemotePtr &p : tracked_reads_)
+        for (const RemotePtr &p : vol_.tracked_reads)
             cache_->invalidate(p);
     }
-    tracked_reads_.clear();
+    vol_.tracked_reads.clear();
     return false;
 }
 
@@ -1611,9 +1614,9 @@ FrontendSession::readDsMeta(DsId ds, NodeId backend, DsMeta *out)
     out->version = buf[1];
     out->gc_epoch = buf[2];
     const auto gc_key = std::make_pair(backend, ds);
-    auto it = gc_epoch_seen_.find(gc_key);
-    if (it == gc_epoch_seen_.end()) {
-        gc_epoch_seen_[gc_key] = out->gc_epoch;
+    auto it = vol_.gc_epoch_seen.find(gc_key);
+    if (it == vol_.gc_epoch_seen.end()) {
+        vol_.gc_epoch_seen[gc_key] = out->gc_epoch;
     } else if (it->second != out->gc_epoch) {
         // Retired versions were reclaimed; cached nodes may alias reused
         // NVM now (Section 6.2). Learned prefetch runs hold the same
@@ -1683,52 +1686,27 @@ FrontendSession::writeAuxRange(DsId ds, NodeId backend, uint32_t first,
 void
 FrontendSession::setReplayer(DsId ds, NodeId backend, Replayer fn)
 {
-    replayers_[{backend, ds}] = std::move(fn);
+    vol_.replayers[{backend, ds}] = std::move(fn);
 }
 
 void
 FrontendSession::setFailoverHook(DsId ds, NodeId backend,
                                  std::function<Status()> fn)
 {
-    failover_hooks_[{backend, ds}] = std::move(fn);
+    vol_.failover_hooks[{backend, ds}] = std::move(fn);
 }
 
 void
 FrontendSession::simulateCrash()
 {
-    flush_hooks_.clear();
-    post_flush_hooks_.clear();
-    failover_hooks_.clear();
-    overlay_.clear();
-    pinned_.clear();
-    tracked_reads_.clear();
-    tracking_ = false;
-    held_locks_.clear();
-    writer_gen_.clear();
-    fresh_ = {};
-    gc_epoch_seen_.clear();
-    // Pre-crash seqlock observations are volatile state: a recovered
-    // front-end that trusted them would skip the cache-invalidation path
-    // in readerLock on the first post-recovery read.
-    sn_seen_.clear();
-    local_retired_.clear();
-    replayers_.clear();
-    ops_in_batch_ = 0;
-    in_op_ = false;
+    vol_ = {};
+    for (auto &[id, c] : backends_) {
+        c.batch = {};
+        c.alloc->loseVolatileState();
+    }
     cache_->clear();
     prefetch_.clear();   // learned runs are volatile front-end state
     verbs_.dropPosted(); // pending WQE chains die with the process
-    pending_reads_.clear(); // parked reads die with their frames
-    pipeline_posted_ops_ = false;
-    pipeline_commit_deferred_ = false;
-    pipe_gates_.clear();
-    pipe_dirty_.clear();
-    pipe_write_seq_ = 0;
-    for (auto &[id, c] : backends_) {
-        c.groups.clear();
-        c.retired.clear();
-        c.alloc->loseVolatileState();
-    }
 }
 
 Status
@@ -1759,9 +1737,9 @@ FrontendSession::recover()
         for (const ParsedOpLog &op : ops) {
             clock_.advance(lat_.rdma_read_rtt_ns +
                            lat_.wireBytes(op.wire_len));
-            auto rit = replayers_.find(
+            auto rit = vol_.replayers.find(
                 std::make_pair(id, static_cast<DsId>(op.ds_id)));
-            if (rit == replayers_.end())
+            if (rit == vol_.replayers.end())
                 continue; // structure not re-opened; skip
             const Status st = rit->second(op);
             if (!ok(st) && st != Status::Exists)
@@ -1781,17 +1759,14 @@ FrontendSession::failover(NodeId failed, BackendNode *replacement)
            "a promoted back-end keeps the node id so RemotePtrs stay valid");
     BackendCtx &c = it->second;
     c.node = replacement;
-    c.groups.clear();
-    c.retired.clear();
+    c.batch = {};
     verbs_.detach(failed);
     verbs_.attach(failed, replacement->rdmaTarget());
     c.rpc = std::make_unique<RfpRpc>(&verbs_, replacement, c.slot);
     c.alloc->loseVolatileState();
     cache_->clear(); // Section 4.3: aborts clear the cache
-    fresh_ = {};
     prefetch_.clear(); // predictions refer to the failed node's layout
-    overlay_.clear();
-    pinned_.clear();
+    vol_.view = {};
 
     uint32_t slot = 0;
     const Status st =
@@ -1801,7 +1776,7 @@ FrontendSession::failover(NodeId failed, BackendNode *replacement)
     c.slot = slot;
     // Live data structure handles reset their volatile shadows to the
     // recovered NVM image before replay re-executes uncovered ops.
-    for (auto &[key, hook] : failover_hooks_) {
+    for (auto &[key, hook] : vol_.failover_hooks) {
         if (key.first == failed) {
             const Status hst = hook();
             if (!ok(hst))
@@ -1819,13 +1794,13 @@ FrontendSession::healStep(NodeId id, const ResolveOutcome &out,
     // replacement releases them from the lock-ahead records during
     // recovery, and op-log replay re-executes the operations that held
     // them — so forget them here rather than re-releasing stale state.
-    for (auto it = held_locks_.begin(); it != held_locks_.end();) {
+    for (auto it = vol_.held_locks.begin(); it != vol_.held_locks.end();) {
         if (it->first.first == id)
-            it = held_locks_.erase(it);
+            it = vol_.held_locks.erase(it);
         else
             ++it;
     }
-    PromotionCounters &pc = promo_[id];
+    PromotionCounters &pc = ctr_.promo[id];
     if (out.stale_fenced && !ep->stale_counted) {
         ++pc.stale_epoch_fenced;
         ep->stale_counted = true;
@@ -1843,7 +1818,7 @@ FrontendSession::healStep(NodeId id, const ResolveOutcome &out,
         return st;
     if (BackendCtx *c = ctx(id); c != nullptr)
         c->epoch = out.epoch;
-    ++failovers_completed_;
+    ++ctr_.retry.failovers;
     return Status::Ok;
 }
 
@@ -1875,7 +1850,7 @@ FrontendSession::handleBackendFailure(NodeId id)
         // mirror must not be promoted while the old incarnation might
         // still serve writes) — burn a quantum of virtual time.
         clock_.advance(fo_cfg_.wait_quantum_ns);
-        failover_wait_ns_ += fo_cfg_.wait_quantum_ns;
+        ctr_.retry.failover_wait_ns += fo_cfg_.wait_quantum_ns;
     }
     in_failover_ = false;
     return result;
@@ -1923,31 +1898,15 @@ FrontendSession::backendEpoch(NodeId id) const
 SessionStats
 FrontendSession::stats() const
 {
-    SessionStats s;
-    s.ops_started = ops_started_;
-    s.tx_flushes = tx_flushes_;
+    // The session's own counters, then what other components own.
+    SessionStats s = ctr_;
     s.verbs = verbs_.counters();
     s.retry = verbs_.retryStats();
-    s.prefetch.batches = prefetch_batches_;
-    s.prefetch.issued = prefetch_issued_;
+    s.retry.merge(ctr_.retry); // failovers and their wait
     s.prefetch.hits = cache_->prefetchHits();
     s.prefetch.wasted = cache_->prefetchWasted();
-    s.prefetch.gated = prefetch_gated_;
-    s.logfmt = logfmt_;
     s.pipeline.depth = cfg_.pipeline_depth;
-    s.pipeline.ops = pipe_ops_;
-    s.pipeline.runs = pipe_runs_;
-    s.pipeline.rounds = pipe_rounds_;
-    s.pipeline.batched_reads = pipe_batched_reads_;
-    s.pipeline.solo_rounds = pipe_solo_rounds_;
-    s.pipeline.max_in_flight = pipe_max_in_flight_;
-    s.pipeline.deferred_commits = pipe_deferred_commits_;
-    s.pipeline.batched_appends = pipe_batched_appends_;
-    s.pipeline.coalesced_fences = pipe_coalesced_fences_;
-    s.pipeline.dep_stalls = pipe_dep_stalls_;
-    s.retry.failovers += failovers_completed_;
-    s.retry.failover_wait_ns += failover_wait_ns_;
-    for (const auto &[id, pc] : promo_) {
+    for (const auto &[id, pc] : ctr_.promo) {
         s.retry.promotions_won += pc.promotions_won;
         s.retry.promotions_lost += pc.promotions_lost;
         s.retry.stale_epoch_fenced += pc.stale_epoch_fenced;
@@ -1964,31 +1923,9 @@ FrontendSession::stats() const
 void
 FrontendSession::resetStats()
 {
-    ops_started_ = 0;
-    tx_flushes_ = 0;
-    logfmt_ = LogFormatStats{};
-    failovers_completed_ = 0;
-    failover_wait_ns_ = 0;
-    promo_.clear();
+    ctr_ = {};
     verbs_.resetStats();
     cache_->resetStats();
-    prefetch_batches_ = 0;
-    prefetch_issued_ = 0;
-    prefetch_gated_ = 0;
-    pipe_ops_ = 0;
-    pipe_runs_ = 0;
-    pipe_rounds_ = 0;
-    pipe_batched_reads_ = 0;
-    pipe_solo_rounds_ = 0;
-    pipe_max_in_flight_ = 0;
-    pipe_deferred_commits_ = 0;
-    pipe_batched_appends_ = 0;
-    pipe_coalesced_fences_ = 0;
-    pipe_dep_stalls_ = 0;
-    hist_commit_ = Histogram{};
-    hist_fanout_ = Histogram{};
-    hist_read_remote_ = Histogram{};
-    hist_read_local_ = Histogram{};
 }
 
 } // namespace asymnvm

@@ -247,7 +247,17 @@ struct SessionStats
     PipelineStats pipeline; //!< op-pipelining overlap/stall profile
 };
 
-/** The client-side AsymNVM runtime for one front-end thread. */
+/**
+ * The client-side AsymNVM runtime for one front-end thread.
+ *
+ * Its state is sorted by lifetime (DESIGN.md §15, "State lifetimes"):
+ * wiring and identity are never reset; vol_ is everything a front-end
+ * crash loses (simulateCrash() assigns it {}, and a failover resets its
+ * View); each back-end's buffered Batch goes on a crash and on that
+ * back-end's failover; ctr_ is everything resetStats() zeroes. The cache,
+ * the prefetch engine, the allocators and the verbs' posted chains are
+ * owned components with resets of their own.
+ */
 class FrontendSession
 {
   public:
@@ -404,7 +414,7 @@ class FrontendSession
     bool pipelineGateHeld(uint64_t ds, uint64_t key) const
     {
         return suspendable() &&
-               pipe_gates_.find({ds, key}) != pipe_gates_.end();
+               vol_.pipe_gates.find({ds, key}) != vol_.pipe_gates.end();
     }
 
     /**
@@ -460,23 +470,23 @@ class FrontendSession
     };
 
     /** Current pipeline write sequence (0 outside a window). */
-    uint64_t pipelineWriteSeq() const { return pipe_write_seq_; }
+    uint64_t pipelineWriteSeq() const { return vol_.pipe_write_seq; }
 
     /** True when no stamped address was overwritten after its stamp. */
     bool pipelineReadSetClean(std::span<const ReadStamp> stamps) const
     {
-        if (pipe_dirty_.empty())
+        if (vol_.pipe_dirty.empty())
             return true; // no window write yet (always, outside a window)
         for (const ReadStamp &rs : stamps) {
-            auto it = pipe_dirty_.find(rs.addr_raw);
-            if (it != pipe_dirty_.end() && it->second > rs.seq)
+            auto it = vol_.pipe_dirty.find(rs.addr_raw);
+            if (it != vol_.pipe_dirty.end() && it->second > rs.seq)
                 return false;
         }
         return true;
     }
 
     /** Account a validation-forced descent restart (a dependency stall). */
-    void notePipelineRestart() { ++pipe_dep_stalls_; }
+    void notePipelineRestart() { ++ctr_.pipeline.dep_stalls; }
 
     /**
      * Snapshot of the current operation's op-log record position, taken
@@ -535,7 +545,7 @@ class FrontendSession
     Status persistentFence() { return flushAll(); }
 
     /** Ops currently buffered (not yet group-committed). */
-    uint32_t opsInBatch() const { return ops_in_batch_; }
+    uint32_t opsInBatch() const { return vol_.ops_in_batch; }
 
     /**
      * Pre-flush hook: runs at the start of every group commit, before
@@ -758,31 +768,34 @@ class FrontendSession
     /** Per-backend promotion-race outcomes (won / lost / fenced). */
     const std::map<NodeId, PromotionCounters> &promotionCounters() const
     {
-        return promo_;
+        return ctr_.promo;
     }
 
     // ------------------------------------------------------------------
     // Statistics
     // ------------------------------------------------------------------
 
-    uint64_t opsStarted() const { return ops_started_; }
-    uint64_t txFlushes() const { return tx_flushes_; }
-    uint64_t failoversCompleted() const { return failovers_completed_; }
+    uint64_t opsStarted() const { return ctr_.ops_started; }
+    uint64_t txFlushes() const { return ctr_.tx_flushes; }
+    uint64_t failoversCompleted() const { return ctr_.retry.failovers; }
 
     /** Virtual-time latency of each group commit (flushAll / opEnd). */
-    const Histogram &commitHistogram() const { return hist_commit_; }
+    const Histogram &commitHistogram() const { return ctr_.hist_commit; }
 
     /** Latency of each multi-back-end fan-out flush (k > 1 targets). */
-    const Histogram &fanoutHistogram() const { return hist_fanout_; }
+    const Histogram &fanoutHistogram() const { return ctr_.hist_fanout; }
 
     /** Latency of reads that issued remote verbs (cache/overlay misses). */
     const Histogram &readRemoteHistogram() const
     {
-        return hist_read_remote_;
+        return ctr_.hist_read_remote;
     }
 
     /** Latency of reads served locally (overlay, pins, DRAM cache). */
-    const Histogram &readLocalHistogram() const { return hist_read_local_; }
+    const Histogram &readLocalHistogram() const
+    {
+        return ctr_.hist_read_local;
+    }
 
     /** Merged observability: verbs traffic, retries, RPC dedup, failover. */
     SessionStats stats() const;
@@ -793,22 +806,24 @@ class FrontendSession
      * front-end would trust pre-crash SN observations and skip cache
      * invalidation in readerLock.
      */
-    size_t seqlockObservations() const { return sn_seen_.size(); }
+    size_t seqlockObservations() const { return vol_.sn_seen.size(); }
     uint64_t busyNs() const { return clock_.now(); }
     void resetStats();
 
     /** Pinned (batch-local) reads are dropped at every group commit. */
-    void dropPins() { pinned_.clear(); }
+    void dropPins() { vol_.view.pinned.clear(); }
 
   private:
     struct BackendCtx
     {
+        // Wiring and identity: never reset.
         BackendNode *node = nullptr;
         uint32_t slot = 0;
         uint64_t epoch = 0; //!< last-observed failover epoch of the slot
         std::unique_ptr<RfpRpc> rpc;
         std::unique_ptr<FrontendAllocator> alloc;
-        // Local shadows of the log positions (persisted in LogControl).
+        // Local shadows of the log positions (persisted in LogControl):
+        // never reset, recover() reloads them.
         uint64_t lpn = 0;
         uint64_t opn = 0;
         uint64_t memlog_head = 0;
@@ -836,10 +851,15 @@ class FrontendSession
             /** Coverage override (multi-version structures). */
             std::optional<uint64_t> covered_opn;
         };
-        std::map<DsId, Group> groups;
-        // Deferred MV retirements, shipped with the next group commit.
-        std::vector<std::pair<uint64_t, uint64_t>> retired;
-        DsId retired_ds = 0;
+        /** The batch buffered for this back-end: lost on a front-end
+         *  crash and on this back-end's failover. */
+        struct Batch
+        {
+            std::map<DsId, Group> groups;
+            /** Deferred MV retirements, shipped with the next commit. */
+            std::vector<std::pair<uint64_t, uint64_t>> retired;
+            DsId retired_ds = 0;
+        } batch;
     };
 
     BackendCtx *ctx(NodeId id);
@@ -895,9 +915,9 @@ class FrontendSession
         if (resolver_ == nullptr || in_failover_)
             return st;
         // Capture the op-boundary flag *before* healing: recovery replays
-        // whole operations, which toggle in_op_ themselves and leave it
+        // whole operations, which toggle in_op themselves and leave it
         // clear — the retry decision belongs to the failed call site.
-        const bool was_in_op = in_op_;
+        const bool was_in_op = vol_.in_op;
         for (uint32_t round = 0; round < 4 && needsFailover(st); ++round) {
             if (!ok(handleBackendFailure(id)))
                 return st;
@@ -909,6 +929,14 @@ class FrontendSession
     }
 
     Status flushAllInner();
+
+    /**
+     * End the buffered batch (a commit, or a failed one): the overlay and
+     * pins go, cleared in place so they keep their capacity, and the op
+     * count restarts.
+     */
+    void endBatch();
+
     Status readInner(RemotePtr addr, void *dst, uint32_t len,
                      const ReadHint &hint);
 
@@ -1009,25 +1037,22 @@ class FrontendSession
     Status symmetricWrite(RemotePtr addr, const void *value, uint32_t len);
     void processLocalRetired();
 
+    // ------------------------------------------------------------------
+    // State, sorted by lifetime (DESIGN.md §15, "State lifetimes").
+    // ------------------------------------------------------------------
+
+    // Wiring and identity: never reset. The cache and the prefetch
+    // engine are owned components with resets of their own.
     SessionConfig cfg_;
     LatencyModel lat_;
     SimClock clock_;
     Verbs verbs_;
     std::unique_ptr<PageCache> cache_;
-
+    PrefetchEngine prefetch_;
     std::map<NodeId, BackendCtx> backends_;
-
-    /** Read-your-writes overlay of buffered (unflushed) memory logs. */
-    std::unordered_map<uint64_t, std::vector<uint8_t>> overlay_;
-
-    /** Batch-local pinned reads (vector operations). */
-    std::unordered_map<uint64_t, std::vector<uint8_t>> pinned_;
-
-    /** Writer locks currently held: (backend, ds) pairs. */
-    std::map<std::pair<NodeId, DsId>, bool> held_locks_;
-
-    /** Last observed writer generation per (backend, ds). */
-    std::map<std::pair<NodeId, DsId>, uint64_t> writer_gen_;
+    BackendResolver resolver_;
+    FailoverConfig fo_cfg_;
+    uint64_t pipe_ticket_ = 0; //!< gate ticket source (never reused)
 
     /**
      * The object alloc() handed out last, until the first write to it:
@@ -1037,25 +1062,7 @@ class FrontendSession
     {
         uint64_t raw = 0;
         uint64_t size = 0;
-    } fresh_;
-
-    /** Last observed gc_epoch per (backend, ds) (MV invalidation). */
-    std::map<std::pair<NodeId, DsId>, uint64_t> gc_epoch_seen_;
-
-    /** Last observed seqlock SN per (backend, ds) (stale-cache guard). */
-    std::map<std::pair<NodeId, DsId>, uint64_t> sn_seen_;
-
-    /** Tracked read addresses for seqlock conflict invalidation. */
-    std::vector<RemotePtr> tracked_reads_;
-    bool tracking_ = false;
-
-    std::map<std::pair<NodeId, DsId>, Replayer> replayers_;
-    std::map<std::pair<NodeId, DsId>, std::function<Status()>>
-        failover_hooks_;
-    std::map<std::pair<NodeId, DsId>, std::function<Status()>> flush_hooks_;
-    std::map<std::pair<NodeId, DsId>, std::function<Status()>>
-        post_flush_hooks_;
-    bool in_flush_ = false;
+    };
 
     /** Locally deferred frees of retired multi-version regions. */
     struct RetiredRegion
@@ -1064,32 +1071,85 @@ class FrontendSession
         uint64_t size;
         uint64_t free_at_ns;
     };
-    std::deque<RetiredRegion> local_retired_;
 
-    uint32_t ops_in_batch_ = 0;
-    uint64_t ops_started_ = 0;
-    uint64_t tx_flushes_ = 0;
-    LogFormatStats logfmt_;
+    /** Local copies of remote bytes: reset by a crash and a failover. */
+    struct View
+    {
+        /** Read-your-writes overlay of buffered (unflushed) memory logs. */
+        std::unordered_map<uint64_t, std::vector<uint8_t>> overlay;
+        /** Batch-local pinned reads (vector operations). */
+        std::unordered_map<uint64_t, std::vector<uint8_t>> pinned;
+        FreshAlloc fresh;
+    };
 
-    // Transparent-failover state.
-    BackendResolver resolver_;
-    FailoverConfig fo_cfg_;
+    /** Everything a front-end crash loses; simulateCrash() assigns {}. */
+    struct Volatile
+    {
+        View view;
+        /** Writer locks currently held: (backend, ds) pairs. */
+        std::map<std::pair<NodeId, DsId>, bool> held_locks;
+        /** Last observed writer generation per (backend, ds). */
+        std::map<std::pair<NodeId, DsId>, uint64_t> writer_gen;
+        /** Last observed gc_epoch per (backend, ds) (MV invalidation). */
+        std::map<std::pair<NodeId, DsId>, uint64_t> gc_epoch_seen;
+        /** Last observed seqlock SN per (backend, ds) (stale-cache guard). */
+        std::map<std::pair<NodeId, DsId>, uint64_t> sn_seen;
+        /** Tracked read addresses for seqlock conflict invalidation. */
+        std::vector<RemotePtr> tracked_reads;
+        bool tracking = false;
+        // Callbacks registered by live data structure handles.
+        std::map<std::pair<NodeId, DsId>, Replayer> replayers;
+        std::map<std::pair<NodeId, DsId>, std::function<Status()>>
+            failover_hooks;
+        std::map<std::pair<NodeId, DsId>, std::function<Status()>>
+            flush_hooks;
+        std::map<std::pair<NodeId, DsId>, std::function<Status()>>
+            post_flush_hooks;
+        std::deque<RetiredRegion> local_retired;
+        uint32_t ops_in_batch = 0;
+        bool in_op = false; //!< between opBegin and opEnd
+        /** Reads parked by suspended ops; the awaitables live in their
+         *  coroutine frames, which stay alive until resumed past
+         *  co_await. */
+        std::vector<ReadAwaitable *> pending_reads;
+        /** Set when a pipelined opBegin posted its op log asynchronously:
+         *  the drain flush must fence even at batch_size 1. */
+        bool pipeline_posted_ops = false;
+        /** Set when a pipelined opEnd hit its batch boundary: the commit
+         *  is coalesced into one flushAll at window drain. */
+        bool pipeline_commit_deferred = false;
+        // Write-pipelining window state (also cleared at every drain).
+        /** Monotone sequence bumped by every window write (logWrite/free). */
+        uint64_t pipe_write_seq = 0;
+        /** addr -> seq of the latest window write there (read-set checks). */
+        std::unordered_map<uint64_t, uint64_t> pipe_dirty;
+        /** (ds, conflict key) -> gate ticket of the owning in-flight op. */
+        std::map<std::pair<uint64_t, uint64_t>, uint64_t> pipe_gates;
+    } vol_;
+
+    /**
+     * Everything resetStats() zeroes: the session's own SessionStats
+     * fields (stats() adds what the verbs, the cache and the RPC channels
+     * own), the promotion-race outcomes and the latency histograms.
+     */
+    struct Counters : SessionStats
+    {
+        std::map<NodeId, PromotionCounters> promo; //!< race outcomes
+        Histogram hist_commit; //!< group-commit (opEnd / flushAll) latency
+        Histogram hist_fanout; //!< multi-back-end fan-out flush latency
+        Histogram hist_read_remote; //!< reads that issued remote verbs
+        Histogram hist_read_local;  //!< reads served from overlay/pin/cache
+    } ctr_;
+
+    // Call-scoped flags: set and cleared (or overwritten) by the call
+    // that owns them, so no reset touches them.
+    bool in_flush_ = false;
     bool in_failover_ = false; //!< guards re-entry from recovery's flush
-    bool in_op_ = false;       //!< between opBegin and opEnd
     NodeId last_failed_node_ = 0; //!< set when a flush fails
-    uint64_t failovers_completed_ = 0;
-    uint64_t failover_wait_ns_ = 0;
-    std::map<NodeId, PromotionCounters> promo_; //!< race outcomes
-
-    // Per-path latency observability (virtual ns).
-    Histogram hist_commit_; //!< group-commit (opEnd / flushAll) latency
-    Histogram hist_fanout_; //!< multi-back-end fan-out flush latency
-    Histogram hist_read_remote_; //!< reads that issued remote verbs
-    Histogram hist_read_local_;  //!< reads served from overlay/pin/cache
     bool last_read_remote_ = false; //!< set by readInner for read()
+    bool pipeline_active_ = false; //!< reactor owns scheduling
+    uint32_t inline_ops_ = 0;      //!< runInline nesting depth
 
-    // Traversal prefetch (read-side doorbell batching).
-    PrefetchEngine prefetch_;
     /** One speculative neighbor read kept for the current gather. */
     struct GatherSpec
     {
@@ -1103,43 +1163,6 @@ class FrontendSession
     std::vector<ReadAwaitable *> gather_posted_;      //!< demanded, posted
     std::vector<std::vector<uint8_t>> prefetch_bufs_; //!< gather landing
     std::vector<uint64_t> room_steps_; //!< cumulative fill bytes (planRoom)
-    uint64_t prefetch_batches_ = 0; //!< gathers that carried speculation
-    uint64_t prefetch_issued_ = 0;  //!< speculative WQEs issued
-    uint64_t prefetch_gated_ = 0;   //!< misses the speculation gate kept
-
-    // Pipelined-operation reactor state (executePipelined).
-    bool pipeline_active_ = false; //!< reactor owns scheduling
-    uint32_t inline_ops_ = 0;      //!< runInline nesting depth
-    /** Reads parked by suspended ops; the awaitables live in their
-     *  coroutine frames, which stay alive until resumed past co_await. */
-    std::vector<ReadAwaitable *> pending_reads_;
-    /** Set when a pipelined opBegin posted its op log asynchronously:
-     *  the drain flush must fence even at batch_size 1. */
-    bool pipeline_posted_ops_ = false;
-    /** Set when a pipelined opEnd hit its batch boundary: the commit is
-     *  coalesced into one flushAll at window drain. */
-    bool pipeline_commit_deferred_ = false;
-    uint64_t pipe_ops_ = 0;          //!< ops completed via the reactor
-    uint64_t pipe_runs_ = 0;         //!< executePipelined calls (depth>1)
-    uint64_t pipe_rounds_ = 0;       //!< gather service rounds
-    uint64_t pipe_batched_reads_ = 0; //!< demanded reads served in rounds
-    uint64_t pipe_solo_rounds_ = 0;  //!< rounds with <= 1 pending read
-    uint64_t pipe_max_in_flight_ = 0; //!< peak suspended ops
-    uint64_t pipe_deferred_commits_ = 0; //!< fences coalesced to drain
-    uint64_t pipe_batched_appends_ = 0;  //!< op-log appends ridden on
-                                         //!< posted WQE chains
-    uint64_t pipe_coalesced_fences_ = 0; //!< per-op fences absorbed into
-                                         //!< the drain flushAll
-    uint64_t pipe_dep_stalls_ = 0; //!< gate waits + validation restarts
-
-    // Write-pipelining window state (cleared at every drain).
-    /** Monotone sequence bumped by every window write (logWrite/free). */
-    uint64_t pipe_write_seq_ = 0;
-    /** addr -> seq of the latest window write there (read-set checks). */
-    std::unordered_map<uint64_t, uint64_t> pipe_dirty_;
-    /** (ds, conflict key) -> gate ticket of the owning in-flight op. */
-    std::map<std::pair<uint64_t, uint64_t>, uint64_t> pipe_gates_;
-    uint64_t pipe_ticket_ = 0; //!< gate ticket source (never reused)
 
     /**
      * Symmetric baseline's replication target: the remote mirror the

@@ -523,51 +523,43 @@ Verbs::pendingReadWqes() const
     return n;
 }
 
+template <typename Op>
 Status
-Verbs::read64(RemotePtr src, uint64_t *out)
-{
-    return retrying(VerbKind::Atomic, src.backend,
-                    [&] { return read64Once(src, out); });
-}
-
-Status
-Verbs::read64Once(RemotePtr src, uint64_t *out)
+Verbs::atomicOnce(RemotePtr p, uint64_t write_len, Op &&op)
 {
     RdmaTarget *t = nullptr;
-    const Status st = begin(src.backend, VerbKind::Atomic, 0, &t);
+    const Status st = begin(p.backend, VerbKind::Atomic, write_len, &t);
     charge(lat_->rdma_atomic_rtt_ns, sizeof(uint64_t));
     ++counters_.atomics;
     counters_.atomic_bytes += sizeof(uint64_t);
     if (!ok(st))
         return st;
-    if (src.offset + 8 > t->nvm->size())
+    if (p.offset + sizeof(uint64_t) > t->nvm->size())
         return Status::InvalidArgument;
-    *out = t->nvm->read64(src.offset);
+    op(*t->nvm);
+    if (write_len != 0 && t->on_write)
+        t->on_write(p.offset, sizeof(uint64_t));
     return Status::Ok;
+}
+
+Status
+Verbs::read64(RemotePtr src, uint64_t *out)
+{
+    return retrying(VerbKind::Atomic, src.backend, [&] {
+        return atomicOnce(src, 0, [&](NvmDevice &nvm) {
+            *out = nvm.read64(src.offset);
+        });
+    });
 }
 
 Status
 Verbs::write64(RemotePtr dst, uint64_t v)
 {
-    return retrying(VerbKind::Atomic, dst.backend,
-                    [&] { return write64Once(dst, v); });
-}
-
-Status
-Verbs::write64Once(RemotePtr dst, uint64_t v)
-{
-    RdmaTarget *t = nullptr;
-    const Status st = begin(dst.backend, VerbKind::Atomic,
-                            sizeof(uint64_t), &t);
-    charge(lat_->rdma_atomic_rtt_ns, sizeof(uint64_t));
-    ++counters_.atomics;
-    counters_.atomic_bytes += sizeof(uint64_t);
-    if (!ok(st))
-        return st;
-    t->nvm->write64Atomic(dst.offset, v);
-    if (t->on_write)
-        t->on_write(dst.offset, sizeof(uint64_t));
-    return Status::Ok;
+    return retrying(VerbKind::Atomic, dst.backend, [&] {
+        return atomicOnce(dst, sizeof(uint64_t), [&](NvmDevice &nvm) {
+            nvm.write64Atomic(dst.offset, v);
+        });
+    });
 }
 
 Status
@@ -575,50 +567,20 @@ Verbs::compareAndSwap(RemotePtr dst, uint64_t expected, uint64_t desired,
                       uint64_t *old)
 {
     return retrying(VerbKind::Atomic, dst.backend, [&] {
-        return compareAndSwapOnce(dst, expected, desired, old);
+        return atomicOnce(dst, sizeof(uint64_t), [&](NvmDevice &nvm) {
+            *old = nvm.compareAndSwap64(dst.offset, expected, desired);
+        });
     });
-}
-
-Status
-Verbs::compareAndSwapOnce(RemotePtr dst, uint64_t expected, uint64_t desired,
-                          uint64_t *old)
-{
-    RdmaTarget *t = nullptr;
-    const Status st = begin(dst.backend, VerbKind::Atomic,
-                            sizeof(uint64_t), &t);
-    charge(lat_->rdma_atomic_rtt_ns, sizeof(uint64_t));
-    ++counters_.atomics;
-    counters_.atomic_bytes += sizeof(uint64_t);
-    if (!ok(st))
-        return st;
-    *old = t->nvm->compareAndSwap64(dst.offset, expected, desired);
-    if (t->on_write)
-        t->on_write(dst.offset, sizeof(uint64_t));
-    return Status::Ok;
 }
 
 Status
 Verbs::fetchAdd(RemotePtr dst, uint64_t delta, uint64_t *old)
 {
-    return retrying(VerbKind::Atomic, dst.backend,
-                    [&] { return fetchAddOnce(dst, delta, old); });
-}
-
-Status
-Verbs::fetchAddOnce(RemotePtr dst, uint64_t delta, uint64_t *old)
-{
-    RdmaTarget *t = nullptr;
-    const Status st = begin(dst.backend, VerbKind::Atomic,
-                            sizeof(uint64_t), &t);
-    charge(lat_->rdma_atomic_rtt_ns, sizeof(uint64_t));
-    ++counters_.atomics;
-    counters_.atomic_bytes += sizeof(uint64_t);
-    if (!ok(st))
-        return st;
-    *old = t->nvm->fetchAdd64(dst.offset, delta);
-    if (t->on_write)
-        t->on_write(dst.offset, sizeof(uint64_t));
-    return Status::Ok;
+    return retrying(VerbKind::Atomic, dst.backend, [&] {
+        return atomicOnce(dst, sizeof(uint64_t), [&](NvmDevice &nvm) {
+            *old = nvm.fetchAdd64(dst.offset, delta);
+        });
+    });
 }
 
 } // namespace asymnvm

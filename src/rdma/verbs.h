@@ -401,11 +401,14 @@ class Verbs
     Status writeOnce(RemotePtr dst, const void *src, size_t len);
     Status writeAsyncOnce(RemotePtr dst, const void *src, size_t len);
     Status postWriteOnce(RemotePtr dst, const void *src, size_t len);
-    Status read64Once(RemotePtr src, uint64_t *out);
-    Status write64Once(RemotePtr dst, uint64_t v);
-    Status compareAndSwapOnce(RemotePtr dst, uint64_t expected,
-                              uint64_t desired, uint64_t *old);
-    Status fetchAddOnce(RemotePtr dst, uint64_t delta, uint64_t *old);
+    /**
+     * One attempt of an 8-byte atomic verb at @p p: begin, charge and
+     * count it, then bounds-check and run @p op on the target NVM. A verb
+     * that writes (@p write_len 8; 0 for read64) reports its bytes to the
+     * target's write hook.
+     */
+    template <typename Op>
+    Status atomicOnce(RemotePtr p, uint64_t write_len, Op &&op);
 
     SimClock *clock_;
     const LatencyModel *lat_;

@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "common/rand.h"
@@ -282,6 +284,172 @@ TEST(FrontendCrashStateTest, FailedCommitKeepsLocksAndSkipsPublish)
     EXPECT_NE(s->flushAll(), Status::Ok);
     EXPECT_FALSE(published);
     EXPECT_TRUE(s->holdsWriterLock(ht.id(), 1));
+}
+
+/**
+ * One of two identical clusters for CrashEqualsFreshSession: the same
+ * script prefix runs in both, so their back-end images match byte for
+ * byte at the crash point.
+ */
+struct CrashTwin
+{
+    static constexpr uint64_t kSessionId = 21;
+
+    static SessionConfig config()
+    {
+        // The cache holds every node of the script, so nothing is evicted:
+        // the cache RNG, which no reset touches, never draws.
+        SessionConfig cfg = SessionConfig::rcb(kSessionId, 8ull << 20, 64);
+        cfg.pipeline_depth = 8;
+        return cfg;
+    }
+
+    CrashTwin() : cluster(propCluster()), s(cluster.makeSession(config()))
+    {
+    }
+
+    /** Committed writes, prefetch-trained reads, then a buffered batch. */
+    void runPrefix()
+    {
+        HashTable ht;
+        BpTree bt;
+        // Few buckets: long chains, so reads learn prefetch runs.
+        ASSERT_EQ(HashTable::create(*s, 1, "h", 16, &ht), Status::Ok);
+        ASSERT_EQ(BpTree::create(*s, 1, "b", &bt), Status::Ok);
+        for (Key k = 1; k <= 200; ++k) {
+            ASSERT_EQ(ht.put(k, Value::ofU64(k)), Status::Ok);
+            ASSERT_EQ(bt.insert(k, Value::ofU64(k)), Status::Ok);
+        }
+        ASSERT_EQ(s->flushAll(), Status::Ok);
+        // Two passes train the chain runs; descending keys walk each
+        // chain to its far end last (new keys go in at the head).
+        Value v;
+        for (int pass = 0; pass < 2; ++pass)
+            for (Key k = 200; k >= 1; --k) {
+                ASSERT_EQ(ht.get(k, &v), Status::Ok);
+                ASSERT_EQ(bt.find(k, &v), Status::Ok);
+            }
+        // Recovery replays these; the hash chains stay cold for the
+        // script's gets, whose first misses show any surviving runs.
+        for (Key k = 201; k <= 240; ++k)
+            ASSERT_EQ(bt.insert(k, Value::ofU64(k)), Status::Ok);
+        ASSERT_GT(s->opsInBatch(), 0u);
+    }
+
+    /** Reopen both structures and run the recovery protocol. */
+    void reopenAndRecover()
+    {
+        ASSERT_EQ(HashTable::open(*s, 1, "h", &ht), Status::Ok);
+        ASSERT_EQ(BpTree::open(*s, 1, "b", &bt), Status::Ok);
+        ASSERT_EQ(s->recover(), Status::Ok);
+    }
+
+    /** The post-recovery script; returns every value it read. */
+    std::vector<uint64_t> runScript()
+    {
+        std::vector<uint64_t> seen;
+        // One depth-8 window of hash gets and B+tree finds, on a cold
+        // cache.
+        std::vector<Value> got(32);
+        std::vector<OpTask> ops;
+        for (Key k = 1; k <= 16; ++k)
+            ops.push_back(ht.getAsync(k * 13, &got[k - 1]));
+        for (Key k = 17; k <= 32; ++k)
+            ops.push_back(bt.findAsync(k * 7, &got[k - 1]));
+        std::vector<Status> sts(ops.size());
+        s->executePipelined(ops, sts);
+        for (size_t i = 0; i < ops.size(); ++i)
+            seen.push_back(ok(sts[i]) ? got[i].asU64() : 0);
+        Value v;
+        for (Key k = 1; k <= 240; ++k) {
+            seen.push_back(ok(ht.get(k, &v)) ? v.asU64() : 0);
+            seen.push_back(ok(bt.find(k, &v)) ? v.asU64() : 0);
+        }
+        for (Key k = 300; k <= 350; ++k)
+            EXPECT_EQ(ht.put(k, Value::ofU64(k)), Status::Ok);
+        for (Key k = 300; k <= 400; ++k)
+            EXPECT_EQ(bt.insert(k, Value::ofU64(k)), Status::Ok);
+        EXPECT_EQ(s->flushAll(), Status::Ok);
+        return seen;
+    }
+
+    std::vector<uint8_t> image()
+    {
+        NvmDevice &nvm = cluster.backend(1)->nvm();
+        std::vector<uint8_t> bytes(nvm.size());
+        nvm.read(0, bytes.data(), bytes.size());
+        return bytes;
+    }
+
+    Cluster cluster;
+    std::unique_ptr<FrontendSession> s;
+    HashTable ht;
+    BpTree bt;
+};
+
+void
+expectSameTraffic(const VerbCounters &a0, const VerbCounters &a1,
+                  const VerbCounters &b0, const VerbCounters &b1)
+{
+    EXPECT_EQ(a1.reads - a0.reads, b1.reads - b0.reads);
+    EXPECT_EQ(a1.read_bytes - a0.read_bytes, b1.read_bytes - b0.read_bytes);
+    EXPECT_EQ(a1.writes - a0.writes, b1.writes - b0.writes);
+    EXPECT_EQ(a1.write_bytes - a0.write_bytes,
+              b1.write_bytes - b0.write_bytes);
+    EXPECT_EQ(a1.posted - a0.posted, b1.posted - b0.posted);
+    EXPECT_EQ(a1.posted_bytes - a0.posted_bytes,
+              b1.posted_bytes - b0.posted_bytes);
+    EXPECT_EQ(a1.atomics - a0.atomics, b1.atomics - b0.atomics);
+    EXPECT_EQ(a1.atomic_bytes - a0.atomic_bytes,
+              b1.atomic_bytes - b0.atomic_bytes);
+    EXPECT_EQ(a1.doorbells - a0.doorbells, b1.doorbells - b0.doorbells);
+    EXPECT_EQ(a1.wqes - a0.wqes, b1.wqes - b0.wqes);
+    EXPECT_EQ(a1.read_gathers - a0.read_gathers,
+              b1.read_gathers - b0.read_gathers);
+}
+
+/**
+ * A front-end crash loses all volatile state (Section 7, cases 1 and 2):
+ * after simulateCrash() and recover(), the session must cost exactly what
+ * a brand-new process with the same session id costs when it recovers
+ * the same image from the same virtual time. Any state the crash leaves
+ * behind (a warm cache, learned prefetch runs, a stale shadow) shows up
+ * as a clock or verb-count difference.
+ */
+TEST(FrontendCrashStateTest, CrashEqualsFreshSession)
+{
+    CrashTwin crashed;
+    CrashTwin fresh;
+    ASSERT_NE(crashed.s, nullptr);
+    ASSERT_NE(fresh.s, nullptr);
+    crashed.runPrefix();
+    fresh.runPrefix();
+    ASSERT_EQ(crashed.s->clock().now(), fresh.s->clock().now());
+    ASSERT_TRUE(crashed.image() == fresh.image());
+    const uint64_t t0 = crashed.s->clock().now();
+
+    crashed.s->simulateCrash();
+    const VerbCounters a0 = crashed.s->verbs().counters();
+    fresh.s.reset(); // the process is gone; its back-end slot stays
+    fresh.s = fresh.cluster.makeSession(CrashTwin::config());
+    ASSERT_NE(fresh.s, nullptr);
+    ASSERT_LT(fresh.s->clock().now(), t0);
+    fresh.s->clock().advanceTo(t0);
+    const VerbCounters b0 = fresh.s->verbs().counters();
+
+    crashed.reopenAndRecover();
+    fresh.reopenAndRecover();
+    EXPECT_EQ(crashed.s->clock().now(), fresh.s->clock().now())
+        << "recovery";
+    const std::vector<uint64_t> a_seen = crashed.runScript();
+    const std::vector<uint64_t> b_seen = fresh.runScript();
+    EXPECT_EQ(a_seen, b_seen);
+    EXPECT_EQ(crashed.s->clock().now() - t0, fresh.s->clock().now() - t0);
+    expectSameTraffic(a0, crashed.s->verbs().counters(), b0,
+                      fresh.s->verbs().counters());
+    EXPECT_EQ(crashed.s->cache().evictions(), 0u);
+    EXPECT_EQ(fresh.s->cache().evictions(), 0u);
+    EXPECT_GT(crashed.s->stats().pipeline.rounds, 0u); // the window ran
 }
 
 INSTANTIATE_TEST_SUITE_P(

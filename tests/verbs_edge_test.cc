@@ -77,6 +77,42 @@ TEST_F(VerbsEdgeTest, BoundaryAccessAllowed)
     EXPECT_EQ(out, 7u);
 }
 
+// The atomic writes check their bound like read64: an 8-byte word that
+// does not lie wholly inside the device fails the verb and writes
+// nothing, whether it straddles the end or lies far past it.
+constexpr uint64_t kFarOffset = 1ull << 40;
+
+TEST_F(VerbsEdgeTest, OutOfBoundsWrite64Rejected)
+{
+    for (const uint64_t off : {dev.size() - 4, dev.size(), kFarOffset})
+        EXPECT_EQ(verbs.write64(RemotePtr(1, off), 7),
+                  Status::InvalidArgument)
+            << off;
+    EXPECT_EQ(verbs.counters().atomics, 3u); // each still charged a verb
+}
+
+TEST_F(VerbsEdgeTest, OutOfBoundsCompareAndSwapRejected)
+{
+    for (const uint64_t off : {dev.size() - 4, dev.size(), kFarOffset}) {
+        uint64_t old = 0xdead;
+        EXPECT_EQ(verbs.compareAndSwap(RemotePtr(1, off), 0, 7, &old),
+                  Status::InvalidArgument)
+            << off;
+        EXPECT_EQ(old, 0xdeadu) << off;
+    }
+}
+
+TEST_F(VerbsEdgeTest, OutOfBoundsFetchAddRejected)
+{
+    for (const uint64_t off : {dev.size() - 4, dev.size(), kFarOffset}) {
+        uint64_t old = 0xdead;
+        EXPECT_EQ(verbs.fetchAdd(RemotePtr(1, off), 1, &old),
+                  Status::InvalidArgument)
+            << off;
+        EXPECT_EQ(old, 0xdeadu) << off;
+    }
+}
+
 TEST_F(VerbsEdgeTest, Write64IsImmediatelyDurable)
 {
     verbs.write64(RemotePtr(1, 512), 0xabc);
