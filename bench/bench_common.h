@@ -310,9 +310,10 @@ printRetryCounters(const char *label, const RetryStats &r,
 
 /**
  * One line of the pipelined-execution profile: configured depth, ops run
- * through the reactor, gather rounds and the demanded reads they served
- * (overlap = reads per round — the RTT amortization factor), stall
- * rounds (<= 1 read pending), peak in-flight ops, and commit fences
+ * through the reactor, flights (its read gathers, printed as rounds)
+ * and the demanded reads they served (overlap = reads per flight — the
+ * RTT amortization factor), solo flights (one demanded read), peak
+ * in-flight ops, and commit fences
  * coalesced to window drains. Write-pipelining adds op-log appends that
  * rode a batched WQE chain instead of a solo fenced write, per-op
  * commit fences absorbed into the drain flushAll, and dependency

@@ -238,11 +238,14 @@ struct PrefetchStats
  * Operation-pipelining observability (coroutine-overlapped round trips).
  *
  * The reactor behind FrontendSession::executePipelined admits up to
- * `pipeline_depth` operations, and every service `round` turns all
- * suspended ops' demanded reads into one doorbell-batched gather —
- * `batched_reads / rounds` is therefore the achieved overlap factor,
- * and `solo_rounds` counts rounds that had nothing to overlap with
- * (pipeline stalls: the window drained to one blocked op). `ops` counts
+ * `pipeline_depth` operations and launches their parked reads as
+ * *flights*: doorbell-batched gathers, up to two on the wire at once
+ * (DESIGN.md §11). `rounds`, `solo_rounds` and `batched_reads` count
+ * flights: `rounds` is flights launched with at least one read on the
+ * wire, `batched_reads / rounds` the demanded reads per flight (the
+ * overlap factor), and `solo_rounds` the flights that carried a single
+ * demanded read. perfbench's `frontend.pipeline_overlap` and
+ * `frontend.pipeline_solo_round_frac` read these fields. `ops` counts
  * operations completed through the pipelined executor (depth > 1 only;
  * depth 1 runs the serial path and leaves all of this zero).
  */
@@ -251,10 +254,10 @@ struct PipelineStats
     uint64_t depth = 0;         //!< configured pipeline_depth
     uint64_t ops = 0;           //!< ops completed via the pipelined path
     uint64_t runs = 0;          //!< executePipelined invocations (depth>1)
-    uint64_t rounds = 0;        //!< reactor service rounds (gather waves)
-    uint64_t batched_reads = 0; //!< demanded reads served in shared rounds
-    uint64_t solo_rounds = 0;   //!< rounds with <= 1 pending read (stalls)
-    uint64_t max_in_flight = 0; //!< peak ops suspended concurrently
+    uint64_t rounds = 0;        //!< flights launched (read gathers)
+    uint64_t batched_reads = 0; //!< demanded reads the flights served
+    uint64_t solo_rounds = 0;   //!< flights of a single demanded read
+    uint64_t max_in_flight = 0; //!< peak ops admitted concurrently
     uint64_t deferred_commits = 0; //!< commit fences coalesced to drain
     uint64_t batched_appends = 0;  //!< op-log appends posted onto a WQE
                                    //!< chain instead of fenced solo

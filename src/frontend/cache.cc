@@ -113,8 +113,7 @@ PageCache::insertSpeculative(DsId ds, RemotePtr addr, const void *data,
     // An invalidateDs between gather issue and completion outranks the
     // data: the fetched bytes may predate a gc-epoch bump (reclaimed NVM
     // could already be reused), so the in-flight entry is dropped.
-    auto eit = vol_.ds_min_epoch.find(ds);
-    if (eit != vol_.ds_min_epoch.end() && issue_epoch < eit->second) {
+    if (invalidatedSince(ds, issue_epoch)) {
         recordSpec(ds, false);
         return;
     }
@@ -173,6 +172,15 @@ PageCache::admitSpeculation(DsId ds)
     if (speculationPays(ds))
         return true;
     return ++vol_.spec_ledger[ds].closed_misses % kProbeInterval == 0;
+}
+
+bool
+PageCache::invalidatedSince(DsId ds, uint64_t issue_epoch) const
+{
+    if (issue_epoch < cleared_epoch_)
+        return true;
+    auto it = vol_.ds_min_epoch.find(ds);
+    return it != vol_.ds_min_epoch.end() && issue_epoch < it->second;
 }
 
 bool
@@ -239,6 +247,7 @@ void
 PageCache::clear()
 {
     vol_ = {};
+    cleared_epoch_ = ++epoch_;
     // Write-allocate can fill the cache with 64 B value cells, hundreds
     // of thousands of them in a roomy cache. Sizing the table for that
     // up front spares the host a rehash of every entry at each growth.

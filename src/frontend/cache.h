@@ -136,6 +136,14 @@ class PageCache
      */
     uint64_t epochNow() const { return epoch_; }
 
+    /**
+     * True when @p ds's entries were invalidated, or the whole cache
+     * cleared, after the epochNow() snapshot @p issue_epoch: bytes read
+     * under that snapshot may predate the invalidation and must not be
+     * installed. No charge.
+     */
+    bool invalidatedSince(DsId ds, uint64_t issue_epoch) const;
+
     uint64_t hits() const { return ctr_.hits; }
     uint64_t misses() const { return ctr_.misses; }
     uint64_t evictions() const { return ctr_.evictions; }
@@ -230,7 +238,8 @@ class PageCache
 
     // Wiring: never reset. The RNG keeps its stream across clear(), and
     // tick_ and epoch_ never repeat a value: a gather's epochNow()
-    // snapshot may still be held across a clear().
+    // snapshot may still be held across a clear(), which bumps epoch_
+    // and records it in cleared_epoch_.
     CachePolicy policy_;
     uint64_t capacity_;
     SimClock *clock_;
@@ -239,6 +248,7 @@ class PageCache
     Rng rng_;
     uint64_t tick_ = 0;
     uint64_t epoch_ = 1;
+    uint64_t cleared_epoch_ = 0; //!< epoch_ at the last clear()
     std::vector<Drawn> sample_; //!< Hybrid scratch: the current sample
 
     /** The contents: everything clear() drops. */

@@ -22,15 +22,16 @@
  * running; on a remote miss it parks a PendingRead with the session's
  * reactor and suspends. The reactor
  * (FrontendSession::executePipelined) keeps a window of
- * `SessionConfig::pipeline_depth` operations admitted, collects every
- * suspended op's demanded read, and serves the whole round as ONE
- * doorbell-batched read chain (Verbs::readGather — one doorbell, one NIC
- * arrival, one RTT plus combined wire bytes). N in-flight depth-d lookups
- * thus cost ~d round trips instead of N*d.
+ * `SessionConfig::pipeline_depth` operations admitted and launches the
+ * suspended ops' demanded reads as doorbell-batched read chains
+ * (Verbs::readGather — one doorbell, one NIC arrival, one RTT plus
+ * combined wire bytes), up to two on the wire at once; while one is,
+ * it resumes every op that is not waiting on it. N in-flight depth-d
+ * lookups thus cost ~d round trips instead of N*d.
  *
  * Write ops pipeline in two phases. Phase A — the traversal reads the
  * op performs before its first write — suspends like a lookup and joins
- * the shared read round; every read is stamped with the session-local
+ * a shared read gather; every read is stamped with the session-local
  * write sequence it observed. Phase B — the write-out — runs inline and
  * unsuspended once the read set validates, so it is atomic with respect
  * to sibling window ops. A same-key/same-structure conflict is prevented
@@ -38,9 +39,9 @@
  * retires), and a stale read set (a sibling wrote under a suspended
  * descent) triggers a re-descent against the now-local tiers rather than
  * a wire retry. The ops' op-log/memory-log appends ride one
- * doorbell-batched WQE chain per round, and their commit fences coalesce
- * into a single flush at window drain (PipelineStats::{batched_appends,
- * coalesced_fences}).
+ * doorbell-batched WQE chain per read gather, and their commit fences
+ * coalesce into a single flush at window drain
+ * (PipelineStats::{batched_appends, coalesced_fences}).
  *
  * Depth 1 (the default) and inline ops never suspend: asyncRead falls
  * through to FrontendSession::read and opBegin/opEnd keep their per-op

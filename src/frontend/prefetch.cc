@@ -1,5 +1,6 @@
 #include "frontend/prefetch.h"
 
+#include <algorithm>
 #include <iterator>
 
 namespace asymnvm {
@@ -24,8 +25,19 @@ PrefetchEngine::onAccess(DsId ds, uint64_t stream, uint64_t addr_raw,
     if (!run.building.empty() && run.building.front().addr_raw == addr_raw) {
         // The walk wrapped back to the run's head: the recorded run is a
         // complete traversal — commit it as the prediction and start
-        // recording the next pass.
-        run.committed = std::move(run.building);
+        // recording the next pass. A walk that stopped early (a lookup
+        // that found its key at the head) is a strict prefix of the
+        // committed run and tells nothing new: the deeper run stays.
+        const bool prefix =
+            run.building.size() < run.committed.size() &&
+            std::equal(run.building.begin(), run.building.end(),
+                       run.committed.begin(),
+                       [](const PrefetchCandidate &a,
+                          const PrefetchCandidate &b) {
+                           return a.addr_raw == b.addr_raw && a.len == b.len;
+                       });
+        if (!prefix)
+            run.committed = std::move(run.building);
         run.building.clear();
         run.building.push_back(PrefetchCandidate{addr_raw, len});
         return;

@@ -62,7 +62,9 @@ class PrefetchEngine
      * @p stream. Re-visiting the first address of the run under
      * construction commits that run as the stream's prediction and starts
      * recording the next one — so a bucket chain's full membership is
-     * predictable from its second traversal on.
+     * predictable from its second traversal on. A recorded run that is a
+     * strict prefix of the committed one (a walk that stopped early)
+     * keeps the committed run.
      */
     void onAccess(DsId ds, uint64_t stream, uint64_t addr_raw,
                   uint32_t len);

@@ -1,8 +1,10 @@
 #include "frontend/session.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
+#include <deque>
 #include <thread>
 
 #include "common/hash.h"
@@ -268,12 +270,15 @@ FrontendSession::readInner(RemotePtr addr, void *dst, uint32_t len,
     if (readLocal(rd))
         return rd.result;
     // Remote NVM, gathering speculative neighbor reads in the same
-    // doorbell when the hint carries any (read-side doorbell batching).
+    // doorbell when the hint carries any (read-side doorbell batching):
+    // a flight of one read that lands at once.
     last_read_remote_ = true;
-    ReadAwaitable *const miss = &rd;
-    gatherMisses({&miss, 1});
-    if (ok(rd.result))
-        fillAfterMiss(rd);
+    Flight &f = serial_flight_;
+    f.reads.assign(1, &rd);
+    f.posted.assign(1, &rd);
+    f.copies.clear();
+    sendFlight(f, /*posted=*/false);
+    landFlight(f);
     return rd.result;
 }
 
@@ -334,16 +339,17 @@ FrontendSession::cacheHit(ReadAwaitable &rd)
 }
 
 void
-FrontendSession::fillAfterMiss(ReadAwaitable &rd)
+FrontendSession::fillAfterMiss(ReadAwaitable &rd, bool install)
 {
     if (rd.cacheable && rd.admitted) {
         // Only admitted levels feed the miss-ratio window; reads the
         // threshold excludes by design must not drag N further down.
         if (rd.hint.admission != nullptr)
             rd.hint.admission->record(false);
-        cache_->insert(rd.hint.ds, rd.addr, rd.dst, rd.len);
+        if (install)
+            cache_->insert(rd.hint.ds, rd.addr, rd.dst, rd.len);
     }
-    if (rd.hint.pin) {
+    if (rd.hint.pin && install) {
         auto &slot = vol_.view.pinned[rd.addr.raw()];
         slot.assign(static_cast<uint8_t *>(rd.dst),
                     static_cast<uint8_t *>(rd.dst) + rd.len);
@@ -351,7 +357,7 @@ FrontendSession::fillAfterMiss(ReadAwaitable &rd)
 }
 
 void
-FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
+FrontendSession::sendFlight(Flight &f, bool posted)
 {
     // Speculative neighbors per miss (ReadHint::neighbors and learned
     // pointer-chain runs), kept only when worth the wire bytes: dedupe,
@@ -361,8 +367,8 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
     // structure fails the speculation gate (its speculative entries are
     // mostly wasted) posts its demanded read alone, as with
     // read_prefetch off; a probe now and then keeps the gate honest.
-    gather_specs_.clear();
-    for (ReadAwaitable *aw : misses) {
+    f.specs.clear();
+    for (ReadAwaitable *aw : f.posted) {
         const ReadHint &hint = aw->hint;
         if (!cfg_.read_prefetch || !cfg_.use_cache || !hint.cacheable ||
             (hint.neighbors.empty() && hint.stream == 0))
@@ -385,113 +391,153 @@ FrontendSession::gatherMisses(std::span<ReadAwaitable *const> misses)
             if (p.isNull() || p.backend != aw->addr.backend)
                 continue;
             bool dup = false;
-            for (const ReadAwaitable *d : misses)
+            for (const ReadAwaitable *d : f.posted)
                 if (d->addr.raw() == c.addr_raw) {
                     dup = true;
                     break;
                 }
-            for (size_t j = 0; !dup && j < gather_specs_.size(); ++j)
-                if (gather_specs_[j].addr_raw == c.addr_raw)
+            for (size_t j = 0; !dup && j < f.specs.size(); ++j)
+                if (f.specs[j].addr_raw == c.addr_raw)
                     dup = true;
             const auto &overlay = vol_.view.overlay;
             if (dup || (!overlay.empty() && overlay.count(c.addr_raw) != 0))
                 continue;
             if (cache_->contains(p, c.len))
                 continue;
-            gather_specs_.push_back({c.addr_raw, c.len, hint.ds});
+            f.specs.push_back({c.addr_raw, c.len, hint.ds});
             ++kept;
         }
     }
 
-    // Epoch snapshot BEFORE the gather: an invalidateDs landing while
-    // the chain is in flight outranks the fetched bytes (it is what
-    // keeps interleaved ops' cache fills coherent).
-    const uint64_t issue_epoch = cache_->epochNow();
-    gather_posted_.clear();
-    for (ReadAwaitable *aw : misses) {
+    // Snapshots BEFORE the gather: an invalidateDs or a window write
+    // landing while the chain is on the wire outranks the fetched bytes
+    // (landFlight installs none of them).
+    f.issue_epoch = cache_->epochNow();
+    f.launch_seq = vol_.pipe_write_seq;
+    size_t nposted = 0;
+    for (ReadAwaitable *aw : f.posted) {
         const Status pst = verbs_.postRead(aw->addr, aw->dst, aw->len);
         if (ok(pst))
-            gather_posted_.push_back(aw);
+            f.posted[nposted++] = aw;
         else
             aw->result = pst;
     }
-    if (prefetch_bufs_.size() < gather_specs_.size())
-        prefetch_bufs_.resize(gather_specs_.size());
+    f.posted.resize(nposted);
+    if (f.bufs.size() < f.specs.size())
+        f.bufs.resize(f.specs.size());
     size_t nspec = 0;
-    for (const GatherSpec &sp : gather_specs_) {
-        prefetch_bufs_[nspec].resize(sp.len);
+    for (const GatherSpec &sp : f.specs) {
+        f.bufs[nspec].resize(sp.len);
         if (ok(verbs_.postRead(RemotePtr::fromRaw(sp.addr_raw),
-                               prefetch_bufs_[nspec].data(), sp.len)))
-            gather_specs_[nspec++] = sp;
+                               f.bufs[nspec].data(), sp.len)))
+            f.specs[nspec++] = sp;
     }
-    gather_specs_.resize(nspec);
-    // Room for the fills needs none of the fetched bytes, so the cache
-    // makes it while the gather is in flight; the fills then evict
-    // nothing themselves.
-    const Verbs::InFlightWork make_room = [this] {
-        for (uint64_t bytes : room_steps_)
-            cache_->makeRoom(bytes);
-    };
-    planRoom();
-    verbs_.tagGatherOps(gather_posted_.size());
-    Status st = verbs_.readGather(make_room);
-    if (st == Status::InvalidArgument && !gather_specs_.empty()) {
+    f.specs.resize(nspec);
+    planRoom(f);
+    verbs_.tagGatherOps(f.posted.size());
+    Status st = verbs_.readGather(&f.done_at, posted);
+    if (st == Status::InvalidArgument && !f.specs.empty()) {
         // A learned candidate fell outside the target (stale prediction
         // over reclaimed NVM): forget those predictions and re-run the
         // gather with the demanded reads alone.
-        for (const GatherSpec &sp : gather_specs_)
+        for (const GatherSpec &sp : f.specs)
             prefetch_.invalidateDs(sp.ds);
-        gather_specs_.clear();
-        for (ReadAwaitable *aw : gather_posted_)
+        f.specs.clear();
+        for (ReadAwaitable *aw : f.posted)
             verbs_.postRead(aw->addr, aw->dst, aw->len);
-        planRoom();
-        verbs_.tagGatherOps(gather_posted_.size());
-        st = verbs_.readGather(make_room);
+        planRoom(f);
+        verbs_.tagGatherOps(f.posted.size());
+        st = verbs_.readGather(&f.done_at, posted);
     }
     if (!ok(st)) {
         // The all-or-nothing chain failed on the demanded set itself
         // (torn pointer out of bounds, back-end crash). With several
         // demanded reads on it, serve each alone so only the broken op
         // fails — exactly the status its serial traversal would see.
-        const bool one_by_one = gather_posted_.size() > 1;
-        for (ReadAwaitable *aw : gather_posted_)
+        clock_.advanceTo(f.done_at); // chains to other targets delivered
+        const bool one_by_one = f.posted.size() > 1;
+        for (ReadAwaitable *aw : f.posted)
             aw->result =
                 one_by_one ? verbs_.read(aw->addr, aw->dst, aw->len) : st;
+        f.specs.clear();
+        f.room = 0;
+        f.done_at = clock_.now();
         return;
     }
-    for (ReadAwaitable *aw : gather_posted_)
+    // Room for the fills needs none of the fetched bytes, so the cache
+    // makes it while the gather is on the wire; the fills then evict
+    // nothing themselves.
+    for (uint64_t bytes : f.room_steps)
+        cache_->makeRoom(bytes);
+    flight_room_ += f.room;
+    for (ReadAwaitable *aw : f.posted)
         aw->result = Status::Ok;
-    if (gather_specs_.empty())
-        return;
-    ++ctr_.prefetch.batches;
-    ctr_.prefetch.issued += gather_specs_.size();
-    for (size_t i = 0; i < gather_specs_.size(); ++i) {
-        const GatherSpec &sp = gather_specs_[i];
+}
+
+void
+FrontendSession::planRoom(Flight &f)
+{
+    f.room_steps.clear();
+    uint64_t bytes = 0;
+    const auto step = [&](uint32_t len) {
+        if (len <= cache_->capacity()) // insert skips larger objects
+            f.room_steps.push_back(flight_room_ + (bytes += len));
+    };
+    for (const ReadAwaitable *aw : f.posted)
+        if (aw->cacheable && aw->admitted &&
+            !cache_->contains(aw->addr, aw->len))
+            step(aw->len);
+    for (const GatherSpec &sp : f.specs)
+        step(sp.len);
+    f.room = bytes;
+}
+
+void
+FrontendSession::landFlight(Flight &f)
+{
+    clock_.advanceTo(f.done_at);
+    flight_room_ -= f.room;
+    f.room = 0;
+    // Fill guard: a window write stamped after the launch, or an
+    // invalidation since, makes the fetched bytes stale; installed, they
+    // would outlive the overlay that now hides them.
+    const auto written = [&](uint64_t raw) {
+        if (vol_.pipe_dirty.empty())
+            return false;
+        const auto it = vol_.pipe_dirty.find(raw);
+        return it != vol_.pipe_dirty.end() && it->second > f.launch_seq;
+    };
+    if (!f.specs.empty()) {
+        ++ctr_.prefetch.batches;
+        ctr_.prefetch.issued += f.specs.size();
+    }
+    for (size_t i = 0; i < f.specs.size(); ++i) {
+        const GatherSpec &sp = f.specs[i];
+        if (written(sp.addr_raw))
+            continue;
         const RemotePtr p = RemotePtr::fromRaw(sp.addr_raw);
-        cache_->insertSpeculative(sp.ds, p, prefetch_bufs_[i].data(),
-                                  sp.len, issue_epoch);
+        cache_->insertSpeculative(sp.ds, p, f.bufs[i].data(), sp.len,
+                                  f.issue_epoch);
         // Speculative bytes are subject to the same seqlock-conflict
         // invalidation as the demanded reads.
         if (vol_.tracking)
             vol_.tracked_reads.push_back(p);
     }
-}
-
-void
-FrontendSession::planRoom()
-{
-    room_steps_.clear();
-    uint64_t bytes = 0;
-    const auto step = [&](uint32_t len) {
-        if (len <= cache_->capacity()) // insert skips larger objects
-            room_steps_.push_back(bytes += len);
-    };
-    for (const ReadAwaitable *aw : gather_posted_)
-        if (aw->cacheable && aw->admitted &&
-            !cache_->contains(aw->addr, aw->len))
-            step(aw->len);
-    for (const GatherSpec &sp : gather_specs_)
-        step(sp.len);
+    for (auto &[dup, prim] : f.copies) {
+        dup->result = prim->result;
+        if (ok(prim->result)) {
+            std::memcpy(dup->dst, prim->dst, dup->len);
+            clock_.advance(lat_.dram_access_ns);
+        }
+    }
+    // Post-miss bookkeeping each op's serial path would have done
+    // (admission window, cache fill, batch-local pin).
+    for (ReadAwaitable *aw : f.reads)
+        if (ok(aw->result))
+            fillAfterMiss(*aw,
+                          !written(aw->addr.raw()) &&
+                              !cache_->invalidatedSince(aw->hint.ds,
+                                                        f.issue_epoch));
 }
 
 // ---------------------------------------------------------------------
@@ -551,71 +597,53 @@ FrontendSession::pipelineRefreshIfStale(ReadAwaitable &aw)
 }
 
 void
-FrontendSession::serveBatchRound()
+FrontendSession::launchFlight(Flight &f, bool posted)
 {
-    if (vol_.pending_reads.empty())
-        return;
-    std::vector<ReadAwaitable *> round = std::move(vol_.pending_reads);
-    vol_.pending_reads.clear();
+    f.local.clear();
+    f.posted.clear();
+    f.copies.clear();
     // A sibling op's window write may have landed at a parked read's
     // address after it suspended: such reads re-run the local tiers
     // (overlay now holds the fresh bytes — read-your-writes) instead of
     // fetching a stale remote image. Reads at clean addresses skip the
-    // recheck entirely, so write-free (read-only) rounds are untouched.
-    std::vector<ReadAwaitable *> remote;
-    remote.reserve(round.size());
-    for (ReadAwaitable *aw : round) {
+    // recheck entirely, so write-free (read-only) flights are untouched.
+    size_t n = 0;
+    for (ReadAwaitable *aw : f.reads) {
         aw->served_seq = vol_.pipe_write_seq; // service time is now
         if (vol_.pipe_dirty.count(aw->addr.raw()) != 0 &&
             pipelineRecheckLocal(*aw))
-            continue;
-        remote.push_back(aw);
+            f.local.push_back(aw);
+        else
+            f.reads[n++] = aw;
     }
-    if (remote.empty())
-        return; // everything was served locally: not a gather round
-    round = std::move(remote);
+    f.reads.resize(n);
+    f.launched_at = clock_.now();
+    f.done_at = f.launched_at;
+    f.specs.clear();
+    f.room = 0;
+    if (f.reads.empty())
+        return; // everything was served locally: nothing on the wire
     ++ctr_.pipeline.rounds;
-    if (round.size() <= 1)
+    if (f.reads.size() <= 1)
         ++ctr_.pipeline.solo_rounds; // nothing to overlap with: a stall
-    ctr_.pipeline.batched_reads += round.size();
-    const uint64_t t0 = clock_.now();
+    ctr_.pipeline.batched_reads += f.reads.size();
 
     // Dedupe demanded addresses across ops: the first op fetches, the
     // rest copy its bytes (two lookups of one hot node share the wire).
-    std::vector<ReadAwaitable *> primaries;
-    primaries.reserve(round.size());
-    std::vector<std::pair<ReadAwaitable *, ReadAwaitable *>> copies;
-    for (ReadAwaitable *aw : round) {
+    for (ReadAwaitable *aw : f.reads) {
         ReadAwaitable *prim = nullptr;
-        for (ReadAwaitable *p : primaries) {
+        for (ReadAwaitable *p : f.posted) {
             if (p->addr.raw() == aw->addr.raw() && p->len == aw->len) {
                 prim = p;
                 break;
             }
         }
         if (prim != nullptr)
-            copies.emplace_back(aw, prim);
+            f.copies.emplace_back(aw, prim);
         else
-            primaries.push_back(aw);
+            f.posted.push_back(aw);
     }
-
-    // One gather serves every distinct miss plus speculative neighbors.
-    gatherMisses(primaries);
-    for (auto &[dup, prim] : copies) {
-        dup->result = prim->result;
-        if (ok(prim->result)) {
-            std::memcpy(dup->dst, prim->dst, dup->len);
-            clock_.advance(lat_.dram_access_ns);
-        }
-    }
-    // Post-miss bookkeeping each op's serial path would have done
-    // (admission window, cache fill, batch-local pin).
-    for (ReadAwaitable *aw : round) {
-        if (!ok(aw->result))
-            continue;
-        fillAfterMiss(*aw);
-        ctr_.hist_read_remote.record(clock_.now() - t0);
-    }
+    sendFlight(f, posted);
 }
 
 void
@@ -623,19 +651,34 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
                                   std::span<Status> results)
 {
     assert(results.size() >= ops.size());
+    // Land @p f and account its reads' remote latency.
+    const auto land = [this](Flight &f) {
+        landFlight(f);
+        const uint64_t lat = clock_.now() - f.launched_at;
+        for (ReadAwaitable *aw : f.reads)
+            if (ok(aw->result))
+                ctr_.hist_read_remote.record(lat);
+    };
     const uint32_t depth = std::max<uint32_t>(1, cfg_.pipeline_depth);
     if (depth <= 1 || ops.size() <= 1 || pipeline_active_) {
         // Serial baseline: with no reactor active, asyncRead never
         // suspends, so one resume() drives each op to completion through
         // the unchanged read/commit paths. Under a re-entrant call (an
         // outer reactor already owns scheduling) an op CAN suspend on a
-        // parked read — drive it through service rounds until done; the
+        // parked read — serve the reads it parked as a flight that lands
+        // at once, leaving the outer window's parked reads alone; the
         // outer window's single drain flush still fences everything, so
         // no extra commit is charged here.
+        Flight f;
         for (size_t i = 0; i < ops.size(); ++i) {
+            const size_t outer = vol_.pending_reads.size();
             ops[i].resume();
             while (!ops[i].done()) {
-                serveBatchRound();
+                f.reads.assign(vol_.pending_reads.begin() + outer,
+                               vol_.pending_reads.end());
+                vol_.pending_reads.resize(outer);
+                launchFlight(f, /*posted=*/false);
+                land(f);
                 ops[i].resume();
             }
             results[i] = ops[i].status();
@@ -644,43 +687,82 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
     }
     pipeline_active_ = true;
     ++ctr_.pipeline.runs;
-    std::vector<size_t> window; // in-flight (suspended) op indices
-    window.reserve(depth);
+    // Double buffering (DESIGN.md §11, "Flights"): parked reads launch
+    // as one flight once half the window has parked or nothing else can
+    // run, at most two flights are on the wire, and while one is, the
+    // reactor resumes every op that is not waiting on it.
+    std::array<Flight, 2> flights;
+    std::array<bool, 2> busy{};
+    std::deque<size_t> ready;    // ops to resume, in order
+    std::vector<size_t> yielded; // ops waiting for a sibling's gate
+    const size_t half = std::max<uint32_t>(1, depth / 2);
     size_t next = 0;
-    // Drive one op to its next suspension point; false once it is done.
-    auto pump = [&](size_t i) {
-        ops[i].resume();
-        if (ops[i].done()) {
-            results[i] = ops[i].status();
-            ++ctr_.pipeline.ops;
-            return false;
-        }
-        return true;
+    size_t in_window = 0;
+    const auto admit = [&] {
+        for (; in_window < depth && next < ops.size(); ++in_window)
+            ready.push_back(next++);
+        ctr_.pipeline.max_in_flight =
+            std::max<uint64_t>(ctr_.pipeline.max_in_flight, in_window);
     };
-    auto admit = [&] {
-        while (window.size() < depth && next < ops.size()) {
-            const size_t i = next++;
-            if (pump(i))
-                window.push_back(i);
-        }
+    const auto launch = [&] {
+        const size_t k = busy[0] ? 1 : 0;
+        Flight &f = flights[k];
+        f.reads.assign(vol_.pending_reads.begin(), vol_.pending_reads.end());
+        vol_.pending_reads.clear();
+        // Posting CPU shows when anything runs under this flight's wait.
+        launchFlight(f, !ready.empty() || busy[1 - k]);
+        for (ReadAwaitable *aw : f.local)
+            ready.push_back(aw->waiter);
+        busy[k] = !f.reads.empty();
     };
     admit();
-    while (!window.empty()) {
-        ctr_.pipeline.max_in_flight =
-            std::max<uint64_t>(ctr_.pipeline.max_in_flight, window.size());
-        // Every in-flight op is parked on exactly one demanded read:
-        // serve them all as one gather wave, then resume each op, which
-        // either finishes, re-parks at its next hop, or frees a window
-        // slot for the next admission.
-        serveBatchRound();
-        for (size_t w = 0; w < window.size();) {
-            if (pump(window[w]))
-                ++w;
-            else
-                window.erase(window.begin() + w);
+    for (;;) {
+        while (!ready.empty()) {
+            const size_t i = ready.front();
+            ready.pop_front();
+            const size_t parked = vol_.pending_reads.size();
+            ops[i].resume();
+            if (ops[i].done()) {
+                results[i] = ops[i].status();
+                ++ctr_.pipeline.ops;
+                --in_window;
+                // Its gates went with it: every yielded op re-polls.
+                ready.insert(ready.end(), yielded.begin(), yielded.end());
+                yielded.clear();
+                admit();
+            } else if (vol_.pending_reads.size() > parked) {
+                vol_.pending_reads.back()->waiter = i;
+                if (vol_.pending_reads.size() >= half &&
+                    !(busy[0] && busy[1]))
+                    launch();
+            } else {
+                yielded.push_back(i);
+            }
         }
-        admit();
+        // Nothing else can run: launch what has parked, else wait for
+        // the flight that completes first.
+        if (!vol_.pending_reads.empty() && !(busy[0] && busy[1])) {
+            launch();
+            continue;
+        }
+        if (busy[0] || busy[1]) {
+            size_t k = busy[0] ? 0 : 1;
+            if (busy[0] && busy[1] &&
+                std::pair(flights[1].done_at, flights[1].launched_at) <
+                    std::pair(flights[0].done_at, flights[0].launched_at))
+                k = 1;
+            land(flights[k]);
+            busy[k] = false;
+            for (ReadAwaitable *aw : flights[k].reads)
+                ready.push_back(aw->waiter);
+            continue;
+        }
+        if (yielded.empty())
+            break;
+        ready.assign(yielded.begin(), yielded.end());
+        yielded.clear();
     }
+    assert(flight_room_ == 0);
     pipeline_active_ = false;
     // Window-scoped conflict state dies with the window: gates were
     // released at each op's co_return (these clears are insurance for

@@ -105,8 +105,8 @@ struct SessionConfig
     /**
      * Operations kept in flight by the pipelined executor
      * (executePipelined): while one coroutine op waits on its remote
-     * read, up to depth-1 others issue theirs, and each reactor round
-     * serves all demanded reads as one doorbell-batched gather. Depth 1
+     * read, up to depth-1 others issue theirs, and the reactor serves
+     * parked reads as doorbell-batched gathers (flights). Depth 1
      * (default) runs every op serially through the unchanged read path —
      * bit-identical wire traffic to a non-pipelined session.
      */
@@ -300,7 +300,7 @@ class FrontendSession
      * Awaitable remote read for OpTask coroutine bodies. The local
      * phases (overlay, pins, symmetric, cache) complete inline; a remote
      * miss inside an active pipeline parks the read with the reactor and
-     * suspends until the round's shared gather delivers it. Outside a
+     * suspends until the flight that serves it lands. Outside a
      * pipeline, at depth 1 and under runInline it takes the serial
      * read() — same verbs, same clock charges, same wire traffic.
      *
@@ -321,6 +321,8 @@ class FrontendSession
          *  (read-set validation: a later same-address window write makes
          *  the captured bytes stale). */
         uint64_t served_seq = 0;
+        /** Reactor index of the op parked on this read. */
+        size_t waiter = 0;
 
         /**
          * A read already complete, with no session: the caller filled
@@ -338,12 +340,12 @@ class FrontendSession
         bool await_ready();
         void await_suspend(std::coroutine_handle<> h);
         /**
-         * Read-your-writes at resume: a sibling write op resumed earlier
-         * in the SAME service round may have landed at this address
-         * after the round's gather copied its bytes — the refresh
-         * replays the local tiers (the overlay now holds the fresh
-         * image) before the coroutine consumes them. No-op outside a
-         * pipeline and for clean addresses.
+         * Read-your-writes at resume: a sibling write op may have landed
+         * at this address while the read's flight was on the wire, after
+         * its bytes were fetched — the refresh replays the local tiers
+         * (the overlay now holds the fresh image) before the coroutine
+         * consumes them. No-op outside a pipeline and for clean
+         * addresses.
          */
         Status await_resume()
         {
@@ -361,11 +363,13 @@ class FrontendSession
 
     /**
      * Run @p ops with up to pipeline_depth of them in flight, overlapping
-     * their remote-read round trips (one doorbell-batched gather per
-     * reactor round) and coalescing their commits into one group-commit
-     * fence at window drain. Results land in @p results (same indexing);
-     * completion order is data-dependent, results order is not. At depth
-     * 1 every op runs to completion serially — the ablation baseline.
+     * their remote-read round trips (parked reads launch together as one
+     * doorbell-batched gather, a flight; up to two flights are on the
+     * wire while the other ops run) and coalescing their commits into
+     * one group-commit fence at window drain. Results land in @p results
+     * (same indexing); completion order is data-dependent, results order
+     * is not. At depth 1 every op runs to completion serially — the
+     * ablation baseline.
      */
     void executePipelined(std::span<OpTask> ops,
                           std::span<Status> results);
@@ -388,9 +392,9 @@ class FrontendSession
      * Cooperative yield for write coroutines blocked on a window
      * dependency (same-key sibling still in flight): completes inline
      * outside a pipeline, suspends back to the reactor inside one. The
-     * reactor re-resumes every windowed op each service round, so the
-     * waiter re-polls its WindowGate after the owner's local effects
-     * land.
+     * reactor re-resumes every yielded op whenever a window op
+     * completes (gates are released at co_return), so the waiter
+     * re-polls its WindowGate after the owner's local effects land.
      */
     struct YieldAwaitable
     {
@@ -940,32 +944,83 @@ class FrontendSession
     Status readInner(RemotePtr addr, void *dst, uint32_t len,
                      const ReadHint &hint);
 
+    /** One speculative neighbor read kept for a flight. */
+    struct GatherSpec
+    {
+        uint64_t addr_raw;
+        uint32_t len;
+        DsId ds;
+    };
+
+    /**
+     * One launched read gather (DESIGN.md §11, "Flights"): the demanded
+     * reads it serves, the speculative neighbors it fetches with them,
+     * their landing buffers, and when it completes. A serial miss is a
+     * flight of one read that lands at once; the reactor keeps up to two
+     * in flight and runs other ops under their waits.
+     */
+    struct Flight
+    {
+        std::vector<ReadAwaitable *> reads;   //!< parked reads it serves
+        std::vector<ReadAwaitable *> local;   //!< served at launch instead
+        std::vector<ReadAwaitable *> posted;  //!< distinct, on the wire
+        /** Duplicate demanded reads and the posted read they copy. */
+        std::vector<std::pair<ReadAwaitable *, ReadAwaitable *>> copies;
+        std::vector<GatherSpec> specs;              //!< kept candidates
+        std::vector<std::vector<uint8_t>> bufs;     //!< their landing
+        std::vector<uint64_t> room_steps; //!< cumulative fill bytes
+        uint64_t room = 0;        //!< fill bytes reserved while in flight
+        uint64_t issue_epoch = 0; //!< PageCache::epochNow() at launch
+        uint64_t launch_seq = 0;  //!< pipeline write sequence at launch
+        uint64_t launched_at = 0; //!< clock before the launch
+        uint64_t done_at = 0;     //!< completion time
+    };
+
     /** Max speculative neighbor reads gathered per demanded miss. */
     static constexpr uint32_t kPrefetchDegree = 4;
 
     /**
-     * Remote-miss service for the serial read (one miss) and the reactor
-     * round (its deduped misses): post every demanded read plus up to
-     * kPrefetchDegree filtered speculative neighbors per miss as ONE
-     * doorbell-batched gather, park the extras in the cache as
-     * speculative entries, and set each miss's result. Misses whose
-     * structure fails PageCache::admitSpeculation carry no neighbors.
-     * A gather of one WQE is a plain RDMA_Read. The cache makes room
-     * for the fills while the gather is in flight (planRoom). An
-     * out-of-bounds learned candidate re-runs the gather without
-     * speculation; a failed chain of several demanded reads is
-     * re-served one read at a time.
+     * Reactor launch of the parked reads in @p f.reads: stamp them
+     * served now, move reads at window-dirtied addresses that the local
+     * tiers now serve into f.local, dedupe the rest (the first read of
+     * an address fetches, later ones copy it at landing), count the
+     * flight, and sendFlight() the distinct ones. @p posted as in
+     * Verbs::readGather: other work will run under this flight's wait.
      */
-    void gatherMisses(std::span<ReadAwaitable *const> misses);
+    void launchFlight(Flight &f, bool posted);
 
     /**
-     * Fill room_steps_ with the cumulative bytes of the cache fills the
-     * posted gather feeds: the cacheable, admitted, non-resident
-     * demanded misses, then the kept speculative candidates.
-     * PageCache::makeRoom runs once per step under the round trip, so a
-     * miss with one fill draws exactly the sample its insert would.
+     * Launch @p f.posted — the distinct demanded misses — plus up to
+     * kPrefetchDegree filtered speculative neighbors per miss as ONE
+     * doorbell-batched gather, and make cache room for its fills while
+     * it is on the wire, on top of the room other flights in flight
+     * hold (flight_room_). Misses whose structure fails
+     * PageCache::admitSpeculation carry no neighbors. An out-of-bounds
+     * learned candidate re-runs the gather without speculation; a
+     * failed chain of several demanded reads is re-served one read at a
+     * time, waiting; a failed flight installs no speculative entry.
      */
-    void planRoom();
+    void sendFlight(Flight &f, bool posted);
+
+    /**
+     * Wait for @p f's completion, then install its speculative entries,
+     * copy its bytes to duplicate reads and make the post-miss cache/pin
+     * fills each read's serial path would make — except at an address
+     * a window write stamped after the launch, or of a structure whose
+     * cache entries were invalidated since: those bytes are stale, and
+     * the op's await_resume re-reads the local tiers.
+     */
+    void landFlight(Flight &f);
+
+    /**
+     * Fill @p f.room_steps with the cumulative bytes of the cache fills
+     * the posted gather feeds — the cacheable, admitted, non-resident
+     * demanded misses, then the kept speculative candidates — on top of
+     * flight_room_. PageCache::makeRoom runs once per step under the
+     * round trip, so a serial miss with one fill draws exactly the
+     * sample its insert would.
+     */
+    void planRoom(Flight &f);
 
     /** True when a ReadAwaitable/YieldAwaitable may suspend: a reactor
      *  owns the session and no op is being run inline. */
@@ -990,16 +1045,11 @@ class FrontendSession
     /** DRAM cache probe under the decision readLocal made. */
     bool cacheHit(ReadAwaitable &rd);
 
-    /** Post-miss bookkeeping: admission window, cache fill, pin. */
-    void fillAfterMiss(ReadAwaitable &rd);
-
     /**
-     * Serve every parked read: recheck the local tiers of window-dirtied
-     * addresses, dedupe the demanded reads, gatherMisses() the distinct
-     * ones, copy to duplicates, then apply the post-miss cache/pin
-     * bookkeeping each op's serial path would have done.
+     * Post-miss bookkeeping: admission window, then — with @p install —
+     * the cache fill and the batch pin.
      */
-    void serveBatchRound();
+    void fillAfterMiss(ReadAwaitable &rd, bool install);
 
     /**
      * Re-run the local tiers for a read parked *before* a sibling op's
@@ -1014,11 +1064,11 @@ class FrontendSession
     /**
      * Read-your-writes backstop called from ReadAwaitable::await_resume:
      * when a sibling window write dirtied the awaitable's address AFTER
-     * its bytes were served (intra-round staleness — the cross-round
-     * case is caught by serveBatchRound's pre-gather recheck), replay
-     * the local tiers and advance served_seq so write coroutines'
-     * read-set validation does not restart over bytes that are in fact
-     * fresh. A recheck miss (e.g. the address was freed mid-window)
+     * its bytes were served (a write while the read's flight was on the
+     * wire — a write before the launch is caught by launchFlight's
+     * recheck), replay the local tiers and advance served_seq so write
+     * coroutines' read-set validation does not restart over bytes that
+     * are in fact fresh. A recheck miss (e.g. the address was freed mid-window)
      * leaves the served bytes alone — the consumer's own torn-view
      * handling applies, exactly as it would serially.
      */
@@ -1150,19 +1200,13 @@ class FrontendSession
     bool pipeline_active_ = false; //!< reactor owns scheduling
     uint32_t inline_ops_ = 0;      //!< runInline nesting depth
 
-    /** One speculative neighbor read kept for the current gather. */
-    struct GatherSpec
-    {
-        uint64_t addr_raw;
-        uint32_t len;
-        DsId ds;
-    };
-    // gatherMisses scratch, reused so a serial miss never allocates.
+    /** Fill bytes reserved by the flights in flight (call-scoped: every
+     *  flight gives its share back when it lands). */
+    uint64_t flight_room_ = 0;
+    /** The serial miss's flight, reused so a serial miss never
+     *  allocates; reactor flights live in executePipelined's frame. */
+    Flight serial_flight_;
     std::vector<PrefetchCandidate> prefetch_scratch_; //!< collect() reuse
-    std::vector<GatherSpec> gather_specs_;            //!< kept candidates
-    std::vector<ReadAwaitable *> gather_posted_;      //!< demanded, posted
-    std::vector<std::vector<uint8_t>> prefetch_bufs_; //!< gather landing
-    std::vector<uint64_t> room_steps_; //!< cumulative fill bytes (planRoom)
 
     /**
      * Symmetric baseline's replication target: the remote mirror the

@@ -88,26 +88,13 @@ Verbs::begin(NodeId id, VerbKind kind, uint64_t write_len, RdmaTarget **out)
     return Status::Ok;
 }
 
-void
-Verbs::awaitCompletion(uint64_t wait_ns, const InFlightWork **in_flight)
+uint64_t
+Verbs::completion(uint64_t base_rtt, uint64_t payload)
 {
-    const uint64_t done = clock_->now() + wait_ns;
-    if (in_flight != nullptr && *in_flight != nullptr) {
-        const InFlightWork *work = *in_flight;
-        *in_flight = nullptr; // once per verb call, never on a retry
-        (*work)();
-    }
-    clock_->advanceTo(done);
-}
-
-void
-Verbs::charge(uint64_t base_rtt, uint64_t payload,
-              const InFlightWork **in_flight)
-{
-    awaitCompletion(base_rtt + lat_->wireBytes(payload), in_flight);
     ++verbs_issued_;
     ++counters_.doorbells; // every synchronous verb kicks the NIC itself
     bytes_moved_ += payload;
+    return clock_->now() + base_rtt + lat_->wireBytes(payload);
 }
 
 void
@@ -151,29 +138,37 @@ Verbs::nextAttempt(VerbKind kind, NodeId id, Status st, uint32_t *attempt,
 }
 
 Status
-Verbs::read(RemotePtr src, void *dst, size_t len,
-            const InFlightWork &in_flight)
+Verbs::read(RemotePtr src, void *dst, size_t len, uint64_t *done)
 {
-    const InFlightWork *pending = in_flight ? &in_flight : nullptr;
-    return retrying(VerbKind::Read, src.backend,
-                    [&] { return readOnce(src, dst, len, &pending); });
+    uint64_t at = 0;
+    const Status st = retrying(VerbKind::Read, src.backend, [&] {
+        return readOnce(src, dst, len, &at);
+    });
+    if (!ok(st))
+        at = clock_->now();
+    if (done != nullptr)
+        *done = at;
+    else
+        clock_->advanceTo(at);
+    return st;
 }
 
 Status
-Verbs::readOnce(RemotePtr src, void *dst, size_t len,
-                const InFlightWork **in_flight)
+Verbs::readOnce(RemotePtr src, void *dst, size_t len, uint64_t *done)
 {
     RdmaTarget *t = nullptr;
     const Status st = begin(src.backend, VerbKind::Read, 0, &t);
     const bool delivers = ok(st) && src.offset + len <= t->nvm->size();
-    charge(lat_->rdma_read_rtt_ns, len, delivers ? in_flight : nullptr);
+    const uint64_t at = completion(lat_->rdma_read_rtt_ns, len);
     ++counters_.reads;
     counters_.read_bytes += len;
-    if (!ok(st))
-        return st;
-    if (!delivers)
-        return Status::InvalidArgument; // RNIC access violation
+    if (!delivers) {
+        clock_->advanceTo(at); // the error completion takes a round trip
+        // An in-bounds verb that failed, or an RNIC access violation.
+        return ok(st) ? Status::InvalidArgument : st;
+    }
     t->nvm->read(src.offset, dst, len);
+    *done = at;
     return Status::Ok;
 }
 
@@ -403,32 +398,41 @@ Verbs::postRead(RemotePtr src, void *dst, uint32_t len)
 }
 
 Status
-Verbs::readGather(const InFlightWork &in_flight)
+Verbs::readGather(uint64_t *done, bool posted)
 {
-    const InFlightWork *pending = in_flight ? &in_flight : nullptr;
     Status result = Status::Ok;
+    uint64_t last = clock_->now();
     for (auto &[id, wqes] : read_chains_) {
         if (wqes.empty())
             continue;
         // A chain of one WQE is a plain RDMA_Read: nothing shares its
-        // doorbell, so it pays exactly what read() pays.
+        // doorbell, so it pays exactly what read() pays — unless work
+        // runs under its wait, which puts its posting on the clock.
+        uint64_t at = 0;
         const Status st = retrying(VerbKind::Read, id, [&] {
-            return wqes.size() == 1
+            return wqes.size() == 1 && !posted
                        ? readOnce(RemotePtr(id, wqes[0].offset),
-                                  wqes[0].dst, wqes[0].len, &pending)
-                       : readGatherOnce(id, wqes, &pending);
+                                  wqes[0].dst, wqes[0].len, &at)
+                       : readGatherOnce(id, wqes, &at);
         });
-        if (!ok(st) && ok(result))
+        if (ok(st))
+            last = std::max(last, at); // the slowest chain completes last
+        else if (ok(result))
             result = st;
         wqes.clear(); // keep the capacity: the next miss reuses it
     }
     next_gather_ops_ = 1; // the tag covers exactly one gather
+    last = std::max(last, clock_->now()); // a failed chain waited itself
+    if (done != nullptr)
+        *done = last;
+    else
+        clock_->advanceTo(last);
     return result;
 }
 
 Status
 Verbs::readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes,
-                      const InFlightWork **in_flight)
+                      uint64_t *done)
 {
     auto it = targets_.find(id);
     if (it == targets_.end())
@@ -505,10 +509,9 @@ Verbs::readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes,
     if (t.nic != nullptr)
         clock_->advance(t.nic->reserveGather(
             n, clock_->now(), next_gather_ops_, qp_id_, verb_class_));
-    // One completion wait: the chained WQEs travel back to back, so the
-    // session pays a single round trip plus the combined wire time.
-    awaitCompletion(lat_->rdma_read_rtt_ns + lat_->wireBytes(total),
-                    in_flight);
+    // One completion: the chained WQEs travel back to back, so the
+    // session waits a single round trip plus the combined wire time.
+    *done = clock_->now() + lat_->rdma_read_rtt_ns + lat_->wireBytes(total);
     for (const ReadWqe &w : wqes)
         t.nvm->read(w.offset, w.dst, w.len);
     return Status::Ok;

@@ -146,20 +146,18 @@ class Verbs
     bool isAttached(NodeId id) const { return targets_.count(id) != 0; }
 
     /**
-     * CPU work a read overlaps with its own round trip: it must not need
-     * the fetched bytes (the front-end makes cache room with it).
-     */
-    using InFlightWork = std::function<void()>;
-
-    /**
-     * RDMA_Read of @p len bytes. @p in_flight, when set, runs once on
-     * the attempt that delivers the bytes, after the post, NIC and fault
-     * charges and before the completion wait: the clock waits for the
-     * completion time computed before the work ran, so only work longer
-     * than the wait shows. A failed attempt does not run it.
+     * RDMA_Read of @p len bytes. Launch and wait are split: with @p done
+     * set, the verb charges its post, NIC, fault and retry costs, lands
+     * the bytes and stores in @p *done the time its completion arrives,
+     * without waiting for it. The caller may run CPU work that does not
+     * need the bytes and then waits with SimClock::advanceTo(*done), so
+     * only work longer than the wait shows (DESIGN.md §6, overlap rule).
+     * Without @p done the verb waits itself. A failed attempt waits out
+     * its own costs before it returns or retries; a failed read leaves
+     * *done at the current time.
      */
     Status read(RemotePtr src, void *dst, size_t len,
-                const InFlightWork &in_flight = {});
+                uint64_t *done = nullptr);
 
     /** RDMA_Write of @p len bytes; durable in NVM once it returns Ok. */
     Status write(RemotePtr dst, const void *src, size_t len);
@@ -218,17 +216,24 @@ class Verbs
      * Launch every pending read chain — one doorbell per target — and
      * await all completions together. N independent reads cost one
      * posting overhead + N per-WQE costs + ONE round trip (the WQEs
-     * travel and complete back-to-back) + wire time of the combined
+     * travel and complete back to back) + wire time of the combined
      * payload, with the whole chain entering the target NIC as a single
      * arrival (NicModel::reserveGather). The batch is all-or-nothing: a
      * mid-chain transient fault retries the WHOLE chain under the
      * RetryPolicy; no destination buffer is written unless every WQE in
      * the chain succeeded, so callers never observe a partial gather.
+     * Chains to several targets are posted back to back and complete
+     * together: the gather completes when its slowest chain does, as in
+     * ringDoorbellFanout. @p done splits launch from wait as in read().
+     *
      * A chain of one WQE is issued as a plain read(): same clock charge,
-     * same counters, no read_gathers tick. @p in_flight runs under the
-     * first chain that delivers, as in read().
+     * same counters, no read_gathers tick — unless @p posted, which a
+     * caller sets when other work runs under the wait. Then the CPU
+     * time of posting the WQE and ringing its doorbell is no longer
+     * hidden inside a round trip the core sits out, so the chain pays
+     * it like any other gather.
      */
-    Status readGather(const InFlightWork &in_flight = {});
+    Status readGather(uint64_t *done = nullptr, bool posted = false);
 
     /**
      * Tag the NEXT readGather with the number of independent operations
@@ -351,18 +356,16 @@ class Verbs
                  RdmaTarget **out);
 
     /**
-     * Charge one round trip of @p base_rtt plus @p payload bytes, running
-     * the pending in-flight work (if any) under it.
+     * Count one verb's round trip of @p base_rtt plus @p payload wire
+     * bytes and return the time its completion arrives. Does not wait.
      */
-    void charge(uint64_t base_rtt, uint64_t payload,
-                const InFlightWork **in_flight = nullptr);
+    uint64_t completion(uint64_t base_rtt, uint64_t payload);
 
-    /**
-     * Wait @p wait_ns for a completion. The pending @p *in_flight work
-     * runs first and is then cleared, so it runs once per verb call; the
-     * clock ends at the later of the completion and the work's end.
-     */
-    void awaitCompletion(uint64_t wait_ns, const InFlightWork **in_flight);
+    /** Count one verb's round trip and wait for its completion. */
+    void charge(uint64_t base_rtt, uint64_t payload)
+    {
+        clock_->advanceTo(completion(base_rtt, payload));
+    }
 
     /**
      * Charge @p chain's deferred cost. With @p own_doorbell the chain is
@@ -394,10 +397,11 @@ class Verbs
     }
 
     // Single-attempt verb bodies wrapped by the public retry loops.
+    // The read bodies store their completion time in @p done when they
+    // deliver, and wait out their own costs when they fail.
     Status readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes,
-                          const InFlightWork **in_flight);
-    Status readOnce(RemotePtr src, void *dst, size_t len,
-                    const InFlightWork **in_flight);
+                          uint64_t *done);
+    Status readOnce(RemotePtr src, void *dst, size_t len, uint64_t *done);
     Status writeOnce(RemotePtr dst, const void *src, size_t len);
     Status writeAsyncOnce(RemotePtr dst, const void *src, size_t len);
     Status postWriteOnce(RemotePtr dst, const void *src, size_t len);

@@ -698,6 +698,36 @@ TEST(PipelineTest, ReadYourWritesWithinPipelinedWindow)
         EXPECT_EQ(ds.find(k, &v), Status::NotFound);
 }
 
+TEST(PipelineTest, FillAfterAWindowWriteDoesNotResurrectTheOldValue)
+{
+    PipeRig rig(36, /*depth=*/2);
+    BpTree ds;
+    ASSERT_EQ(BpTree::create(*rig.s, 1, "t", &ds), Status::Ok);
+    preload(ds, 100);
+    // Warm key 60's leaf, but not its value cell.
+    Value v;
+    ASSERT_EQ(ds.find(51, &v), Status::Ok);
+
+    // The find parks on the value cell and its flight launches; the put
+    // then writes the cell while that read is on the wire. The landing
+    // must not cache the bytes the read fetched: once the flush empties
+    // the overlay that hides them, they would be the cell's value.
+    Value got;
+    std::vector<OpTask> ops;
+    ops.push_back(ds.findAsync(60, &got));
+    ops.push_back(ds.insertAsync(60, Value::ofU64(5000)));
+    std::vector<Status> sts(ops.size());
+    rig.s->executePipelined(ops, sts);
+    ASSERT_EQ(sts[0], Status::Ok);
+    ASSERT_EQ(sts[1], Status::Ok);
+    EXPECT_TRUE(got.asU64() == 60 * 31 || got.asU64() == 5000)
+        << got.asU64();
+
+    ASSERT_EQ(rig.s->flushAll(), Status::Ok);
+    ASSERT_EQ(ds.find(60, &v), Status::Ok);
+    EXPECT_EQ(v.asU64(), 5000u) << "a stale fill outlived the overlay";
+}
+
 // ---------------------------------------------------------------------
 // Window fence accounting (satellites 2 and 6): one deferred commit per
 // drained window — never double-charged by the per-op serial fallback —

@@ -28,6 +28,31 @@ walkHotChain(PrefetchEngine &eng, DsId ds, uint64_t stream)
     eng.onAccess(ds, stream, 0x1000, 64); // back to the head: commit
 }
 
+TEST(PrefetchEngineTest, HeadOnlyWalkKeepsTheDeeperRun)
+{
+    PrefetchEngine eng;
+    const uint64_t kStream = 0xb0c7;
+    walkHotChain(eng, 1, kStream); // a deep walk commits head + 3
+    // A lookup that finds its key at the head: its walk is the head
+    // alone, and the next lookup wraps back to the head again.
+    eng.onAccess(1, kStream, 0x1000, 64);
+    eng.onAccess(1, kStream, 0x1000, 64);
+    std::vector<PrefetchCandidate> out;
+    eng.collect(1, kStream, 0x1000, &out);
+    ASSERT_EQ(out.size(), 3u) << "a head-only walk replaced the deep run";
+    for (uint64_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i].addr_raw, 0x1000 * (i + 2));
+
+    // A walk that differs (a shorter chain after an erase) still
+    // replaces the run: only a strict prefix is ignored.
+    eng.onAccess(1, kStream, 0x3000, 64);
+    eng.onAccess(1, kStream, 0x1000, 64);
+    out.clear();
+    eng.collect(1, kStream, 0x1000, &out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].addr_raw, 0x3000u);
+}
+
 TEST(PrefetchEngineTest, HotStreamSurvivesOverflowBurst)
 {
     PrefetchEngine eng;
