@@ -72,13 +72,14 @@ runBpt(const AblationRow &row)
     mcfg.seed = 99;
     Workload w(mcfg);
     const auto ops = w.generate(kOps);
-    const uint64_t bytes0 = s.verbs().bytesMoved();
+    const uint64_t bytes0 = s.verbs().counters().totalBytes();
     Meter m(s, be);
     const Throughput t = runKvWorkload(m, s, tree, ops);
     report.add({{"config", row.label}}, m.finish(ops.size()));
     const LogFormatStats lf = s.stats().logfmt;
     return {t.kops(),
-            static_cast<double>(s.verbs().bytesMoved() - bytes0) / 1e6,
+            static_cast<double>(s.verbs().counters().totalBytes() -
+                                bytes0) / 1e6,
             static_cast<double>(lf.tx_wire_bytes + lf.op_wire_bytes) /
                 static_cast<double>(kOps),
             be.replayedEntries()};

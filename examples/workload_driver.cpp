@@ -200,7 +200,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     session->verbs().verbsIssued()),
                 static_cast<double>(session->verbs().verbsIssued()) / ops,
-                session->verbs().bytesMoved() / 1e6);
+                session->verbs().counters().totalBytes() / 1e6);
     std::printf("cache: hits=%llu misses=%llu (%.1f%% hit)\n",
                 static_cast<unsigned long long>(session->cache().hits()),
                 static_cast<unsigned long long>(

@@ -171,9 +171,8 @@ BackendNode::stageReplicationLocked(uint64_t off, size_t len)
 bool
 BackendNode::shipBatchToMirror(MirrorNode *m, uint64_t now_ns)
 {
-    uint64_t backoff = repl_retry_.base_backoff_ns;
-    for (uint32_t attempt = 0; attempt < repl_retry_.max_attempts;
-         ++attempt) {
+    uint64_t backoff = kRetry.base_backoff_ns;
+    for (uint32_t attempt = 0; attempt < kRetry.max_attempts; ++attempt) {
         if (m->faults().armed()) {
             const FaultAction a =
                 m->faults().onVerb(FaultVerb::Write, now_ns);
@@ -183,12 +182,11 @@ BackendNode::shipBatchToMirror(MirrorNode *m, uint64_t now_ns)
                 // re-ship. The batch is idempotent — a drop_after that
                 // landed bytes before the loss just gets them again.
                 ++repl_stats_.retries;
-                const uint64_t wait =
-                    repl_retry_.verb_timeout_ns + backoff;
+                const uint64_t wait = kRetry.verb_timeout_ns + backoff;
                 repl_stats_.backoff_ns += wait;
                 busy_ns_.add(wait);
                 backoff = std::min<uint64_t>(backoff * 2,
-                                             repl_retry_.max_backoff_ns);
+                                             kRetry.max_backoff_ns);
                 continue;
             }
             busy_ns_.add(a.delay_ns + a.slow_ns);
@@ -646,47 +644,8 @@ BackendNode::handleRpc(uint32_t slot)
     RpcResponse resp{};
     resp.magic = kRpcRespMagic;
     resp.seq = req.seq;
-    Status st = Status::InvalidArgument;
-    switch (static_cast<RpcOp>(req.op)) {
-      case RpcOp::AllocBlocks:
-        st = rpcAllocBlocks(req.args[0], &resp.rets[0]);
-        break;
-      case RpcOp::FreeBlocks:
-        st = rpcFreeBlocks(req.args[0], req.args[1]);
-        break;
-      case RpcOp::CreateName: {
-        DsId id = 0;
-        st = rpcCreateName(req.args[0],
-                           static_cast<DsType>(req.args[1]), &id);
-        resp.rets[0] = id;
-        break;
-      }
-      case RpcOp::LookupName: {
-        DsId id = 0;
-        DsType type = DsType::None;
-        st = rpcLookupName(req.args[0], &id, &type);
-        resp.rets[0] = id;
-        resp.rets[1] = static_cast<uint64_t>(type);
-        break;
-      }
-      case RpcOp::Retire: {
-        const uint64_t count = req.args[1];
-        if (payload.size() != count * 2 * sizeof(uint64_t))
-            break;
-        std::vector<std::pair<uint64_t, uint64_t>> regions(count);
-        for (uint64_t i = 0; i < count; ++i) {
-            std::memcpy(&regions[i].first,
-                        payload.data() + i * 16, 8);
-            std::memcpy(&regions[i].second,
-                        payload.data() + i * 16 + 8, 8);
-        }
-        st = rpcRetire(static_cast<DsId>(req.args[0]), regions,
-                       req.args[2]);
-        break;
-      }
-      case RpcOp::None:
-        break;
-    }
+    const Status st = serveRpc(static_cast<RpcOp>(req.op), req.args,
+                               payload, resp.rets, req.args[2]);
     resp.status = static_cast<uint32_t>(st);
     rpc_served_seq_[slot] = req.seq;
     rpc_last_resp_[slot] = resp;
@@ -700,6 +659,52 @@ BackendNode::handleRpc(uint32_t slot)
     stageReplicationLocked(layout_.rpcRespRingOff(slot), sizeof(resp));
     flushReplicationLocked(0);
     return Status::Ok;
+}
+
+Status
+BackendNode::serveRpc(RpcOp op, std::span<const uint64_t> args,
+                      std::span<const uint8_t> payload, uint64_t rets[4],
+                      uint64_t now_ns)
+{
+    uint64_t unused[4] = {};
+    if (rets == nullptr)
+        rets = unused;
+    switch (op) {
+      case RpcOp::AllocBlocks:
+        return rpcAllocBlocks(args[0], &rets[0]);
+      case RpcOp::FreeBlocks:
+        return rpcFreeBlocks(args[0], args[1]);
+      case RpcOp::CreateName: {
+        DsId id = 0;
+        const Status st =
+            rpcCreateName(args[0], static_cast<DsType>(args[1]), &id);
+        rets[0] = id;
+        return st;
+      }
+      case RpcOp::LookupName: {
+        DsId id = 0;
+        DsType type = DsType::None;
+        const Status st = rpcLookupName(args[0], &id, &type);
+        rets[0] = id;
+        rets[1] = static_cast<uint64_t>(type);
+        return st;
+      }
+      case RpcOp::Retire: {
+        // Compare by division: count * 16 could wrap for a torn count.
+        const uint64_t count = args[1];
+        if (payload.size() % 16 != 0 || payload.size() / 16 != count)
+            return Status::InvalidArgument;
+        std::vector<std::pair<uint64_t, uint64_t>> regions(count);
+        for (uint64_t i = 0; i < count; ++i) {
+            std::memcpy(&regions[i].first, payload.data() + i * 16, 8);
+            std::memcpy(&regions[i].second, payload.data() + i * 16 + 8, 8);
+        }
+        return rpcRetire(static_cast<DsId>(args[0]), regions, now_ns);
+      }
+      case RpcOp::None:
+        break;
+    }
+    return Status::InvalidArgument;
 }
 
 Status

@@ -134,12 +134,6 @@ class BackendNode
      */
     void flushReplication();
 
-    /** Retry/backoff knobs for transient-faulted replication transfers. */
-    void setReplicationRetryPolicy(const RetryPolicy &p)
-    {
-        repl_retry_ = p;
-    }
-
     /** Replication batching counters (batches, persists, coalescing). */
     const ReplicationStats &replicationStats() const { return repl_stats_; }
 
@@ -219,6 +213,15 @@ class BackendNode
      */
     Status handleRpc(uint32_t slot);
 
+    /**
+     * Run one RPC: the one dispatch behind handleRpc and the symmetric
+     * baseline's local call. @p rets (may be null) receives the results
+     * of @p op; @p now_ns is the serve time a Retire is stamped with.
+     */
+    Status serveRpc(RpcOp op, std::span<const uint64_t> args,
+                    std::span<const uint8_t> payload, uint64_t rets[4],
+                    uint64_t now_ns);
+
     /** Create (or fail on duplicate) a named structure; returns its id. */
     Status rpcCreateName(uint64_t name_hash, DsType type, DsId *id);
 
@@ -268,9 +271,6 @@ class BackendNode
     // ------------------------------------------------------------------
     // Naming-space access helpers used by front-end sessions
     // ------------------------------------------------------------------
-
-    /** Absolute NVM offset of a naming entry. */
-    uint64_t namingOff(DsId id) const { return layout_.namingEntryOff(id); }
 
     /** Volatile snapshot of a naming entry (backend-local read). */
     NamingEntry namingEntry(DsId id) const;
@@ -369,7 +369,6 @@ class BackendNode
     std::unique_ptr<BackendAllocator> allocator_;
     std::vector<MirrorNode *> mirrors_;
     ReplBatch repl_batch_;
-    RetryPolicy repl_retry_;
     ReplicationStats repl_stats_;
     Histogram repl_hist_;
 

@@ -226,12 +226,6 @@ struct PrefetchStats
      *  dropped (DESIGN.md §9); probes through a closed gate count as
      *  issued, not here. */
     uint64_t gated = 0;
-
-    double hitRatio() const
-    {
-        return issued == 0 ? 0.0
-                           : static_cast<double>(hits) / issued;
-    }
 };
 
 /**

@@ -45,7 +45,6 @@ FrontendAllocator::allocLarge(uint64_t size, RemotePtr *out)
     const Status st = rpc_(RpcOp::AllocBlocks, args, {}, rets);
     if (!ok(st))
         return st;
-    ++rpc_allocs_;
     *out = RemotePtr(backend_, rets[0]);
     return Status::Ok;
 }
@@ -69,7 +68,6 @@ FrontendAllocator::newSlab()
     }
     if (!ok(st))
         return st;
-    ++rpc_allocs_;
     for (uint64_t i = 0; i < got; ++i) {
         Slab slab;
         slab.base = rets[0] + i * slab_size_;
@@ -145,7 +143,6 @@ FrontendAllocator::alloc(uint64_t size, RemotePtr *out)
     }
     best_slab->free_bytes -= size;
     reindex(*best_slab);
-    ++local_allocs_;
     *out = RemotePtr(backend_, best_slab->base + best_off);
     return Status::Ok;
 }
@@ -199,7 +196,6 @@ FrontendAllocator::free(RemotePtr p, uint64_t size)
     // granularity, so sub-slab regions inside foreign slabs leak until
     // the owning slab is reclaimed; freeing the block here could corrupt
     // live neighbours.
-    ++leaked_foreign_;
     return Status::Ok;
 }
 

@@ -88,9 +88,6 @@ class FrontendAllocator
     void loseVolatileState();
 
     uint64_t slabsHeld() const { return vol_.slabs.size(); }
-    uint64_t rpcAllocs() const { return rpc_allocs_; }
-    uint64_t localAllocs() const { return local_allocs_; }
-    uint64_t leakedForeignFrees() const { return leaked_foreign_; }
     /** Empty slabs the adaptive hysteresis currently retains. */
     uint64_t emptySlabsHeld() const { return vol_.empty_count; }
     /** Configured demand-window length (cycles). */
@@ -136,11 +133,6 @@ class FrontendAllocator
         std::deque<uint64_t> past_cycles;
         bool in_free_phase = false;
     } vol_;
-
-    // Counters: never reset.
-    uint64_t rpc_allocs_ = 0;
-    uint64_t local_allocs_ = 0;
-    uint64_t leaked_foreign_ = 0;
 };
 
 } // namespace asymnvm

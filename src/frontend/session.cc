@@ -166,43 +166,7 @@ FrontendSession::rpcCall(BackendCtx &c, RpcOp op,
     if (cfg_.symmetric) {
         // Local back-end: a function call, not a network round trip.
         clock_.advance(lat_.cpu_op_overhead_ns + lat_.persist_fence_ns);
-        switch (op) {
-          case RpcOp::AllocBlocks:
-            return c.node->rpcAllocBlocks(args[0], &rets[0]);
-          case RpcOp::FreeBlocks:
-            return c.node->rpcFreeBlocks(args[0], args[1]);
-          case RpcOp::CreateName: {
-            DsId id = 0;
-            const Status st = c.node->rpcCreateName(
-                args[0], static_cast<DsType>(args[1]), &id);
-            if (rets != nullptr)
-                rets[0] = id;
-            return st;
-          }
-          case RpcOp::LookupName: {
-            DsId id = 0;
-            DsType type = DsType::None;
-            const Status st = c.node->rpcLookupName(args[0], &id, &type);
-            if (rets != nullptr) {
-                rets[0] = id;
-                rets[1] = static_cast<uint64_t>(type);
-            }
-            return st;
-          }
-          case RpcOp::Retire: {
-            std::vector<std::pair<uint64_t, uint64_t>> regions(args[1]);
-            for (uint64_t i = 0; i < args[1]; ++i) {
-                std::memcpy(&regions[i].first, payload.data() + i * 16, 8);
-                std::memcpy(&regions[i].second,
-                            payload.data() + i * 16 + 8, 8);
-            }
-            return c.node->rpcRetire(static_cast<DsId>(args[0]), regions,
-                                     clock_.now());
-          }
-          case RpcOp::None:
-            break;
-        }
-        return Status::InvalidArgument;
+        return c.node->serveRpc(op, args, payload, rets, clock_.now());
     }
     // The RPC channel is exactly-once under transient faults (seq-based
     // dedup), and a failover rebuilds c.rpc against the replacement, so

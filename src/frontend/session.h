@@ -779,7 +779,6 @@ class FrontendSession
     // Statistics
     // ------------------------------------------------------------------
 
-    uint64_t opsStarted() const { return ctr_.ops_started; }
     uint64_t txFlushes() const { return ctr_.tx_flushes; }
     uint64_t failoversCompleted() const { return ctr_.retry.failovers; }
 
@@ -813,9 +812,6 @@ class FrontendSession
     size_t seqlockObservations() const { return vol_.sn_seen.size(); }
     uint64_t busyNs() const { return clock_.now(); }
     void resetStats();
-
-    /** Pinned (batch-local) reads are dropped at every group commit. */
-    void dropPins() { vol_.view.pinned.clear(); }
 
   private:
     struct BackendCtx

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace asymnvm {
 
@@ -23,13 +24,12 @@ Verbs::flushChain(NodeId id, PostChain &chain, bool own_doorbell)
     chain = PostChain{};
 }
 
-Status
-Verbs::begin(NodeId id, VerbKind kind, uint64_t write_len, RdmaTarget **out)
+RdmaTarget *
+Verbs::settle(NodeId id)
 {
-    lost_completion_ = false;
     auto it = targets_.find(id);
     if (it == targets_.end())
-        return Status::Unavailable;
+        return nullptr;
     // Queue-pair ordering: this verb executes after every pending posted
     // write on the same target, so the chain's deferred cost is settled
     // here, riding this verb's doorbell.
@@ -39,30 +39,41 @@ Verbs::begin(NodeId id, VerbKind kind, uint64_t write_len, RdmaTarget **out)
         assert(cit->second.wqes == 0 &&
                "posted chain must drain before a later verb completes");
     }
-    RdmaTarget &t = it->second;
-    if (t.fail != nullptr) {
-        const auto partial = t.fail->onVerb(write_len);
-        if (partial.has_value()) {
-            // The back-end crashed under this verb. For a write, a torn
-            // prefix may still land in NVM; the caller sees the failure
-            // through the (simulated) RNIC completion error. Fail-stop
-            // outranks any transient fault the model would have injected.
-            partial_write_len_pending_ = *partial;
-            *out = &t;
-            return Status::BackendCrashed;
-        }
+    return &it->second;
+}
+
+Status
+Verbs::admit(NodeId id, RdmaTarget &t, VerbKind kind, uint64_t n,
+             uint64_t write_len, bool in_bounds, Landing *out)
+{
+    // One crash point per WQE, stopping at the first that fires. The
+    // back-end crashed under this verb: for a write, a torn prefix may
+    // still land, and the caller sees the failure through the
+    // (simulated) RNIC completion error.
+    bool crashed = false;
+    for (uint64_t i = 0; t.fail != nullptr && i < n && !crashed; ++i) {
+        const std::optional<uint64_t> partial = t.fail->onVerb(write_len);
+        crashed = partial.has_value();
+        out->torn = partial.value_or(0);
     }
-    *out = &t;
+    if (!in_bounds)
+        return Status::InvalidArgument; // refused before any fault draw
+    if (crashed)
+        return Status::BackendCrashed; // fail-stop outranks any fault
     if (qp_error_.count(id) != 0)
         return Status::QpError; // endpoint must reset the QP first
-    if (t.faults != nullptr && t.faults->armed()) {
-        const FaultVerb fv = kind == VerbKind::Read     ? FaultVerb::Read
-                             : kind == VerbKind::Atomic ? FaultVerb::Atomic
-                                                        : FaultVerb::Write;
+    if (t.faults == nullptr || !t.faults->armed())
+        return Status::Ok;
+    const FaultVerb fv = kind == VerbKind::Read     ? FaultVerb::Read
+                         : kind == VerbKind::Atomic ? FaultVerb::Atomic
+                                                    : FaultVerb::Write;
+    uint64_t max_delay = 0;
+    for (uint64_t i = 0; i < n; ++i) {
         const FaultAction a = t.faults->onVerb(fv, clock_->now());
-        if (a.slow_ns != 0)
-            clock_->advance(a.slow_ns); // gray node: degraded service
+        clock_->advance(a.slow_ns); // gray node: degraded service
         if (a.qp_error) {
+            // A mid-chain QP error flushes the remaining WQEs with error
+            // completions and delivers nothing: the retry re-posts all.
             qp_error_.insert(id);
             ++retry_stats_.qp_errors;
             return Status::QpError;
@@ -70,22 +81,55 @@ Verbs::begin(NodeId id, VerbKind kind, uint64_t write_len, RdmaTarget **out)
         if (a.drop) {
             // The issuing session waits the full verb timeout before it
             // declares the completion lost.
-            clock_->advance(policy_.verb_timeout_ns);
+            clock_->advance(kRetry.verb_timeout_ns);
             ++retry_stats_.timeouts;
-            if (a.drop_after)
-                lost_completion_ = true; // executes, then reports the loss
-            else
-                return Status::Timeout;
+            if (!a.drop_after)
+                return Status::Timeout; // never a partial gather
+            out->lost = true; // executes, then reports the loss
         }
         if (a.delay_ns != 0) {
-            clock_->advance(a.delay_ns);
+            max_delay = std::max(max_delay, a.delay_ns);
             ++retry_stats_.delayed;
         }
     }
-    if (t.nic != nullptr)
+    clock_->advance(max_delay); // WQEs complete together: worst delay
+    return Status::Ok;
+}
+
+Status
+Verbs::begin(NodeId id, VerbKind kind, uint64_t write_len, RdmaTarget **out,
+             Landing *landing)
+{
+    *out = settle(id);
+    if (*out == nullptr)
+        return Status::Unavailable;
+    RdmaTarget &t = **out;
+    const Status st = admit(id, t, kind, 1, write_len, true, landing);
+    if (ok(st) && t.nic != nullptr)
         clock_->advance(
             t.nic->reserve(clock_->now(), qp_id_, verb_class_));
-    return Status::Ok;
+    return st;
+}
+
+Status
+Verbs::land(RdmaTarget &t, Status st, const Landing &l, uint64_t off,
+            const void *src, size_t len)
+{
+    if (st == Status::BackendCrashed) {
+        // Apply the torn prefix through the device's journal, then leave
+        // the device "down".
+        t.nvm->applyTornWrite(off, src, len, l.torn);
+        return st;
+    }
+    if (!ok(st))
+        return st;
+    t.nvm->write(off, src, len);
+    t.nvm->persist(); // DMA into the NVM DIMM is durable on completion
+    if (t.on_write)
+        t.on_write(off, len);
+    // The payload landed but the completion dropped: the retry will land
+    // the same (idempotent) bytes again.
+    return l.lost ? Status::Timeout : Status::Ok;
 }
 
 uint64_t
@@ -93,7 +137,6 @@ Verbs::completion(uint64_t base_rtt, uint64_t payload)
 {
     ++verbs_issued_;
     ++counters_.doorbells; // every synchronous verb kicks the NIC itself
-    bytes_moved_ += payload;
     return clock_->now() + base_rtt + lat_->wireBytes(payload);
 }
 
@@ -102,7 +145,7 @@ Verbs::resetQp(NodeId id)
 {
     if (qp_error_.erase(id) == 0)
         return;
-    clock_->advance(policy_.qp_reset_ns);
+    clock_->advance(kRetry.qp_reset_ns);
     ++retry_stats_.qp_resets;
 }
 
@@ -112,7 +155,7 @@ Verbs::nextAttempt(VerbKind kind, NodeId id, Status st, uint32_t *attempt,
 {
     if (!isTransient(st))
         return false; // fail-stop (or success) escapes to the caller
-    if (++*attempt >= policy_.max_attempts)
+    if (++*attempt >= kRetry.max_attempts)
         return false; // budget spent: the storm outlived every retry
     if (st == Status::QpError)
         resetQp(id); // RESET -> INIT -> RTR -> RTS before re-issuing
@@ -125,15 +168,15 @@ Verbs::nextAttempt(VerbKind kind, NodeId id, Status st, uint32_t *attempt,
     // Capped exponential backoff with deterministic jitter, charged to
     // the virtual clock: delay in [d - d*j/2, d + d*j/2].
     uint64_t delay = *backoff;
-    if (policy_.jitter > 0) {
+    if (kRetry.jitter > 0) {
         const uint64_t span = static_cast<uint64_t>(
-            static_cast<double>(delay) * policy_.jitter);
+            static_cast<double>(delay) * kRetry.jitter);
         if (span > 0)
             delay = delay - span / 2 + rng_.nextBounded(span + 1);
     }
     clock_->advance(delay);
     retry_stats_.backoff_ns += delay;
-    *backoff = std::min<uint64_t>(*backoff * 2, policy_.max_backoff_ns);
+    *backoff = std::min<uint64_t>(*backoff * 2, kRetry.max_backoff_ns);
     return true;
 }
 
@@ -157,7 +200,8 @@ Status
 Verbs::readOnce(RemotePtr src, void *dst, size_t len, uint64_t *done)
 {
     RdmaTarget *t = nullptr;
-    const Status st = begin(src.backend, VerbKind::Read, 0, &t);
+    Landing l;
+    const Status st = begin(src.backend, VerbKind::Read, 0, &t, &l);
     const bool delivers = ok(st) && src.offset + len <= t->nvm->size();
     const uint64_t at = completion(lat_->rdma_read_rtt_ns, len);
     ++counters_.reads;
@@ -183,32 +227,16 @@ Status
 Verbs::writeOnce(RemotePtr dst, const void *src, size_t len)
 {
     RdmaTarget *t = nullptr;
-    const Status st = begin(dst.backend, VerbKind::Write, len, &t);
+    Landing l;
+    const Status st = begin(dst.backend, VerbKind::Write, len, &t, &l);
     charge(lat_->rdma_write_rtt_ns, len);
     ++counters_.writes;
     counters_.write_bytes += len;
-    if (t != nullptr && dst.offset + len > t->nvm->size())
+    if (t == nullptr)
+        return st;
+    if (dst.offset + len > t->nvm->size())
         return Status::InvalidArgument;
-    if (st == Status::BackendCrashed && t != nullptr) {
-        // Apply the torn prefix through the device's journal, then leave
-        // the device "down".
-        t->nvm->applyTornWrite(dst.offset, src, len,
-                               partial_write_len_pending_);
-        return st;
-    }
-    if (!ok(st))
-        return st;
-    t->nvm->write(dst.offset, src, len);
-    t->nvm->persist(); // DMA into the NVM DIMM is durable on completion
-    if (t->on_write)
-        t->on_write(dst.offset, len);
-    if (lost_completion_) {
-        // The payload landed but the completion dropped: the retry will
-        // land the same (idempotent) bytes again.
-        lost_completion_ = false;
-        return Status::Timeout;
-    }
-    return Status::Ok;
+    return land(*t, st, l, dst.offset, src, len);
 }
 
 Status
@@ -222,32 +250,19 @@ Status
 Verbs::writeAsyncOnce(RemotePtr dst, const void *src, size_t len)
 {
     RdmaTarget *t = nullptr;
-    const Status st = begin(dst.backend, VerbKind::Posted, len, &t);
+    Landing l;
+    const Status st = begin(dst.backend, VerbKind::Posted, len, &t, &l);
     clock_->advance(lat_->post_overhead_ns);
     ++verbs_issued_;
-    bytes_moved_ += len;
     ++counters_.posted;
     counters_.posted_bytes += len;
     ++counters_.wqes;
     ++counters_.doorbells; // posted alone: its own doorbell kicks the NIC
-    if (t != nullptr && dst.offset + len > t->nvm->size())
+    if (t == nullptr)
+        return st;
+    if (dst.offset + len > t->nvm->size())
         return Status::InvalidArgument;
-    if (st == Status::BackendCrashed && t != nullptr) {
-        t->nvm->applyTornWrite(dst.offset, src, len,
-                               partial_write_len_pending_);
-        return st;
-    }
-    if (!ok(st))
-        return st;
-    t->nvm->write(dst.offset, src, len);
-    t->nvm->persist();
-    if (t->on_write)
-        t->on_write(dst.offset, len);
-    if (lost_completion_) {
-        lost_completion_ = false;
-        return Status::Timeout;
-    }
-    return Status::Ok;
+    return land(*t, st, l, dst.offset, src, len);
 }
 
 Status
@@ -260,83 +275,38 @@ Verbs::postWrite(RemotePtr dst, const void *src, size_t len)
 Status
 Verbs::postWriteOnce(RemotePtr dst, const void *src, size_t len)
 {
+    // No chain settling, NIC reservation or doorbell here: the WQE only
+    // joins the post list. Failure injection still sees one verb — a
+    // crash tears this WQE and the rest of the chain never posts.
     auto it = targets_.find(dst.backend);
     if (it == targets_.end())
         return Status::Unavailable;
     RdmaTarget &t = it->second;
-    // No NIC reservation and no doorbell here: the WQE only joins the
-    // post list. Failure injection still sees one verb — a crash tears
-    // this WQE and the rest of the chain never posts.
-    std::optional<uint64_t> partial;
-    if (t.fail != nullptr)
-        partial = t.fail->onVerb(len);
-
     ++counters_.posted;
     counters_.posted_bytes += len;
-    bytes_moved_ += len;
-
-    if (dst.offset + len > t.nvm->size())
-        return Status::InvalidArgument;
-    if (partial.has_value()) {
-        partial_write_len_pending_ = *partial;
-        t.nvm->applyTornWrite(dst.offset, src, len, *partial);
-        return Status::BackendCrashed;
-    }
-    if (qp_error_.count(dst.backend) != 0)
-        return Status::QpError;
-    bool lost_after = false;
-    if (t.faults != nullptr && t.faults->armed()) {
-        const FaultAction a = t.faults->onVerb(FaultVerb::Write,
-                                               clock_->now());
-        if (a.slow_ns != 0)
-            clock_->advance(a.slow_ns);
-        if (a.qp_error) {
-            qp_error_.insert(dst.backend);
-            ++retry_stats_.qp_errors;
-            return Status::QpError;
+    Landing l;
+    const Status st =
+        admit(dst.backend, t, VerbKind::Posted, 1, len,
+              dst.offset + len <= t.nvm->size(), &l);
+    if (ok(st) && !l.lost) {
+        // Only a WQE that completes joins the chain accounting: a lost
+        // one lands in post order too, but its retry posts the bytes
+        // again.
+        PostChain &chain = chains_[dst.backend];
+        if (!chain.has_tail || dst.offset != chain.next_off) {
+            // A gap in the destination starts a new WQE; a continuation
+            // is one more scatter-gather entry of the running one.
+            ++chain.wqes;
+            ++counters_.wqes;
+            ++verbs_issued_;
         }
-        if (a.drop) {
-            clock_->advance(policy_.verb_timeout_ns);
-            ++retry_stats_.timeouts;
-            if (!a.drop_after)
-                return Status::Timeout;
-            lost_after = true;
-        }
-        if (a.delay_ns != 0) {
-            clock_->advance(a.delay_ns);
-            ++retry_stats_.delayed;
-        }
+        chain.has_tail = true;
+        chain.next_off = dst.offset + len;
+        chain.bytes += len;
     }
-    if (lost_after) {
-        // The payload lands in post order, but the WQE is reported lost:
-        // the retry posts the same bytes again, and only the retried WQE
-        // joins the chain accounting.
-        t.nvm->write(dst.offset, src, len);
-        t.nvm->persist();
-        if (t.on_write)
-            t.on_write(dst.offset, len);
-        return Status::Timeout;
-    }
-
-    PostChain &chain = chains_[dst.backend];
-    if (!chain.has_tail || dst.offset != chain.next_off) {
-        // A gap in the destination starts a new WQE; a continuation is
-        // one more scatter-gather entry of the running one.
-        ++chain.wqes;
-        ++counters_.wqes;
-        ++verbs_issued_;
-    }
-    chain.has_tail = true;
-    chain.next_off = dst.offset + len;
-    chain.bytes += len;
-
     // The payload lands in post order; durability is guaranteed no later
     // than the completion of the next flushed verb on this queue pair.
-    t.nvm->write(dst.offset, src, len);
-    t.nvm->persist();
-    if (t.on_write)
-        t.on_write(dst.offset, len);
-    return Status::Ok;
+    return land(t, st, l, dst.offset, src, len);
 }
 
 Status
@@ -434,15 +404,9 @@ Status
 Verbs::readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes,
                       uint64_t *done)
 {
-    auto it = targets_.find(id);
-    if (it == targets_.end())
+    RdmaTarget *t = settle(id);
+    if (t == nullptr)
         return Status::Unavailable;
-    // Queue-pair ordering: pending posted writes drain first, riding this
-    // gather's doorbell.
-    auto cit = chains_.find(id);
-    if (cit != chains_.end())
-        flushChain(id, cit->second, /*own_doorbell=*/false);
-    RdmaTarget &t = it->second;
 
     const uint64_t n = wqes.size();
     uint64_t total = 0;
@@ -460,60 +424,26 @@ Verbs::readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes,
     counters_.reads += n;
     counters_.read_bytes += total;
     verbs_issued_ += n;
-    bytes_moved_ += total;
 
-    if (t.fail != nullptr) {
-        for (uint64_t i = 0; i < n; ++i)
-            if (t.fail->onVerb(0).has_value())
-                return Status::BackendCrashed; // reads deliver nothing
-    }
-    if (qp_error_.count(id) != 0)
-        return Status::QpError;
-
-    uint64_t max_delay = 0;
-    if (t.faults != nullptr && t.faults->armed()) {
-        for (uint64_t i = 0; i < n; ++i) {
-            const FaultAction a =
-                t.faults->onVerb(FaultVerb::Read, clock_->now());
-            if (a.slow_ns != 0)
-                clock_->advance(a.slow_ns);
-            if (a.qp_error) {
-                // Mid-chain QP error: the remaining WQEs flush with error
-                // completions and NO destination buffer was written — the
-                // retry re-posts the whole chain.
-                qp_error_.insert(id);
-                ++retry_stats_.qp_errors;
-                return Status::QpError;
-            }
-            if (a.drop) {
-                clock_->advance(policy_.verb_timeout_ns);
-                ++retry_stats_.timeouts;
-                if (!a.drop_after)
-                    return Status::Timeout; // never a partial gather
-            }
-            if (a.delay_ns != 0) {
-                max_delay = std::max<uint64_t>(max_delay, a.delay_ns);
-                ++retry_stats_.delayed;
-            }
-        }
-    }
-    if (max_delay != 0)
-        clock_->advance(max_delay); // WQEs complete together: worst delay
+    Landing l; // reads deliver nothing on a crash or a lost completion
+    const Status st = admit(id, *t, VerbKind::Read, n, 0, true, &l);
+    if (!ok(st))
+        return st;
 
     // Validate the WHOLE chain before delivering any byte: a bad address
     // fails the batch, never a prefix of it.
     for (const ReadWqe &w : wqes)
-        if (w.offset + w.len > t.nvm->size())
+        if (w.offset + w.len > t->nvm->size())
             return Status::InvalidArgument;
 
-    if (t.nic != nullptr)
-        clock_->advance(t.nic->reserveGather(
+    if (t->nic != nullptr)
+        clock_->advance(t->nic->reserveGather(
             n, clock_->now(), next_gather_ops_, qp_id_, verb_class_));
     // One completion: the chained WQEs travel back to back, so the
     // session waits a single round trip plus the combined wire time.
     *done = clock_->now() + lat_->rdma_read_rtt_ns + lat_->wireBytes(total);
     for (const ReadWqe &w : wqes)
-        t.nvm->read(w.offset, w.dst, w.len);
+        t->nvm->read(w.offset, w.dst, w.len);
     return Status::Ok;
 }
 
@@ -531,7 +461,8 @@ Status
 Verbs::atomicOnce(RemotePtr p, uint64_t write_len, Op &&op)
 {
     RdmaTarget *t = nullptr;
-    const Status st = begin(p.backend, VerbKind::Atomic, write_len, &t);
+    Landing l; // an atomic never tears: a crash lands nothing
+    const Status st = begin(p.backend, VerbKind::Atomic, write_len, &t, &l);
     charge(lat_->rdma_atomic_rtt_ns, sizeof(uint64_t));
     ++counters_.atomics;
     counters_.atomic_bytes += sizeof(uint64_t);

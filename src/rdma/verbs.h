@@ -23,11 +23,13 @@
  * Status::BackendCrashed, which the front-end observes "through the
  * feedback from RNIC" (Case 3, Section 7.2). Transient: a FaultModel
  * (sim/fault.h) drops, delays or duplicates completions and flips queue
- * pairs into the error state — those this layer absorbs itself with a
- * RetryPolicy: per-verb timeouts, capped exponential backoff with
+ * pairs into the error state — those this layer absorbs itself with the
+ * kRetry constants: per-verb timeouts, capped exponential backoff with
  * deterministic jitter charged to the virtual clock, and QP
  * reset/reconnect before re-issuing. Only fail-stop conditions (and
  * transient storms that outlive every retry) escape to the session.
+ * Every verb attempt enters both severities through one admission step
+ * and lands its bytes through one landing step (DESIGN.md §8).
  */
 
 #include <cstdint>
@@ -70,13 +72,13 @@ struct RdmaTarget
 };
 
 /**
- * Transient-failure handling knobs of one RDMA endpoint. Defaults follow
- * the usual RNIC shape: detection (the verb timeout) costs an order of
- * magnitude more than the verb itself, backoff starts around one RTT and
- * doubles to a cap, and every delay is jittered to avoid retry lockstep
- * between sessions. All times are virtual nanoseconds.
+ * Transient-failure handling values. They follow the usual RNIC shape:
+ * detection (the verb timeout) costs an order of magnitude more than the
+ * verb itself, backoff starts around one RTT and doubles to a cap, and
+ * every delay is jittered to avoid retry lockstep between sessions. All
+ * times are virtual nanoseconds.
  */
-struct RetryPolicy
+struct RetryConstants
 {
     uint32_t max_attempts = 8;        //!< total tries per verb (1 = none)
     uint64_t verb_timeout_ns = 12000; //!< wait before declaring a loss
@@ -87,12 +89,15 @@ struct RetryPolicy
     uint64_t seed = 0x5eed;           //!< jitter PRNG seed (determinism)
 };
 
+/** The retry values of every verb endpoint and of mirror replication. */
+inline constexpr RetryConstants kRetry{};
+
 /** A front-end session's RDMA endpoint (queue pair set). */
 class Verbs
 {
   public:
     Verbs(SimClock *clock, const LatencyModel *lat)
-        : clock_(clock), lat_(lat), rng_(policy_.seed)
+        : clock_(clock), lat_(lat), rng_(kRetry.seed)
     {}
 
     /**
@@ -103,7 +108,6 @@ class Verbs
      * every single-session test — never needs to distinguish.
      */
     void setQpId(uint64_t qp) { qp_id_ = qp; }
-    uint64_t qpId() const { return qp_id_; }
 
     /**
      * QoS class stamped on every verb this endpoint issues until
@@ -142,8 +146,6 @@ class Verbs
         read_chains_.erase(id); // pending read gathers too
         qp_error_.erase(id);    // so does the error state
     }
-
-    bool isAttached(NodeId id) const { return targets_.count(id) != 0; }
 
     /**
      * RDMA_Read of @p len bytes. Launch and wait are split: with @p done
@@ -220,7 +222,7 @@ class Verbs
      * payload, with the whole chain entering the target NIC as a single
      * arrival (NicModel::reserveGather). The batch is all-or-nothing: a
      * mid-chain transient fault retries the WHOLE chain under the
-     * RetryPolicy; no destination buffer is written unless every WQE in
+     * kRetry constants; no destination buffer is written unless every WQE in
      * the chain succeeded, so callers never observe a partial gather.
      * Chains to several targets are posted back to back and complete
      * together: the gather completes when its slowest chain does, as in
@@ -277,15 +279,6 @@ class Verbs
     /** RDMA fetch-and-add; @p old receives the previous value. */
     Status fetchAdd(RemotePtr dst, uint64_t delta, uint64_t *old);
 
-    /** Replace the retry policy (reseeds the jitter PRNG). */
-    void setRetryPolicy(const RetryPolicy &p)
-    {
-        policy_ = p;
-        rng_ = Rng(p.seed);
-    }
-
-    const RetryPolicy &retryPolicy() const { return policy_; }
-
     /**
      * Reset a queue pair out of the error state (RTS transition),
      * charging the reconnect handshake. No-op when the QP is healthy.
@@ -298,10 +291,10 @@ class Verbs
     /** Verbs issued by this endpoint (round-trip count). */
     uint64_t verbsIssued() const { return verbs_issued_; }
 
-    /** Payload bytes moved by this endpoint. */
-    uint64_t bytesMoved() const { return bytes_moved_; }
-
-    /** Per-verb-type traffic breakdown (reads/writes/posted/atomics). */
+    /**
+     * Per-verb-type traffic breakdown (reads/writes/posted/atomics);
+     * totalBytes() is the payload this endpoint moved.
+     */
     const VerbCounters &counters() const { return counters_; }
 
     /** Transient-fault absorption counters (retries, backoff, resets). */
@@ -310,7 +303,6 @@ class Verbs
     void resetStats()
     {
         verbs_issued_ = 0;
-        bytes_moved_ = 0;
         counters_ = VerbCounters{};
         retry_stats_ = RetryStats{};
     }
@@ -351,9 +343,49 @@ class Verbs
         uint32_t len = 0;
     };
 
-    /** Common preamble: resolve target, inject failure, charge NIC. */
+    /** What admit() tells the landing step about one write attempt. */
+    struct Landing
+    {
+        uint64_t torn = 0; //!< bytes of the write that land in a crash
+        bool lost = false; //!< executes, but its completion drops
+    };
+
+    /**
+     * Resolve @p id's target (null when it is not attached) and charge
+     * its pending posted chain: a later verb completes after every
+     * earlier posted write.
+     */
+    RdmaTarget *settle(NodeId id);
+
+    /**
+     * The one admission step of a verb attempt of @p n WQEs to @p t. It
+     * draws a crash point per WQE (each seeing @p write_len) and stops at
+     * the first that fires; refuses a WQE that failed its bounds check
+     * before any fault draw (@p in_bounds false, posted writes only);
+     * refuses a queue pair in the error state; then draws the transient
+     * faults per WQE, charging slow service and verb timeouts as drawn
+     * and the largest delay once at the end. A crash's torn length and a
+     * drop-after's lost completion go to @p out for the landing step.
+     */
+    Status admit(NodeId id, RdmaTarget &t, VerbKind kind, uint64_t n,
+                 uint64_t write_len, bool in_bounds, Landing *out);
+
+    /**
+     * Admission of one synchronous verb: resolve and settle the target,
+     * admit one WQE, and reserve it at the target NIC when admitted.
+     * *@p out is null only when the target is unknown (Unavailable).
+     */
     Status begin(NodeId id, VerbKind kind, uint64_t write_len,
-                 RdmaTarget **out);
+                 RdmaTarget **out, Landing *landing);
+
+    /**
+     * The one landing step of a write attempt admitted with status
+     * @p st: a crash tears the write to @p l's prefix; an admitted write
+     * lands, persists and reports its range to the target's write hook,
+     * and returns Timeout when its completion was lost.
+     */
+    Status land(RdmaTarget &t, Status st, const Landing &l, uint64_t off,
+                const void *src, size_t len);
 
     /**
      * Count one verb's round trip of @p base_rtt plus @p payload wire
@@ -383,12 +415,12 @@ class Verbs
     bool nextAttempt(VerbKind kind, NodeId id, Status st, uint32_t *attempt,
                      uint64_t *backoff);
 
-    /** Run the single-attempt body @p once under the retry policy. */
+    /** Run the single-attempt body @p once under the kRetry constants. */
     template <typename Once>
     Status retrying(VerbKind kind, NodeId id, Once &&once)
     {
         uint32_t attempt = 0;
-        uint64_t backoff = policy_.base_backoff_ns;
+        uint64_t backoff = kRetry.base_backoff_ns;
         for (;;) {
             const Status st = once();
             if (!nextAttempt(kind, id, st, &attempt, &backoff))
@@ -420,18 +452,13 @@ class Verbs
     std::map<NodeId, PostChain> chains_;
     std::map<NodeId, std::vector<ReadWqe>> read_chains_;
     std::set<NodeId> qp_error_; //!< queue pairs in the error state
-    RetryPolicy policy_;
     Rng rng_; //!< backoff jitter (seeded; deterministic)
     VerbCounters counters_;
     RetryStats retry_stats_;
     uint64_t verbs_issued_ = 0;
-    uint64_t bytes_moved_ = 0;
     uint64_t qp_id_ = 0; //!< per-session QP identity at the shared NIC
     VerbClass verb_class_ = VerbClass::Foreground; //!< current QoS class
     uint64_t next_gather_ops_ = 1; //!< ops multiplexed by the next gather
-    uint64_t partial_write_len_pending_ = 0;
-    /** Set by begin() when this verb executes but its completion drops. */
-    bool lost_completion_ = false;
 };
 
 } // namespace asymnvm

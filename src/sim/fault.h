@@ -110,7 +110,6 @@ class FaultModel
 
     bool armed() const { return armed_; }
     const FaultConfig &config() const { return cfg_; }
-    uint64_t injectedFaults() const { return injected_; }
 
     /** Decide the fate of one verb issued at virtual time @p now_ns. */
     FaultAction onVerb(FaultVerb kind, uint64_t now_ns)
@@ -118,13 +117,10 @@ class FaultModel
         FaultAction a;
         if (!armed_)
             return a;
-        if (slow_until_ns_ > now_ns && cfg_.slow_extra_ns > 0) {
+        if (slow_until_ns_ > now_ns && cfg_.slow_extra_ns > 0)
             a.slow_ns = cfg_.slow_extra_ns;
-            ++injected_;
-        }
         if (cfg_.qp_error_rate > 0 && rng_.nextBool(cfg_.qp_error_rate)) {
             a.qp_error = true;
-            ++injected_;
             return a;
         }
         if (cfg_.drop_rate > 0 && rng_.nextBool(cfg_.drop_rate)) {
@@ -133,13 +129,10 @@ class FaultModel
             // lost: a dropped read/atomic simply never happened.
             a.drop_after = kind == FaultVerb::Write &&
                            rng_.nextBool(cfg_.drop_after_frac);
-            ++injected_;
             return a;
         }
-        if (cfg_.delay_rate > 0 && rng_.nextBool(cfg_.delay_rate)) {
+        if (cfg_.delay_rate > 0 && rng_.nextBool(cfg_.delay_rate))
             a.delay_ns = cfg_.delay_ns;
-            ++injected_;
-        }
         return a;
     }
 
@@ -148,7 +141,6 @@ class FaultModel
     Rng rng_;
     bool armed_ = false;
     uint64_t slow_until_ns_ = 0;
-    uint64_t injected_ = 0;
 };
 
 } // namespace asymnvm

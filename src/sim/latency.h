@@ -53,9 +53,6 @@ struct LatencyModel
      */
     uint64_t doorbell_batch_wqe_ns = 40;
 
-    /** Doorbell/MMIO cost of kicking the NIC once (symmetric log ship). */
-    uint64_t doorbell_ns = 400;
-
     /**
      * Per-verb service time at the back-end RNIC; bounds aggregate IOPS
      * when many front-ends share one back-end (Figures 8 and 9).
@@ -74,8 +71,9 @@ struct LatencyModel
     }
 
     /**
-     * A model for the symmetric baseline: same constants, but data
-     * structure reads/writes hit local NVM instead of the network.
+     * The default model. The symmetric baseline uses the same constants;
+     * its sessions charge local NVM costs where the asymmetric ones
+     * charge the network.
      */
     static LatencyModel defaults() { return LatencyModel{}; }
 };

@@ -151,10 +151,8 @@ class NicModel
             return 0;
         gather_batches_.add(1);
         gather_wqes_.add(n);
-        if (ops > 1) {
+        if (ops > 1)
             multi_op_batches_.add(1);
-            multi_op_wqes_.add(n);
-        }
         return reserveBatch(n, now_ns, qp, cls);
     }
 
@@ -163,7 +161,6 @@ class NicModel
     uint64_t gatherWqes() const { return gather_wqes_.get(); }
     /** Gather arrivals multiplexing several in-flight ops' reads. */
     uint64_t multiOpBatches() const { return multi_op_batches_.get(); }
-    uint64_t multiOpWqes() const { return multi_op_wqes_.get(); }
     uint64_t busyNs() const { return busy_ns_.get(); }
     uint64_t serviceNs() const { return service_ns_; }
 
@@ -239,7 +236,6 @@ class NicModel
         gather_batches_.reset();
         gather_wqes_.reset();
         multi_op_batches_.reset();
-        multi_op_wqes_.reset();
         busy_ns_.reset();
         for (ClassCounters &c : cls_) {
             c.bursts.reset();
@@ -427,7 +423,6 @@ class NicModel
     Counter gather_batches_;
     Counter gather_wqes_;
     Counter multi_op_batches_;
-    Counter multi_op_wqes_;
     Counter busy_ns_;
 };
 

@@ -93,7 +93,7 @@ TEST_F(FaultVerbsTest, RetryExhaustionSurfacesTimeout)
     faults.configure(fc, /*seed=*/3);
     uint64_t v = 0;
     EXPECT_EQ(verbs.read(RemotePtr(1, 64), &v, 8), Status::Timeout);
-    EXPECT_EQ(verbs.retryStats().timeouts, verbs.retryPolicy().max_attempts);
+    EXPECT_EQ(verbs.retryStats().timeouts, kRetry.max_attempts);
 }
 
 TEST_F(FaultVerbsTest, DropAfterLandsPayloadDespiteTimeout)

@@ -92,7 +92,7 @@ TEST(OpRefTest, ShrinksWireBytes)
         Value v;
         EXPECT_EQ(tree.find(2500, &v), Status::Ok);
         EXPECT_EQ(v.asU64(), 500u);
-        return s.verbs().bytesMoved();
+        return s.verbs().counters().totalBytes();
     };
     const uint64_t with_ref = run(true);
     const uint64_t without = run(false);

@@ -226,7 +226,8 @@ TEST(PipelineTest, DepthOneIsBitIdenticalToSerialFinds)
     EXPECT_EQ(a.atomics, b.atomics);
     EXPECT_EQ(a.read_bytes, b.read_bytes);
     EXPECT_EQ(piped.s->verbs().verbsIssued(), serial.s->verbs().verbsIssued());
-    EXPECT_EQ(piped.s->verbs().bytesMoved(), serial.s->verbs().bytesMoved());
+    EXPECT_EQ(piped.s->verbs().counters().totalBytes(),
+              serial.s->verbs().counters().totalBytes());
     // And no reactor involvement at all.
     EXPECT_EQ(piped.s->stats().pipeline.runs, 0u);
     EXPECT_EQ(piped.s->stats().pipeline.rounds, 0u);
@@ -487,7 +488,8 @@ expectRigsIdentical(PipeRig &piped, PipeRig &serial, uint64_t piped_ns,
     EXPECT_EQ(piped.s->verbs().verbsIssued(),
               serial.s->verbs().verbsIssued())
         << tag;
-    EXPECT_EQ(piped.s->verbs().bytesMoved(), serial.s->verbs().bytesMoved())
+    EXPECT_EQ(piped.s->verbs().counters().totalBytes(),
+              serial.s->verbs().counters().totalBytes())
         << tag;
 }
 

@@ -114,7 +114,7 @@ TEST_F(VerbsTest, VerbAndByteCountersTrack)
     verbs.write(RemotePtr(1, 512), buf, sizeof(buf));
     verbs.read(RemotePtr(1, 512), buf, sizeof(buf));
     EXPECT_EQ(verbs.verbsIssued(), 2u);
-    EXPECT_EQ(verbs.bytesMoved(), 200u);
+    EXPECT_EQ(verbs.counters().totalBytes(), 200u);
 }
 
 TEST_F(VerbsTest, CrashTearsInFlightWriteAtCacheLine)

@@ -168,7 +168,7 @@ TEST_F(ReadGatherVerbsTest, OneWqeGatherIsAPlainRead)
     EXPECT_EQ(a.read_gathers, 0u); // no chain was launched
     EXPECT_EQ(a.read_gathers, b.read_gathers);
     EXPECT_EQ(gv.verbsIssued(), rv.verbsIssued());
-    EXPECT_EQ(gv.bytesMoved(), rv.bytesMoved());
+    EXPECT_EQ(gv.counters().totalBytes(), rv.counters().totalBytes());
     EXPECT_EQ(ga.nic.gatherBatches(), 0u);
     EXPECT_EQ(gv.pendingReadWqes(), 0u);
 }

@@ -6,7 +6,7 @@
  * batch travels strictly before the commit ack; a mirror crash mid-batch
  * rolls the partial batch back to the last transaction boundary, keeping
  * the replica promotable; and transient-faulted transfers retry under the
- * replication RetryPolicy instead of wedging the commit (retry exhaustion
+ * kRetry constants instead of wedging the commit (retry exhaustion
  * detaches the mirror, Case 5).
  */
 

@@ -14,8 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "apps/smallbank.h"
 #include "cluster/cluster.h"
@@ -207,6 +210,34 @@ TEST(RpcEdgeTest, UnknownOpReturnsInvalidArgument)
     uint64_t rets[4];
     EXPECT_EQ(rpc.call(static_cast<RpcOp>(77), args, {}, rets),
               Status::InvalidArgument);
+}
+
+/**
+ * The one RPC dispatch (BackendNode::serveRpc, behind handleRpc and the
+ * symmetric session's local call) accepts a Retire only when the payload
+ * holds exactly `count` {off, nblocks} pairs, including a count whose
+ * byte length would wrap.
+ */
+TEST(RpcEdgeTest, RetirePayloadMustMatchCount)
+{
+    BackendNode be(1, testConfig());
+    DsId ds = 0;
+    ASSERT_EQ(be.rpcCreateName(0x77, DsType::MvBst, &ds), Status::Ok);
+    const uint64_t pair[2] = {4096, 1};
+    std::vector<uint8_t> one(sizeof(pair));
+    std::memcpy(one.data(), pair, sizeof(pair));
+    const uint64_t wrapping = 1ull << 60; // 16 * 2^60 wraps to 0
+    for (const uint64_t count : {uint64_t{2}, uint64_t{0}, wrapping}) {
+        const uint64_t args[3] = {ds, count, 0};
+        const std::span<const uint8_t> payload =
+            count == wrapping ? std::span<const uint8_t>() : one;
+        EXPECT_EQ(be.serveRpc(RpcOp::Retire, args, payload, nullptr, 0),
+                  Status::InvalidArgument)
+            << count;
+    }
+    const uint64_t args[3] = {ds, 1, 0};
+    EXPECT_EQ(be.serveRpc(RpcOp::Retire, args, one, nullptr, 0),
+              Status::Ok);
 }
 
 TEST(RpcEdgeTest, GarbageRequestRingDetected)
