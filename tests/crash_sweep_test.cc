@@ -11,12 +11,14 @@
  *
  * ASYMNVM_SWEEP_BUDGET=<n> shrinks the per-preset verb sample (useful
  * under sanitizers); the >= 200 distinct-crash-point floor is only
- * asserted at the default budget.
+ * asserted at the default budget. Each workload x preset cell prints
+ * its verb count, points run, crashes fired and recoveries.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -105,6 +107,15 @@ TEST_P(CrashSweepTest, RecoversAtEverySampledCrashPoint)
         EXPECT_EQ(res.crashes_fired, res.points_run);
         EXPECT_EQ(res.recoveries, res.points_run);
         EXPECT_TRUE(res.violations.empty()) << res.violationText();
+        // One line per workload x preset, so a change that must keep the
+        // verb numbering proves it by a plain stdout diff.
+        std::printf("crash sweep %s/%s: %llu workload_verbs, %llu "
+                    "points_run, %llu crashes_fired, %llu recoveries\n",
+                    workloadName(opt.kind), preset.name,
+                    static_cast<unsigned long long>(res.workload_verbs),
+                    static_cast<unsigned long long>(res.points_run),
+                    static_cast<unsigned long long>(res.crashes_fired),
+                    static_cast<unsigned long long>(res.recoveries));
         total_points += res.points_run;
     }
     if (!budgetOverridden()) {
