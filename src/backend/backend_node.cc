@@ -913,13 +913,6 @@ BackendNode::namingEntry(DsId id) const
     return e;
 }
 
-DsType
-BackendNode::dsType(DsId id) const
-{
-    std::lock_guard lock(mu_);
-    return static_cast<DsType>(names_.at(id).type);
-}
-
 uint32_t
 BackendNode::nameCount() const
 {

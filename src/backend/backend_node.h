@@ -275,7 +275,6 @@ class BackendNode
     /** Volatile snapshot of a naming entry (backend-local read). */
     NamingEntry namingEntry(DsId id) const;
 
-    DsType dsType(DsId id) const;
     uint32_t nameCount() const;
 
     // ------------------------------------------------------------------

@@ -1,16 +1,13 @@
 #include "check/chaos.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
 
-#include "check/invariant_checker.h"
+#include "check/oracle.h"
 #include "cluster/cluster.h"
 #include "common/rand.h"
-#include "ds/hash_table.h"
-#include "ds/stack.h"
 #include "frontend/session.h"
 
 namespace asymnvm {
@@ -26,17 +23,31 @@ describe(const char *what, Status st)
     return std::string(what) + " -> " + statusName(st);
 }
 
-/** One front-end session with its own structures and shadow models.
+/** The op mix: a draw below `below` (of 100) runs `k` on `kind`. */
+struct MixEntry
+{
+    uint32_t below;
+    WorkloadKind kind;
+    Op::K k;
+};
+constexpr MixEntry kMix[] = {
+    {30, WorkloadKind::HashTable, Op::K::Add},
+    {55, WorkloadKind::HashTable, Op::K::Read},
+    {70, WorkloadKind::HashTable, Op::K::Remove},
+    {85, WorkloadKind::Stack, Op::K::Add},
+    {100, WorkloadKind::Stack, Op::K::Remove},
+};
+constexpr WorkloadKind kKinds[] = {WorkloadKind::HashTable,
+                                   WorkloadKind::Stack};
+
+/** One front-end session with its own structures and their models.
  *  Structures are per-session because the simulation is SWMR: each
  *  writer owns its structures, but all share the back-end, its log
  *  slots, heap, naming space — and its failures. */
 struct SessionCtx
 {
     std::unique_ptr<FrontendSession> s;
-    HashTable ht;
-    Stack stk;
-    std::map<Key, uint64_t> shadow_hash;
-    std::vector<uint64_t> shadow_stack; // top at the back
+    Handles h;
 };
 
 } // namespace
@@ -75,20 +86,20 @@ runChaosSoak(const ChaosConfig &cfg)
         if (sc.s == nullptr)
             return fail("makeSession failed");
         session_ids.insert(sc.s->config().session_id);
-        Status st = HashTable::create(
-            *sc.s, 1, "chaos_hash_" + std::to_string(j), 64, &sc.ht);
-        if (!ok(st))
-            return fail(describe("HashTable::create", st));
-        st = Stack::create(*sc.s, 1,
-                           "chaos_stack_" + std::to_string(j), &sc.stk);
-        if (!ok(st))
-            return fail(describe("Stack::create", st));
-        st = sc.s->flushAll();
+        for (const WorkloadKind kind : kKinds) {
+            const Status st = sc.h.create(
+                *sc.s, 1, kind,
+                std::string("chaos_") + workloadName(kind) + "_" +
+                    std::to_string(j));
+            if (!ok(st))
+                return fail(describe("create", st));
+        }
+        const Status st = sc.s->flushAll();
         if (!ok(st))
             return fail(describe("initial flushAll", st));
     }
 
-    // Audit the raw NVM image against every session's shadows (quiesced
+    // Audit the raw NVM image against every session's models (quiesced
     // first), then the promotion ledger: epochs must be contiguous with
     // exactly one promotion record each, won by a known session (or by
     // the harness, winner 0).
@@ -101,43 +112,16 @@ runChaosSoak(const ChaosConfig &cfg)
                 return false;
             }
         }
-        BackendNode *be = cluster.backend(1);
-        InvariantChecker chk(be, /*strict=*/true);
+        InvariantChecker chk(cluster.backend(1), /*strict=*/true);
         AuditReport rep;
         for (uint32_t slot = 0; slot < nsessions; ++slot)
             chk.checkLogControl(slot, &rep);
-        for (SessionCtx &sc : sess) {
-            chk.checkQuiescent(sc.ht.id(), &rep);
-            chk.checkQuiescent(sc.stk.id(), &rep);
-            chk.checkHeap(sc.ht.id(), &rep);
-            chk.checkHeap(sc.stk.id(), &rep);
-            const auto hc = chk.hashContents(sc.ht.id(), &rep);
-            const auto scs = chk.stackContents(sc.stk.id(), &rep);
-            if (!rep.clean()) {
-                fail(std::string("invariants (") + when +
-                     "): " + rep.str());
-                return false;
-            }
-            if (!hc.has_value() || *hc != sc.shadow_hash) {
-                fail(std::string(
-                         "hash contents diverge from shadow (") +
-                     when + "): NVM has " +
-                     std::to_string(hc.has_value() ? hc->size() : 0) +
-                     " keys, shadow has " +
-                     std::to_string(sc.shadow_hash.size()));
-                return false;
-            }
-            std::vector<uint64_t> want(sc.shadow_stack.rbegin(),
-                                       sc.shadow_stack.rend());
-            if (!scs.has_value() || *scs != want) {
-                fail(std::string(
-                         "stack contents diverge from shadow (") +
-                     when + "): NVM depth " +
-                     std::to_string(scs.has_value() ? scs->size()
-                                                    : 0) +
-                     ", shadow depth " + std::to_string(want.size()));
-                return false;
-            }
+        for (SessionCtx &sc : sess)
+            for (const WorkloadKind kind : kKinds)
+                sc.h.audit(chk, kind, &rep);
+        if (!rep.clean()) {
+            fail(std::string("invariants (") + when + "): " + rep.str());
+            return false;
         }
         const auto hist = cluster.failoverEpochs().history();
         uint64_t expect = 2; // slots are born at epoch 1
@@ -261,62 +245,21 @@ runChaosSoak(const ChaosConfig &cfg)
         }
 
         // One workload operation, on this session's own structures.
-        // Every outcome other than Ok (or a shadow-consistent NotFound)
+        // Every outcome other than Ok (or a model-consistent NotFound)
         // is an availability violation: a promotable mirror or a
         // restartable node always exists here.
-        Status st;
-        const uint32_t kind = static_cast<uint32_t>(rng.nextBounded(100));
-        const Key key = rng.nextBounded(kKeySpace) + 1;
-        if (kind < 30) {
-            const uint64_t v = rng.next();
-            st = sc.ht.put(key, Value::ofU64(v));
-            if (!ok(st)) {
-                fail(describe("hash put", st));
-                break;
-            }
-            sc.shadow_hash[key] = v;
-        } else if (kind < 55) {
-            Value v;
-            st = sc.ht.get(key, &v);
-            const auto it = sc.shadow_hash.find(key);
-            if (it == sc.shadow_hash.end()) {
-                if (st != Status::NotFound) {
-                    fail(describe("hash get of absent key", st));
-                    break;
-                }
-            } else if (!ok(st) || v.asU64() != it->second) {
-                fail(describe("hash get", st) + " (value mismatch)");
-                break;
-            }
-        } else if (kind < 70) {
-            st = sc.ht.erase(key);
-            const bool present = sc.shadow_hash.erase(key) != 0;
-            if (present ? !ok(st) : st != Status::NotFound) {
-                fail(describe("hash erase", st));
-                break;
-            }
-        } else if (kind < 85) {
-            const uint64_t v = rng.next();
-            st = sc.stk.push(Value::ofU64(v));
-            if (!ok(st)) {
-                fail(describe("stack push", st));
-                break;
-            }
-            sc.shadow_stack.push_back(v);
-        } else {
-            Value v;
-            st = sc.stk.pop(&v);
-            if (sc.shadow_stack.empty()) {
-                if (st != Status::NotFound) {
-                    fail(describe("stack pop of empty stack", st));
-                    break;
-                }
-            } else if (!ok(st) || v.asU64() != sc.shadow_stack.back()) {
-                fail(describe("stack pop", st) + " (value mismatch)");
-                break;
-            } else {
-                sc.shadow_stack.pop_back();
-            }
+        const uint32_t draw = static_cast<uint32_t>(rng.nextBounded(100));
+        const MixEntry &mix =
+            *std::find_if(std::begin(kMix), std::end(kMix),
+                          [&](const MixEntry &e) { return draw < e.below; });
+        Op op{mix.k, rng.nextBounded(kKeySpace) + 1, 0};
+        if (op.k == Op::K::Add)
+            op.val = rng.next();
+        std::string mism;
+        const Status st = sc.h.apply(mix.kind, op, &mism);
+        if (!ok(st) || !mism.empty()) {
+            fail(ok(st) ? mism : describe(workloadName(mix.kind), st));
+            break;
         }
         ++res.ops_done;
 

@@ -29,23 +29,12 @@
  */
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "backend/layout.h"
+#include "check/oracle.h"
 #include "frontend/session.h"
 
 namespace asymnvm {
-
-enum class WorkloadKind
-{
-    Stack,
-    Queue,
-    HashTable,
-    SkipList,
-};
-
-const char *workloadName(WorkloadKind kind);
 
 /** A back-end sized for fast per-crash-point cluster construction. */
 BackendConfig sweepBackendConfig();
@@ -70,9 +59,7 @@ struct ExplorerResult
     uint64_t points_run = 0;     //!< distinct (verb, tear) points executed
     uint64_t crashes_fired = 0;
     uint64_t recoveries = 0;     //!< recoveries that completed
-    std::vector<std::string> violations;
-
-    std::string violationText() const;
+    AuditReport report;          //!< every violation, labelled by point
 };
 
 /** Run a full sweep; every violation is a recovery-invariant failure. */

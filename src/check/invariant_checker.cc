@@ -1,13 +1,15 @@
 #include "check/invariant_checker.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace asymnvm {
 
 namespace {
 
-/** Walk-length cap: detects linkage cycles in a corrupt image. */
+/** Walk-length cap: detects linkage cycles in a corrupt list image. */
 constexpr uint64_t kMaxWalk = 1u << 20;
+constexpr uint32_t kMaxLevel = 16;
 
 std::string
 fmt(const char *what, DsId ds, const std::string &detail)
@@ -32,25 +34,21 @@ AuditReport::str() const
     return os.str();
 }
 
-std::optional<NamingEntry>
-InvariantChecker::entryOfType(DsId ds, DsType want, const char *what,
-                              AuditReport *rep)
+const char *
+InvariantChecker::badRange(uint64_t off, uint64_t size) const
 {
-    // Read the authoritative NVM copy, not the back-end's volatile shadow:
-    // front-ends update naming fields one-sided.
-    NamingEntry e;
-    node_->nvm().read(node_->layout().namingEntryOff(ds), &e, sizeof(e));
-    if (e.name_hash == 0) {
-        rep->add(fmt(what, ds, "naming entry is free"));
-        return std::nullopt;
-    }
-    if (e.type != static_cast<uint32_t>(want)) {
-        rep->add(fmt(what, ds,
-                     "naming entry type " + std::to_string(e.type) +
-                         " does not match the audited structure"));
-        return std::nullopt;
-    }
-    return e;
+    const Layout &lay = node_->layout();
+    if (size == 0 || off < lay.dataOff() || off > lay.dataEnd() ||
+        size > lay.dataEnd() - off)
+        return "outside the data area";
+    // Blocks are aligned relative to dataOff() (itself only 256-aligned),
+    // so derive block indices from data-area-relative offsets.
+    const uint64_t bs = lay.super.block_size;
+    const uint64_t last = (off + size - 1 - lay.dataOff()) / bs;
+    for (uint64_t b = (off - lay.dataOff()) / bs; b <= last; ++b)
+        if (!node_->allocator().isAllocated(lay.dataOff() + b * bs))
+            return "in an unallocated block";
+    return nullptr;
 }
 
 bool
@@ -58,27 +56,15 @@ InvariantChecker::readNodeImage(uint64_t raw, void *image, size_t size,
                                 const char *what, AuditReport *rep)
 {
     const RemotePtr p = RemotePtr::fromRaw(raw);
-    const Layout &lay = node_->layout();
-    std::ostringstream at;
-    at << what << " @ 0x" << std::hex << raw;
-    if (p.backend != node_->id()) {
-        rep->add(at.str() + ": points at a foreign back-end");
+    const char *why = p.backend != node_->id()
+                          ? "points at a foreign back-end"
+                          : badRange(p.offset, size);
+    if (why != nullptr) {
+        std::ostringstream at;
+        at << what << " @ 0x" << std::hex << raw << ": reachable node "
+           << why;
+        rep->add(at.str());
         return false;
-    }
-    if (p.offset < lay.dataOff() || p.offset + size > lay.dataEnd()) {
-        rep->add(at.str() + ": outside the data area");
-        return false;
-    }
-    // Blocks are aligned relative to dataOff() (itself only 256-aligned),
-    // so derive block indices from data-area-relative offsets.
-    const uint64_t bs = lay.super.block_size;
-    const uint64_t first = (p.offset - lay.dataOff()) / bs;
-    const uint64_t last = (p.offset + size - 1 - lay.dataOff()) / bs;
-    for (uint64_t b = first; b <= last; ++b) {
-        if (!node_->allocator().isAllocated(lay.dataOff() + b * bs)) {
-            rep->add(at.str() + ": reachable node in an unallocated block");
-            return false;
-        }
     }
     node_->nvm().read(p.offset, image, size);
     return true;
@@ -131,135 +117,95 @@ InvariantChecker::checkLogControl(uint32_t slot, AuditReport *rep)
             " op-window record(s) do not decode");
 }
 
-void
-InvariantChecker::checkHeap(DsId ds, AuditReport *rep)
+std::optional<Model>
+InvariantChecker::contents(DsId ds, AuditReport *rep)
 {
+    // Read the authoritative NVM copy, not the back-end's volatile shadow:
+    // front-ends update naming fields one-sided.
     NamingEntry e;
     node_->nvm().read(node_->layout().namingEntryOff(ds), &e, sizeof(e));
+    if (e.name_hash == 0) {
+        rep->add(fmt("heap audit", ds, "naming entry is free"));
+        return std::nullopt;
+    }
     switch (static_cast<DsType>(e.type)) {
     case DsType::Stack:
-        stackContents(ds, rep);
-        break;
     case DsType::Queue:
-        queueContents(ds, rep);
-        break;
+        return listContents(ds, e, rep);
     case DsType::HashTable:
-        hashContents(ds, rep);
-        break;
+        return hashContents(ds, e, rep);
     case DsType::SkipList:
-        skipContents(ds, rep);
-        break;
+        return skipContents(ds, e, rep);
     default:
-        rep->add(fmt("heap audit", ds, "unsupported structure type"));
-        break;
+        rep->add(fmt("heap audit", ds,
+                     "naming entry type " + std::to_string(e.type) +
+                         ": unsupported structure type"));
+        return std::nullopt;
     }
 }
 
-std::optional<std::vector<uint64_t>>
-InvariantChecker::stackContents(DsId ds, AuditReport *rep)
+std::optional<Model>
+InvariantChecker::listContents(DsId ds, const NamingEntry &e,
+                               AuditReport *rep)
 {
-    const auto e = entryOfType(ds, DsType::Stack, "stack", rep);
-    if (!e)
-        return std::nullopt;
-    std::vector<uint64_t> out;
-    uint64_t cur = e->aux[0];
-    while (cur != 0) {
-        if (out.size() >= kMaxWalk) {
-            rep->add(fmt("stack", ds, "cycle in the node chain"));
-            return std::nullopt;
-        }
-        ListNodeImage n;
-        if (!readNodeImage(cur, &n, sizeof(n), "stack node", rep))
-            return std::nullopt;
-        out.push_back(n.value.asU64());
-        cur = n.next_raw;
-    }
-    if (strict_ && out.size() != e->aux[1])
-        rep->add(fmt("stack", ds,
-                     "chain length " + std::to_string(out.size()) +
-                         " != persisted count " +
-                         std::to_string(e->aux[1])));
-    return out;
-}
-
-std::optional<std::vector<uint64_t>>
-InvariantChecker::queueContents(DsId ds, AuditReport *rep)
-{
-    const auto e = entryOfType(ds, DsType::Queue, "queue", rep);
-    if (!e)
-        return std::nullopt;
-    std::vector<uint64_t> out;
-    uint64_t cur = e->aux[0];
+    // Both chains start at aux0: a stack's at its top, a queue's at its
+    // oldest element. A queue keeps its tail in aux1, its count in aux2.
+    const bool queue = e.type == static_cast<uint32_t>(DsType::Queue);
+    const char *what = queue ? "queue" : "stack";
+    Model m;
     uint64_t last = 0;
-    while (cur != 0) {
-        if (out.size() >= kMaxWalk) {
-            rep->add(fmt("queue", ds, "cycle in the node chain"));
+    for (uint64_t cur = e.aux[0]; cur != 0;) {
+        if (m.list.size() >= kMaxWalk) {
+            rep->add(fmt(what, ds, "cycle in the node chain"));
             return std::nullopt;
         }
         ListNodeImage n;
-        if (!readNodeImage(cur, &n, sizeof(n), "queue node", rep))
+        if (!readNodeImage(cur, &n, sizeof(n), what, rep))
             return std::nullopt;
-        out.push_back(n.value.asU64());
+        m.list.push_back(n.value.asU64());
         last = cur;
         cur = n.next_raw;
     }
-    if (strict_) {
-        if (out.size() != e->aux[2])
-            rep->add(fmt("queue", ds,
-                         "chain length " + std::to_string(out.size()) +
-                             " != persisted count " +
-                             std::to_string(e->aux[2])));
-        if (e->aux[0] == 0 && e->aux[1] != 0)
-            rep->add(fmt("queue", ds, "empty queue with a stale tail"));
-        if (e->aux[0] != 0 && e->aux[1] != last)
-            rep->add(fmt("queue", ds,
-                         "tail pointer does not reach the last node"));
-    }
-    return out;
+    if (!queue)
+        std::reverse(m.list.begin(), m.list.end()); // bottom first
+    if (!strict_)
+        return m;
+    const uint64_t count = e.aux[queue ? 2 : 1];
+    if (m.list.size() != count)
+        rep->add(fmt(what, ds,
+                     "chain length " + std::to_string(m.list.size()) +
+                         " != persisted count " + std::to_string(count)));
+    if (queue && e.aux[1] != last)
+        rep->add(fmt(what, ds,
+                     last == 0 ? "empty queue with a stale tail"
+                               : "tail pointer does not reach the last node"));
+    return m;
 }
 
-std::optional<std::map<Key, uint64_t>>
-InvariantChecker::hashContents(DsId ds, AuditReport *rep)
+std::optional<Model>
+InvariantChecker::hashContents(DsId ds, const NamingEntry &e,
+                               AuditReport *rep)
 {
-    const auto e = entryOfType(ds, DsType::HashTable, "hash table", rep);
-    if (!e)
-        return std::nullopt;
-    const uint64_t array_off = e->aux[0];
-    const uint64_t nbuckets = e->aux[1];
-    const Layout &lay = node_->layout();
+    const uint64_t array_off = e.aux[0];
+    const uint64_t nbuckets = e.aux[1];
     if (nbuckets == 0 || (nbuckets & (nbuckets - 1)) != 0) {
         rep->add(fmt("hash table", ds, "bucket count is not a power of 2"));
         return std::nullopt;
     }
-    if (array_off < lay.dataOff() ||
-        array_off + nbuckets * 8 > lay.dataEnd()) {
-        rep->add(fmt("hash table", ds, "bucket array outside data area"));
+    if (const char *why = badRange(array_off, nbuckets * 8)) {
+        rep->add(fmt("hash table", ds, std::string("bucket array ") + why));
         return std::nullopt;
     }
-    const uint64_t bs = lay.super.block_size;
-    const uint64_t first = (array_off - lay.dataOff()) / bs;
-    const uint64_t last =
-        (array_off + nbuckets * 8 - 1 - lay.dataOff()) / bs;
-    for (uint64_t b = first; b <= last; ++b) {
-        if (!node_->allocator().isAllocated(lay.dataOff() + b * bs)) {
-            rep->add(fmt("hash table", ds,
-                         "bucket array in an unallocated block"));
-            return std::nullopt;
-        }
-    }
-    std::map<Key, uint64_t> out;
-    uint64_t hops = 0;
+    // A cycle revisits a node and so its key: the duplicate-key check
+    // bounds every bucket walk.
+    Model m;
     for (uint64_t b = 0; b < nbuckets; ++b) {
         uint64_t cur = node_->nvm().read64(array_off + b * 8);
         while (cur != 0) {
-            if (++hops > kMaxWalk) {
-                rep->add(fmt("hash table", ds, "cycle in a bucket chain"));
-                return std::nullopt;
-            }
             HashNodeImage n;
             if (!readNodeImage(cur, &n, sizeof(n), "hash node", rep))
                 return std::nullopt;
-            if (!out.emplace(n.key, n.value.asU64()).second) {
+            if (!m.map.emplace(n.key, n.value.asU64()).second) {
                 rep->add(fmt("hash table", ds,
                              "duplicate key " + std::to_string(n.key)));
                 return std::nullopt;
@@ -267,92 +213,60 @@ InvariantChecker::hashContents(DsId ds, AuditReport *rep)
             cur = n.next_raw;
         }
     }
-    if (strict_ && out.size() != e->aux[2])
+    if (strict_ && m.map.size() != e.aux[2])
         rep->add(fmt("hash table", ds,
-                     "reachable entries " + std::to_string(out.size()) +
-                         " != persisted count " +
-                         std::to_string(e->aux[2])));
-    return out;
+                     "reachable entries " + std::to_string(m.map.size()) +
+                         " != persisted count " + std::to_string(e.aux[2])));
+    return m;
 }
 
-std::optional<std::map<Key, uint64_t>>
-InvariantChecker::skipContents(DsId ds, AuditReport *rep)
+std::optional<Model>
+InvariantChecker::skipContents(DsId ds, const NamingEntry &e,
+                               AuditReport *rep)
 {
-    const auto e = entryOfType(ds, DsType::SkipList, "skiplist", rep);
-    if (!e)
-        return std::nullopt;
     SkipNodeImage sentinel;
-    if (!readNodeImage(e->aux[0], &sentinel, sizeof(sentinel),
+    if (!readNodeImage(e.aux[0], &sentinel, sizeof(sentinel),
                        "skiplist sentinel", rep))
         return std::nullopt;
-    constexpr uint32_t kMaxLevel = 16;
     if (sentinel.level != kMaxLevel) {
         rep->add(fmt("skiplist", ds, "sentinel tower height corrupt"));
         return std::nullopt;
     }
-
-    // Bottom level: the authoritative sorted chain.
-    std::map<Key, uint64_t> out;
+    // Every level must be strictly ascending, which also bounds its walk
+    // (a cycle revisits a key). The bottom level is the authoritative
+    // chain; in strict (logged) mode every node in an express lane must
+    // also be on it with a tall-enough tower. Naive mode can legally
+    // crash half way through linking or unlinking a tower, so above the
+    // bottom level only allocation and ordering are required.
+    Model m;
     std::map<uint64_t, uint32_t> level0; // node raw -> tower height
-    uint64_t cur = sentinel.next[0];
-    bool have_prev = false;
-    Key prev = 0;
-    while (cur != 0) {
-        if (out.size() >= kMaxWalk) {
-            rep->add(fmt("skiplist", ds, "cycle in the bottom chain"));
-            return std::nullopt;
-        }
-        SkipNodeImage n;
-        if (!readNodeImage(cur, &n, sizeof(n), "skiplist node", rep))
-            return std::nullopt;
-        if (n.level < 1 || n.level > kMaxLevel) {
-            rep->add(fmt("skiplist", ds,
-                         "node tower height " + std::to_string(n.level) +
-                             " out of range"));
-            return std::nullopt;
-        }
-        if (have_prev && n.key <= prev) {
-            rep->add(fmt("skiplist", ds, "bottom chain keys not ascending"));
-            return std::nullopt;
-        }
-        prev = n.key;
-        have_prev = true;
-        out.emplace(n.key, n.value.asU64());
-        level0.emplace(cur, n.level);
-        cur = n.next[0];
-    }
-    if (strict_ && out.size() != e->aux[1])
-        rep->add(fmt("skiplist", ds,
-                     "bottom-chain length " + std::to_string(out.size()) +
-                         " != persisted count " +
-                         std::to_string(e->aux[1])));
-
-    // Upper levels must stay sorted; in strict (logged) mode every node in
-    // an express lane must also be on the bottom chain with a tall-enough
-    // tower. Naive mode can legally crash half way through linking or
-    // unlinking a tower, so only allocation and ordering are required.
-    for (uint32_t l = 1; l < kMaxLevel; ++l) {
-        cur = sentinel.next[l];
-        have_prev = false;
-        uint64_t hops = 0;
-        while (cur != 0) {
-            if (++hops > kMaxWalk) {
-                rep->add(fmt("skiplist", ds,
-                             "cycle at level " + std::to_string(l)));
-                return std::nullopt;
-            }
+    for (uint32_t l = 0; l < kMaxLevel; ++l) {
+        bool have_prev = false;
+        Key prev = 0;
+        for (uint64_t cur = sentinel.next[l]; cur != 0;) {
             SkipNodeImage n;
             if (!readNodeImage(cur, &n, sizeof(n), "skiplist node", rep))
                 return std::nullopt;
             if (have_prev && n.key <= prev) {
                 rep->add(fmt("skiplist", ds,
-                             "level " + std::to_string(l) +
+                             (l == 0 ? std::string("bottom chain")
+                                     : "level " + std::to_string(l)) +
                                  " keys not ascending"));
                 return std::nullopt;
             }
             prev = n.key;
             have_prev = true;
-            if (strict_) {
+            if (l == 0) {
+                if (n.level < 1 || n.level > kMaxLevel) {
+                    rep->add(fmt("skiplist", ds,
+                                 "node tower height " +
+                                     std::to_string(n.level) +
+                                     " out of range"));
+                    return std::nullopt;
+                }
+                m.map.emplace(n.key, n.value.asU64());
+                level0.emplace(cur, n.level);
+            } else if (strict_) {
                 auto it = level0.find(cur);
                 if (it == level0.end())
                     rep->add(fmt("skiplist", ds,
@@ -365,8 +279,14 @@ InvariantChecker::skipContents(DsId ds, AuditReport *rep)
             }
             cur = n.next[l];
         }
+        if (l == 0 && strict_ && m.map.size() != e.aux[1])
+            rep->add(fmt("skiplist", ds,
+                         "bottom-chain length " +
+                             std::to_string(m.map.size()) +
+                             " != persisted count " +
+                             std::to_string(e.aux[1])));
     }
-    return out;
+    return m;
 }
 
 } // namespace asymnvm

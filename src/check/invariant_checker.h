@@ -30,6 +30,19 @@
 
 namespace asymnvm {
 
+/**
+ * Logical contents of one structure, the shape both the raw image and a
+ * harness's shadow model take: `list` for stacks and queues (bottom /
+ * oldest first), `map` for keyed structures (the first 8 value bytes).
+ */
+struct Model
+{
+    std::vector<uint64_t> list;
+    std::map<Key, uint64_t> map;
+
+    bool operator==(const Model &) const = default;
+};
+
 /** Accumulated invariant violations from one crash-point audit. */
 struct AuditReport
 {
@@ -66,31 +79,15 @@ class InvariantChecker
     void checkLogControl(uint32_t slot, AuditReport *rep);
 
     /**
-     * Walk @p ds and verify every reachable node lies in allocated blocks
-     * of the data area (allocator bitmap vs. reachable heap). Leaked
-     * blocks (allocated but unreachable) are legal — recovery re-executes
-     * ops rather than reclaiming partial allocations.
+     * The image of @p ds as a Model, by the naming entry's type. The walk
+     * is also the heap audit: every reachable node must lie in allocated
+     * blocks of this back-end's data area (leaked blocks, allocated but
+     * unreachable, are legal — recovery re-executes ops rather than
+     * reclaiming partial allocations). Returns nullopt after recording a
+     * violation when the image is structurally broken (free or unaudited
+     * entry, cycle, out-of-range pointer, ...).
      */
-    void checkHeap(DsId ds, AuditReport *rep);
-
-    // ------------------------------------------------------------------
-    // Raw logical-content extraction (runs the same walks as checkHeap).
-    // Returns nullopt after recording a violation when the on-NVM image
-    // is structurally broken (cycle, out-of-range pointer, ...).
-    // ------------------------------------------------------------------
-
-    /** Stack values, top first. */
-    std::optional<std::vector<uint64_t>> stackContents(DsId ds,
-                                                       AuditReport *rep);
-    /** Queue values, oldest first. */
-    std::optional<std::vector<uint64_t>> queueContents(DsId ds,
-                                                       AuditReport *rep);
-    /** Hash-table contents (first 8 value bytes). */
-    std::optional<std::map<Key, uint64_t>> hashContents(DsId ds,
-                                                        AuditReport *rep);
-    /** Skiplist contents from the bottom-level chain. */
-    std::optional<std::map<Key, uint64_t>> skipContents(DsId ds,
-                                                        AuditReport *rep);
+    std::optional<Model> contents(DsId ds, AuditReport *rep);
 
   private:
     /** Mirrors of the private DS node PODs (layout asserted in .cc). */
@@ -115,6 +112,9 @@ class InvariantChecker
         uint64_t next[16];
     };
 
+    /** Why [off, off + size) is not allocated data area, or nullptr. */
+    const char *badRange(uint64_t off, uint64_t size) const;
+
     /**
      * Validate that @p raw points into this back-end's data area with
      * @p size bytes of allocated blocks behind it, then read the node
@@ -123,9 +123,12 @@ class InvariantChecker
     bool readNodeImage(uint64_t raw, void *image, size_t size,
                        const char *what, AuditReport *rep);
 
-    std::optional<NamingEntry> entryOfType(DsId ds, DsType want,
-                                           const char *what,
-                                           AuditReport *rep);
+    std::optional<Model> listContents(DsId ds, const NamingEntry &e,
+                                      AuditReport *rep);
+    std::optional<Model> hashContents(DsId ds, const NamingEntry &e,
+                                      AuditReport *rep);
+    std::optional<Model> skipContents(DsId ds, const NamingEntry &e,
+                                      AuditReport *rep);
 
     BackendNode *node_;
     bool strict_;

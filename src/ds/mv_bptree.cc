@@ -203,10 +203,8 @@ MvBpTree::findMany(std::span<const Key> keys, Value *vals, Status *results)
 {
     // MV readers are lock-free (snapshot per op): no seqlock fallback is
     // needed, any handle may pipeline.
-    return runMany(
-        keys.size(), results, /*eligible=*/true,
-        [&](size_t i) { return find(keys[i], &vals[i]); },
-        [&](size_t i) { return findAsync(keys[i], &vals[i]); });
+    return runWindow(keys.size(), results,
+                     [&](size_t i) { return findAsync(keys[i], &vals[i]); });
 }
 
 bool

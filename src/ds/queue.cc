@@ -139,15 +139,6 @@ Queue::enqueueAsync(Value v)
     co_return s_->opEnd();
 }
 
-Status
-Queue::enqueueMany(std::span<const Value> vals, Status *results)
-{
-    return runMany(
-        vals.size(), results, pipelineEligible(),
-        [&](size_t i) { return enqueue(vals[i]); },
-        [&](size_t i) { return enqueueAsync(vals[i]); });
-}
-
 OpTask
 Queue::dequeueAsync(Value *out)
 {
@@ -201,15 +192,6 @@ Queue::dequeueAsync(Value *out)
     }
     st = s_->opEnd();
     co_return ok(st) ? Status::NotFound : st;
-}
-
-Status
-Queue::dequeueMany(std::span<Value> outs, Status *results)
-{
-    return runMany(
-        outs.size(), results, pipelineEligible(),
-        [&](size_t i) { return dequeue(&outs[i]); },
-        [&](size_t i) { return dequeueAsync(&outs[i]); });
 }
 
 Status

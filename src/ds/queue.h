@@ -47,16 +47,13 @@ class Queue : public DsBase
 
     /**
      * Enqueue as a resumable op — the one implementation behind
-     * enqueue() and enqueueMany(). The deferred path is fully local; the
-     * materialized path (new node, old-tail link, shadows) runs inline
-     * and never suspends, so the pipeline win is log-side. Ops on one
-     * queue are ordered by a per-structure WindowGate (head/tail/count
-     * shadows are member state); ops on other structures overlap freely.
+     * enqueue(). The deferred path is fully local; the materialized path
+     * (new node, old-tail link, shadows) runs inline and never suspends,
+     * so the pipeline win is log-side. Ops on one queue are ordered by a
+     * per-structure WindowGate (head/tail/count shadows are member
+     * state); ops on other structures overlap freely.
      */
     OpTask enqueueAsync(Value v);
-
-    /** Pipelined multi-enqueue; results[i] receives vals[i]'s status. */
-    Status enqueueMany(std::span<const Value> vals, Status *results);
 
     /**
      * Dequeue as a resumable op. Annulment and the empty case resolve
@@ -66,9 +63,6 @@ class Queue : public DsBase
      * WindowGate ordering as enqueueAsync.
      */
     OpTask dequeueAsync(Value *out);
-
-    /** Pipelined multi-dequeue; results[i] receives outs[i]'s status. */
-    Status dequeueMany(std::span<Value> outs, Status *results);
 
     /** Peek the oldest value. */
     Status front(Value *out);

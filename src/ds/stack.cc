@@ -109,15 +109,6 @@ Stack::pushAsync(Value v)
     co_return s_->opEnd();
 }
 
-Status
-Stack::pushMany(std::span<const Value> vals, Status *results)
-{
-    return runMany(
-        vals.size(), results, pipelineEligible(),
-        [&](size_t i) { return push(vals[i]); },
-        [&](size_t i) { return pushAsync(vals[i]); });
-}
-
 OpTask
 Stack::popAsync(Value *out)
 {
@@ -170,15 +161,6 @@ Stack::popAsync(Value *out)
     if (!ok(st))
         co_return st;
     co_return s_->opEnd();
-}
-
-Status
-Stack::popMany(std::span<Value> outs, Status *results)
-{
-    return runMany(
-        outs.size(), results, pipelineEligible(),
-        [&](size_t i) { return pop(&outs[i]); },
-        [&](size_t i) { return popAsync(&outs[i]); });
 }
 
 Status

@@ -55,19 +55,16 @@ class Stack : public DsBase
     Status pop(Value *out);
 
     /**
-     * Push as a resumable op — the one implementation behind push() and
-     * pushMany(). The body has no suspendable
-     * remote reads (deferred pushes stay local; materialization writes
-     * through the overlay), so the pipeline win is purely log-side: the
-     * op-log append rides the window's doorbell-batched WQE chain and
-     * the commit fence coalesces into the window drain. Ops on one stack
-     * are ordered by a per-structure WindowGate (head/count shadows are
-     * member state); ops on other structures overlap freely.
+     * Push as a resumable op — the one implementation behind push(). The
+     * body has no suspendable remote reads (deferred pushes stay local;
+     * materialization writes through the overlay), so the pipeline win
+     * is purely log-side: the op-log append rides the window's
+     * doorbell-batched WQE chain and the commit fence coalesces into the
+     * window drain. Ops on one stack are ordered by a per-structure
+     * WindowGate (head/count shadows are member state); ops on other
+     * structures overlap freely.
      */
     OpTask pushAsync(Value v);
-
-    /** Pipelined multi-push; results[i] receives vals[i]'s status. */
-    Status pushMany(std::span<const Value> vals, Status *results);
 
     /**
      * Pop as a resumable op. Annulment and the empty case resolve
@@ -77,9 +74,6 @@ class Stack : public DsBase
      * ordering as pushAsync.
      */
     OpTask popAsync(Value *out);
-
-    /** Pipelined multi-pop; results[i] receives outs[i]'s status. */
-    Status popMany(std::span<Value> outs, Status *results);
 
     /** Read the newest value without removing it. */
     Status top(Value *out);

@@ -623,28 +623,17 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
             if (ok(aw->result))
                 ctr_.hist_read_remote.record(lat);
     };
+    // Windows never nest: only the *Many entry points open one, and no
+    // op calls them.
+    assert(!pipeline_active_);
     const uint32_t depth = std::max<uint32_t>(1, cfg_.pipeline_depth);
-    if (depth <= 1 || ops.size() <= 1 || pipeline_active_) {
+    if (depth <= 1 || ops.size() <= 1) {
         // Serial baseline: with no reactor active, asyncRead never
         // suspends, so one resume() drives each op to completion through
-        // the unchanged read/commit paths. Under a re-entrant call (an
-        // outer reactor already owns scheduling) an op CAN suspend on a
-        // parked read — serve the reads it parked as a flight that lands
-        // at once, leaving the outer window's parked reads alone; the
-        // outer window's single drain flush still fences everything, so
-        // no extra commit is charged here.
-        Flight f;
+        // the unchanged read/commit paths.
         for (size_t i = 0; i < ops.size(); ++i) {
-            const size_t outer = vol_.pending_reads.size();
             ops[i].resume();
-            while (!ops[i].done()) {
-                f.reads.assign(vol_.pending_reads.begin() + outer,
-                               vol_.pending_reads.end());
-                vol_.pending_reads.resize(outer);
-                launchFlight(f, /*posted=*/false);
-                land(f);
-                ops[i].resume();
-            }
+            assert(ops[i].done());
             results[i] = ops[i].status();
         }
         return;
@@ -721,10 +710,13 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
                 ready.push_back(aw->waiter);
             continue;
         }
-        if (yielded.empty())
-            break;
-        ready.assign(yielded.begin(), yielded.end());
-        yielded.clear();
+        // Nothing is yielded here: a yielded op waits on a gate held by
+        // an unfinished sibling, a gate holder never yields (ops yield
+        // only before taking their gate, or as readers holding none), so
+        // the holder is ready, parked or in a flight — all handled above
+        // — and its completion re-polls every yielded op.
+        assert(yielded.empty());
+        break;
     }
     assert(flight_room_ == 0);
     pipeline_active_ = false;

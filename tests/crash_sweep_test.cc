@@ -106,7 +106,7 @@ TEST_P(CrashSweepTest, RecoversAtEverySampledCrashPoint)
         // complete the recovery protocol.
         EXPECT_EQ(res.crashes_fired, res.points_run);
         EXPECT_EQ(res.recoveries, res.points_run);
-        EXPECT_TRUE(res.violations.empty()) << res.violationText();
+        EXPECT_TRUE(res.report.clean()) << res.report.str();
         // One line per workload x preset, so a change that must keep the
         // verb numbering proves it by a plain stdout diff.
         std::printf("crash sweep %s/%s: %llu workload_verbs, %llu "
@@ -146,7 +146,7 @@ TEST(CrashTearTest, InteriorPrefixesEnumeratedForLoggedModes)
     opt.max_points = 16;
     opt.max_tears_per_point = 64;
     const ExplorerResult res = exploreCrashPoints(opt);
-    EXPECT_TRUE(res.violations.empty()) << res.violationText();
+    EXPECT_TRUE(res.report.clean()) << res.report.str();
     // 16 indices, each contributing keep-0 and keep-all plus interior
     // prefixes for any multi-chunk write: strictly more points than
     // indices proves the tear enumeration is live.

@@ -135,7 +135,7 @@ TEST(DoorbellOrderSweep, RcbChainsRecoverAtSampledCrashPoints)
         EXPECT_GT(res.workload_verbs, 0u);
         EXPECT_EQ(res.crashes_fired, res.points_run);
         EXPECT_EQ(res.recoveries, res.points_run);
-        EXPECT_TRUE(res.violations.empty()) << res.violationText();
+        EXPECT_TRUE(res.report.clean()) << res.report.str();
     }
 }
 

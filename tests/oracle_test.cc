@@ -14,11 +14,11 @@
 
 #include <cstring>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "backend/backend_node.h"
 #include "check/invariant_checker.h"
+#include "check/oracle.h"
 #include "ds/bptree.h"
 #include "ds/hash_table.h"
 #include "ds/queue.h"
@@ -124,21 +124,11 @@ class OracleTest : public ::testing::Test
     }
 
     /** The checker's extraction of the structure behind @p h. */
-    template <typename DS>
-    AuditReport extract(const DS &h, bool strict = true)
+    AuditReport extract(const DsBase &h, bool strict = true)
     {
         InvariantChecker chk(be_.get(), strict);
         AuditReport rep;
-        if constexpr (std::is_same_v<DS, Stack>)
-            chk.stackContents(h.id(), &rep);
-        else if constexpr (std::is_same_v<DS, Queue>)
-            chk.queueContents(h.id(), &rep);
-        else if constexpr (std::is_same_v<DS, HashTable>)
-            chk.hashContents(h.id(), &rep);
-        else if constexpr (std::is_same_v<DS, SkipList>)
-            chk.skipContents(h.id(), &rep);
-        else
-            chk.checkHeap(h.id(), &rep);
+        chk.contents(h.id(), &rep);
         return rep;
     }
 
@@ -460,6 +450,15 @@ TEST_F(OracleTest, SkipListSentinelHeight)
     EXPECT_TRUE(names(extract(sl), "sentinel tower height corrupt"));
 }
 
+TEST_F(OracleTest, SkipListSentinelOutsideTheDataArea)
+{
+    const SkipList sl = makeSkip(5);
+    setAux(sl.id(), 0, RemotePtr(1, 64).raw());
+    const AuditReport rep = extract(sl);
+    EXPECT_TRUE(names(rep, "skiplist sentinel"));
+    EXPECT_TRUE(names(rep, "outside the data area"));
+}
+
 TEST_F(OracleTest, SkipListTowerHeightOutOfRange)
 {
     const SkipList sl = makeSkip(5);
@@ -626,6 +625,64 @@ TEST_F(OracleTest, UndecodableRecordInsideTheOpWindow)
     chk.checkLogControl(slot, &rep);
     EXPECT_TRUE(names(rep, "op-window record(s) do not decode"))
         << rep.str();
+}
+
+// ---------------------------------------------------------------------
+// The harnesses' checked op applier and audit (check/oracle.h) fail too:
+// a model that disagrees with the structure is named.
+// ---------------------------------------------------------------------
+
+TEST_F(OracleTest, ApplierNamesEveryMismatch)
+{
+    using K = Op::K;
+    constexpr WorkloadKind kStack = WorkloadKind::Stack;
+    constexpr WorkloadKind kHash = WorkloadKind::HashTable;
+    Handles h;
+    ASSERT_EQ(h.create(*s_, 1, kStack, "stack"), Status::Ok);
+    ASSERT_EQ(h.create(*s_, 1, kHash, "hash"), Status::Ok);
+    std::string mism;
+    ASSERT_EQ(h.apply(kStack, {K::Add, 0, 5}, &mism), Status::Ok);
+    ASSERT_EQ(h.apply(kHash, {K::Add, 1, 5}, &mism), Status::Ok);
+    ASSERT_EQ(mism, "");
+
+    h.model(kStack).list.back() = 6;
+    ASSERT_EQ(h.apply(kStack, {K::Read, 0, 0}, &mism), Status::Ok);
+    EXPECT_EQ(mism, "stack read returned a wrong value");
+    h.model(kStack).list.clear();
+    ASSERT_EQ(h.apply(kStack, {K::Remove, 0, 0}, &mism), Status::Ok);
+    EXPECT_EQ(mism, "stack remove found an element the model lacks");
+    h.model(kStack).list = {9};
+    ASSERT_EQ(h.apply(kStack, {K::Read, 0, 0}, &mism), Status::Ok);
+    EXPECT_EQ(mism, "stack read missed an element the model holds");
+
+    h.model(kHash).map.clear();
+    ASSERT_EQ(h.apply(kHash, {K::Read, 1, 0}, &mism), Status::Ok);
+    EXPECT_EQ(mism, "hash read found an element the model lacks");
+    h.model(kHash).map[2] = 3;
+    ASSERT_EQ(h.apply(kHash, {K::Remove, 2, 0}, &mism), Status::Ok);
+    EXPECT_EQ(mism, "hash remove missed an element the model holds");
+}
+
+TEST_F(OracleTest, AuditNamesAModelThatDiverges)
+{
+    constexpr WorkloadKind kQueue = WorkloadKind::Queue;
+    Handles h;
+    ASSERT_EQ(h.create(*s_, 1, kQueue, "queue"), Status::Ok);
+    std::string mism;
+    for (uint64_t v = 1; v <= 3; ++v)
+        ASSERT_EQ(h.apply(kQueue, {Op::K::Add, 0, v}, &mism), Status::Ok);
+    ASSERT_EQ(s_->persistentFence(), Status::Ok);
+    InvariantChecker chk(be_.get());
+    AuditReport rep;
+    h.audit(chk, kQueue, &rep);
+    EXPECT_TRUE(rep.clean()) << rep.str();
+
+    h.model(kQueue).list.pop_back();
+    h.audit(chk, kQueue, &rep);
+    ASSERT_EQ(rep.violations.size(), 1u);
+    EXPECT_EQ(rep.str(), "  - queue (ds " + std::to_string(h.id(kQueue)) +
+                             "): contents diverge from the model (image 3 "
+                             "elements, model 2)\n");
 }
 
 } // namespace

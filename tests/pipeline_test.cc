@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <map>
 #include <random>
+#include <span>
+#include <type_traits>
 #include <typeinfo>
 #include <vector>
 
@@ -426,6 +428,139 @@ TEST(PipelineTest, EmptyAndSingleOpWindows)
     EXPECT_EQ(v.asU64(), 50u * 31);
     // A single op never enters the reactor — serial fall-through.
     EXPECT_EQ(rig.s->stats().pipeline.runs, 0u);
+}
+
+// ---------------------------------------------------------------------
+// runMany's serial branch: a second session's shared handle, without the
+// writer lock, runs every keyed *Many entry point one op at a time, with
+// the per-key statuses and values of the single-op calls.
+// ---------------------------------------------------------------------
+
+/** One spelling of a keyed structure's write and lookup entry points. */
+template <typename DS>
+struct KeyedOps
+{
+    static Status create(FrontendSession &s, const char *name, DS *out,
+                         const DsOptions &opt)
+    {
+        return DS::create(s, 1, name, out, opt);
+    }
+    static Status put(DS &d, Key k, const Value &v) { return d.insert(k, v); }
+    static Status get(DS &d, Key k, Value *v) { return d.find(k, v); }
+    static Status putMany(DS &d, std::span<const std::pair<Key, Value>> kvs,
+                          Status *r)
+    {
+        return d.insertMany(kvs, r);
+    }
+    static Status getMany(DS &d, std::span<const Key> keys, Value *v,
+                          Status *r)
+    {
+        return d.findMany(keys, v, r);
+    }
+};
+
+template <>
+struct KeyedOps<HashTable>
+{
+    static Status create(FrontendSession &s, const char *name,
+                         HashTable *out, const DsOptions &opt)
+    {
+        return HashTable::create(s, 1, name, 64, out, opt);
+    }
+    static Status put(HashTable &d, Key k, const Value &v)
+    {
+        return d.put(k, v);
+    }
+    static Status get(HashTable &d, Key k, Value *v) { return d.get(k, v); }
+    static Status putMany(HashTable &d,
+                          std::span<const std::pair<Key, Value>> kvs,
+                          Status *r)
+    {
+        return d.putMany(kvs, r);
+    }
+    static Status getMany(HashTable &d, std::span<const Key> keys, Value *v,
+                          Status *r)
+    {
+        return d.getMany(keys, v, r);
+    }
+};
+
+template <typename DS>
+class UnlockedSharedManyTest : public ::testing::Test
+{};
+using KeyedStructures = ::testing::Types<BpTree, HashTable, SkipList, MvBpTree>;
+TYPED_TEST_SUITE(UnlockedSharedManyTest, KeyedStructures);
+
+TYPED_TEST(UnlockedSharedManyTest, ManyCallsMatchSingleOpCalls)
+{
+    using DS = TypeParam;
+    using Ops = KeyedOps<DS>;
+    auto be = std::make_unique<BackendNode>(1, testConfig());
+    FrontendSession owner(SessionConfig::rc(41, 256 << 10));
+    SessionConfig cfg = SessionConfig::rc(42, 256 << 10);
+    cfg.pipeline_depth = 8;
+    FrontendSession second(cfg);
+    ASSERT_EQ(owner.connect(be.get()), Status::Ok);
+    ASSERT_EQ(second.connect(be.get()), Status::Ok);
+    DsOptions opt;
+    opt.shared = true;
+    // Two equal structures: "many" takes the *Many calls, "one" the
+    // single-op calls.
+    for (const char *name : {"many", "one"}) {
+        DS d;
+        ASSERT_EQ(Ops::create(owner, name, &d, opt), Status::Ok);
+        for (Key k = 2; k <= 40; k += 2)
+            ASSERT_EQ(Ops::put(d, k, Value::ofU64(k)), Status::Ok);
+    }
+    ASSERT_EQ(owner.flushAll(), Status::Ok); // releases the writer locks
+    DS many, one;
+    ASSERT_EQ(DS::open(second, 1, "many", &many, opt), Status::Ok);
+    ASSERT_EQ(DS::open(second, 1, "one", &one, opt), Status::Ok);
+    const uint64_t runs = second.stats().pipeline.runs;
+
+    // Overwrites, fresh keys and a repeated key.
+    std::vector<std::pair<Key, Value>> kvs;
+    for (const Key k : {4, 5, 40, 41, 5, 17})
+        kvs.emplace_back(k, Value::ofU64(k * 3 + kvs.size()));
+    std::vector<Status> ms(kvs.size()), os(kvs.size());
+    ASSERT_EQ(Ops::putMany(many, kvs, ms.data()), Status::Ok);
+    for (size_t i = 0; i < kvs.size(); ++i)
+        os[i] = Ops::put(one, kvs[i].first, kvs[i].second);
+    EXPECT_EQ(ms, os);
+    ASSERT_EQ(second.flushAll(), Status::Ok);
+
+    // Present, absent and twice-erased keys.
+    const std::vector<Key> gone = {2, 3, 5, 17, 18, 41, 99, 5};
+    ms.assign(gone.size(), Status::Ok);
+    os.assign(gone.size(), Status::Ok);
+    ASSERT_EQ(many.eraseMany(gone, ms.data()), Status::Ok);
+    for (size_t i = 0; i < gone.size(); ++i)
+        os[i] = one.erase(gone[i]);
+    EXPECT_EQ(ms, os);
+    EXPECT_EQ(std::count(os.begin(), os.end(), Status::NotFound), 3);
+    ASSERT_EQ(second.flushAll(), Status::Ok);
+    EXPECT_EQ(second.stats().pipeline.runs, runs)
+        << "an unlocked shared writer opened a window";
+
+    std::vector<Key> keys;
+    for (Key k = 1; k <= 42; ++k)
+        keys.push_back(k);
+    std::vector<Value> mv(keys.size()), ov(keys.size());
+    ms.assign(keys.size(), Status::Ok);
+    os.assign(keys.size(), Status::Ok);
+    ASSERT_EQ(Ops::getMany(many, keys, mv.data(), ms.data()), Status::Ok);
+    for (size_t i = 0; i < keys.size(); ++i) {
+        os[i] = Ops::get(one, keys[i], &ov[i]);
+        if (ok(os[i]))
+            EXPECT_EQ(mv[i].asU64(), ov[i].asU64()) << "key " << keys[i];
+    }
+    EXPECT_EQ(ms, os);
+    // MV readers walk a snapshot and always pipeline, which also shows
+    // the counter above is live.
+    if constexpr (std::is_same_v<DS, MvBpTree>)
+        EXPECT_GT(second.stats().pipeline.runs, runs);
+    else
+        EXPECT_EQ(second.stats().pipeline.runs, runs);
 }
 
 TEST(PipelineTest, SharedHandleFallsBackToSerialProtocol)
