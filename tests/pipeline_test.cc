@@ -505,12 +505,14 @@ TYPED_TEST(UnlockedSharedManyTest, ManyCallsMatchSingleOpCalls)
     DsOptions opt;
     opt.shared = true;
     // Two equal structures: "many" takes the *Many calls, "one" the
-    // single-op calls.
-    for (const char *name : {"many", "one"}) {
-        DS d;
-        ASSERT_EQ(Ops::create(owner, name, &d, opt), Status::Ok);
+    // single-op calls. The owner's handles live as long as its session,
+    // whose flush hooks point at them.
+    DS made[2];
+    const char *names[2] = {"many", "one"};
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_EQ(Ops::create(owner, names[i], &made[i], opt), Status::Ok);
         for (Key k = 2; k <= 40; k += 2)
-            ASSERT_EQ(Ops::put(d, k, Value::ofU64(k)), Status::Ok);
+            ASSERT_EQ(Ops::put(made[i], k, Value::ofU64(k)), Status::Ok);
     }
     ASSERT_EQ(owner.flushAll(), Status::Ok); // releases the writer locks
     DS many, one;
@@ -551,8 +553,9 @@ TYPED_TEST(UnlockedSharedManyTest, ManyCallsMatchSingleOpCalls)
     ASSERT_EQ(Ops::getMany(many, keys, mv.data(), ms.data()), Status::Ok);
     for (size_t i = 0; i < keys.size(); ++i) {
         os[i] = Ops::get(one, keys[i], &ov[i]);
-        if (ok(os[i]))
+        if (ok(os[i])) {
             EXPECT_EQ(mv[i].asU64(), ov[i].asU64()) << "key " << keys[i];
+        }
     }
     EXPECT_EQ(ms, os);
     // MV readers walk a snapshot and always pipeline, which also shows
